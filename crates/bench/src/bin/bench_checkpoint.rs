@@ -15,6 +15,11 @@
 //! * **Restore identity**: resuming from a mid-run boundary snapshot
 //!   yields the uninterrupted run's canonical bytes exactly.
 //!
+//! Both sides take the same path: steady-state replay simulates two
+//! iterations and synthesizes the rest, and every run folds its timeline
+//! digest at each iteration boundary, so the snapshots' file writes are
+//! the only difference, and the recorded overhead is not negative.
+//!
 //! Results land in `results/BENCH_checkpoint.json`, which CI uploads as
 //! an artifact. Set `TRIOSIM_CKPT_GATE=0` to record without enforcing
 //! the overhead gate (useful on heavily-shared runners).
@@ -56,9 +61,7 @@ fn snapshot_path(tag: &str) -> PathBuf {
 
 /// Runs `REPS` back-to-back simulations, returning the last canonical
 /// report and the total wall seconds. The timed region includes
-/// canonicalization: plain runs hash the timeline at report time while
-/// checkpointed runs fold it incrementally during the run, so timing
-/// only `try_run` would charge that (identical) work to one side only.
+/// canonicalization, the end-to-end cost a user pays for a report.
 fn run_once(trace: &Trace, platform: &Platform, ckpt: Option<&PathBuf>) -> (Value, f64) {
     let start = Instant::now();
     let mut canonical: Option<Value> = None;

@@ -297,10 +297,9 @@ pub fn field_u64(v: &Value, path: &[&str]) -> u64 {
 /// Whether a host-dependent performance gate should be *enforced* (hard
 /// assertion) rather than merely recorded: true when the host has at
 /// least `min_cores` cores. Bench binaries with wall-clock or scaling
-/// gates (`bench_sweep`, `bench_shard`, `bench_fidelity`) share this
-/// predicate and record it as the `gate_armed` summary field; callers
-/// AND in any binary-specific environment overrides (e.g.
-/// `TRIOSIM_SHARD_GATE=0`) on top.
+/// gates (`bench_sweep`, `bench_fidelity`) share this predicate and
+/// record it as the `gate_armed` summary field; callers AND in any
+/// binary-specific environment overrides on top.
 pub fn gate_armed(min_cores: usize) -> bool {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get) >= min_cores
 }

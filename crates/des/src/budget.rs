@@ -115,15 +115,10 @@ impl RunBudget {
     }
 
     /// This budget with the wall-clock axis removed: only the
-    /// deterministic (event-count and sim-time) limits remain.
-    ///
-    /// Sharded runs use this to *replay* budget enforcement after the
-    /// fact: each shard records the virtual times of the real events it
-    /// delivered, and the merge walks them in canonical order through
-    /// this budget's [`check`](RunBudget::check) — tripping on exactly
-    /// the same event, with the same kind and limit, as the serial run.
-    /// The wall axis must be excluded because it is host-dependent by
-    /// design (and its `Instant` deadline belongs to the live run).
+    /// deterministic (event-count and sim-time) limits remain. Checking
+    /// it replays enforcement over recorded `(events, now)` progress and
+    /// trips on exactly the event the live run would have, since the
+    /// host-dependent wall axis is gone.
     pub fn deterministic_only(&self) -> RunBudget {
         RunBudget {
             max_events: self.max_events,
@@ -134,9 +129,7 @@ impl RunBudget {
 
     /// This budget with the deterministic axes removed: only the live
     /// wall-clock deadline remains. The complement of
-    /// [`deterministic_only`](RunBudget::deterministic_only) — sharded
-    /// workers carry this so a runaway still hits the host deadline while
-    /// the deterministic axes are enforced by replay.
+    /// [`deterministic_only`](RunBudget::deterministic_only).
     pub fn wall_only(&self) -> RunBudget {
         RunBudget {
             max_events: None,
@@ -190,12 +183,20 @@ impl RunBudget {
                 return Some((BudgetKind::SimTime, us));
             }
         }
-        if let Some((deadline, ms)) = self.deadline {
-            if events & (Self::WALL_CHECK_PERIOD - 1) == 1 && Instant::now() > deadline {
-                return Some((BudgetKind::WallClock, ms));
-            }
+        if events & (Self::WALL_CHECK_PERIOD - 1) == 1 {
+            return self.check_wall();
         }
         None
+    }
+
+    /// Probes the wall-clock deadline now, whatever the event count:
+    /// the tripped axis and its limit in ms, or `None` when no deadline
+    /// is armed or it has not passed. For progress made without
+    /// delivering events, such as iterations steady-state replay
+    /// synthesizes.
+    pub fn check_wall(&self) -> Option<(BudgetKind, u64)> {
+        let (deadline, ms) = self.deadline?;
+        (Instant::now() > deadline).then_some((BudgetKind::WallClock, ms))
     }
 }
 
@@ -258,6 +259,14 @@ mod tests {
             b.check(RunBudget::WALL_CHECK_PERIOD + 1, VirtualTime::ZERO),
             Some((BudgetKind::WallClock, 0)),
             "every WALL_CHECK_PERIOD-th event probes"
+        );
+        assert_eq!(b.check_wall(), Some((BudgetKind::WallClock, 0)));
+        assert_eq!(RunBudget::unlimited().check_wall(), None);
+        assert_eq!(
+            RunBudget::unlimited()
+                .with_wall_timeout_ms(60_000)
+                .check_wall(),
+            None
         );
     }
 

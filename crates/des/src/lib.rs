@@ -16,10 +16,6 @@
 //!   components register as handlers and events are routed by
 //!   [`HandlerId`]. Useful when a simulation is composed of many loosely
 //!   coupled components.
-//! * [`run_sharded`] + [`ShardHandler`] — a conservative-lookahead
-//!   parallel layer: per-shard event queues driven by worker threads,
-//!   synchronized at horizon barriers, with deterministic boundary-event
-//!   merging (see the `shard` module docs for the lookahead argument).
 //!
 //! # Determinism
 //!
@@ -63,7 +59,6 @@
 mod budget;
 mod engine;
 mod queue;
-mod shard;
 mod stats;
 mod ticker;
 mod time;
@@ -71,7 +66,6 @@ mod time;
 pub use budget::{BudgetKind, BudgetProgress, RunBudget};
 pub use engine::{Engine, EngineCtx, EngineError, Handler, HandlerId, HandlerStats};
 pub use queue::{EventId, EventQueue};
-pub use shard::{run_sharded, ShardCtx, ShardHandler, ShardOutcome, ShardSeed};
 pub use stats::QueueStats;
 pub use ticker::{tick_while, Ticker};
 pub use time::{TimeSpan, VirtualTime};

@@ -94,12 +94,9 @@ impl<E> EventQueue<E> {
         Self::starting_at(VirtualTime::ZERO)
     }
 
-    /// Creates an empty queue with the clock already advanced to `origin`.
-    ///
-    /// Sharded execution uses this to replay a partition of a longer run
-    /// in its own queue: events before `origin` belong to other shards, so
-    /// scheduling anything earlier is rejected exactly as if the queue had
-    /// ticked its way there.
+    /// Creates an empty queue with the clock already advanced to `origin`:
+    /// scheduling anything earlier is rejected exactly as if the queue
+    /// had ticked its way there.
     pub fn starting_at(origin: VirtualTime) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
@@ -129,6 +126,31 @@ impl<E> EventQueue<E> {
     /// event (or zero before any pop).
     pub fn now(&self) -> VirtualTime {
         self.now
+    }
+
+    /// Advances an idle queue's clock to `to` and folds `stats` into its
+    /// counters (see [`QueueStats::merge`]), as though the events those
+    /// counters describe had been scheduled and delivered in between.
+    ///
+    /// Steady-state replay uses this to account for an iteration it
+    /// synthesizes instead of simulating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if events are still pending or `to` is earlier than
+    /// [`now`](EventQueue::now).
+    pub fn fast_forward(&mut self, to: VirtualTime, stats: &QueueStats) {
+        assert!(
+            self.pending.is_empty(),
+            "only an idle queue can be fast-forwarded"
+        );
+        assert!(
+            to >= self.now,
+            "cannot fast-forward to {to}, before the current time {now}",
+            now = self.now
+        );
+        self.now = to;
+        self.stats.merge(stats);
     }
 
     /// Schedules `event` at absolute time `time` and returns its id.
@@ -399,6 +421,26 @@ mod tests {
             q.schedule(VirtualTime::from_seconds(9.0), "past");
         }));
         assert!(past.is_err(), "scheduling before the origin must panic");
+    }
+
+    #[test]
+    fn fast_forward_moves_an_idle_clock_and_credits_stats() {
+        let mut q = EventQueue::new();
+        q.schedule(VirtualTime::from_seconds(1.0), ());
+        q.pop();
+        let one_iteration = *q.stats();
+        q.fast_forward(VirtualTime::from_seconds(2.0), &one_iteration);
+        assert_eq!(q.now(), VirtualTime::from_seconds(2.0));
+        assert_eq!(q.stats().delivered(), 2);
+        assert_eq!(q.stats().max_pending(), 1);
+        q.schedule(VirtualTime::from_seconds(3.0), ());
+        let busy = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.fast_forward(VirtualTime::from_seconds(4.0), &one_iteration);
+        }));
+        assert!(
+            busy.is_err(),
+            "a queue with pending events cannot skip ahead"
+        );
     }
 
     #[test]

@@ -58,17 +58,33 @@ impl QueueStats {
     /// Folds another queue's counters into this one: totals add, the
     /// high-water mark takes the maximum.
     ///
-    /// This is how sharded runs aggregate per-shard queue statistics into
-    /// one report. When the shards partition a run whose serial queue
-    /// fully drains at every partition boundary (so each shard's queue
-    /// replays exactly the pending-depth profile the serial queue had in
-    /// that span), the merged counters are identical to the serial run's.
+    /// Steady-state replay credits each synthesized iteration this way
+    /// (see [`EventQueue::fast_forward`](crate::EventQueue::fast_forward)).
+    /// The queue fully drains at every iteration boundary, so an
+    /// iteration that repeats a verified one replays its exact
+    /// pending-depth profile, and the folded counters equal the ones the
+    /// simulated iteration would have produced.
     pub fn merge(&mut self, other: &QueueStats) {
         self.scheduled += other.scheduled;
         self.delivered += other.delivered;
         self.cancelled += other.cancelled;
         self.max_pending = self.max_pending.max(other.max_pending);
         self.compactions += other.compactions;
+    }
+
+    /// The counters accrued since `earlier`, a snapshot of this queue's
+    /// statistics taken before: totals subtract, and the high-water mark
+    /// is this snapshot's (a maximum has no difference). Folding the
+    /// result back with [`merge`](Self::merge) onto `earlier` gives
+    /// `self` exactly.
+    pub fn since(&self, earlier: &QueueStats) -> QueueStats {
+        QueueStats {
+            scheduled: self.scheduled - earlier.scheduled,
+            delivered: self.delivered - earlier.delivered,
+            cancelled: self.cancelled - earlier.cancelled,
+            max_pending: self.max_pending,
+            compactions: self.compactions - earlier.compactions,
+        }
     }
 
     pub(crate) fn record_scheduled(&mut self, pending: usize) {
@@ -117,6 +133,30 @@ mod tests {
         assert_eq!(a.cancelled(), 2);
         assert_eq!(a.max_pending(), 9);
         assert_eq!(a.compactions(), 1);
+    }
+
+    #[test]
+    fn since_then_merge_round_trips() {
+        let earlier = QueueStats {
+            scheduled: 10,
+            delivered: 8,
+            cancelled: 2,
+            max_pending: 5,
+            compactions: 1,
+        };
+        let later = QueueStats {
+            scheduled: 25,
+            delivered: 21,
+            cancelled: 4,
+            max_pending: 7,
+            compactions: 3,
+        };
+        let delta = later.since(&earlier);
+        assert_eq!(delta.scheduled(), 15);
+        assert_eq!(delta.compactions(), 2);
+        let mut folded = earlier;
+        folded.merge(&delta);
+        assert_eq!(folded, later);
     }
 
     #[test]

@@ -137,9 +137,9 @@ struct CachedRoute {
 
 /// Cumulative per-link activity counters.
 ///
-/// Both fields are integers (ticks for time) so that forked-model
-/// statistics can be merged back exactly: integer sums are associative,
-/// which is what keeps sharded runs byte-identical to serial ones.
+/// Both fields are integers (ticks for time) so that statistics deltas
+/// can be absorbed exactly: integer sums are associative, which is what
+/// keeps replayed runs byte-identical to serial ones.
 /// Payload bytes are credited when a flow *delivers* (one full payload
 /// per route link), busy time accrues per progress window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1353,6 +1353,24 @@ mod tests {
     }
 
     #[test]
+    fn absorbing_a_stats_delta_reproduces_the_later_snapshot() {
+        let transfer = |net: &mut FlowNetwork, at: f64| {
+            let (f, cmds) = net.send(VirtualTime::from_seconds(at), NodeId(0), NodeId(1), 1 << 20);
+            net.deliver(f, sched_time(&cmds, f));
+            net.stats_snapshot().expect("flow networks snapshot")
+        };
+        let mut net = one_link_net(1e9, 0.0);
+        let one = transfer(&mut net, 0.0);
+        let two = transfer(&mut net, 1.0);
+        let delta = two.since(&one);
+        assert_eq!(delta, one, "a time-shifted transfer adds the same stats");
+        let mut replayed = one_link_net(1e9, 0.0);
+        transfer(&mut replayed, 0.0);
+        replayed.absorb_stats(&delta);
+        assert_eq!(replayed.stats_snapshot().expect("snapshot"), two);
+    }
+
+    #[test]
     fn fork_pristine_and_absorb_reproduce_the_serial_stats_exactly() {
         // Serial oracle: two flows, back to back.
         let run = |net: &mut dyn NetworkModel, offset: VirtualTime| {
@@ -1368,7 +1386,7 @@ mod tests {
         run(&mut serial, VirtualTime::ZERO);
         run(&mut serial, VirtualTime::from_seconds(1.0));
 
-        // Sharded shape: the second batch runs on a pristine fork at a
+        // Forked shape: the second batch runs on a pristine fork at a
         // shifted origin, then its stats are absorbed.
         let mut base = one_link_net(1e9, 0.0);
         assert!(base.iteration_invariant());

@@ -163,12 +163,12 @@ pub struct LinkObservation {
 
 /// An exact, mergeable snapshot of a model's cumulative statistics.
 ///
-/// Sharded execution runs iteration blocks on *forked* copies of a
-/// network model and must fold their statistics back into the original
-/// without floating-point drift. Every field is therefore an integer
-/// (tick-typed for durations): integer sums are associative, so the
-/// merged totals are byte-identical to the serial run's regardless of
-/// merge order.
+/// Steady-state replay takes one before and after a simulated iteration,
+/// and absorbs the difference ([`since`](NetStatsSnapshot::since)) once
+/// per iteration it synthesizes. That must not drift, so every field is
+/// an integer (tick-typed for durations): integer sums are exact and
+/// associative, so the absorbed totals are byte-identical to the ones
+/// simulating those iterations would have left.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NetStatsSnapshot {
     /// Whole-network cumulative counters at snapshot time.
@@ -176,6 +176,43 @@ pub struct NetStatsSnapshot {
     /// Per-link `(payload bytes crossed, busy time)` in the model's
     /// stable link order. Empty for models without link accounting.
     pub links: Vec<(u64, TimeSpan)>,
+}
+
+impl NetStatsSnapshot {
+    /// The statistics accrued since `earlier`, an older snapshot of the
+    /// same model: every cumulative counter subtracts, and `in_flight`
+    /// (a level, not a total) is this snapshot's. Absorbing the result
+    /// into a model at `earlier`'s state brings it to `self`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshots cover different link counts.
+    pub fn since(&self, earlier: &NetStatsSnapshot) -> NetStatsSnapshot {
+        assert_eq!(
+            self.links.len(),
+            earlier.links.len(),
+            "snapshots must come from the same topology"
+        );
+        let (o, e) = (&self.observation, &earlier.observation);
+        NetStatsSnapshot {
+            observation: NetObservation {
+                in_flight: o.in_flight,
+                bytes_delivered: o.bytes_delivered - e.bytes_delivered,
+                flows_completed: o.flows_completed - e.flows_completed,
+                reallocations: o.reallocations - e.reallocations,
+                reschedules: o.reschedules - e.reschedules,
+                link_faults: o.link_faults - e.link_faults,
+                reroutes: o.reroutes - e.reroutes,
+                added_hops: o.added_hops - e.added_hops,
+            },
+            links: self
+                .links
+                .iter()
+                .zip(&earlier.links)
+                .map(|(&(bytes, busy), &(b0, t0))| (bytes - b0, busy - t0))
+                .collect(),
+        }
+    }
 }
 
 /// One link's complete checkpointable state: the live topology
@@ -370,31 +407,33 @@ pub trait NetworkModel: fmt::Debug {
 
     /// True when the model is *iteration-invariant*: running the same
     /// traffic pattern shifted by a constant virtual-time offset produces
-    /// identically shifted commands and identical statistics deltas.
-    /// Required for iteration-axis sharding (each shard replays later
-    /// iterations against a fresh fork). The default is conservative.
+    /// identically shifted commands and identical statistics deltas, so
+    /// from a quiescent instant its behavior does not depend on the
+    /// traffic it carried before. Steady-state replay requires it before
+    /// it verifies one iteration against the previous one and
+    /// synthesizes the rest. The default is conservative.
     fn iteration_invariant(&self) -> bool {
         false
     }
 
     /// A fresh copy of this model in its pristine (pre-traffic) state:
     /// same topology and configuration, zeroed statistics, no in-flight
-    /// flows. `None` (the default) means the model cannot be forked and
-    /// sharded execution must fall back to the serial path.
+    /// flows. `None` (the default) means the model cannot be forked.
     fn fork_pristine(&self) -> Option<Box<dyn NetworkModel + Send>> {
         None
     }
 
     /// This model's cumulative statistics as an exactly mergeable
     /// snapshot, or `None` (the default) when the model does not support
-    /// snapshot/absorb merging.
+    /// snapshot/absorb merging (and so cannot be replayed).
     fn stats_snapshot(&self) -> Option<NetStatsSnapshot> {
         None
     }
 
-    /// Folds a fork's statistics snapshot into this model's cumulative
-    /// counters (integer sums — exact in any order). The default is a
-    /// no-op for models without snapshot support.
+    /// Folds a statistics delta (see [`NetStatsSnapshot::since`]) into
+    /// this model's cumulative counters (integer sums — exact in any
+    /// order). The default is a no-op for models without snapshot
+    /// support.
     fn absorb_stats(&mut self, snapshot: &NetStatsSnapshot) {
         let _ = snapshot;
     }

@@ -736,9 +736,9 @@ impl NetworkModel for PacketNetwork {
     fn iteration_invariant(&self) -> bool {
         // The packet dynamics are time-shift invariant in principle, but
         // the model keeps open-period projections and per-period
-        // commitment state that fork/absorb merging does not cover, so
-        // it conservatively opts out: a `--shards` request falls back to
-        // the serial oracle with a warning naming this reason.
+        // commitment state that a statistics delta does not cover, so it
+        // conservatively opts out: its runs simulate every iteration and
+        // report the reason in `SimReport::replay`.
         false
     }
 
@@ -946,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    fn packet_tier_gates_off_sharding() {
+    fn packet_tier_opts_out_of_replay_and_snapshots() {
         let net = PacketNetwork::new(single_link(50e9, 1e-6));
         assert!(!net.iteration_invariant());
         assert!(net.fork_pristine().is_none());

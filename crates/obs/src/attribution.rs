@@ -260,18 +260,23 @@ impl AttributionAccumulator {
     /// Folds another accumulator's totals into this one *exactly*.
     ///
     /// Every running total here is an integer (ticks or counts), so the
-    /// sums are associative: absorbing per-shard accumulators in
-    /// canonical iteration-block order yields byte-for-byte the same
-    /// state a serial run would have reached. `other` must share this
-    /// accumulator's task structure (same labels/classes/deps) and its
-    /// iterations must chronologically follow this one's — its
-    /// `last_path` becomes the merged "most recent" path when it
-    /// recorded any iterations.
+    /// sums are associative: absorbing accumulators that each recorded
+    /// some iterations, in iteration order, yields byte-for-byte the
+    /// state recording them all here would have reached. Steady-state
+    /// replay absorbs one verified iteration's accumulator per iteration
+    /// it synthesizes. `other` must share this accumulator's task
+    /// structure (same labels/classes/deps) and its iterations must
+    /// chronologically follow this one's — its `last_path` becomes the
+    /// merged "most recent" path when it recorded any iterations.
     pub fn absorb(&mut self, other: &AttributionAccumulator) {
+        // Replay absorbs once per synthesized iteration: the full label
+        // comparison is a debug check, the length check is always on.
         assert_eq!(
-            self.labels, other.labels,
+            self.labels.len(),
+            other.labels.len(),
             "absorbed accumulator must cover the same task graph"
         );
+        debug_assert_eq!(self.labels, other.labels);
         for (mine, theirs) in self.on_path.iter_mut().zip(&other.on_path) {
             mine.0 += theirs.0;
             mine.1 += theirs.1;
@@ -290,6 +295,16 @@ impl AttributionAccumulator {
         if other.iterations > 0 {
             self.last_path.clear();
             self.last_path.extend_from_slice(&other.last_path);
+        }
+    }
+
+    /// Moves the most recent critical path `by` later in virtual time,
+    /// leaving every total untouched: the path of an iteration that
+    /// repeats the recorded one `by` later.
+    pub fn shift_last_path(&mut self, by: TimeSpan) {
+        for (_, start, finish) in &mut self.last_path {
+            *start += by;
+            *finish += by;
         }
     }
 
@@ -881,7 +896,7 @@ mod tests {
         serial.record_iteration(&chain_observation(&start, &finish, &pred));
         serial.record_iteration(&chain_observation(&start, &finish, &pred));
 
-        // Sharded shape: one iteration each, then absorb in order.
+        // Split shape: one iteration each, then absorb in order.
         let mut first = chain_accumulator();
         first.record_iteration(&chain_observation(&start, &finish, &pred));
         let mut second = chain_accumulator();
@@ -900,6 +915,16 @@ mod tests {
         let snapshot = stringify(&first);
         first.absorb(&chain_accumulator());
         assert_eq!(stringify(&first), snapshot);
+
+        // Shifting moves the path and nothing else.
+        let before = second.snapshot();
+        second.shift_last_path(TimeSpan::from_seconds(4.0));
+        assert_eq!(second.last_path()[0], (0, t(4.0), t(6.0)));
+        let after = second.snapshot();
+        assert_eq!(
+            (after.on_path, after.per_gpu, after.iterations),
+            (before.on_path, before.per_gpu, before.iterations)
+        );
     }
 
     #[test]

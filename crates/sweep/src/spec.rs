@@ -37,8 +37,7 @@ impl fmt::Display for SpecError {
                 f,
                 "unknown scenario field `{name}` (try model, trace_batch, gpu, platform, \
                  parallelism, global_batch, fidelity, collective, iterations, realloc, \
-                 faults, fault_seed, max_events, max_sim_time_us, wall_timeout_ms, shards, \
-                 label)"
+                 faults, fault_seed, max_events, max_sim_time_us, wall_timeout_ms, label)"
             ),
             SpecError::BadValue { field, detail } => write!(f, "field `{field}`: {detail}"),
             SpecError::Empty => write!(f, "sweep expands to zero scenarios"),
@@ -96,12 +95,6 @@ pub struct Scenario {
     /// canonical serialization (and thus from journal compatibility
     /// hashes and canonical sweep output).
     pub wall_timeout_ms: Option<u64>,
-    /// Worker threads for iteration-axis sharding inside this scenario
-    /// (`SimBuilder::shards`). Sharding is gated on byte-identity, so
-    /// like `wall_timeout_ms` this is a host-tuning knob **excluded**
-    /// from the canonical serialization: the same sweep run at any
-    /// shard count produces the same journal hashes and output bytes.
-    pub shards: u64,
 }
 
 impl Default for Scenario {
@@ -123,7 +116,6 @@ impl Default for Scenario {
             max_events: None,
             max_sim_time_us: None,
             wall_timeout_ms: None,
-            shards: 1,
         }
     }
 }
@@ -217,6 +209,10 @@ impl ScenarioPatch {
         self.fields.push((name.to_string(), value));
     }
 
+    fn has(&self, name: &str) -> bool {
+        self.fields.iter().any(|(n, _)| n == name)
+    }
+
     /// Applies the patch on top of `base`, decoding each field's value.
     pub fn apply(&self, base: &Scenario) -> Result<Scenario, SpecError> {
         let mut s = base.clone();
@@ -244,8 +240,14 @@ const FIELD_NAMES: &[&str] = &[
     "max_events",
     "max_sim_time_us",
     "wall_timeout_ms",
-    "shards",
+    LEGACY_SHARDS,
 ];
+
+/// A retired host-tuning knob (the thread count of a removed parallel
+/// executor). Specs, journals and job directories written with it must
+/// keep loading with the same spec hash, so it is still accepted, and
+/// ignored: it never reached canonical output.
+const LEGACY_SHARDS: &str = "shards";
 
 fn decode<T: Deserialize>(field: &str, v: &Value) -> Result<T, SpecError> {
     T::from_value(v).map_err(|e| SpecError::BadValue {
@@ -272,15 +274,7 @@ fn apply_field(s: &mut Scenario, name: &str, v: &Value) -> Result<(), SpecError>
         "max_events" => s.max_events = Some(decode(name, v)?),
         "max_sim_time_us" => s.max_sim_time_us = Some(decode(name, v)?),
         "wall_timeout_ms" => s.wall_timeout_ms = Some(decode(name, v)?),
-        "shards" => {
-            s.shards = decode(name, v)?;
-            if s.shards == 0 {
-                return Err(SpecError::BadValue {
-                    field: name.to_string(),
-                    detail: "need at least one shard".into(),
-                });
-            }
-        }
+        LEGACY_SHARDS => {}
         other => return Err(SpecError::UnknownField(other.to_string())),
     }
     Ok(())
@@ -372,6 +366,12 @@ impl SweepSpec {
             for entry in list {
                 scenarios.push(ScenarioPatch::from_object(entry)?);
             }
+        }
+        let legacy = defaults.has(LEGACY_SHARDS)
+            || grid.iter().any(|(axis, _)| axis == LEGACY_SHARDS)
+            || scenarios.iter().any(|p| p.has(LEGACY_SHARDS));
+        if legacy {
+            eprintln!("warning: sweep spec field `shards` is no longer used and is ignored");
         }
         Ok(SweepSpec {
             name,
@@ -611,25 +611,23 @@ mod tests {
 
     #[test]
     fn shards_parse_but_are_never_serialized() {
+        // The retired knob still parses — in defaults, grid axes and
+        // scenarios, with any value — and changes nothing.
         let spec = SweepSpec::from_json(
-            r#"{ "defaults": { "shards": 4 }, "scenarios": [ {}, { "shards": 1 } ] }"#,
+            r#"{ "defaults": { "shards": 4 }, "grid": { "shards": [1, 8] },
+                 "scenarios": [ {}, { "shards": 0 } ] }"#,
         )
         .unwrap();
         let s = spec.expand().unwrap();
-        assert_eq!(s[0].shards, 4);
-        assert_eq!(s[1].shards, 1, "per-scenario override wins");
-        let json = serde_json::to_string(&s[0].to_value()).unwrap();
-        assert!(
-            !json.contains("shards"),
-            "shard count is a host-tuning knob and must stay out of canonical output: {json}"
-        );
-        let err = SweepSpec::from_json(r#"{ "scenarios": [ { "shards": 0 } ] }"#)
+        assert_eq!(s.len(), 4, "a shards grid axis still expands");
+        let plain = SweepSpec::from_json(r#"{ "scenarios": [ {} ] }"#)
             .unwrap()
             .expand()
-            .unwrap_err();
-        match err {
-            SpecError::BadValue { field, .. } => assert_eq!(field, "shards"),
-            other => panic!("wrong error {other:?}"),
+            .unwrap();
+        for scenario in &s {
+            assert_eq!(scenario, &plain[0]);
+            let json = serde_json::to_string(&scenario.to_value()).unwrap();
+            assert!(!json.contains("shards"), "{json}");
         }
     }
 

@@ -49,10 +49,9 @@ COMMANDS:
                                 fat tree, O = oversubscription, default 4)
         --parallelism <dp|ddp|tp|pp[:chunks]|hp:groups[:chunks]>  (default ddp)
         --batch <n>             global batch (default: weak scaling)
-        --iterations <n>        back-to-back training iterations (default 1)
-        --shards <n>            worker threads for iteration-axis sharding
-                                (default 1; output is byte-identical at any
-                                shard count — sharding only changes speed)
+        --iterations <n>        back-to-back training iterations (default 1;
+                                long flow-tier runs verify one iteration
+                                and synthesize the rest, byte-identically)
         --fidelity <tier>       triosim (default), reference, or packet
                                 (packet-level network: switch queues,
                                 ECN/DCTCP, drops and retransmits)
@@ -87,7 +86,7 @@ COMMANDS:
                                 compute/overlap/exposed-comm/idle buckets,
                                 top critical ops, stragglers, hot links
         --trace <file>          plus the same --platform/--parallelism/
-                                --batch/--iterations/--shards/--fidelity/
+                                --batch/--iterations/--fidelity/
                                 --reference/--faults/--fault-seed flags
                                 as `simulate`
         --top <k>               critical ops / links to list (default 8)
@@ -209,7 +208,6 @@ fn validate_flags(command: &str, opts: &HashMap<String, String>) -> Result<(), S
             "parallelism",
             "batch",
             "iterations",
-            "shards",
             "fidelity",
             "reference",
             "timeline",
@@ -233,7 +231,6 @@ fn validate_flags(command: &str, opts: &HashMap<String, String>) -> Result<(), S
             "parallelism",
             "batch",
             "iterations",
-            "shards",
             "fidelity",
             "reference",
             "faults",
@@ -417,13 +414,6 @@ fn apply_sim_flags<'a>(
         }
         builder = builder.iterations(iters);
     }
-    if let Some(shards) = opts.get("shards") {
-        let shards: usize = parse(shards)?;
-        if shards == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        builder = builder.shards(shards);
-    }
     match (opts.get("fidelity"), opts.contains_key("reference")) {
         (Some(_), true) => {
             return Err("--fidelity and --reference are mutually exclusive".into());
@@ -574,6 +564,7 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {
         net.reschedules,
         100.0 * report.rate_change_ratio()
     );
+    println!("replay        : {}", report.replay());
     if let Some(fs) = report.fault_stats() {
         println!(
             "faults        : {} injected ({} degrade, {} fail, {} repair), {} reroutes (+{} hops), lost compute {:.3} ms",

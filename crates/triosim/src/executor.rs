@@ -8,11 +8,12 @@
 //! backward propagation.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::time::Instant;
 
-use triosim_des::{EventId, EventQueue, RunBudget, Ticker, TimeSpan, VirtualTime};
+use triosim_des::{EventId, EventQueue, QueueStats, RunBudget, Ticker, TimeSpan, VirtualTime};
 use triosim_faults::{FaultKind, FaultPlan, FaultSession};
-use triosim_network::{FlowId, LinkFault, NetCommand, NetworkModel, NodeId};
+use triosim_network::{FlowId, LinkFault, NetCommand, NetStatsSnapshot, NetworkModel, NodeId};
 use triosim_obs::{
     AttrValue, AttributionAccumulator, BottleneckReport, DepTable, HotLink, IterationObservation,
     ProgressMonitor, Recorder, SelfProfiler, TaskClass,
@@ -23,8 +24,8 @@ use crate::checkpoint::{
 };
 use crate::error::SimError;
 use crate::report::{
-    merge_intervals, timeline_fnv, union_length, FaultStats, SimReport, TimelineRecord,
-    TimelineTrack, FNV_OFFSET,
+    merge_intervals, timeline_fnv, union_length, FaultStats, Repeat, SerialReason, SimReport,
+    TimelineRecord, TimelineTrack, FNV_OFFSET,
 };
 use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
@@ -357,100 +358,6 @@ pub(crate) fn execute_restored(
     ex.run(iterations - completed)
 }
 
-/// Builds a [`BottleneckReport`] from an attribution accumulator and the
-/// network's link observations — shared between the serial epilogue and
-/// the sharded merge (which reconstructs the identical report from
-/// absorbed per-block state).
-pub(crate) fn bottleneck_report(
-    network: &dyn NetworkModel,
-    attr: &AttributionAccumulator,
-    total: TimeSpan,
-    lost_compute: Option<&[f64]>,
-) -> BottleneckReport {
-    let total_s = total.as_seconds();
-    let links = network
-        .observe_links()
-        .into_iter()
-        .map(|l| HotLink {
-            label: l.label,
-            busy_s: l.busy_s,
-            bytes: l.bytes,
-            utilization: if total_s > 0.0 {
-                (l.busy_s / total_s).clamp(0.0, 1.0)
-            } else {
-                0.0
-            },
-        })
-        .collect();
-    attr.finish(links, lost_compute)
-}
-
-/// Everything one sharded iteration block produces, in exactly the shape
-/// the merge needs: integer-tick running totals (summable without
-/// drift), raw interval lists (concatenated then canonically sorted),
-/// and per-event virtual times for deterministic budget replay.
-pub(crate) struct BlockOutcome {
-    /// End time of each completed iteration, in order.
-    pub iter_ends: Vec<VirtualTime>,
-    /// Per-GPU cumulative busy time (integer ticks).
-    pub gpu_busy: Vec<TimeSpan>,
-    /// Raw `(start, end)` transfer intervals.
-    pub comm_intervals: Vec<(VirtualTime, VirtualTime)>,
-    /// Timeline records of the block's iterations.
-    pub timeline: Vec<TimelineRecord>,
-    /// Payload bytes transferred.
-    pub bytes_transferred: u64,
-    /// Event-queue counters.
-    pub queue_stats: triosim_des::QueueStats,
-    /// Attribution state (absorbed into the probe's accumulator).
-    pub attr: AttributionAccumulator,
-    /// Virtual time of every real event, when tracking was requested.
-    pub event_times: Vec<VirtualTime>,
-    /// Real events delivered (equals `event_times.len()` when tracked).
-    pub budget_events: u64,
-    /// Set when the block stopped early (its live wall-clock guard).
-    pub error: Option<SimError>,
-}
-
-/// Runs iterations `iter_offset..iter_offset + iterations` of `graph` as
-/// one sharded block: the clock starts at `origin`, no observability or
-/// faults are attached (the sharded path is gated on both being absent),
-/// and `budget` is the block's *live* guard (callers pass
-/// [`RunBudget::wall_only`]; deterministic axes are replayed at merge
-/// time from `event_times`, which is recorded when `track_events` is
-/// set).
-pub(crate) fn execute_block(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    origin: VirtualTime,
-    iter_offset: usize,
-    iterations: usize,
-    budget: RunBudget,
-    track_events: bool,
-) -> BlockOutcome {
-    assert!(iterations > 0, "need at least one iteration");
-    let mut ex = Executor::new(graph, network)
-        .with_origin(origin)
-        .with_iter_offset(iter_offset)
-        .with_budget(budget);
-    if track_events {
-        ex = ex.with_event_tracking();
-    }
-    let error = ex.run_iterations(iterations).err();
-    BlockOutcome {
-        iter_ends: ex.iter_ends,
-        gpu_busy: ex.gpus.iter().map(|g| g.busy_time).collect(),
-        comm_intervals: ex.comm_intervals,
-        timeline: ex.timeline,
-        bytes_transferred: ex.bytes_transferred,
-        queue_stats: *ex.queue.stats(),
-        attr: ex.attr,
-        event_times: ex.event_times,
-        budget_events: ex.budget_events,
-        error,
-    }
-}
-
 /// Maps a topology node to a GPU index under the repo-wide platform
 /// convention (`Platform::gpu_node(i) == NodeId(1 + i)`, `NodeId(0)` is
 /// the host, nodes past `1 + gpus` are NICs/spines).
@@ -461,8 +368,8 @@ fn node_gpu(node: NodeId, gpus: usize) -> Option<usize> {
 struct GpuStream {
     ready: VecDeque<TaskId>,
     busy: bool,
-    /// Cumulative busy time in integer ticks: exact, so per-block totals
-    /// from sharded runs sum to byte-identical per-GPU compute figures.
+    /// Cumulative busy time in integer ticks: exact, so the per-iteration
+    /// deltas replay adds sum to byte-identical per-GPU compute figures.
     busy_time: TimeSpan,
 }
 
@@ -502,6 +409,125 @@ impl FaultRuntime {
     }
 }
 
+/// An empty attribution accumulator over `graph`'s task structure.
+fn attribution(graph: &TaskGraph) -> AttributionAccumulator {
+    let gpus = graph.gpus();
+    let labels = graph.tasks().iter().map(|t| t.label.clone()).collect();
+    let classes = graph
+        .tasks()
+        .iter()
+        .map(|t| match t.kind {
+            TaskKind::Compute { gpu, .. } => TaskClass::Compute { gpu },
+            TaskKind::Transfer { src, dst, .. } => TaskClass::Comm {
+                src_gpu: node_gpu(src, gpus),
+                dst_gpu: node_gpu(dst, gpus),
+            },
+            TaskKind::Barrier => TaskClass::Sync,
+        })
+        .collect();
+    let deps = DepTable::new(
+        graph
+            .tasks()
+            .iter()
+            .map(|t| t.deps.iter().map(|d| d.0 as u32)),
+    );
+    AttributionAccumulator::new(gpus, labels, classes, deps)
+}
+
+/// Steady-state replay's progress through a run (DESIGN.md §12).
+enum ReplayState {
+    /// Replay cannot engage; every iteration is simulated.
+    Off(SerialReason),
+    /// The next iteration is the candidate: simulated and measured.
+    Candidate,
+    /// The next iteration is simulated and verified against this one.
+    Verifying(IterationDelta),
+    /// Verified: every remaining iteration repeats this one.
+    Steady(IterationDelta),
+}
+
+/// The run's additive counters at an iteration boundary, or what one
+/// iteration added to them. All integers, so adding is exact.
+#[derive(PartialEq)]
+struct Counters {
+    queue: QueueStats,
+    dispatches: [u64; 4],
+    gpu_busy: Vec<TimeSpan>,
+    bytes: u64,
+    budget_events: u64,
+    net: NetStatsSnapshot,
+}
+
+impl Counters {
+    /// What the counters grew by since `earlier`.
+    fn since(&self, earlier: &Counters) -> Counters {
+        Counters {
+            queue: self.queue.since(&earlier.queue),
+            dispatches: std::array::from_fn(|i| self.dispatches[i] - earlier.dispatches[i]),
+            gpu_busy: self
+                .gpu_busy
+                .iter()
+                .zip(&earlier.gpu_busy)
+                .map(|(&now, &then)| now - then)
+                .collect(),
+            bytes: self.bytes - earlier.bytes,
+            budget_events: self.budget_events - earlier.budget_events,
+            net: self.net.since(&earlier.net),
+        }
+    }
+}
+
+/// Where a measured iteration began.
+struct Mark {
+    at: VirtualTime,
+    counters: Counters,
+    records: usize,
+    comm: usize,
+}
+
+/// What one simulated iteration added to the run: the unit replay
+/// verifies and then repeats.
+struct IterationDelta {
+    begin: VirtualTime,
+    period: TimeSpan,
+    counters: Counters,
+    /// The iteration's attribution recorded alone; its critical path
+    /// moves to each repeat's place as the repeat is synthesized.
+    attr: AttributionAccumulator,
+    /// Where the iteration's records, sorted, sit in the timeline.
+    records: Range<usize>,
+    /// The union of the iteration's transfer intervals.
+    comm: Vec<(VirtualTime, VirtualTime)>,
+}
+
+impl IterationDelta {
+    /// True when `self` repeats `prev`, the iteration just before it,
+    /// shifted by `prev`'s length: equal counters, and every record and
+    /// the critical path moved by exactly that shift. (Transfer
+    /// intervals are the network records' spans, so the records cover
+    /// them.) Shifts `prev`'s critical path in the process.
+    fn repeats(&self, prev: &mut IterationDelta, timeline: &[TimelineRecord]) -> bool {
+        let shift = prev.period;
+        let counters = self.period == shift && self.counters == prev.counters;
+        let (ours, theirs) = (
+            &timeline[self.records.clone()],
+            &timeline[prev.records.clone()],
+        );
+        let records = ours.len() == theirs.len()
+            && ours.iter().zip(theirs).all(|(r, p)| {
+                r.label == p.label
+                    && r.track == p.track
+                    && r.layer == p.layer
+                    && r.start == p.start + shift
+                    && r.end == p.end + shift
+            });
+        counters && records && {
+            prev.attr.shift_last_path(shift);
+            prev.attr.snapshot() == self.attr.snapshot()
+        }
+    }
+}
+
 struct Executor<'a> {
     graph: &'a TaskGraph,
     network: &'a mut dyn NetworkModel,
@@ -515,16 +541,12 @@ struct Executor<'a> {
     comm_intervals: Vec<(VirtualTime, VirtualTime)>,
     compute_start: Vec<Option<VirtualTime>>,
     timeline: Vec<TimelineRecord>,
-    /// True for checkpoint-aware runs (snapshotting enabled, or resumed
-    /// from a snapshot): the timeline digest below is maintained
-    /// incrementally and handed to the report, so the hash work is done
-    /// exactly once no matter how many snapshots are written.
-    tl_active: bool,
     /// Running timeline digest: `(count, FNV state)` over all records
     /// digested so far (including any pre-restore prefix, whose records
-    /// are *not* in `timeline`), plus the index of the first
-    /// not-yet-digested record in `timeline`. Advanced at each snapshot
-    /// and finalized over the tail when the report is built.
+    /// are *not* in `timeline`, and synthesized iterations, whose records
+    /// are never built), plus the index of the first not-yet-digested
+    /// record in `timeline`. Advanced at every iteration boundary and
+    /// handed to the report, so each record is hashed exactly once.
     tl_digest: (u64, u64),
     tl_mark: usize,
     completed: usize,
@@ -556,18 +578,17 @@ struct Executor<'a> {
     budget_events: u64,
     /// Iteration currently executing (jitter coordinate).
     current_iter: usize,
-    // ------- sharded-execution support (inert on ordinary runs) -------
-    /// Global index of this run's first iteration; a sharded block of
-    /// iterations `k..k+m` runs with `iter_offset = k` so per-iteration
-    /// coordinates (jitter, logs) match the serial run's.
+    /// Global index of this run's first iteration: nonzero only on a run
+    /// restored from a snapshot, so per-iteration coordinates (jitter,
+    /// logs) and the report's task count continue the interrupted run's.
     iter_offset: usize,
     /// Virtual time at which each completed iteration ended.
     iter_ends: Vec<VirtualTime>,
-    /// When set, the virtual time of every real (compute/flow) event is
-    /// recorded so a sharded merge can *replay* deterministic budget
-    /// enforcement in canonical order.
-    track_events: bool,
-    event_times: Vec<VirtualTime>,
+    // ------- steady-state replay (DESIGN.md §12) -------
+    /// Replay's outcome, set when the iteration loop finishes.
+    replay: Result<Repeat, SerialReason>,
+    /// Wall-clock seconds spent synthesizing iterations (profiled runs).
+    replay_wall_s: f64,
     prev_link_busy: Vec<f64>,
     prev_sample_at: VirtualTime,
     collective_of_first: HashMap<TaskId, usize>,
@@ -610,25 +631,6 @@ impl<'a> Executor<'a> {
                 dependents[d.0].push(TaskId(i));
             }
         }
-        let labels = graph.tasks().iter().map(|t| t.label.clone()).collect();
-        let classes = graph
-            .tasks()
-            .iter()
-            .map(|t| match t.kind {
-                TaskKind::Compute { gpu, .. } => TaskClass::Compute { gpu },
-                TaskKind::Transfer { src, dst, .. } => TaskClass::Comm {
-                    src_gpu: node_gpu(src, gpus),
-                    dst_gpu: node_gpu(dst, gpus),
-                },
-                TaskKind::Barrier => TaskClass::Sync,
-            })
-            .collect();
-        let deps = DepTable::new(
-            graph
-                .tasks()
-                .iter()
-                .map(|t| t.deps.iter().map(|d| d.0 as u32)),
-        );
         Executor {
             graph,
             network,
@@ -648,7 +650,6 @@ impl<'a> Executor<'a> {
             comm_intervals: Vec::new(),
             compute_start: vec![None; n],
             timeline: Vec::new(),
-            tl_active: false,
             tl_digest: (0, FNV_OFFSET),
             tl_mark: 0,
             completed: 0,
@@ -667,14 +668,14 @@ impl<'a> Executor<'a> {
             current_iter: 0,
             iter_offset: 0,
             iter_ends: Vec::new(),
-            track_events: false,
-            event_times: Vec::new(),
+            replay: Err(SerialReason::FewIterations),
+            replay_wall_s: 0.0,
             prev_link_busy: Vec::new(),
             prev_sample_at: VirtualTime::ZERO,
             collective_of_first: HashMap::new(),
             collective_of_last: HashMap::new(),
             collective_begin: Vec::new(),
-            attr: AttributionAccumulator::new(gpus, labels, classes, deps),
+            attr: attribution(graph),
             attr_start: vec![None; n],
             attr_end: vec![None; n],
             attr_gpu_pred: vec![None; n],
@@ -729,34 +730,9 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Starts the clock (and the sampling origin) at `origin` instead of
-    /// zero: a sharded iteration block replays iterations `k..` exactly
-    /// where the serial run would have placed them.
-    fn with_origin(mut self, origin: VirtualTime) -> Self {
-        self.queue = EventQueue::starting_at(origin);
-        self.prev_sample_at = origin;
-        self.iter_begin = origin;
-        self
-    }
-
-    /// Sets the global index of this run's first iteration (sharded
-    /// blocks only; coordinates per-iteration state like jitter).
-    fn with_iter_offset(mut self, offset: usize) -> Self {
-        self.iter_offset = offset;
-        self
-    }
-
-    /// Records the virtual time of every real event for post-hoc
-    /// deterministic budget replay (sharded blocks only).
-    fn with_event_tracking(mut self) -> Self {
-        self.track_events = true;
-        self
-    }
-
     /// Enables periodic boundary snapshots to `ck.path`.
     fn with_checkpoint(mut self, ck: CheckpointConfig) -> Self {
         self.ckpt = Some(ck);
-        self.tl_active = true;
         self
     }
 
@@ -813,7 +789,6 @@ impl<'a> Executor<'a> {
         // report's `timeline_hash` continue the interrupted fold. The
         // record list itself restarts empty, so a restored run's
         // timeline *export* covers only post-restore iterations.
-        self.tl_active = true;
         self.tl_digest = (st.timeline_count, st.timeline_fnv);
         self.tl_mark = 0;
         self.bytes_transferred = st.bytes_transferred;
@@ -890,7 +865,6 @@ impl<'a> Executor<'a> {
         // and the run's own memory — proportional to the iteration
         // count instead of the event count.
         self.comm_intervals = merge_intervals(std::mem::take(&mut self.comm_intervals));
-        self.fold_timeline_digest();
         let ck = self.ckpt.as_ref().expect("checkpointing is configured");
         let net = self.network.checkpoint_state().ok_or_else(|| {
             SimError::Checkpoint(CheckpointError::Unsupported(
@@ -946,16 +920,14 @@ impl<'a> Executor<'a> {
         checkpoint::write_snapshot(&ck.path, &snap).map_err(SimError::Checkpoint)
     }
 
-    /// Folds the timeline records accumulated since the last fold into
-    /// the running digest. Each segment is sorted on its own: segments
-    /// are whole runs of iterations, iterations occupy disjoint, ordered
-    /// spans of virtual time, so segment-by-segment folding equals the
-    /// whole-run sorted fold — and each record is hashed exactly once,
-    /// whether the digest advances at snapshots, at the final report, or
-    /// both.
+    /// Folds the records of the iteration that just ended into the
+    /// running digest. Each iteration's segment is sorted on its own:
+    /// iterations occupy disjoint, ordered spans of virtual time, so
+    /// segment-by-segment folding equals the whole-run sorted fold, and
+    /// each record is hashed exactly once.
     fn fold_timeline_digest(&mut self) {
         // Sorting the segment *in place* keeps the fold's memory access
-        // contiguous, and leaves the whole timeline pre-sorted for the
+        // contiguous, and leaves the whole timeline sorted for the
         // report (segments occupy disjoint, ordered spans, so sorted
         // segments concatenate into the sorted whole; the stable sort
         // keeps push order among equal keys either way).
@@ -963,56 +935,97 @@ impl<'a> Executor<'a> {
         fresh.sort_by_key(|r| (r.start, r.end));
         self.tl_digest = (
             self.tl_digest.0 + fresh.len() as u64,
-            timeline_fnv(self.tl_digest.1, fresh.iter()),
+            timeline_fnv(self.tl_digest.1, fresh.iter(), TimeSpan::ZERO),
         );
         self.tl_mark = self.timeline.len();
     }
 
     /// Runs `iterations` back-to-back iterations, folding each into the
-    /// attribution accumulator and recording its end time. On error the
-    /// loop stops with the structured error; completed-iteration state
-    /// (`iter_ends`, attribution) remains valid for inspection.
+    /// attribution accumulator and the timeline digest and recording its
+    /// end time. Where steady-state replay engages (DESIGN.md §12), the
+    /// first two iterations are simulated and, once the second is
+    /// verified as the first shifted by its length, the rest are
+    /// synthesized; any mismatch just keeps simulating. Synthesized and
+    /// simulated iterations end at the same boundary, so snapshots and
+    /// wall-clock probes run unchanged. On error the loop stops with the
+    /// structured error; completed-iteration state (`iter_ends`,
+    /// attribution) remains valid for inspection.
     fn run_iterations(&mut self, iterations: usize) -> Result<(), SimError> {
         let base_indegree = self.indegree.clone();
+        let mut replay = self.replay_plan(iterations);
         for iter in 0..iterations {
             self.current_iter = self.iter_offset + iter;
-            if iter > 0 {
-                self.indegree.clone_from(&base_indegree);
-                self.completed = 0;
-                self.compute_start.fill(None);
-                self.collective_begin.fill(None);
-            }
-            self.run_once();
-            if let Some(e) = self.stop_error.take() {
-                return Err(e);
-            }
-            assert_eq!(
-                self.completed,
-                self.graph.len(),
-                "execution deadlocked: {} of {} tasks completed (iteration {})",
-                self.completed,
-                self.graph.len(),
-                self.current_iter
-            );
-            self.iter_ends.push(self.queue.now());
-            // Fold the completed iteration into the bottleneck
-            // attribution (pure virtual-time state, always on).
-            self.attr.record_iteration(&IterationObservation {
-                begin: self.iter_begin,
-                end: self.queue.now(),
-                start: &self.attr_start,
-                finish: &self.attr_end,
-                gpu_pred: &self.attr_gpu_pred,
-            });
-            if self.observing {
-                let now = self.queue.now();
-                if let Some(r) = self.obs.recorder.as_mut() {
-                    r.instant(
-                        now,
-                        "executor",
-                        "iteration_end",
-                        &[("iteration", AttrValue::U64(self.current_iter as u64))],
-                    );
+            if let ReplayState::Steady(delta) = &mut replay {
+                self.synthesize(delta);
+                if let Some((kind, limit)) = self.budget.as_ref().and_then(RunBudget::check_wall) {
+                    return Err(SimError::BudgetExceeded { kind, limit });
+                }
+            } else {
+                if iter > 0 {
+                    self.indegree.clone_from(&base_indegree);
+                    self.completed = 0;
+                    self.compute_start.fill(None);
+                    self.collective_begin.fill(None);
+                }
+                let measured = matches!(replay, ReplayState::Candidate | ReplayState::Verifying(_));
+                let before = measured.then(|| self.mark());
+                self.run_once();
+                if let Some(e) = self.stop_error.take() {
+                    return Err(e);
+                }
+                assert_eq!(
+                    self.completed,
+                    self.graph.len(),
+                    "execution deadlocked: {} of {} tasks completed (iteration {})",
+                    self.completed,
+                    self.graph.len(),
+                    self.current_iter
+                );
+                self.iter_ends.push(self.queue.now());
+                // Fold the completed iteration into the bottleneck
+                // attribution (pure virtual-time state, always on). A
+                // measured iteration is recorded on its own first, so
+                // replay can verify and repeat exactly its share.
+                let it = IterationObservation {
+                    begin: self.iter_begin,
+                    end: self.queue.now(),
+                    start: &self.attr_start,
+                    finish: &self.attr_end,
+                    gpu_pred: &self.attr_gpu_pred,
+                };
+                let alone = measured.then(|| {
+                    let mut attr = attribution(self.graph);
+                    attr.record_iteration(&it);
+                    attr
+                });
+                match &alone {
+                    Some(attr) => self.attr.absorb(attr),
+                    None => self.attr.record_iteration(&it),
+                }
+                if self.observing {
+                    let now = self.queue.now();
+                    if let Some(r) = self.obs.recorder.as_mut() {
+                        r.instant(
+                            now,
+                            "executor",
+                            "iteration_end",
+                            &[("iteration", AttrValue::U64(self.current_iter as u64))],
+                        );
+                    }
+                }
+                self.fold_timeline_digest();
+                if let (Some(before), Some(attr)) = (before, alone) {
+                    let delta = self.delta_since(before, attr);
+                    replay = match replay {
+                        ReplayState::Verifying(mut prev) => {
+                            if delta.repeats(&mut prev, &self.timeline) {
+                                ReplayState::Steady(delta)
+                            } else {
+                                ReplayState::Off(SerialReason::Rejected)
+                            }
+                        }
+                        _ => ReplayState::Verifying(delta),
+                    };
                 }
             }
             // The boundary is quiescent here: the queue is drained and
@@ -1026,7 +1039,114 @@ impl<'a> Executor<'a> {
                 self.write_checkpoint()?;
             }
         }
+        self.replay = match replay {
+            ReplayState::Steady(delta) => Ok(Repeat {
+                segment: delta.records.len(),
+                period: delta.period,
+                count: iterations - 2,
+            }),
+            ReplayState::Off(reason) => Err(reason),
+            // Unreachable: replay plans need at least three iterations.
+            ReplayState::Candidate | ReplayState::Verifying(_) => Err(SerialReason::FewIterations),
+        };
         Ok(())
+    }
+
+    /// Decides from what the run can observe whether replay may engage on
+    /// its next `iterations` iterations, or the first reason it may not.
+    fn replay_plan(&self, iterations: usize) -> ReplayState {
+        let reason = if iterations < 3 {
+            SerialReason::FewIterations
+        } else if self.faults.is_some() {
+            SerialReason::Faults
+        } else if self.ticking {
+            SerialReason::Observed
+        } else if self
+            .budget
+            .as_ref()
+            .is_some_and(RunBudget::has_deterministic_axes)
+        {
+            SerialReason::DeterministicBudget
+        } else if !self.network.iteration_invariant() {
+            SerialReason::NetworkNotInvariant
+        } else if self.network.stats_snapshot().is_none() {
+            SerialReason::NoStatsSnapshot
+        } else {
+            return ReplayState::Candidate;
+        };
+        ReplayState::Off(reason)
+    }
+
+    fn counters(&self) -> Counters {
+        Counters {
+            queue: *self.queue.stats(),
+            dispatches: self.dispatches,
+            gpu_busy: self.gpus.iter().map(|g| g.busy_time).collect(),
+            bytes: self.bytes_transferred,
+            budget_events: self.budget_events,
+            net: self
+                .network
+                .stats_snapshot()
+                .expect("replay is planned only with stats snapshots"),
+        }
+    }
+
+    /// The start of a measured iteration, for [`delta_since`](Self::delta_since).
+    fn mark(&self) -> Mark {
+        Mark {
+            at: self.queue.now(),
+            counters: self.counters(),
+            records: self.timeline.len(),
+            comm: self.comm_intervals.len(),
+        }
+    }
+
+    /// What the iteration that just ended added since `before`, with
+    /// `attr` its attribution recorded alone.
+    fn delta_since(&self, before: Mark, attr: AttributionAccumulator) -> IterationDelta {
+        IterationDelta {
+            begin: before.at,
+            period: self.queue.now() - before.at,
+            counters: self.counters().since(&before.counters),
+            attr,
+            records: before.records..self.timeline.len(),
+            comm: merge_intervals(self.comm_intervals[before.comm..].to_vec()),
+        }
+    }
+
+    /// Adds one iteration that repeats the verified `d`, without
+    /// simulating it: the clock and every accumulated counter advance by
+    /// `d`'s deltas, the transfer intervals and critical path repeat
+    /// shifted, and `d`'s records, shifted, fold into the timeline
+    /// digest without being built.
+    fn synthesize(&mut self, d: &mut IterationDelta) {
+        let t0 = self.profiling.then(Instant::now);
+        let begin = self.queue.now();
+        let shift = begin - d.begin;
+        let c = &d.counters;
+        self.queue.fast_forward(begin + d.period, &c.queue);
+        for (n, dn) in self.dispatches.iter_mut().zip(c.dispatches) {
+            *n += dn;
+        }
+        for (gpu, busy) in self.gpus.iter_mut().zip(&c.gpu_busy) {
+            gpu.busy_time += *busy;
+        }
+        self.bytes_transferred += c.bytes;
+        self.budget_events += c.budget_events;
+        self.network.absorb_stats(&c.net);
+        self.comm_intervals
+            .extend(d.comm.iter().map(|&(s, e)| (s + shift, e + shift)));
+        d.attr.shift_last_path(d.period);
+        self.attr.absorb(&d.attr);
+        self.iter_ends.push(self.queue.now());
+        let records = &self.timeline[d.records.clone()];
+        self.tl_digest = (
+            self.tl_digest.0 + records.len() as u64,
+            timeline_fnv(self.tl_digest.1, records.iter(), shift),
+        );
+        if let Some(t0) = t0 {
+            self.replay_wall_s += t0.elapsed().as_secs_f64();
+        }
     }
 
     fn run(mut self, iterations: usize) -> Result<SimReport, SimError> {
@@ -1047,18 +1167,7 @@ impl<'a> Executor<'a> {
         let bottleneck = self.build_bottleneck(total);
         self.finish_observability(total, Some(&bottleneck));
         let per_gpu_compute = self.gpus.iter().map(|g| g.busy_time).collect();
-        // Checkpoint-aware runs finalize the incremental digest over the
-        // undigested tail and hand it to the report, so the report never
-        // re-hashes records a snapshot already folded.
-        let digest = if self.tl_active {
-            self.fold_timeline_digest();
-            Some(self.tl_digest)
-        } else {
-            None
-        };
         let comm_busy = union_length(self.comm_intervals);
-        let mut timeline = self.timeline;
-        timeline.sort_by_key(|r| (r.start, r.end));
         let mut report = SimReport::new(
             total,
             per_gpu_compute,
@@ -1069,12 +1178,11 @@ impl<'a> Executor<'a> {
             self.graph.len() * (self.iter_offset + iterations),
             *self.queue.stats(),
             self.network.observe(),
-            timeline,
+            self.timeline,
+            self.tl_digest,
         );
+        report.set_replay(self.replay);
         report.set_bottleneck(bottleneck);
-        if let Some((count, fnv)) = digest {
-            report.set_timeline_digest(count, fnv);
-        }
         if let Some(fr) = &self.faults {
             report.set_fault_stats(FaultStats {
                 faults_injected: fr.injected,
@@ -1096,8 +1204,24 @@ impl<'a> Executor<'a> {
     /// Folds the accumulated attribution state into the run's
     /// [`BottleneckReport`], ranking links by busy time.
     fn build_bottleneck(&self, total: TimeSpan) -> BottleneckReport {
+        let total_s = total.as_seconds();
+        let links = self
+            .network
+            .observe_links()
+            .into_iter()
+            .map(|l| HotLink {
+                label: l.label,
+                busy_s: l.busy_s,
+                bytes: l.bytes,
+                utilization: if total_s > 0.0 {
+                    (l.busy_s / total_s).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                },
+            })
+            .collect();
         let lost = self.faults.as_ref().map(|fr| fr.lost_compute.as_slice());
-        bottleneck_report(self.network, &self.attr, total, lost)
+        self.attr.finish(links, lost)
     }
 
     /// Records the engine-loop wall time (and the network model's share
@@ -1108,9 +1232,15 @@ impl<'a> Executor<'a> {
         };
         let engine_s = t0.elapsed().as_secs_f64();
         let (net_s, net_calls) = (self.net_wall_s, self.net_wall_calls);
+        let replay = self
+            .replay
+            .map(|repeat| (self.replay_wall_s, repeat.count as u64));
         if let Some(p) = self.selfprof.as_deref_mut() {
             p.add_path(&["engine_loop"], engine_s, iterations);
             p.add_path(&["engine_loop", "network"], net_s, net_calls);
+            if let Ok((replay_s, synthesized)) = replay {
+                p.add_path(&["engine_loop", "replay"], replay_s, synthesized);
+            }
         }
     }
 
@@ -1337,17 +1467,12 @@ impl<'a> Executor<'a> {
             // events take effect. Ticks and fault injections are
             // excluded so budget trips are independent of observability
             // settings and fault-plan shape.
-            if (self.budget.is_some() || self.track_events)
-                && matches!(
+            if let Some(b) = &self.budget {
+                if matches!(
                     event,
                     Event::ComputeDone { .. } | Event::FlowDelivered { .. }
-                )
-            {
-                self.budget_events += 1;
-                if self.track_events {
-                    self.event_times.push(now);
-                }
-                if let Some(b) = &self.budget {
+                ) {
+                    self.budget_events += 1;
                     if let Some((kind, limit)) = b.check(self.budget_events, now) {
                         self.stop_error = Some(SimError::BudgetExceeded { kind, limit });
                         return;

@@ -64,7 +64,6 @@ mod platform;
 mod report;
 pub mod serve;
 mod session;
-mod shardexec;
 pub mod sweep;
 mod taskgraph;
 mod viz;
@@ -82,7 +81,7 @@ pub use layers::{summarize_layers, LayerSummary};
 pub use memory::{estimate_memory, MemoryEstimate};
 pub use parallelism::{CollectiveStyle, Parallelism};
 pub use platform::Platform;
-pub use report::{FaultStats, SimReport, TimelineRecord, TimelineTrack};
+pub use report::{FaultStats, Replay, SerialReason, SimReport, TimelineRecord, TimelineTrack};
 // Re-export the bottleneck-attribution and self-profiling vocabulary so
 // downstream users analyze runs without naming `triosim-obs` directly.
 pub use triosim_obs::{

@@ -7,6 +7,9 @@
 //! (the same format the PyTorch profiler uses), so it can be inspected in
 //! any trace viewer.
 
+use std::fmt;
+use std::sync::OnceLock;
+
 use serde::Value;
 use triosim_des::{QueueStats, TimeSpan, VirtualTime};
 use triosim_network::{NetObservation, PacketObservation};
@@ -57,6 +60,77 @@ pub struct FaultStats {
     pub lost_compute_s: Vec<f64>,
 }
 
+/// How a run covered its iterations: whether steady-state replay
+/// (DESIGN.md §12) synthesized some of them, or why it did not engage.
+///
+/// Diagnostic only. Like wall-clock time it stays out of the canonical
+/// report, because a replayed run and the serial run produce the same
+/// bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replay {
+    /// Two iterations were simulated and the second verified as the
+    /// first shifted in time; this many further iterations were
+    /// synthesized from it.
+    Synthesized(usize),
+    /// Every iteration was simulated.
+    Serial(SerialReason),
+}
+
+/// Why steady-state replay did not engage on a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SerialReason {
+    /// Fewer than three iterations: none would be left to synthesize
+    /// after the two that replay simulates.
+    FewIterations,
+    /// A non-empty fault plan is attached.
+    Faults,
+    /// An observability recorder or progress monitor is attached.
+    Observed,
+    /// The budget caps delivered events or simulated time.
+    DeterministicBudget,
+    /// The network model is not iteration-invariant.
+    NetworkNotInvariant,
+    /// The network model exposes no statistics snapshot to absorb.
+    NoStatsSnapshot,
+    /// The verifier found that the second iteration is not the first
+    /// one shifted by its length.
+    Rejected,
+}
+
+impl fmt::Display for SerialReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SerialReason::FewIterations => "the run has fewer than 3 iterations",
+            SerialReason::Faults => "a fault plan is attached",
+            SerialReason::Observed => "a recorder or progress monitor is attached",
+            SerialReason::DeterministicBudget => "the budget caps events or simulated time",
+            SerialReason::NetworkNotInvariant => "the network model is not iteration-invariant",
+            SerialReason::NoStatsSnapshot => "the network model has no statistics snapshot",
+            SerialReason::Rejected => "iteration 1 did not repeat iteration 0",
+        })
+    }
+}
+
+impl fmt::Display for Replay {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Replay::Synthesized(1) => f.write_str("1 iteration synthesized from a verified one"),
+            Replay::Synthesized(n) => write!(f, "{n} iterations synthesized from a verified one"),
+            Replay::Serial(reason) => write!(f, "every iteration simulated ({reason})"),
+        }
+    }
+}
+
+/// The iterations a replayed run synthesized, as its timeline sees them:
+/// the last `segment` simulated records repeat `count` more times, each
+/// repetition `period` later than the one before.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Repeat {
+    pub segment: usize,
+    pub period: TimeSpan,
+    pub count: usize,
+}
+
 /// The result of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -67,13 +141,18 @@ pub struct SimReport {
     tasks_executed: usize,
     queue: QueueStats,
     net: NetObservation,
-    timeline: Vec<TimelineRecord>,
-    /// Precomputed digest of the *whole logical run's* timeline:
-    /// `(record count, FNV state)`. Set by checkpoint-aware runs, which
-    /// fold the digest incrementally (and, after a restore, start from
-    /// the snapshot's state — pre-restore records are not materialized
-    /// in `timeline`). `None` on plain runs, which fold at report time.
-    timeline_digest: Option<(u64, u64)>,
+    /// The records of the simulated iterations, in canonical order.
+    simulated: Vec<TimelineRecord>,
+    /// Replay's outcome; on success, how the synthesized iterations
+    /// extend `simulated`.
+    replay: Result<Repeat, SerialReason>,
+    /// `simulated` plus the synthesized records, built on first read.
+    timeline: OnceLock<Vec<TimelineRecord>>,
+    /// Digest of the *whole logical run's* timeline: `(record count,
+    /// FNV state)`, folded by the executor one iteration at a time (and,
+    /// after a restore, continued from the snapshot's state — records
+    /// before the restore are not in `simulated`).
+    timeline_digest: (u64, u64),
     fault_stats: Option<FaultStats>,
     packet_stats: Option<PacketObservation>,
     bottleneck: BottleneckReport,
@@ -89,7 +168,8 @@ impl SimReport {
         tasks_executed: usize,
         queue: QueueStats,
         net: NetObservation,
-        timeline: Vec<TimelineRecord>,
+        simulated: Vec<TimelineRecord>,
+        timeline_digest: (u64, u64),
     ) -> Self {
         SimReport {
             total,
@@ -99,11 +179,26 @@ impl SimReport {
             tasks_executed,
             queue,
             net,
-            timeline,
-            timeline_digest: None,
+            simulated,
+            replay: Err(SerialReason::FewIterations),
+            timeline: OnceLock::new(),
+            timeline_digest,
             fault_stats: None,
             packet_stats: None,
             bottleneck: BottleneckReport::default(),
+        }
+    }
+
+    pub(crate) fn set_replay(&mut self, replay: Result<Repeat, SerialReason>) {
+        self.replay = replay;
+    }
+
+    /// Whether steady-state replay synthesized iterations of this run,
+    /// and if not, why. Not part of the canonical report.
+    pub fn replay(&self) -> Replay {
+        match self.replay {
+            Ok(repeat) => Replay::Synthesized(repeat.count),
+            Err(reason) => Replay::Serial(reason),
         }
     }
 
@@ -113,15 +208,6 @@ impl SimReport {
 
     pub(crate) fn set_packet_stats(&mut self, stats: PacketObservation) {
         self.packet_stats = Some(stats);
-    }
-
-    /// Installs the incrementally-folded timeline digest: `count`
-    /// records whose sorted-order FNV fold ended in state `fnv`. The
-    /// canonical `timeline_records`/`timeline_hash` then come from the
-    /// digest, which covers the whole logical run even when a restore
-    /// left pre-restore records unmaterialized.
-    pub(crate) fn set_timeline_digest(&mut self, count: u64, fnv: u64) {
-        self.timeline_digest = Some((count, fnv));
     }
 
     pub(crate) fn set_bottleneck(&mut self, bottleneck: BottleneckReport) {
@@ -226,9 +312,30 @@ impl SimReport {
         }
     }
 
-    /// The full execution timeline.
+    /// The full execution timeline, sorted by `(start, end)`. On a
+    /// replayed run the synthesized iterations' records are built on the
+    /// first call; they equal the records simulating them would have
+    /// produced.
     pub fn timeline(&self) -> &[TimelineRecord] {
-        &self.timeline
+        match self.replay {
+            Err(_) => &self.simulated,
+            Ok(repeat) => self.timeline.get_or_init(|| {
+                let segment = &self.simulated[self.simulated.len() - repeat.segment..];
+                let mut all =
+                    Vec::with_capacity(self.simulated.len() + segment.len() * repeat.count);
+                all.extend_from_slice(&self.simulated);
+                let mut shift = TimeSpan::ZERO;
+                for _ in 0..repeat.count {
+                    shift += repeat.period;
+                    all.extend(segment.iter().map(|r| TimelineRecord {
+                        start: r.start + shift,
+                        end: r.end + shift,
+                        ..r.clone()
+                    }));
+                }
+                all
+            }),
+        }
     }
 
     /// Per-layer computation time, summed across GPUs — the "computation
@@ -236,7 +343,7 @@ impl SimReport {
     /// value = seconds.
     pub fn per_layer_compute_s(&self) -> Vec<f64> {
         let mut out = Vec::new();
-        for r in &self.timeline {
+        for r in self.timeline() {
             let (Some(layer), TimelineTrack::Gpu(_)) = (r.layer, r.track) else {
                 continue;
             };
@@ -265,7 +372,7 @@ impl SimReport {
             return profile;
         }
         let width = total / buckets as f64;
-        for r in &self.timeline {
+        for r in self.timeline() {
             let TimelineTrack::Gpu(g) = r.track else {
                 continue;
             };
@@ -340,13 +447,8 @@ impl SimReport {
                     ("added_hops".to_string(), u(self.net.added_hops)),
                 ]),
             ),
-            (
-                "timeline_records".to_string(),
-                u(self
-                    .timeline_digest
-                    .map_or(self.timeline.len() as u64, |(count, _)| count)),
-            ),
-            ("timeline_hash".to_string(), u(self.timeline_hash())),
+            ("timeline_records".to_string(), u(self.timeline_digest.0)),
+            ("timeline_hash".to_string(), u(self.timeline_digest.1)),
             ("bottleneck".to_string(), self.bottleneck.to_value()),
         ];
         if let Some(fs) = &self.fault_stats {
@@ -391,19 +493,6 @@ impl SimReport {
             .expect("canonical report JSON has no non-finite floats")
     }
 
-    /// FNV-1a hash over every timeline record (label, track, start/end
-    /// bits, layer). Order-sensitive, so any drift in task scheduling —
-    /// not just in the aggregate totals — changes the canonical JSON.
-    /// Checkpoint-aware runs install the digest precomputed by their
-    /// incremental segment folds (seeded, after a restore, from the
-    /// snapshot), which equals this batch fold exactly.
-    fn timeline_hash(&self) -> u64 {
-        match self.timeline_digest {
-            Some((_, fnv)) => fnv,
-            None => timeline_fnv(FNV_OFFSET, self.timeline.iter()),
-        }
-    }
-
     /// Exports the timeline as Chrome `about:tracing` JSON.
     ///
     /// Streams the timeline through the same
@@ -417,7 +506,7 @@ impl SimReport {
     /// (practically impossible for this data).
     pub fn to_chrome_trace(&self) -> Result<String, serde_json::Error> {
         let mut sink = ChromeTraceSink::new(Vec::new());
-        for r in &self.timeline {
+        for r in self.timeline() {
             let track = match r.track {
                 TimelineTrack::Gpu(i) => format!("gpu{i}"),
                 TimelineTrack::Network => "network".to_string(),
@@ -444,13 +533,17 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds timeline records (in the order given, which must be the
-/// canonical `(start, end)` sort order) into a running FNV-1a state.
-/// Because the fold is sequential, a sorted run splits into sorted
-/// segments — each iteration's records — and folding segment by
-/// segment yields the same state as folding the whole run at once.
-/// That is what lets checkpoints carry a fixed-size digest instead of
-/// the records themselves.
-pub(crate) fn timeline_fnv<'a, I>(seed: u64, records: I) -> u64
+/// canonical `(start, end)` sort order), each moved `shift` later, into
+/// a running FNV-1a state: label, track, start/end bits and layer, so
+/// any drift in task scheduling — not just in the aggregate totals —
+/// changes the canonical JSON. Because the fold is sequential, a sorted
+/// run splits into sorted segments — each iteration's records — and
+/// folding segment by segment yields the same state as folding the
+/// whole run at once. That is what lets checkpoints carry a fixed-size
+/// digest instead of the records themselves, and lets replay fold a
+/// synthesized iteration as the verified one shifted, without building
+/// its records.
+pub(crate) fn timeline_fnv<'a, I>(seed: u64, records: I, shift: TimeSpan) -> u64
 where
     I: Iterator<Item = &'a TimelineRecord>,
 {
@@ -468,8 +561,8 @@ where
             TimelineTrack::Gpu(i) => eat(&(i as u64).to_le_bytes()),
             TimelineTrack::Network => eat(&u64::MAX.to_le_bytes()),
         }
-        eat(&r.start.as_seconds().to_bits().to_le_bytes());
-        eat(&r.end.as_seconds().to_bits().to_le_bytes());
+        eat(&(r.start + shift).as_seconds().to_bits().to_le_bytes());
+        eat(&(r.end + shift).as_seconds().to_bits().to_le_bytes());
         eat(&r.layer.map_or(u64::MAX, |l| l as u64).to_le_bytes());
     }
     h
@@ -536,6 +629,7 @@ mod tests {
             QueueStats::default(),
             NetObservation::default(),
             vec![],
+            (0, FNV_OFFSET),
         );
         assert_eq!(report.total_time_s(), 10.0);
         assert_eq!(report.compute_time_s(), 6.0);
@@ -563,6 +657,7 @@ mod tests {
                 end: t(1.0),
                 layer: Some(3),
             }],
+            (1, FNV_OFFSET),
         );
         let profile = report.gpu_utilization(4);
         assert_eq!(profile.len(), 1);
@@ -589,6 +684,7 @@ mod tests {
                 end: t(1.0),
                 layer: Some(3),
             }],
+            (1, FNV_OFFSET),
         );
         let per_layer = report.per_layer_compute_s();
         assert_eq!(per_layer.len(), 4);
@@ -613,9 +709,61 @@ mod tests {
                 end: t(1.0),
                 layer: None,
             }],
+            (1, FNV_OFFSET),
         );
         let json = report.to_chrome_trace().unwrap();
         assert!(json.contains("conv1@g0"));
         assert!(json.contains("\"ph\":\"X\""));
+    }
+
+    fn op(start: f64, end: f64) -> TimelineRecord {
+        TimelineRecord {
+            label: "op".into(),
+            track: TimelineTrack::Gpu(0),
+            start: t(start),
+            end: t(end),
+            layer: Some(0),
+        }
+    }
+
+    #[test]
+    fn replayed_timeline_repeats_the_segment_on_first_read() {
+        // Two simulated 1-second iterations, then two synthesized ones.
+        let simulated = vec![op(0.0, 0.5), op(1.0, 1.5)];
+        let mut report = SimReport::new(
+            TimeSpan::from_seconds(4.0),
+            vec![TimeSpan::from_seconds(2.0)],
+            TimeSpan::ZERO,
+            0,
+            4,
+            QueueStats::default(),
+            NetObservation::default(),
+            simulated,
+            (4, FNV_OFFSET),
+        );
+        report.set_replay(Ok(Repeat {
+            segment: 1,
+            period: TimeSpan::from_seconds(1.0),
+            count: 2,
+        }));
+        assert_eq!(report.replay(), Replay::Synthesized(2));
+        let all: Vec<TimelineRecord> = (0..4).map(|k| op(k as f64, k as f64 + 0.5)).collect();
+        assert_eq!(report.timeline(), all.as_slice());
+        assert_eq!(report.per_layer_compute_s(), vec![2.0]);
+    }
+
+    #[test]
+    fn shifted_fold_equals_folding_shifted_records() {
+        let records = [op(0.0, 0.5), op(0.5, 1.0)];
+        let shift = TimeSpan::from_seconds(3.0);
+        let moved = [op(3.0, 3.5), op(3.5, 4.0)];
+        assert_eq!(
+            timeline_fnv(FNV_OFFSET, records.iter(), shift),
+            timeline_fnv(FNV_OFFSET, moved.iter(), TimeSpan::ZERO)
+        );
+        assert_ne!(
+            timeline_fnv(FNV_OFFSET, records.iter(), shift),
+            timeline_fnv(FNV_OFFSET, records.iter(), TimeSpan::ZERO)
+        );
     }
 }

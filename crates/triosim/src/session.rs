@@ -63,42 +63,12 @@ pub struct SimBuilder<'a> {
     network: Option<Box<dyn NetworkModel>>,
     collective_style: CollectiveStyle,
     iterations: usize,
-    shards: usize,
     observability: Observability,
     faults: Option<FaultPlan>,
     fault_seed: Option<u64>,
     budget: Option<RunBudget>,
     checkpoint: Option<(PathBuf, usize)>,
     restore: Option<PathBuf>,
-}
-
-/// Why a `--shards` request takes the serial path instead, in priority
-/// order. `None` means the sharded executor engages (though it may still
-/// fall back serially if the network model cannot be forked pristinely).
-pub(crate) fn shard_fallback_reason(
-    shards: usize,
-    iterations: usize,
-    plan_empty: bool,
-    obs_active: bool,
-    profiling: bool,
-    checkpointing: bool,
-) -> Option<&'static str> {
-    if shards <= 1 {
-        return None;
-    }
-    if profiling {
-        Some("self-profiling is active")
-    } else if checkpointing {
-        Some("checkpoint/restore runs serially")
-    } else if !plan_empty {
-        Some("a fault plan is present")
-    } else if obs_active {
-        Some("an observability recorder or progress monitor is attached")
-    } else if iterations <= 1 {
-        Some("the run has a single iteration")
-    } else {
-        None
-    }
 }
 
 impl<'a> SimBuilder<'a> {
@@ -114,7 +84,6 @@ impl<'a> SimBuilder<'a> {
             network: None,
             collective_style: CollectiveStyle::default(),
             iterations: 1,
-            shards: 1,
             observability: Observability::off(),
             faults: None,
             fault_seed: None,
@@ -128,33 +97,18 @@ impl<'a> SimBuilder<'a> {
     /// persistent network state (photonic circuits amortize their setup
     /// across iterations).
     ///
+    /// Long runs on an iteration-invariant network (the default flow
+    /// tier) simulate two iterations and synthesize the rest once the
+    /// second is verified as a time-shifted copy of the first; the
+    /// report is byte-identical to simulating them all, and
+    /// [`SimReport::replay`] tells which happened.
+    ///
     /// # Panics
     ///
     /// Panics if `iterations` is zero.
     pub fn iterations(mut self, iterations: usize) -> Self {
         assert!(iterations > 0, "need at least one iteration");
         self.iterations = iterations;
-        self
-    }
-
-    /// Executes multi-iteration runs with up to `n` worker threads
-    /// sharded along the iteration axis (DESIGN.md §12). The report is
-    /// byte-identical to the single-threaded run at any shard count —
-    /// sharding only changes wall-clock time, never output.
-    ///
-    /// The parallel path engages when the run has more than one
-    /// iteration, no fault plan, no observability recorder or progress
-    /// monitor, and an iteration-invariant network model that supports
-    /// pristine forking (the default [`FlowNetwork`] does). Every other
-    /// configuration — and `n == 1` — runs serially, which is always
-    /// correct.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn shards(mut self, n: usize) -> Self {
-        assert!(n > 0, "need at least one shard");
-        self.shards = n;
         self
     }
 
@@ -271,9 +225,8 @@ impl<'a> SimBuilder<'a> {
     /// Resumes from a snapshot written by [`checkpoint`](Self::checkpoint).
     /// The snapshot's spec hash must match this builder's scenario
     /// (trace, platform, parallelism, network, fault plan, deterministic
-    /// budget axes) — iteration count, shard count, and wall-clock
-    /// timeout may differ. Composes with `checkpoint` to keep
-    /// checkpointing the resumed run.
+    /// budget axes) — iteration count and wall-clock timeout may differ.
+    /// Composes with `checkpoint` to keep checkpointing the resumed run.
     pub fn restore(mut self, path: impl Into<PathBuf>) -> Self {
         self.restore = Some(path.into());
         self
@@ -425,22 +378,7 @@ impl<'a> SimBuilder<'a> {
             Some(p) => p.time("network_build", || self.resolved_network()),
         };
         let obs = std::mem::take(&mut self.observability);
-        let checkpointing = self.checkpoint.is_some() || self.restore.is_some();
-        if let Some(reason) = shard_fallback_reason(
-            self.shards,
-            self.iterations,
-            plan.is_empty(),
-            obs.is_active(),
-            prof.is_some(),
-            checkpointing,
-        ) {
-            eprintln!(
-                "warning: --shards {} ignored ({reason}); running serially — output bytes are \
-                 unchanged",
-                self.shards
-            );
-        }
-        if checkpointing {
+        if self.checkpoint.is_some() || self.restore.is_some() {
             if prof.is_some() {
                 eprintln!("warning: self-profiling is disabled under checkpoint/restore");
             }
@@ -515,19 +453,6 @@ impl<'a> SimBuilder<'a> {
                 Some(p),
             );
         }
-        if self.shards > 1 && self.iterations > 1 && plan.is_empty() && !obs.is_active() {
-            // The sharded path subsumes the budgeted one: deterministic
-            // axes are enforced live on the probe iteration and replayed
-            // in canonical event order over the parallel blocks, so
-            // trips carry the exact serial kind and limit.
-            return crate::shardexec::execute_sharded(
-                &graph,
-                network.as_mut(),
-                self.iterations,
-                self.shards,
-                self.budget.take().unwrap_or_else(RunBudget::unlimited),
-            );
-        }
         if let Some(budget) = self.budget.take() {
             return execute_budgeted(
                 &graph,
@@ -573,6 +498,7 @@ impl<'a> SimBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{Replay, SerialReason};
     use triosim_modelzoo::ModelId;
     use triosim_trace::Tracer;
 
@@ -690,76 +616,78 @@ mod tests {
         assert!(matches!(err, SimError::BudgetExceeded { .. }));
     }
 
+    /// The serial oracle for replay tests: a generous deterministic
+    /// budget never trips, but keeps replay from engaging.
+    fn serial_oracle(b: SimBuilder<'_>) -> SimReport {
+        let report = b
+            .budget(RunBudget::unlimited().with_max_events(u64::MAX))
+            .try_run()
+            .expect("generous budget never trips");
+        assert_eq!(
+            report.replay(),
+            Replay::Serial(SerialReason::DeterministicBudget)
+        );
+        report
+    }
+
     #[test]
-    fn sharded_run_is_byte_identical_to_serial() {
+    fn replayed_run_is_byte_identical_to_serial() {
         let t = trace();
         let p = Platform::p2(2);
-        let serial = SimBuilder::new(&t, &p).iterations(5).run();
-        for shards in [2, 3, 8] {
-            let sharded = SimBuilder::new(&t, &p).iterations(5).shards(shards).run();
-            assert_eq!(
-                serial.to_canonical_json(),
-                sharded.to_canonical_json(),
-                "shards={shards} diverged from the serial oracle"
-            );
+        for iterations in [3, 5] {
+            let replayed = SimBuilder::new(&t, &p).iterations(iterations).run();
+            assert_eq!(replayed.replay(), Replay::Synthesized(iterations - 2));
+            let serial = serial_oracle(SimBuilder::new(&t, &p).iterations(iterations));
+            assert_eq!(serial.to_canonical_json(), replayed.to_canonical_json());
+            assert_eq!(serial.timeline(), replayed.timeline());
         }
     }
 
     #[test]
-    fn sharded_budget_trip_matches_serial_kind_and_limit() {
+    fn deterministic_budgets_run_serially_and_trip_exactly() {
         let t = trace();
         let p = Platform::p2(2);
-        let run = |shards: usize, limit: u64| {
-            SimBuilder::new(&t, &p)
+        let replayed = SimBuilder::new(&t, &p).iterations(4).run();
+        let per_iteration = replayed.queue_stats().delivered() / 4;
+        // Limits from "trips in iteration 0" through "trips in the last
+        // iteration" to "never trips".
+        for limit in [10, per_iteration + 1, 3 * per_iteration + 7, u64::MAX - 1] {
+            match SimBuilder::new(&t, &p)
                 .iterations(4)
-                .shards(shards)
                 .budget(RunBudget::unlimited().with_max_events(limit))
                 .try_run()
-        };
-        // A limit the probe iteration itself trips.
-        let serial = run(1, 10).expect_err("10 events cannot finish");
-        for shards in [2, 4] {
-            let sharded = run(shards, 10).expect_err("10 events cannot finish");
-            assert_eq!(serial.to_string(), sharded.to_string());
-        }
-        // A family of limits sweeping from "trips in the probe" through
-        // "trips in a parallel block via deterministic replay" to "never
-        // trips": serial and sharded must agree exactly at every point.
-        for limit in [10, 1_000, 10_000, 100_000, u64::MAX - 1] {
-            let serial = run(1, limit).map(|r| r.to_canonical_json());
-            for shards in [2, 4] {
-                let sharded = run(shards, limit).map(|r| r.to_canonical_json());
-                match (&serial, &sharded) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b, "limit={limit} shards={shards}"),
-                    (Err(a), Err(b)) => {
-                        assert_eq!(
-                            a.to_string(),
-                            b.to_string(),
-                            "limit={limit} shards={shards}"
-                        );
-                    }
-                    _ => panic!("limit={limit} shards={shards}: serial and sharded disagree"),
+            {
+                Ok(r) => {
+                    assert_eq!(
+                        r.replay(),
+                        Replay::Serial(SerialReason::DeterministicBudget)
+                    );
+                    assert_eq!(r.to_canonical_json(), replayed.to_canonical_json());
                 }
+                Err(e) => assert_eq!(
+                    e.to_string(),
+                    format!("budget exceeded: more than {limit} events delivered")
+                ),
             }
         }
     }
 
     #[test]
-    fn sharded_run_composes_with_budget_byte_identically() {
+    fn wall_clock_budget_composes_with_replay() {
         let t = trace();
         let p = Platform::p2(2);
         let plain = SimBuilder::new(&t, &p).iterations(4).run();
-        let sharded = SimBuilder::new(&t, &p)
+        let guarded = SimBuilder::new(&t, &p)
             .iterations(4)
-            .shards(4)
-            .budget(RunBudget::unlimited().with_max_events(u64::MAX))
+            .budget(RunBudget::unlimited().with_wall_timeout_ms(600_000))
             .try_run()
-            .expect("generous budget never trips");
-        assert_eq!(plain.to_canonical_json(), sharded.to_canonical_json());
+            .expect("generous deadline never trips");
+        assert_eq!(guarded.replay(), Replay::Synthesized(2));
+        assert_eq!(plain.to_canonical_json(), guarded.to_canonical_json());
     }
 
     #[test]
-    fn shards_with_faults_fall_back_to_the_serial_path() {
+    fn faulted_runs_simulate_every_iteration() {
         use triosim_faults::GpuSlowdown;
         let t = trace();
         let p = Platform::p2(2);
@@ -770,47 +698,43 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let serial = SimBuilder::new(&t, &p)
+        let faulted = SimBuilder::new(&t, &p).iterations(3).faults(plan).run();
+        assert_eq!(faulted.replay(), Replay::Serial(SerialReason::Faults));
+        // An empty plan is no plan at all: replay engages.
+        let empty = SimBuilder::new(&t, &p)
             .iterations(3)
-            .faults(plan.clone())
+            .faults(FaultPlan::default())
             .run();
-        let sharded = SimBuilder::new(&t, &p)
-            .iterations(3)
-            .shards(4)
-            .faults(plan)
-            .run();
-        assert_eq!(serial.to_canonical_json(), sharded.to_canonical_json());
+        assert_eq!(empty.replay(), Replay::Synthesized(1));
     }
 
+    /// Replay's serial-fallback reasons, in the order the run checks them.
     #[test]
     fn fallback_reasons_are_named_in_priority_order() {
-        // (shards, iterations, plan_empty, obs, prof, ckpt) → reason
-        let r = |sh, it, pe, ob, pr, ck| shard_fallback_reason(sh, it, pe, ob, pr, ck);
+        let t = trace();
+        let p = Platform::p2(2);
+        let reason = |b: SimBuilder<'_>| b.run().replay();
         assert_eq!(
-            r(1, 1, false, true, true, true),
-            None,
-            "1 shard never warns"
+            reason(SimBuilder::new(&t, &p).iterations(2)),
+            Replay::Serial(SerialReason::FewIterations)
         );
-        assert_eq!(r(4, 8, true, false, false, false), None, "shardable run");
+        let quiet = || ProgressMonitor::with_writer(Box::new(std::io::sink()));
         assert_eq!(
-            r(4, 8, true, false, true, false),
-            Some("self-profiling is active")
-        );
-        assert_eq!(
-            r(4, 8, true, false, false, true),
-            Some("checkpoint/restore runs serially")
+            reason(SimBuilder::new(&t, &p).iterations(3).progress(quiet())),
+            Replay::Serial(SerialReason::Observed)
         );
         assert_eq!(
-            r(4, 8, false, false, false, false),
-            Some("a fault plan is present")
+            reason(
+                SimBuilder::new(&t, &p)
+                    .iterations(3)
+                    .fidelity(Fidelity::Packet)
+            ),
+            Replay::Serial(SerialReason::NetworkNotInvariant)
         );
+        // The iteration count is checked first.
         assert_eq!(
-            r(4, 8, true, true, false, false),
-            Some("an observability recorder or progress monitor is attached")
-        );
-        assert_eq!(
-            r(4, 1, true, false, false, false),
-            Some("the run has a single iteration")
+            reason(SimBuilder::new(&t, &p).iterations(1).progress(quiet())),
+            Replay::Serial(SerialReason::FewIterations)
         );
     }
 

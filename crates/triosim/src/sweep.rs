@@ -189,7 +189,6 @@ struct ExecScenario {
     compute: ComputeModel,
     faults: Option<FaultPlan>,
     fault_seed: Option<u64>,
-    shards: usize,
 }
 
 /// The outcome of one scenario: its canonical report (or a deterministic
@@ -378,7 +377,6 @@ fn resolve_scenarios(
             fault_seed: scenario.fault_seed,
             global_batch: scenario.global_batch,
             iterations: scenario.iterations as usize,
-            shards: (scenario.shards as usize).max(1),
             trace,
             platform,
             parallelism,
@@ -404,7 +402,6 @@ fn resolve_scenarios(
 /// changes the canonical report bytes.
 fn run_scenario(
     r: &ResolvedScenario,
-    shard_cap: usize,
     prof: &mut SelfProfiler,
     ckpt: Option<(&Path, usize, usize)>,
 ) -> Result<Value, ScenarioError> {
@@ -439,11 +436,6 @@ fn run_scenario(
             .compute_model(e.compute.clone())
             .collective_style(e.collective)
             .iterations(e.iterations)
-            // Intra-scenario sharding never oversubscribes the host: the
-            // pool's workers and each scenario's shard threads multiply, so
-            // the cap divides the cores among the pool workers. Shard count
-            // is gated on byte-identity, so clamping cannot change output.
-            .shards(e.shards.min(shard_cap).max(1))
             .network(network);
         if let Some(batch) = e.global_batch {
             builder = builder.global_batch(batch);
@@ -528,15 +520,14 @@ fn execute_one(
     r: &ResolvedScenario,
     index: usize,
     fail_fast: bool,
-    shard_cap: usize,
     prof: &mut SelfProfiler,
     ckpt: Option<(&Path, usize)>,
 ) -> Result<Value, ScenarioError> {
     let ckpt = ckpt.map(|(dir, every)| (dir, every, index));
     if fail_fast {
-        return run_scenario(r, shard_cap, prof, ckpt);
+        return run_scenario(r, prof, ckpt);
     }
-    match catch_unwind(AssertUnwindSafe(|| run_scenario(r, shard_cap, prof, ckpt))) {
+    match catch_unwind(AssertUnwindSafe(|| run_scenario(r, prof, ckpt))) {
         Ok(outcome) => outcome,
         Err(payload) => Err(ScenarioError::Panicked {
             index,
@@ -634,8 +625,7 @@ pub struct SweepRunConfig {
     /// killed mid-scenario then resumed restarts that scenario from its
     /// last boundary instead of from scratch; snapshots are deleted as
     /// their scenarios complete, and a stale or corrupt snapshot demotes
-    /// to a warning plus a from-scratch rerun. Checkpointed scenarios
-    /// run serially (per-scenario sharding is gated off with a warning).
+    /// to a warning plus a from-scratch rerun.
     pub checkpoint_dir: Option<PathBuf>,
     /// Iteration boundaries between snapshots (`0` means every
     /// boundary). Only meaningful with `checkpoint_dir`.
@@ -777,10 +767,6 @@ pub fn run_sweep_with(
     let resolved = resolved?;
     let pending: Vec<usize> = (0..total).filter(|i| !skip.contains(i)).collect();
     let tracker = SweepProgress::with_replayed(total, replayed, config.progress);
-    // Pool workers x per-scenario shard threads must not oversubscribe
-    // the host: each scenario may use at most its fair share of cores.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shard_cap = (cores / config.threads.max(1)).max(1);
     let started = Instant::now();
     let execute_span = prof.begin("execute");
     let fresh = run_ordered(pending.len(), config.threads, |j| {
@@ -809,7 +795,7 @@ pub fn run_sweep_with(
             .checkpoint_dir
             .as_deref()
             .map(|dir| (dir, config.checkpoint_every.max(1)));
-        let outcome = execute_one(r, index, config.fail_fast, shard_cap, &mut sprof, ckpt);
+        let outcome = execute_one(r, index, config.fail_fast, &mut sprof, ckpt);
         let wall_s = t0.elapsed().as_secs_f64();
         if let Some(w) = &writer {
             let entry = to_entry(index, &r.scenario.label, &outcome);
@@ -1133,19 +1119,24 @@ mod tests {
         }
     }
 
+    /// The retired `shards` field still parses: any shard count leaves
+    /// the canonical output as it is without one.
     #[test]
     fn canonical_output_is_shard_count_invariant() {
         let base = r#"{
-            "name": "shardy",
+            "name": "legacy",
             "defaults": { "model": "vgg11", "trace_batch": 8, "gpu": "A40",
                           "platform": "p2:2", "iterations": 3 SHARDS },
             "grid": { "parallelism": ["ddp", "tp"] }
         }"#;
-        let serial = SweepSpec::from_json(&base.replace("SHARDS", "")).unwrap();
-        let sharded = SweepSpec::from_json(&base.replace("SHARDS", r#", "shards": 4"#)).unwrap();
-        let a = run_sweep(&serial, 1, false).unwrap().to_canonical_string();
-        let b = run_sweep(&sharded, 1, false).unwrap().to_canonical_string();
-        assert_eq!(a, b, "shard count must never leak into canonical output");
+        let plain = SweepSpec::from_json(&base.replace("SHARDS", "")).unwrap();
+        let legacy = SweepSpec::from_json(&base.replace("SHARDS", r#", "shards": 4"#)).unwrap();
+        let a = run_sweep(&plain, 1, false).unwrap().to_canonical_string();
+        let b = run_sweep(&legacy, 1, false).unwrap().to_canonical_string();
+        assert_eq!(
+            a, b,
+            "the ignored shards field must never reach canonical output"
+        );
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! into an `n`-iteration run reproduces the interrupted-and-resumed
 //! lifecycle byte for byte.
 
+mod common;
+
 use std::path::PathBuf;
 
 use proptest::prelude::*;
@@ -94,13 +96,13 @@ fn restore_from_every_boundary_is_byte_identical() {
     let n = 5;
     let uninterrupted = SimBuilder::new(&t, &p).iterations(n).run();
     let serial = uninterrupted.to_canonical_json();
-    // The uninterrupted oracle at shard count 4 must agree too.
-    let sharded = SimBuilder::new(&t, &p)
+    // The uninterrupted run replays; the serial oracle must agree.
+    let oracle = SimBuilder::new(&t, &p)
         .iterations(n)
-        .shards(4)
+        .network(common::serial_flow(&p))
         .run()
         .to_canonical_json();
-    assert_eq!(serial, sharded);
+    assert_eq!(serial, oracle);
     for k in 1..=n {
         let path = temp_path("boundary");
         // A k-iteration run with cadence k leaves the snapshot a longer
@@ -327,54 +329,13 @@ fn snapshot_with_more_iterations_than_requested_is_corrupt() {
     std::fs::remove_file(&path).ok();
 }
 
-#[test]
-fn shard_warning_names_the_reason_on_stderr() {
-    // Satellite: the silent serial fallback is gone. A `--shards`
-    // request that cannot shard (single iteration here) must say so.
-    let bin = env!("CARGO_BIN_EXE_triosim-cli");
-    let tmp = temp_path("warn-trace").with_extension("json");
-    let out = std::process::Command::new(bin)
-        .args(["trace", "--model", "vgg11", "--batch", "8", "--gpu", "A100"])
-        .arg("-o")
-        .arg(&tmp)
-        .output()
-        .expect("trace subcommand runs");
-    assert!(out.status.success(), "trace failed: {out:?}");
-    let out = std::process::Command::new(bin)
-        .args(["simulate", "--shards", "4", "--iterations", "1"])
-        .arg("--trace")
-        .arg(&tmp)
-        .output()
-        .expect("simulate subcommand runs");
-    assert!(out.status.success(), "simulate failed: {out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--shards 4 ignored") && stderr.contains("single iteration"),
-        "stderr must name the fallback reason, got: {stderr}"
-    );
-    // A shardable run stays silent.
-    let out = std::process::Command::new(bin)
-        .args(["simulate", "--shards", "2", "--iterations", "2"])
-        .arg("--trace")
-        .arg(&tmp)
-        .output()
-        .expect("simulate subcommand runs");
-    assert!(out.status.success(), "simulate failed: {out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !stderr.contains("ignored"),
-        "no warning expected on the sharded path, got: {stderr}"
-    );
-    std::fs::remove_file(&tmp).ok();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Kill-at-any-boundary identity over random model × parallelism ×
     /// iteration counts: restoring boundary `k` of an `n`-iteration run
-    /// reproduces the uninterrupted run's canonical bytes exactly, at
-    /// shard counts 1 and 4.
+    /// reproduces the uninterrupted run's canonical bytes exactly, with
+    /// and without replay available.
     #[test]
     fn restore_from_any_checkpoint_is_byte_identical(
         model_idx in 0usize..2,
@@ -391,13 +352,13 @@ proptest! {
             .iterations(n)
             .run()
             .to_canonical_json();
-        let sharded = SimBuilder::new(&t, &p)
+        let oracle = SimBuilder::new(&t, &p)
             .parallelism(par)
             .iterations(n)
-            .shards(4)
+            .network(common::serial_flow(&p))
             .run()
             .to_canonical_json();
-        prop_assert_eq!(&serial, &sharded, "sharded oracle diverged");
+        prop_assert_eq!(&serial, &oracle, "serial oracle diverged");
         let path = temp_path("prop");
         SimBuilder::new(&t, &p)
             .parallelism(par)

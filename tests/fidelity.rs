@@ -14,16 +14,14 @@
 //!   cannot see. Canonical packet reports are pinned as golden
 //!   snapshots (`tests/golden/packet_{ddp,tp}.json`), re-blessable via
 //!   `TRIOSIM_BLESS=1 cargo test --test fidelity`.
-//! * **Determinism**: packet runs are byte-identical across invocations
-//!   and across the `--shards` knob — the packet tier is not
-//!   iteration-invariant, so a shard request falls back to the serial
-//!   oracle with a warning naming that reason.
+//! * **Determinism**: packet runs are byte-identical across invocations.
+//!   The packet tier is not iteration-invariant, so its runs simulate
+//!   every iteration and say so in `SimReport::replay`.
 
 use std::path::PathBuf;
-use std::process::Command;
 
 use proptest::prelude::*;
-use triosim::{Fidelity, Parallelism, Platform, SimBuilder};
+use triosim::{Fidelity, Parallelism, Platform, Replay, SerialReason, SimBuilder};
 use triosim_des::VirtualTime;
 use triosim_modelzoo::ModelId;
 use triosim_network::{FlowNetwork, NetCommand, NetworkModel, NodeId, PacketNetwork, Topology};
@@ -150,86 +148,25 @@ fn tiers_converge_on_uncongested_topology() {
 }
 
 /// Packet runs are deterministic: byte-identical canonical reports
-/// across two invocations, and across the `--shards` knob (the packet
-/// tier gates off sharding, so shard counts only change the warning on
-/// stderr, never the bytes).
+/// across two invocations. The packet tier is not iteration-invariant,
+/// so steady-state replay never engages on it.
 #[test]
-fn packet_run_is_byte_identical_across_invocations_and_shards() {
+fn packet_run_is_byte_identical_across_invocations() {
     let trace = Tracer::new(GpuModel::A100).trace(&ModelId::ResNet18.build(8));
     let platform = congested_platform();
-    let run = |shards: usize| {
+    let run = || {
         let r = SimBuilder::new(&trace, &platform)
             .parallelism(Parallelism::DataParallel { overlap: true })
             .fidelity(Fidelity::Packet)
-            .iterations(2)
-            .shards(shards)
+            .iterations(3)
             .run();
+        assert_eq!(
+            r.replay(),
+            Replay::Serial(SerialReason::NetworkNotInvariant)
+        );
         serde_json::to_string(&r.to_canonical_json()).expect("canonical JSON is finite")
     };
-    let first = run(1);
-    assert_eq!(first, run(1), "rerun diverged");
-    assert_eq!(first, run(2), "shard knob changed packet bytes");
-}
-
-/// The serial-fallback warning must fire and name the reason when a
-/// packet-fidelity run requests sharding: the packet model is not
-/// iteration-invariant, so `execute_sharded` refuses it. The reports on
-/// both sides of the warning must still be byte-identical.
-#[test]
-fn packet_shard_request_warns_and_names_the_reason() {
-    let bin = env!("CARGO_BIN_EXE_triosim-cli");
-    let dir = std::env::temp_dir().join(format!("triosim-fidelity-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let trace = dir.join("trace.json");
-    let out = Command::new(bin)
-        .args([
-            "trace", "--model", "resnet18", "--batch", "8", "--gpu", "A100",
-        ])
-        .arg("-o")
-        .arg(&trace)
-        .output()
-        .expect("trace subcommand runs");
-    assert!(out.status.success(), "trace failed: {out:?}");
-
-    let simulate = |shards: &str, report: &PathBuf| {
-        let out = Command::new(bin)
-            .args([
-                "simulate",
-                "--fidelity",
-                "packet",
-                "--platform",
-                "fat:A100:2",
-            ])
-            .args(["--iterations", "2", "--shards", shards])
-            .arg("--trace")
-            .arg(&trace)
-            .arg("--report")
-            .arg(report)
-            .output()
-            .expect("simulate subcommand runs");
-        assert!(out.status.success(), "simulate failed: {out:?}");
-        String::from_utf8_lossy(&out.stderr).into_owned()
-    };
-
-    let sharded_report = dir.join("sharded.json");
-    let stderr = simulate("2", &sharded_report);
-    assert!(
-        stderr.contains("shard request ignored")
-            && stderr.contains("the network model is not iteration-invariant"),
-        "fallback warning must name the reason, got: {stderr}"
-    );
-
-    let serial_report = dir.join("serial.json");
-    let stderr = simulate("1", &serial_report);
-    assert!(
-        !stderr.contains("ignored"),
-        "a serial run warns about nothing, got: {stderr}"
-    );
-
-    let sharded = std::fs::read(&sharded_report).expect("sharded report written");
-    let serial = std::fs::read(&serial_report).expect("serial report written");
-    assert_eq!(sharded, serial, "shard fallback changed report bytes");
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(run(), run(), "rerun diverged");
 }
 
 proptest! {

@@ -13,9 +13,11 @@
 //! and commit the diff under `tests/golden/` (review it: the diff *is*
 //! the behavior change). See `TESTING.md` for the full workflow.
 
+mod common;
+
 use std::path::PathBuf;
 
-use triosim::{Parallelism, Platform, SimBuilder};
+use triosim::{Parallelism, Platform, Replay, SimBuilder};
 use triosim_modelzoo::ModelId;
 use triosim_trace::{GpuModel, Tracer};
 
@@ -83,12 +85,11 @@ fn golden_pp() {
     check("pp", Parallelism::Pipeline { chunks: 2 });
 }
 
-/// The golden quartet under `--shards 4`: a single-iteration run takes
-/// the serial path regardless of the shard knob, so the snapshots must
-/// match exactly — and at multiple iterations the sharded path engages
-/// and must still be byte-identical to the serial oracle.
+/// The golden quartet under steady-state replay: a 1-iteration run
+/// (the snapshots above) never replays, and at multiple iterations the
+/// replayed run must be byte-identical to the serial oracle.
 #[test]
-fn golden_quartet_is_shard_invariant() {
+fn golden_quartet_is_replay_invariant() {
     let trace = Tracer::new(GpuModel::A40).trace(&ModelId::Vgg11.build(8));
     let platform = Platform::p2(2);
     let quartet = [
@@ -98,30 +99,19 @@ fn golden_quartet_is_shard_invariant() {
         ("pp", Parallelism::Pipeline { chunks: 2 }),
     ];
     for (name, parallelism) in quartet {
-        // Snapshot configuration (1 iteration): the shard knob is inert.
-        let sharded = SimBuilder::new(&trace, &platform)
-            .parallelism(parallelism)
-            .shards(4)
-            .run();
-        let sharded =
-            serde_json::to_string(&sharded.to_canonical_json()).expect("canonical JSON is finite");
-        if !bless_mode() {
-            let path = golden_dir().join(format!("{name}.json"));
-            let expected = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
-            assert_eq!(sharded, expected, "`{name}` drifted under --shards 4");
-        }
-        // Multi-iteration: the parallel path engages; bytes must match
-        // the serial oracle exactly.
-        let run = |shards: usize| {
-            let r = SimBuilder::new(&trace, &platform)
+        let b = || {
+            SimBuilder::new(&trace, &platform)
                 .parallelism(parallelism)
                 .iterations(3)
-                .shards(shards)
-                .run();
-            serde_json::to_string(&r.to_canonical_json()).expect("canonical JSON is finite")
         };
-        assert_eq!(run(1), run(4), "`{name}` x3 diverged under --shards 4");
+        let replayed = b().run();
+        assert_eq!(replayed.replay(), Replay::Synthesized(1), "`{name}` x3");
+        let serial = b().network(common::serial_flow(&platform)).run();
+        assert_eq!(
+            serde_json::to_string(&replayed.to_canonical_json()).expect("canonical JSON is finite"),
+            serde_json::to_string(&serial.to_canonical_json()).expect("canonical JSON is finite"),
+            "`{name}` x3 diverged from the serial oracle"
+        );
     }
 }
 

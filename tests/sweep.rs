@@ -6,6 +6,7 @@
 //! killed mid-sweep and resumed from its journal.
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use triosim::{run_sweep, run_sweep_with, ScenarioError, SweepError, SweepRunConfig, SweepSpec};
 
@@ -157,6 +158,48 @@ fn kill_and_resume_is_byte_identical_across_thread_counts() {
         std::fs::remove_file(&resume).ok();
     }
     std::fs::remove_file(&journal).ok();
+}
+
+/// A journal written before the `shards` knob was retired — its header
+/// embeds a spec that sets `"shards": 4`, and it holds one of three
+/// entries — still resumes: the spec hash it carries matches, the field
+/// is ignored with one stderr line, and the aggregate is byte-identical
+/// to a clean run of the same spec without the field.
+#[test]
+fn journal_with_legacy_shards_field_resumes() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/legacy_shards_journal.jsonl");
+    let journal = temp_path("legacy");
+    std::fs::copy(&fixture, &journal).unwrap();
+    let out_path = journal.with_extension("out.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_triosim-cli"))
+        .args(["sweep", "--threads", "1", "--resume"])
+        .arg(&journal)
+        .arg("--out")
+        .arg(&out_path)
+        .output()
+        .expect("sweep subcommand runs");
+    assert!(out.status.success(), "resume failed: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("resumed       : 1 of 3 scenarios from journal"),
+        "{stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.matches("`shards`").count(), 1, "{stderr}");
+    let plain = SweepSpec::from_json(
+        r#"{
+  "name": "legacy-shards",
+  "defaults": { "model": "vgg11", "trace_batch": 8, "gpu": "A40",
+                "platform": "p2:2", "iterations": 3 },
+  "grid": { "parallelism": ["ddp", "tp", "pp:2"] }
+}"#,
+    )
+    .unwrap();
+    let clean = run_sweep(&plain, 1, false).unwrap().to_canonical_string();
+    assert_eq!(std::fs::read_to_string(&out_path).unwrap(), clean);
+    std::fs::remove_file(&journal).ok();
+    std::fs::remove_file(&out_path).ok();
 }
 
 /// A journal written for one spec must not silently resume a different
