@@ -12,7 +12,7 @@
 //!   tier reports a *longer* total than the flow tier, plus nonzero
 //!   ECN marks (and a populated queue-depth histogram) the flow tier
 //!   cannot see. Canonical packet reports are pinned as golden
-//!   snapshots (`tests/golden/packet_{ddp,tp}.json`), re-blessable via
+//!   snapshots (`tests/golden/packet_{ddp,tp,ddp8}.json`), re-blessable via
 //!   `TRIOSIM_BLESS=1 cargo test --test fidelity`.
 //! * **Determinism**: packet runs are byte-identical across invocations.
 //!   The packet tier is not iteration-invariant, so its runs simulate
@@ -35,26 +35,29 @@ fn bless_mode() -> bool {
     std::env::var_os("TRIOSIM_BLESS").is_some_and(|v| v == "1")
 }
 
-/// The congested scenario both golden snapshots and the divergence test
-/// share: two A100s on a 4:1-oversubscribed fat tree (one GPU per leaf,
-/// so every collective byte crosses the thin 6.25 GB/s spine uplinks),
-/// ResNet-18 at batch 8. Small enough for debug-mode CI, congested
-/// enough that queues build, ECN fires, and the tiers diverge.
+/// The congested scenario the two 2-GPU golden snapshots and the
+/// divergence test share: two A100s on a 4:1-oversubscribed fat tree (one
+/// GPU per leaf, so every collective byte crosses the thin 6.25 GB/s
+/// spine uplinks), ResNet-18 at batch 8. Small enough for debug-mode CI,
+/// congested enough that queues build, ECN fires, and the tiers diverge.
 fn congested_platform() -> Platform {
     Platform::fat_tree(GpuModel::A100, 2, 1, 25e9, 5e-6, 4.0, "fat2")
 }
 
-fn congested_report(parallelism: Parallelism, fidelity: Fidelity) -> triosim::SimReport {
+fn congested_report(
+    platform: &Platform,
+    parallelism: Parallelism,
+    fidelity: Fidelity,
+) -> triosim::SimReport {
     let trace = Tracer::new(GpuModel::A100).trace(&ModelId::ResNet18.build(8));
-    let platform = congested_platform();
-    SimBuilder::new(&trace, &platform)
+    SimBuilder::new(&trace, platform)
         .parallelism(parallelism)
         .fidelity(fidelity)
         .run()
 }
 
-fn check_golden(name: &str, parallelism: Parallelism) {
-    let report = congested_report(parallelism, Fidelity::Packet);
+fn check_golden(name: &str, platform: &Platform, parallelism: Parallelism) {
+    let report = congested_report(platform, parallelism, Fidelity::Packet);
     let actual =
         serde_json::to_string(&report.to_canonical_json()).expect("canonical JSON is finite");
     let path = golden_dir().join(format!("{name}.json"));
@@ -81,12 +84,32 @@ fn check_golden(name: &str, parallelism: Parallelism) {
 
 #[test]
 fn golden_packet_ddp() {
-    check_golden("packet_ddp", Parallelism::DataParallel { overlap: true });
+    check_golden(
+        "packet_ddp",
+        &congested_platform(),
+        Parallelism::DataParallel { overlap: true },
+    );
 }
 
 #[test]
 fn golden_packet_tp() {
-    check_golden("packet_tp", Parallelism::TensorParallel);
+    check_golden(
+        "packet_tp",
+        &congested_platform(),
+        Parallelism::TensorParallel,
+    );
+}
+
+/// The benchmark's packet shape: eight A100s on `fat:A100:8`, so each
+/// DDP bucket's ring step is eight simultaneous sends in one busy period.
+#[test]
+fn golden_packet_ddp8() {
+    let platform: Platform = "fat:A100:8".parse().expect("a valid platform spec");
+    check_golden(
+        "packet_ddp8",
+        &platform,
+        Parallelism::DataParallel { overlap: true },
+    );
 }
 
 /// The headline divergence assertion: under congestion the packet tier
@@ -98,8 +121,9 @@ fn golden_packet_tp() {
 #[test]
 fn packet_tier_diverges_under_congestion_with_evidence() {
     let parallelism = Parallelism::DataParallel { overlap: true };
-    let flow = congested_report(parallelism, Fidelity::TrioSim);
-    let packet = congested_report(parallelism, Fidelity::Packet);
+    let platform = congested_platform();
+    let flow = congested_report(&platform, parallelism, Fidelity::TrioSim);
+    let packet = congested_report(&platform, parallelism, Fidelity::Packet);
     assert!(
         flow.packet_stats().is_none(),
         "flow tier reports no packets"
