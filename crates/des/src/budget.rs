@@ -114,30 +114,6 @@ impl RunBudget {
         self.deadline.is_some()
     }
 
-    /// This budget with the wall-clock axis removed: only the
-    /// deterministic (event-count and sim-time) limits remain. Checking
-    /// it replays enforcement over recorded `(events, now)` progress and
-    /// trips on exactly the event the live run would have, since the
-    /// host-dependent wall axis is gone.
-    pub fn deterministic_only(&self) -> RunBudget {
-        RunBudget {
-            max_events: self.max_events,
-            max_sim_time: self.max_sim_time,
-            deadline: None,
-        }
-    }
-
-    /// This budget with the deterministic axes removed: only the live
-    /// wall-clock deadline remains. The complement of
-    /// [`deterministic_only`](RunBudget::deterministic_only).
-    pub fn wall_only(&self) -> RunBudget {
-        RunBudget {
-            max_events: None,
-            max_sim_time: None,
-            deadline: self.deadline,
-        }
-    }
-
     /// A stable fingerprint of the deterministic axes (event cap and
     /// sim-time horizon), FNV-1a over their configured limits.
     ///
@@ -292,17 +268,6 @@ mod tests {
             .with_wall_timeout_ms(60_000);
         assert!(b.has_deterministic_axes());
         assert!(b.has_wall_deadline());
-        let det = b.deterministic_only();
-        assert!(det.has_deterministic_axes() && !det.has_wall_deadline());
-        assert_eq!(
-            det.check(8, VirtualTime::ZERO),
-            Some((BudgetKind::Events, 7))
-        );
-        let wall = b.wall_only();
-        assert!(!wall.has_deterministic_axes() && wall.has_wall_deadline());
-        assert!(wall.check(u64::MAX, VirtualTime::MAX).is_none());
-        assert!(RunBudget::unlimited().deterministic_only().is_unlimited());
-        assert!(RunBudget::unlimited().wall_only().is_unlimited());
     }
 
     #[test]
