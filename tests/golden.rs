@@ -17,6 +17,7 @@ mod common;
 
 use std::path::PathBuf;
 
+use serde::Value;
 use triosim::{Parallelism, Platform, Replay, SimBuilder};
 use triosim_modelzoo::ModelId;
 use triosim_trace::{GpuModel, Tracer};
@@ -42,10 +43,15 @@ fn canonical_report(parallelism: Parallelism) -> String {
 }
 
 fn check(name: &str, parallelism: Parallelism) {
-    let actual = canonical_report(parallelism);
+    check_snapshot(name, &canonical_report(parallelism));
+}
+
+/// Compares `actual` with the committed `tests/golden/{name}.json`, or
+/// overwrites it in bless mode.
+fn check_snapshot(name: &str, actual: &str) {
     let path = golden_dir().join(format!("{name}.json"));
     if bless_mode() {
-        std::fs::write(&path, &actual).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
+        std::fs::write(&path, actual).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -83,6 +89,57 @@ fn golden_tp() {
 #[test]
 fn golden_pp() {
     check("pp", Parallelism::Pipeline { chunks: 2 });
+}
+
+/// FNV-1a over `bytes`, as 16 hex digits: keeps a large export's
+/// snapshot small.
+fn fnv_hex(bytes: &[u8]) -> String {
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{digest:016x}")
+}
+
+/// The exported timeline of a replayed run. The canonical form digests
+/// the timeline records, but not the Chrome export or the per-layer
+/// breakdown, which read every record (labels included) back out of the
+/// report, synthesized iterations too.
+#[test]
+fn golden_timeline_export() {
+    let trace = Tracer::new(GpuModel::A100).trace(&ModelId::ResNet18.build(8));
+    let platform = Platform::p2(2);
+    let report = SimBuilder::new(&trace, &platform)
+        .parallelism(Parallelism::DataParallel { overlap: true })
+        .iterations(4)
+        .run();
+    assert_eq!(report.replay(), Replay::Synthesized(2));
+    let chrome = report.to_chrome_trace().expect("timeline exports");
+    let export = Value::Object(vec![
+        (
+            "timeline_records".to_string(),
+            Value::UInt(report.timeline().len() as u64),
+        ),
+        (
+            "chrome_trace_bytes".to_string(),
+            Value::UInt(chrome.len() as u64),
+        ),
+        (
+            "chrome_trace_fnv".to_string(),
+            Value::Str(fnv_hex(chrome.as_bytes())),
+        ),
+        (
+            "per_layer_compute_s".to_string(),
+            Value::Array(
+                report
+                    .per_layer_compute_s()
+                    .into_iter()
+                    .map(Value::Float)
+                    .collect(),
+            ),
+        ),
+    ]);
+    let actual = serde_json::to_string(&export).expect("export digest JSON is finite");
+    check_snapshot("export_ddp", &actual);
 }
 
 /// The golden quartet under steady-state replay: a 1-iteration run
