@@ -58,6 +58,7 @@
 
 mod budget;
 mod engine;
+mod idhash;
 mod queue;
 mod stats;
 mod ticker;
@@ -65,6 +66,7 @@ mod time;
 
 pub use budget::{BudgetKind, BudgetProgress, RunBudget};
 pub use engine::{Engine, EngineCtx, EngineError, Handler, HandlerId, HandlerStats};
+pub use idhash::{IdHasher, IdMap, IdSet};
 pub use queue::{EventId, EventQueue};
 pub use stats::QueueStats;
 pub use ticker::{tick_while, Ticker};

@@ -2,9 +2,9 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 use std::fmt;
 
+use crate::idhash::IdSet;
 use crate::stats::QueueStats;
 use crate::time::{TimeSpan, VirtualTime};
 
@@ -75,8 +75,8 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
-    pending: HashSet<u64>,
-    cancelled: HashSet<u64>,
+    pending: IdSet<u64>,
+    cancelled: IdSet<u64>,
     now: VirtualTime,
     next_seq: u64,
     stats: QueueStats,
@@ -100,8 +100,8 @@ impl<E> EventQueue<E> {
     pub fn starting_at(origin: VirtualTime) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            pending: IdSet::default(),
+            cancelled: IdSet::default(),
             now: origin,
             next_seq: 0,
             stats: QueueStats::default(),
@@ -455,5 +455,19 @@ mod tests {
         assert_eq!(s.delivered(), 1);
         assert_eq!(s.cancelled(), 1);
         assert!(s.max_pending() >= 2);
+    }
+
+    #[test]
+    fn max_pending_counts_lazily_cancelled_entries() {
+        let mut q = EventQueue::new();
+        let ids: Vec<EventId> = (0..3)
+            .map(|i| q.schedule(VirtualTime::from_seconds(f64::from(i)), i))
+            .collect();
+        q.cancel(ids[0]);
+        q.cancel(ids[1]);
+        q.schedule(VirtualTime::from_seconds(5.0), 5);
+        // Two cancelled entries still sit in the heap beside two live ones.
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.stats().max_pending(), 4);
     }
 }

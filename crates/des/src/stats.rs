@@ -45,7 +45,11 @@ impl QueueStats {
         self.cancelled
     }
 
-    /// High-water mark of the pending-event count.
+    /// High-water mark of the heap's length, sampled each time an event
+    /// is scheduled. Cancellation is lazy, so cancelled entries still in
+    /// the heap count until they surface or a compaction evicts them:
+    /// this can exceed the most events ever pending at once (see
+    /// [`EventQueue::len`](crate::EventQueue::len)).
     pub fn max_pending(&self) -> usize {
         self.max_pending
     }

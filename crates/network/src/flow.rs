@@ -7,10 +7,9 @@
 //! triggering flow touches, and delta-rescheduling that re-arms only the
 //! flows whose rate actually changed.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use triosim_des::{TimeSpan, VirtualTime};
+use triosim_des::{IdMap, TimeSpan, VirtualTime};
 
 use crate::model::{
     FlowId, LinkCheckpoint, LinkFault, LinkObservation, NetCheckpoint, NetCommand, NetObservation,
@@ -193,6 +192,8 @@ struct Scratch {
     busy: Vec<u64>,
     /// Progress-window generation backing `busy`.
     busy_epoch: u64,
+    /// The links stamped in the current progress window, once each.
+    busy_links: Vec<LinkId>,
 }
 
 impl Scratch {
@@ -261,7 +262,7 @@ pub struct FlowNetwork {
     /// Slab of in-flight flows; `FlowId`s map to slots via `slot_of`.
     slots: Vec<Option<ActiveFlow>>,
     free_slots: Vec<u32>,
-    slot_of: HashMap<u64, u32>,
+    slot_of: IdMap<u64, u32>,
     /// Per-link membership index: slots of the flows routed through it.
     link_flows: Vec<Vec<u32>>,
     /// Per-source route table, built lazily by one BFS per source and
@@ -301,7 +302,7 @@ impl FlowNetwork {
             mode: ReallocationMode::default(),
             slots: Vec::new(),
             free_slots: Vec::new(),
-            slot_of: HashMap::new(),
+            slot_of: IdMap::default(),
             link_flows: vec![Vec::new(); links],
             route_cache: vec![None; nodes],
             route_hits: 0,
@@ -479,7 +480,7 @@ impl FlowNetwork {
         let stats = &mut self.link_stats;
         sc.busy_epoch += 1;
         let be = sc.busy_epoch;
-        let mut any_busy = false;
+        sc.busy_links.clear();
         for slot in self.slots.iter_mut() {
             let Some(f) = slot else { continue };
             let from = f.last_update.max(f.drain_start);
@@ -488,20 +489,18 @@ impl FlowNetwork {
                 let drained = (f.rate * dt).min(f.remaining);
                 f.remaining -= drained;
                 for &l in f.route.iter() {
-                    sc.busy[l.0] = be;
-                    any_busy = true;
+                    if sc.busy[l.0] != be {
+                        sc.busy[l.0] = be;
+                        sc.busy_links.push(l);
+                    }
                 }
             }
             f.last_update = now;
         }
         if now > self.last_progress {
-            if any_busy {
-                let dt = now - self.last_progress;
-                for (stat, mark) in stats.iter_mut().zip(&sc.busy) {
-                    if *mark == be {
-                        stat.busy += dt;
-                    }
-                }
+            let dt = now - self.last_progress;
+            for &l in &sc.busy_links {
+                stats[l.0].busy += dt;
             }
             self.last_progress = now;
         }

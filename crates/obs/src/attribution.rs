@@ -176,7 +176,7 @@ pub struct PathSegmentState {
 /// serializable form for mid-run checkpoints.
 ///
 /// Only *accumulated* totals appear here: the static task structure
-/// (labels, classes, dependencies) is a pure function of the simulation
+/// (classes, dependencies) is a pure function of the simulation
 /// spec and is rebuilt from it on restore, and the scratch buffers are
 /// per-iteration working memory that is empty at every iteration
 /// boundary. All quantities are integer ticks or counts, so a restored
@@ -193,9 +193,11 @@ pub struct AttributionState {
 }
 
 /// Accumulates per-iteration attribution state across a run.
+///
+/// It owns no task labels: [`finish`](Self::finish) borrows them from
+/// the caller, which already stores each one.
 #[derive(Debug)]
 pub struct AttributionAccumulator {
-    labels: Vec<String>,
     classes: Vec<TaskClass>,
     deps: DepTable,
     /// Accumulated on-critical-path duration and hit count per task.
@@ -213,13 +215,11 @@ pub struct AttributionAccumulator {
 
 impl AttributionAccumulator {
     /// Creates an accumulator for `gpus` GPUs over the given static task
-    /// structure. `labels`, `classes`, and `deps` must be index-aligned.
-    pub fn new(gpus: usize, labels: Vec<String>, classes: Vec<TaskClass>, deps: DepTable) -> Self {
-        assert_eq!(labels.len(), classes.len());
-        assert_eq!(labels.len(), deps.len());
-        let n = labels.len();
+    /// structure. `classes` and `deps` must be index-aligned.
+    pub fn new(gpus: usize, classes: Vec<TaskClass>, deps: DepTable) -> Self {
+        assert_eq!(classes.len(), deps.len());
+        let n = classes.len();
         AttributionAccumulator {
-            labels,
             classes,
             deps,
             on_path: vec![(TimeSpan::ZERO, 0); n],
@@ -245,11 +245,6 @@ impl AttributionAccumulator {
         &self.last_path
     }
 
-    /// Label of task `t` (for sink emission by the caller).
-    pub fn label(&self, t: usize) -> &str {
-        &self.labels[t]
-    }
-
     /// Folds one completed iteration into the running totals.
     pub fn record_iteration(&mut self, it: &IterationObservation<'_>) {
         self.iterations += 1;
@@ -265,18 +260,18 @@ impl AttributionAccumulator {
     /// state recording them all here would have reached. Steady-state
     /// replay absorbs one verified iteration's accumulator per iteration
     /// it synthesizes. `other` must share this accumulator's task
-    /// structure (same labels/classes/deps) and its iterations must
+    /// structure (same classes/deps) and its iterations must
     /// chronologically follow this one's — its `last_path` becomes the
     /// merged "most recent" path when it recorded any iterations.
     pub fn absorb(&mut self, other: &AttributionAccumulator) {
-        // Replay absorbs once per synthesized iteration: the full label
+        // Replay absorbs once per synthesized iteration: the full class
         // comparison is a debug check, the length check is always on.
         assert_eq!(
-            self.labels.len(),
-            other.labels.len(),
+            self.classes.len(),
+            other.classes.len(),
             "absorbed accumulator must cover the same task graph"
         );
-        debug_assert_eq!(self.labels, other.labels);
+        debug_assert_eq!(self.classes, other.classes);
         for (mine, theirs) in self.on_path.iter_mut().zip(&other.on_path) {
             mine.0 += theirs.0;
             mine.1 += theirs.1;
@@ -368,12 +363,12 @@ impl AttributionAccumulator {
         if let Some(seg) = state
             .last_path
             .iter()
-            .find(|seg| seg.task as usize >= self.labels.len())
+            .find(|seg| seg.task as usize >= self.classes.len())
         {
             return Err(format!(
                 "attribution state path references task {} but the graph has {}",
                 seg.task,
-                self.labels.len()
+                self.classes.len()
             ));
         }
         self.on_path.clone_from(&state.on_path);
@@ -509,11 +504,13 @@ impl AttributionAccumulator {
 
     /// Folds the accumulated state into a [`BottleneckReport`].
     ///
-    /// `links` is the network layer's per-link busy accounting (already
-    /// converted by the caller); `lost_compute_s` is the fault layer's
-    /// per-GPU dilation attribution when a fault plan ran.
-    pub fn finish(
+    /// `label(t)` names task `t`; `links` is the network layer's per-link
+    /// busy accounting (already converted by the caller);
+    /// `lost_compute_s` is the fault layer's per-GPU dilation attribution
+    /// when a fault plan ran.
+    pub fn finish<'l>(
         &self,
+        label: impl Fn(usize) -> &'l str,
         mut links: Vec<HotLink>,
         lost_compute_s: Option<&[f64]>,
     ) -> BottleneckReport {
@@ -523,11 +520,10 @@ impl AttributionAccumulator {
             if count == 0 || matches!(self.classes[t], TaskClass::Sync) {
                 continue;
             }
-            let e = by_label.entry(self.labels[t].as_str()).or_insert((
-                TimeSpan::ZERO,
-                0,
-                self.classes[t].kind_str(),
-            ));
+            let e =
+                by_label
+                    .entry(label(t))
+                    .or_insert((TimeSpan::ZERO, 0, self.classes[t].kind_str()));
             e.0 += ticks;
             e.1 += count;
         }
@@ -840,7 +836,6 @@ mod tests {
     /// computes [3,4]. Critical path is the whole chain; g1 has 1s of
     /// exposed comm and 2s idle.
     fn chain_accumulator() -> AttributionAccumulator {
-        let labels = vec!["a".to_string(), "x".to_string(), "b".to_string()];
         let classes = vec![
             TaskClass::Compute { gpu: 0 },
             TaskClass::Comm {
@@ -850,7 +845,12 @@ mod tests {
             TaskClass::Compute { gpu: 1 },
         ];
         let deps = DepTable::new(vec![vec![], vec![0u32], vec![1u32]]);
-        AttributionAccumulator::new(2, labels, classes, deps)
+        AttributionAccumulator::new(2, classes, deps)
+    }
+
+    /// The chain's task labels.
+    fn chain_label(t: usize) -> &'static str {
+        ["a", "x", "b"][t]
     }
 
     fn chain_observation<'a>(
@@ -874,7 +874,7 @@ mod tests {
         let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
         let pred = [None, None, None];
         acc.record_iteration(&chain_observation(&start, &finish, &pred));
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(chain_label, Vec::new(), None);
         assert_eq!(r.iterations, 1);
         assert!((r.critical_path_s - 4.0).abs() < 1e-12);
         assert!((r.path_compute_s - 3.0).abs() < 1e-12);
@@ -906,7 +906,7 @@ mod tests {
         assert_eq!(first.iterations(), serial.iterations());
         assert_eq!(first.last_path(), serial.last_path());
         let stringify = |acc: &AttributionAccumulator| {
-            serde_json::to_string(&acc.finish(Vec::new(), None).to_value())
+            serde_json::to_string(&acc.finish(chain_label, Vec::new(), None).to_value())
                 .expect("attribution JSON is finite")
         };
         assert_eq!(stringify(&first), stringify(&serial));
@@ -934,7 +934,7 @@ mod tests {
         let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
         let pred = [None, None, None];
         acc.record_iteration(&chain_observation(&start, &finish, &pred));
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(chain_label, Vec::new(), None);
         let g0 = r.per_gpu[0];
         let g1 = r.per_gpu[1];
         assert!((g0.compute_s - 2.0).abs() < 1e-12);
@@ -953,7 +953,6 @@ mod tests {
     fn overlapped_comm_is_hidden_not_exposed() {
         // g0 computes [0,4] while a transfer g0→g1 runs [1,3]: fully
         // overlapped on g0, fully exposed on g1.
-        let labels = vec!["a".to_string(), "x".to_string()];
         let classes = vec![
             TaskClass::Compute { gpu: 0 },
             TaskClass::Comm {
@@ -962,7 +961,7 @@ mod tests {
             },
         ];
         let deps = DepTable::new(vec![vec![], vec![]]);
-        let mut acc = AttributionAccumulator::new(2, labels, classes, deps);
+        let mut acc = AttributionAccumulator::new(2, classes, deps);
         let start = [Some(t(0.0)), Some(t(1.0))];
         let finish = [Some(t(4.0)), Some(t(3.0))];
         let pred = [None, None];
@@ -973,7 +972,7 @@ mod tests {
             finish: &finish,
             gpu_pred: &pred,
         });
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(chain_label, Vec::new(), None);
         assert!((r.per_gpu[0].overlapped_comm_s - 2.0).abs() < 1e-12);
         assert!(r.per_gpu[0].exposed_comm_s.abs() < 1e-12);
         assert!((r.per_gpu[1].exposed_comm_s - 2.0).abs() < 1e-12);
@@ -985,10 +984,9 @@ mod tests {
         // Two independent kernels on one GPU: b waits for the stream,
         // not for a dependency. The walk must pass through a via
         // gpu_pred.
-        let labels = vec!["a".to_string(), "b".to_string()];
         let classes = vec![TaskClass::Compute { gpu: 0 }, TaskClass::Compute { gpu: 0 }];
         let deps = DepTable::new(vec![vec![], vec![]]);
-        let mut acc = AttributionAccumulator::new(1, labels, classes, deps);
+        let mut acc = AttributionAccumulator::new(1, classes, deps);
         let start = [Some(t(0.0)), Some(t(2.0))];
         let finish = [Some(t(2.0)), Some(t(5.0))];
         let pred = [None, Some(0)];
@@ -999,7 +997,7 @@ mod tests {
             finish: &finish,
             gpu_pred: &pred,
         });
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(|t| ["a", "b"][t], Vec::new(), None);
         assert!((r.critical_path_s - 5.0).abs() < 1e-12);
         assert_eq!(r.top_ops.len(), 2);
         assert_eq!(r.top_ops[0].label, "b");
@@ -1009,10 +1007,9 @@ mod tests {
     #[test]
     fn straggler_flagged_against_median() {
         // Four GPUs, one 3x slower than the rest.
-        let labels: Vec<String> = (0..4).map(|g| format!("k{g}")).collect();
         let classes: Vec<TaskClass> = (0..4).map(|gpu| TaskClass::Compute { gpu }).collect();
         let deps = DepTable::new((0..4).map(|_| Vec::<u32>::new()));
-        let mut acc = AttributionAccumulator::new(4, labels, classes, deps);
+        let mut acc = AttributionAccumulator::new(4, classes, deps);
         let start = [Some(t(0.0)), Some(t(0.0)), Some(t(0.0)), Some(t(0.0))];
         let finish = [Some(t(1.0)), Some(t(1.0)), Some(t(1.0)), Some(t(3.0))];
         let pred = [None, None, None, None];
@@ -1023,7 +1020,7 @@ mod tests {
             finish: &finish,
             gpu_pred: &pred,
         });
-        let r = acc.finish(Vec::new(), Some(&[0.0, 0.0, 0.0, 2.0]));
+        let r = acc.finish(|_| "k", Vec::new(), Some(&[0.0, 0.0, 0.0, 2.0]));
         assert_eq!(r.stragglers.len(), 1);
         assert_eq!(r.stragglers[0].gpu, 3);
         assert!((r.stragglers[0].vs_median - 3.0).abs() < 1e-12);
@@ -1032,10 +1029,9 @@ mod tests {
 
     #[test]
     fn balanced_gpus_produce_no_stragglers() {
-        let labels: Vec<String> = (0..2).map(|g| format!("k{g}")).collect();
         let classes: Vec<TaskClass> = (0..2).map(|gpu| TaskClass::Compute { gpu }).collect();
         let deps = DepTable::new((0..2).map(|_| Vec::<u32>::new()));
-        let mut acc = AttributionAccumulator::new(2, labels, classes, deps);
+        let mut acc = AttributionAccumulator::new(2, classes, deps);
         let start = [Some(t(0.0)), Some(t(0.0))];
         let finish = [Some(t(1.0)), Some(t(1.0))];
         let pred = [None, None];
@@ -1046,7 +1042,7 @@ mod tests {
             finish: &finish,
             gpu_pred: &pred,
         });
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(|_| "k", Vec::new(), None);
         assert!(r.stragglers.is_empty());
     }
 
@@ -1061,7 +1057,7 @@ mod tests {
                 utilization: 0.0,
             })
             .collect();
-        let r = acc.finish(links, None);
+        let r = acc.finish(chain_label, links, None);
         assert_eq!(r.hottest_links.len(), DEFAULT_TOP_K);
         assert_eq!(r.hottest_links[0].label, "l11");
     }
@@ -1073,7 +1069,7 @@ mod tests {
         let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
         let pred = [None, None, None];
         acc.record_iteration(&chain_observation(&start, &finish, &pred));
-        let v = acc.finish(Vec::new(), None).to_value();
+        let v = acc.finish(chain_label, Vec::new(), None).to_value();
         let Value::Object(fields) = v else {
             panic!("expected object")
         };
@@ -1110,7 +1106,7 @@ mod tests {
                 gpu_pred: &pred,
             });
         }
-        let r = acc.finish(Vec::new(), None);
+        let r = acc.finish(chain_label, Vec::new(), None);
         assert_eq!(r.iterations, 3);
         assert!((r.critical_path_s - 12.0).abs() < 1e-12);
         assert_eq!(r.top_ops[0].count, 3);

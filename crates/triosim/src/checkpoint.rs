@@ -64,7 +64,7 @@ use triosim_faults::FaultPlan;
 use triosim_network::{NetCheckpoint, NetworkModel};
 use triosim_obs::AttributionState;
 
-use crate::taskgraph::{TaskGraph, TaskKind};
+use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
 /// Magic string identifying a TrioSim simulation snapshot.
 pub(crate) const SNAPSHOT_MAGIC: &str = "triosim-sim";
@@ -259,8 +259,8 @@ pub(crate) fn spec_hash(
     let mut h = FNV_OFFSET;
     h = fnv_u64(h, graph.gpus() as u64);
     h = fnv_u64(h, graph.len() as u64);
-    for task in graph.tasks() {
-        h = fnv(h, task.label.as_bytes());
+    for (i, task) in graph.tasks().iter().enumerate() {
+        h = fnv(h, graph.label(TaskId(i)).as_bytes());
         match &task.kind {
             TaskKind::Compute { gpu, duration } => {
                 h = fnv_u64(h, 1);

@@ -9,9 +9,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
-use triosim_des::{EventId, EventQueue, QueueStats, RunBudget, Ticker, TimeSpan, VirtualTime};
+use triosim_des::{
+    EventId, EventQueue, IdMap, QueueStats, RunBudget, Ticker, TimeSpan, VirtualTime,
+};
 use triosim_faults::{FaultKind, FaultPlan, FaultSession};
 use triosim_network::{FlowId, LinkFault, NetCommand, NetStatsSnapshot, NetworkModel, NodeId};
 use triosim_obs::{
@@ -25,7 +28,7 @@ use crate::checkpoint::{
 use crate::error::SimError;
 use crate::report::{
     merge_intervals, timeline_fnv, union_length, FaultStats, Repeat, SerialReason, SimReport,
-    TimelineRecord, TimelineTrack, FNV_OFFSET,
+    TimelineEntry, TimelineTrack, FNV_OFFSET,
 };
 use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
@@ -412,7 +415,6 @@ impl FaultRuntime {
 /// An empty attribution accumulator over `graph`'s task structure.
 fn attribution(graph: &TaskGraph) -> AttributionAccumulator {
     let gpus = graph.gpus();
-    let labels = graph.tasks().iter().map(|t| t.label.clone()).collect();
     let classes = graph
         .tasks()
         .iter()
@@ -431,7 +433,7 @@ fn attribution(graph: &TaskGraph) -> AttributionAccumulator {
             .iter()
             .map(|t| t.deps.iter().map(|d| d.0 as u32)),
     );
-    AttributionAccumulator::new(gpus, labels, classes, deps)
+    AttributionAccumulator::new(gpus, classes, deps)
 }
 
 /// Steady-state replay's progress through a run (DESIGN.md §12).
@@ -506,21 +508,16 @@ impl IterationDelta {
     /// the critical path moved by exactly that shift. (Transfer
     /// intervals are the network records' spans, so the records cover
     /// them.) Shifts `prev`'s critical path in the process.
-    fn repeats(&self, prev: &mut IterationDelta, timeline: &[TimelineRecord]) -> bool {
+    fn repeats(&self, prev: &mut IterationDelta, timeline: &[TimelineEntry]) -> bool {
         let shift = prev.period;
         let counters = self.period == shift && self.counters == prev.counters;
         let (ours, theirs) = (
             &timeline[self.records.clone()],
             &timeline[prev.records.clone()],
         );
+        // Same task, track and layer at each position, shifted in time.
         let records = ours.len() == theirs.len()
-            && ours.iter().zip(theirs).all(|(r, p)| {
-                r.label == p.label
-                    && r.track == p.track
-                    && r.layer == p.layer
-                    && r.start == p.start + shift
-                    && r.end == p.end + shift
-            });
+            && ours.iter().zip(theirs).all(|(r, p)| *r == p.shifted(shift));
         counters && records && {
             prev.attr.shift_last_path(shift);
             prev.attr.snapshot() == self.attr.snapshot()
@@ -533,14 +530,19 @@ struct Executor<'a> {
     network: &'a mut dyn NetworkModel,
     queue: EventQueue<Event>,
     indegree: Vec<usize>,
-    dependents: Vec<Vec<TaskId>>,
+    /// Each task's dependents in CSR form, in ascending id order (the
+    /// order activation, and so same-instant FIFO order, follows): task
+    /// `t`'s are `dependents[dependent_offsets[t]..dependent_offsets[t + 1]]`.
+    dependent_offsets: Vec<usize>,
+    dependents: Vec<TaskId>,
+    /// `complete`'s worklist, kept to reuse its buffer.
+    worklist: Vec<TaskId>,
     gpus: Vec<GpuStream>,
-    flow_task: HashMap<FlowId, TaskId>,
-    flow_event: HashMap<FlowId, EventId>,
-    flow_start: HashMap<FlowId, VirtualTime>,
+    flow_task: IdMap<FlowId, TaskId>,
+    flow_event: IdMap<FlowId, EventId>,
     comm_intervals: Vec<(VirtualTime, VirtualTime)>,
     compute_start: Vec<Option<VirtualTime>>,
-    timeline: Vec<TimelineRecord>,
+    timeline: Vec<TimelineEntry>,
     /// Running timeline digest: `(count, FNV state)` over all records
     /// digested so far (including any pre-restore prefix, whose records
     /// are *not* in `timeline`, and synthesized iterations, whose records
@@ -623,12 +625,22 @@ impl<'a> Executor<'a> {
     fn new(graph: &'a TaskGraph, network: &'a mut dyn NetworkModel) -> Self {
         let n = graph.len();
         let gpus = graph.gpus();
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+        let indegree: Vec<usize> = graph.tasks().iter().map(|t| t.deps.len()).collect();
+        // Count each task's dependents, prefix-sum the counts into
+        // offsets, then fill in task order so every run ascends.
+        let mut dependent_offsets = vec![0usize; n + 1];
+        for d in graph.tasks().iter().flat_map(|t| &t.deps) {
+            dependent_offsets[d.0 + 1] += 1;
+        }
+        for i in 0..n {
+            dependent_offsets[i + 1] += dependent_offsets[i];
+        }
+        let mut fill = dependent_offsets.clone();
+        let mut dependents = vec![TaskId(0); dependent_offsets[n]];
         for (i, task) in graph.tasks().iter().enumerate() {
-            indegree[i] = task.deps.len();
             for d in &task.deps {
-                dependents[d.0].push(TaskId(i));
+                dependents[fill[d.0]] = TaskId(i);
+                fill[d.0] += 1;
             }
         }
         Executor {
@@ -636,7 +648,9 @@ impl<'a> Executor<'a> {
             network,
             queue: EventQueue::new(),
             indegree,
+            dependent_offsets,
             dependents,
+            worklist: Vec::new(),
             gpus: (0..graph.gpus())
                 .map(|_| GpuStream {
                     ready: VecDeque::new(),
@@ -644,9 +658,8 @@ impl<'a> Executor<'a> {
                     busy_time: TimeSpan::ZERO,
                 })
                 .collect(),
-            flow_task: HashMap::new(),
-            flow_event: HashMap::new(),
-            flow_start: HashMap::new(),
+            flow_task: IdMap::default(),
+            flow_event: IdMap::default(),
             comm_intervals: Vec::new(),
             compute_start: vec![None; n],
             timeline: Vec::new(),
@@ -935,7 +948,7 @@ impl<'a> Executor<'a> {
         fresh.sort_by_key(|r| (r.start, r.end));
         self.tl_digest = (
             self.tl_digest.0 + fresh.len() as u64,
-            timeline_fnv(self.tl_digest.1, fresh.iter(), TimeSpan::ZERO),
+            timeline_fnv(self.tl_digest.1, fresh, self.graph.labels(), TimeSpan::ZERO),
         );
         self.tl_mark = self.timeline.len();
     }
@@ -1142,7 +1155,7 @@ impl<'a> Executor<'a> {
         let records = &self.timeline[d.records.clone()];
         self.tl_digest = (
             self.tl_digest.0 + records.len() as u64,
-            timeline_fnv(self.tl_digest.1, records.iter(), shift),
+            timeline_fnv(self.tl_digest.1, records, self.graph.labels(), shift),
         );
         if let Some(t0) = t0 {
             self.replay_wall_s += t0.elapsed().as_secs_f64();
@@ -1179,6 +1192,7 @@ impl<'a> Executor<'a> {
             *self.queue.stats(),
             self.network.observe(),
             self.timeline,
+            Arc::clone(self.graph.labels()),
             self.tl_digest,
         );
         report.set_replay(self.replay);
@@ -1221,7 +1235,9 @@ impl<'a> Executor<'a> {
             })
             .collect();
         let lost = self.faults.as_ref().map(|fr| fr.lost_compute.as_slice());
-        self.attr.finish(links, lost)
+        let graph = self.graph;
+        self.attr
+            .finish(|task| graph.label(TaskId(task)), links, lost)
     }
 
     /// Records the engine-loop wall time (and the network model's share
@@ -1380,7 +1396,7 @@ impl<'a> Executor<'a> {
         // spans on a dedicated track, plus the aggregate gauges.
         if let Some(bn) = bottleneck {
             for &(task, s, f) in self.attr.last_path() {
-                let name = self.attr.label(task as usize);
+                let name = self.graph.label(TaskId(task as usize));
                 r.span(
                     "critical_path",
                     name,
@@ -1488,13 +1504,13 @@ impl<'a> Executor<'a> {
                     self.gpus[gpu].busy_time += now - start;
                     self.attr_end[task.0] = Some(now);
                     self.last_done[gpu] = Some(task.0 as u32);
-                    self.timeline.push(TimelineRecord {
-                        label: self.graph.tasks()[task.0].label.clone(),
-                        track: TimelineTrack::Gpu(gpu),
+                    self.timeline.push(TimelineEntry::new(
+                        task,
+                        TimelineTrack::Gpu(gpu),
+                        self.graph.tasks()[task.0].layer,
                         start,
-                        end: now,
-                        layer: self.graph.tasks()[task.0].layer,
-                    });
+                        now,
+                    ));
                     if self.observing {
                         self.record_compute(gpu, task, start, now);
                     }
@@ -1509,16 +1525,16 @@ impl<'a> Executor<'a> {
                         .flow_task
                         .remove(&flow)
                         .expect("delivered flow belongs to a task");
-                    let start = self.flow_start.remove(&flow).expect("flow start recorded");
+                    let start = self.attr_start[task.0].expect("transfer was started");
                     self.attr_end[task.0] = Some(now);
                     self.comm_intervals.push((start, now));
-                    self.timeline.push(TimelineRecord {
-                        label: self.graph.tasks()[task.0].label.clone(),
-                        track: TimelineTrack::Network,
+                    self.timeline.push(TimelineEntry::new(
+                        task,
+                        TimelineTrack::Network,
+                        self.graph.tasks()[task.0].layer,
                         start,
-                        end: now,
-                        layer: self.graph.tasks()[task.0].layer,
-                    });
+                        now,
+                    ));
                     if let TaskKind::Transfer { bytes, .. } = self.graph.tasks()[task.0].kind {
                         self.bytes_transferred += bytes;
                     }
@@ -1697,20 +1713,20 @@ impl<'a> Executor<'a> {
     /// Emits the span and metrics for one finished compute task.
     fn record_compute(&mut self, gpu: usize, task: TaskId, start: VirtualTime, now: VirtualTime) {
         let graph = self.graph;
-        let t = &graph.tasks()[task.0];
+        let label = graph.label(task);
         let Some(r) = self.obs.recorder.as_mut() else {
             return;
         };
         let track = format!("gpu{gpu}");
-        match t.layer {
+        match graph.tasks()[task.0].layer {
             Some(layer) => r.span(
                 &track,
-                &t.label,
+                label,
                 start,
                 now,
                 &[("layer", AttrValue::U64(layer as u64))],
             ),
-            None => r.span(&track, &t.label, start, now, &[]),
+            None => r.span(&track, label, start, now, &[]),
         }
         let dur = (now - start).as_seconds();
         r.histogram_record("triosim_operator_duration_seconds", &[], dur);
@@ -1731,7 +1747,7 @@ impl<'a> Executor<'a> {
         };
         r.span(
             "network",
-            &t.label,
+            graph.label(task),
             start,
             now,
             &[("bytes", AttrValue::U64(bytes))],
@@ -1782,17 +1798,19 @@ impl<'a> Executor<'a> {
     /// Marks `task` complete and activates newly unblocked tasks.
     fn complete(&mut self, task: TaskId) {
         // Worklist to avoid recursion through long barrier chains.
-        let mut work = vec![task];
+        let mut work = std::mem::take(&mut self.worklist);
+        work.push(task);
         while let Some(t) = work.pop() {
             if self.stop_error.is_some() {
-                return;
+                work.clear();
+                break;
             }
             self.completed += 1;
             if self.observing {
                 self.record_completion(t);
             }
-            for i in 0..self.dependents[t.0].len() {
-                let dep = self.dependents[t.0][i];
+            for i in self.dependent_offsets[t.0]..self.dependent_offsets[t.0 + 1] {
+                let dep = self.dependents[i];
                 self.indegree[dep.0] -= 1;
                 if self.indegree[dep.0] == 0 {
                     if let Some(done_now) = self.activate_inline(dep) {
@@ -1801,6 +1819,7 @@ impl<'a> Executor<'a> {
                 }
             }
         }
+        self.worklist = work;
     }
 
     /// Observability bookkeeping for one completed task: barrier counts
@@ -1884,7 +1903,6 @@ impl<'a> Executor<'a> {
                     match self.network.try_send(now, *src, *dst, *bytes) {
                         Ok((flow, cmds)) => {
                             self.flow_task.insert(flow, task);
-                            self.flow_start.insert(flow, now);
                             self.apply(cmds);
                         }
                         Err(e) => {
@@ -1903,7 +1921,6 @@ impl<'a> Executor<'a> {
                         self.net_wall_calls += 1;
                     }
                     self.flow_task.insert(flow, task);
-                    self.flow_start.insert(flow, now);
                     self.apply(cmds);
                 }
                 None

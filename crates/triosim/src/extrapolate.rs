@@ -141,7 +141,7 @@ impl Extrapolator<'_> {
         let to = entry.op.with_batch_scaled(self.trace.batch(), batch);
         let duration = self.op_duration(entry, &to, gpu);
         g.compute_in_layer(
-            format!("{}@g{}", entry.op.name, gpu),
+            format_args!("{}@g{}", entry.op.name, gpu),
             gpu,
             duration,
             dep.into_iter().collect(),
@@ -188,7 +188,7 @@ impl Extrapolator<'_> {
                 let src = self.platform.gpu_node(gpu_map[t.src.0]);
                 let dst = self.platform.gpu_node(gpu_map[t.dst.0]);
                 let id = g.transfer(
-                    format!("{label}.s{si}.{}->{}", t.src, t.dst),
+                    format_args!("{label}.s{si}.{}->{}", t.src, t.dst),
                     src,
                     dst,
                     t.bytes,
@@ -197,7 +197,7 @@ impl Extrapolator<'_> {
                 first_send.get_or_insert(id);
                 sends.push(id);
             }
-            prev_step = Some(g.barrier(format!("{label}.s{si}.done"), sends));
+            prev_step = Some(g.barrier(format_args!("{label}.s{si}.done"), sends));
         }
         let done = prev_step.expect("collective schedules have at least one step");
         g.register_collective(CollectiveMeta {
@@ -228,7 +228,7 @@ impl Extrapolator<'_> {
         let inputs: Vec<TaskId> = (0..n)
             .map(|gpu| {
                 g.transfer(
-                    format!("h2d.input@g{gpu}"),
+                    format_args!("h2d.input@g{gpu}"),
                     host,
                     self.platform.gpu_node(gpu),
                     self.input_bytes(per_gpu),
@@ -291,7 +291,7 @@ impl Extrapolator<'_> {
                 if let Some(prev) = last {
                     deps.push(prev);
                 }
-                let gate = g.barrier(format!("ddp.bucket{bi}.ready"), deps);
+                let gate = g.barrier(format_args!("ddp.bucket{bi}.ready"), deps);
                 let sched = self.all_reduce(n, bucket.bytes);
                 last = Some(self.collective(
                     &mut g,
@@ -339,7 +339,7 @@ impl Extrapolator<'_> {
         let inputs: Vec<TaskId> = (0..n)
             .map(|gpu| {
                 g.transfer(
-                    format!("h2d.input@g{gpu}"),
+                    format_args!("h2d.input@g{gpu}"),
                     host,
                     self.platform.gpu_node(gpu),
                     self.input_bytes(global_batch),
@@ -361,7 +361,7 @@ impl Extrapolator<'_> {
                     let to = self.tp_shape(entry, global_batch, l.tp_splittable, n);
                     let duration = self.op_duration(entry, &to, gpu);
                     cursor = g.compute_in_layer(
-                        format!("{}@g{gpu}", entry.op.name),
+                        format_args!("{}@g{gpu}", entry.op.name),
                         gpu,
                         duration,
                         vec![cursor],
@@ -394,7 +394,7 @@ impl Extrapolator<'_> {
                     let to = self.tp_shape(entry, global_batch, l.tp_splittable, n);
                     let duration = self.op_duration(entry, &to, gpu);
                     cursor = g.compute_in_layer(
-                        format!("{}@g{gpu}", entry.op.name),
+                        format_args!("{}@g{gpu}", entry.op.name),
                         gpu,
                         duration,
                         vec![cursor],
@@ -438,7 +438,7 @@ impl Extrapolator<'_> {
                     };
                     let duration = self.op_duration(entry, &to, gpu);
                     cursor = g.compute_in_layer(
-                        format!("{}@g{gpu}", entry.op.name),
+                        format_args!("{}@g{gpu}", entry.op.name),
                         gpu,
                         duration,
                         vec![cursor],
@@ -474,7 +474,7 @@ impl Extrapolator<'_> {
         // Optimizer: each stage updates its own layers once its backward
         // micro-batches are done.
         for (s, stage_layers) in stages.iter().enumerate() {
-            let mut cursor = g.barrier(format!("pp.s{s}.bwd.done"), bwd_done[s].clone());
+            let mut cursor = g.barrier(format_args!("pp.s{s}.bwd.done"), bwd_done[s].clone());
             for &li in stage_layers {
                 for &ei in &self.layers[li].opt {
                     cursor = self.compute_task(
@@ -531,7 +531,7 @@ impl Extrapolator<'_> {
                 // Activations (or host input for stage 0) arrive first.
                 let arrive = if s == 0 {
                     g.transfer(
-                        format!("{tag}.h2d.input.c{c}"),
+                        format_args!("{tag}.h2d.input.c{c}"),
                         host,
                         self.platform.gpu_node(gpu_map[0]),
                         self.input_bytes(micro),
@@ -544,7 +544,7 @@ impl Extrapolator<'_> {
                         .unwrap_or(0);
                     let bytes = scaled_bytes(prev_out, self.trace.batch(), micro).max(1);
                     g.transfer(
-                        format!("{tag}.act.c{c}.s{}to{}", s - 1, s),
+                        format_args!("{tag}.act.c{c}.s{}to{}", s - 1, s),
                         self.platform.gpu_node(gpu_map[s - 1]),
                         self.platform.gpu_node(gpu_map[s]),
                         bytes,
@@ -553,7 +553,7 @@ impl Extrapolator<'_> {
                 };
                 let mut deps = vec![arrive];
                 deps.extend(prev_chunk[s]);
-                let gate = g.barrier(format!("{tag}.fwd.c{c}.s{s}.start"), deps);
+                let gate = g.barrier(format_args!("{tag}.fwd.c{c}.s{s}.start"), deps);
                 let mut cursor = gate;
                 for &li in stage_layers {
                     for &ei in &self.layers[li].fwd {
@@ -575,7 +575,7 @@ impl Extrapolator<'_> {
 
         // GPipe flush: backward begins after every forward micro-batch
         // completes.
-        let flush = g.barrier(format!("{tag}.flush"), all_fwd);
+        let flush = g.barrier(format_args!("{tag}.flush"), all_fwd);
 
         // Backward: micro-batches drain in reverse stage order, each
         // stage again processing chunks strictly in (reverse) order.
@@ -595,7 +595,7 @@ impl Extrapolator<'_> {
                         .unwrap_or(0);
                     let bytes = scaled_bytes(out_bytes, self.trace.batch(), micro).max(1);
                     g.transfer(
-                        format!("{tag}.grad.c{c}.s{}to{}", s + 1, s),
+                        format_args!("{tag}.grad.c{c}.s{}to{}", s + 1, s),
                         self.platform.gpu_node(gpu_map[s + 1]),
                         self.platform.gpu_node(gpu_map[s]),
                         bytes,
@@ -604,7 +604,7 @@ impl Extrapolator<'_> {
                 };
                 let mut deps = vec![arrive];
                 deps.extend(prev_chunk[s]);
-                let gate = g.barrier(format!("{tag}.bwd.c{c}.s{s}.start"), deps);
+                let gate = g.barrier(format_args!("{tag}.bwd.c{c}.s{s}.start"), deps);
                 let mut cursor = gate;
                 for &li in stages[s].iter().rev() {
                     for &ei in &self.layers[li].bwd {
@@ -685,7 +685,7 @@ impl Extrapolator<'_> {
                 .iter()
                 .flat_map(|(_, bwd)| bwd[s].iter().copied())
                 .collect();
-            let gate = g.barrier(format!("hp.s{s}.bwd.done"), deps);
+            let gate = g.barrier(format_args!("hp.s{s}.bwd.done"), deps);
             let sync = if grad_bytes > 0 {
                 let sched = self.all_reduce(dp_groups, grad_bytes);
                 let gpu_map: Vec<usize> =
@@ -814,6 +814,14 @@ mod tests {
     use triosim_perfmodel::LisModel;
     use triosim_trace::{GpuModel, Tracer};
 
+    /// Every task of `g` with its label.
+    fn labeled(g: &TaskGraph) -> impl Iterator<Item = (&str, &crate::Task)> {
+        g.tasks()
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (g.label(TaskId(i)), t))
+    }
+
     fn setup() -> (Trace, Platform, ComputeModel) {
         let model = ModelId::ResNet18.build(32);
         let trace = Tracer::new(GpuModel::A100).trace(&model);
@@ -852,13 +860,9 @@ mod tests {
         );
         // Non-input traffic must equal exactly one ring AllReduce of the
         // full gradient volume.
-        let inputs: u64 = g
-            .tasks()
-            .iter()
-            .filter_map(|t| match t.kind {
-                crate::TaskKind::Transfer { bytes, .. } if t.label.starts_with("h2d") => {
-                    Some(bytes)
-                }
+        let inputs: u64 = labeled(&g)
+            .filter_map(|(label, t)| match t.kind {
+                crate::TaskKind::Transfer { bytes, .. } if label.starts_with("h2d") => Some(bytes),
                 _ => None,
             })
             .sum();
@@ -877,11 +881,9 @@ mod tests {
             128,
             &compute,
         );
-        let buckets: std::collections::HashSet<&str> = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.contains("bucket"))
-            .map(|t| t.label.split('.').nth(1).unwrap())
+        let buckets: std::collections::HashSet<&str> = labeled(&g)
+            .filter(|(label, _)| label.contains("bucket"))
+            .map(|(label, _)| label.split('.').nth(1).unwrap())
             .collect();
         // ResNet-18 has ~45 MB of gradients: at least 2 buckets of 25 MB.
         assert!(buckets.len() >= 2, "only {} buckets", buckets.len());
@@ -893,10 +895,8 @@ mod tests {
         let g = extrapolate(&trace, &platform, Parallelism::TensorParallel, 32, &compute);
         assert!(g.len() > trace.entries().len());
         // AllGather traffic exists.
-        let gathers = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.contains("allgather"))
+        let gathers = labeled(&g)
+            .filter(|(label, _)| label.contains("allgather"))
             .count();
         assert!(gathers > 0);
     }
@@ -911,17 +911,13 @@ mod tests {
             32,
             &compute,
         );
-        let act_sends = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("pp.act"))
+        let act_sends = labeled(&g)
+            .filter(|(label, _)| label.starts_with("pp.act"))
             .count();
         // 4 chunks x 3 stage boundaries.
         assert_eq!(act_sends, 12);
-        let grad_sends = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("pp.grad"))
+        let grad_sends = labeled(&g)
+            .filter(|(label, _)| label.starts_with("pp.grad"))
             .count();
         assert_eq!(grad_sends, 12);
     }
@@ -961,22 +957,16 @@ mod tests {
         );
         // Two groups, each with its own activation sends (1 boundary x 2
         // chunks each) and a per-stage AllReduce.
-        let hp0 = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("hp0.act"))
+        let hp0 = labeled(&g)
+            .filter(|(label, _)| label.starts_with("hp0.act"))
             .count();
-        let hp1 = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("hp1.act"))
+        let hp1 = labeled(&g)
+            .filter(|(label, _)| label.starts_with("hp1.act"))
             .count();
         assert_eq!(hp0, 2);
         assert_eq!(hp1, 2);
-        let allreduces = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.contains("allreduce") && t.label.starts_with("hp.s"))
+        let allreduces = labeled(&g)
+            .filter(|(label, _)| label.contains("allreduce") && label.starts_with("hp.s"))
             .count();
         assert!(allreduces > 0, "per-stage gradient sync exists");
     }
@@ -996,11 +986,9 @@ mod tests {
         );
         // Sum of per-stage AllReduce payloads = one 2-rank ring AllReduce
         // of the full gradient volume.
-        let sync_bytes: u64 = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("hp.s") && t.label.contains("allreduce"))
-            .map(|t| match t.kind {
+        let sync_bytes: u64 = labeled(&g)
+            .filter(|(label, _)| label.starts_with("hp.s") && label.contains("allreduce"))
+            .map(|(_, t)| match t.kind {
                 crate::TaskKind::Transfer { bytes, .. } => bytes,
                 _ => 0,
             })

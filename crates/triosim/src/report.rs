@@ -8,12 +8,14 @@
 //! any trace viewer.
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 use serde::Value;
 use triosim_des::{QueueStats, TimeSpan, VirtualTime};
 use triosim_network::{NetObservation, PacketObservation};
 use triosim_obs::{AttrValue, BottleneckReport, ChromeTraceSink, Recorder};
+
+use crate::taskgraph::{Labels, TaskId};
 
 /// Which resource a timeline record occupied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,11 +26,12 @@ pub enum TimelineTrack {
     Network,
 }
 
-/// One executed task on the timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineRecord {
+/// One executed task on the timeline. The label is borrowed from the
+/// run's task graph, where every label is stored once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimelineRecord<'a> {
     /// Task label (operator or transfer name).
-    pub label: String,
+    pub label: &'a str,
     /// Resource it ran on.
     pub track: TimelineTrack,
     /// Start time.
@@ -37,6 +40,131 @@ pub struct TimelineRecord {
     pub end: VirtualTime,
     /// Model layer the task belongs to, when known.
     pub layer: Option<usize>,
+}
+
+/// A timeline record as the executor keeps it: 32 bytes, naming its
+/// task by id instead of holding a label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TimelineEntry {
+    pub start: VirtualTime,
+    pub end: VirtualTime,
+    task: u32,
+    /// The GPU index, or [`NONE`] for the network.
+    track: u32,
+    /// The layer index, or [`NONE`].
+    layer: u32,
+}
+
+/// The `track`/`layer` code of "the network" and "no layer".
+const NONE: u32 = u32::MAX;
+
+impl TimelineEntry {
+    pub(crate) fn new(
+        task: TaskId,
+        track: TimelineTrack,
+        layer: Option<usize>,
+        start: VirtualTime,
+        end: VirtualTime,
+    ) -> Self {
+        let code = |n: usize| u32::try_from(n).expect("task ids, GPUs and layers fit in u32");
+        TimelineEntry {
+            start,
+            end,
+            task: code(task.0),
+            track: match track {
+                TimelineTrack::Gpu(i) => code(i),
+                TimelineTrack::Network => NONE,
+            },
+            layer: layer.map_or(NONE, code),
+        }
+    }
+
+    fn track(&self) -> TimelineTrack {
+        match self.track {
+            NONE => TimelineTrack::Network,
+            gpu => TimelineTrack::Gpu(gpu as usize),
+        }
+    }
+
+    fn layer(&self) -> Option<usize> {
+        (self.layer != NONE).then_some(self.layer as usize)
+    }
+
+    /// This entry moved `by` later.
+    pub(crate) fn shifted(self, by: TimeSpan) -> Self {
+        TimelineEntry {
+            start: self.start + by,
+            end: self.end + by,
+            ..self
+        }
+    }
+
+    fn record(self, labels: &Labels) -> TimelineRecord<'_> {
+        TimelineRecord {
+            label: labels.get(self.task as usize),
+            track: self.track(),
+            start: self.start,
+            end: self.end,
+            layer: self.layer(),
+        }
+    }
+}
+
+/// A run's timeline, sorted by `(start, end)`: the simulated records,
+/// followed on a replayed run by the synthesized iterations' records,
+/// which are built as they are read and equal the records simulating
+/// them would have produced.
+#[derive(Clone, Copy)]
+pub struct Timeline<'a> {
+    simulated: &'a [TimelineEntry],
+    labels: &'a Labels,
+    repeat: Option<Repeat>,
+}
+
+impl<'a> Timeline<'a> {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.simulated.len() + self.repeat.map_or(0, |r| r.segment * r.count)
+    }
+
+    /// True when the run recorded nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The records in order.
+    pub fn iter(&self) -> impl Iterator<Item = TimelineRecord<'a>> + 'a {
+        let Timeline {
+            simulated,
+            labels,
+            repeat,
+        } = *self;
+        let (segment, period, count) = repeat.map_or((&simulated[..0], TimeSpan::ZERO, 0), |r| {
+            (&simulated[simulated.len() - r.segment..], r.period, r.count)
+        });
+        let shifts = (0..count).scan(TimeSpan::ZERO, move |shift, _| {
+            *shift += period;
+            Some(*shift)
+        });
+        let synthesized = shifts.flat_map(move |s| segment.iter().map(move |e| e.shifted(s)));
+        simulated
+            .iter()
+            .copied()
+            .chain(synthesized)
+            .map(move |e| e.record(labels))
+    }
+}
+
+impl PartialEq for Timeline<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Timeline<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Per-fault attribution of a fault-injected run: what fired, and how
@@ -142,12 +270,12 @@ pub struct SimReport {
     queue: QueueStats,
     net: NetObservation,
     /// The records of the simulated iterations, in canonical order.
-    simulated: Vec<TimelineRecord>,
+    simulated: Vec<TimelineEntry>,
+    /// The task graph's labels, which `simulated` names by task id.
+    labels: Arc<Labels>,
     /// Replay's outcome; on success, how the synthesized iterations
     /// extend `simulated`.
     replay: Result<Repeat, SerialReason>,
-    /// `simulated` plus the synthesized records, built on first read.
-    timeline: OnceLock<Vec<TimelineRecord>>,
     /// Digest of the *whole logical run's* timeline: `(record count,
     /// FNV state)`, folded by the executor one iteration at a time (and,
     /// after a restore, continued from the snapshot's state — records
@@ -168,7 +296,8 @@ impl SimReport {
         tasks_executed: usize,
         queue: QueueStats,
         net: NetObservation,
-        simulated: Vec<TimelineRecord>,
+        simulated: Vec<TimelineEntry>,
+        labels: Arc<Labels>,
         timeline_digest: (u64, u64),
     ) -> Self {
         SimReport {
@@ -180,8 +309,8 @@ impl SimReport {
             queue,
             net,
             simulated,
+            labels,
             replay: Err(SerialReason::FewIterations),
-            timeline: OnceLock::new(),
             timeline_digest,
             fault_stats: None,
             packet_stats: None,
@@ -287,8 +416,10 @@ impl SimReport {
     }
 
     /// Event-queue statistics of the run: how many simulation events were
-    /// scheduled, delivered, and lazily cancelled, and the high-water
-    /// mark of pending events (the AkitaRTM-style engine counters).
+    /// scheduled, delivered, and lazily cancelled, and the most entries
+    /// the event heap held, lazily cancelled ones included (see
+    /// [`QueueStats::max_pending`]). These are the AkitaRTM-style engine
+    /// counters.
     pub fn queue_stats(&self) -> &QueueStats {
         &self.queue
     }
@@ -312,29 +443,14 @@ impl SimReport {
         }
     }
 
-    /// The full execution timeline, sorted by `(start, end)`. On a
-    /// replayed run the synthesized iterations' records are built on the
-    /// first call; they equal the records simulating them would have
-    /// produced.
-    pub fn timeline(&self) -> &[TimelineRecord] {
-        match self.replay {
-            Err(_) => &self.simulated,
-            Ok(repeat) => self.timeline.get_or_init(|| {
-                let segment = &self.simulated[self.simulated.len() - repeat.segment..];
-                let mut all =
-                    Vec::with_capacity(self.simulated.len() + segment.len() * repeat.count);
-                all.extend_from_slice(&self.simulated);
-                let mut shift = TimeSpan::ZERO;
-                for _ in 0..repeat.count {
-                    shift += repeat.period;
-                    all.extend(segment.iter().map(|r| TimelineRecord {
-                        start: r.start + shift,
-                        end: r.end + shift,
-                        ..r.clone()
-                    }));
-                }
-                all
-            }),
+    /// The full execution timeline, sorted by `(start, end)`, as a view
+    /// that builds each record as it is read (see [`Timeline`]). A run
+    /// restored from a snapshot holds only its post-restore records.
+    pub fn timeline(&self) -> Timeline<'_> {
+        Timeline {
+            simulated: &self.simulated,
+            labels: &self.labels,
+            repeat: self.replay.ok(),
         }
     }
 
@@ -343,7 +459,7 @@ impl SimReport {
     /// value = seconds.
     pub fn per_layer_compute_s(&self) -> Vec<f64> {
         let mut out = Vec::new();
-        for r in self.timeline() {
+        for r in self.timeline().iter() {
             let (Some(layer), TimelineTrack::Gpu(_)) = (r.layer, r.track) else {
                 continue;
             };
@@ -372,7 +488,7 @@ impl SimReport {
             return profile;
         }
         let width = total / buckets as f64;
-        for r in self.timeline() {
+        for r in self.timeline().iter() {
             let TimelineTrack::Gpu(g) = r.track else {
                 continue;
             };
@@ -506,7 +622,7 @@ impl SimReport {
     /// (practically impossible for this data).
     pub fn to_chrome_trace(&self) -> Result<String, serde_json::Error> {
         let mut sink = ChromeTraceSink::new(Vec::new());
-        for r in self.timeline() {
+        for r in self.timeline().iter() {
             let track = match r.track {
                 TimelineTrack::Gpu(i) => format!("gpu{i}"),
                 TimelineTrack::Network => "network".to_string(),
@@ -514,12 +630,12 @@ impl SimReport {
             match r.layer {
                 Some(layer) => sink.span(
                     &track,
-                    &r.label,
+                    r.label,
                     r.start,
                     r.end,
                     &[("layer", AttrValue::U64(layer as u64))],
                 ),
-                None => sink.span(&track, &r.label, r.start, r.end, &[]),
+                None => sink.span(&track, r.label, r.start, r.end, &[]),
             }
         }
         sink.finish().expect("in-memory trace write cannot fail");
@@ -532,9 +648,10 @@ impl SimReport {
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds timeline records (in the order given, which must be the
+/// Folds timeline entries (in the order given, which must be the
 /// canonical `(start, end)` sort order), each moved `shift` later, into
-/// a running FNV-1a state: label, track, start/end bits and layer, so
+/// a running FNV-1a state: label (read from `labels`), track, start/end
+/// bits and layer, so
 /// any drift in task scheduling — not just in the aggregate totals —
 /// changes the canonical JSON. Because the fold is sequential, a sorted
 /// run splits into sorted segments — each iteration's records — and
@@ -543,10 +660,12 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// digest instead of the records themselves, and lets replay fold a
 /// synthesized iteration as the verified one shifted, without building
 /// its records.
-pub(crate) fn timeline_fnv<'a, I>(seed: u64, records: I, shift: TimeSpan) -> u64
-where
-    I: Iterator<Item = &'a TimelineRecord>,
-{
+pub(crate) fn timeline_fnv(
+    seed: u64,
+    entries: &[TimelineEntry],
+    labels: &Labels,
+    shift: TimeSpan,
+) -> u64 {
     let mut h = seed;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -554,7 +673,8 @@ where
             h = h.wrapping_mul(FNV_PRIME);
         }
     };
-    for r in records {
+    for e in entries {
+        let r = e.record(labels);
         eat(r.label.as_bytes());
         eat(&[0xff]);
         match r.track {
@@ -601,6 +721,40 @@ mod tests {
         VirtualTime::from_seconds(s)
     }
 
+    /// A report over `records`, with `records[i]` task `i` labelled `labels[i]`.
+    fn report(
+        total_s: f64,
+        per_gpu_s: &[f64],
+        labels: &[&str],
+        records: Vec<TimelineEntry>,
+    ) -> SimReport {
+        let mut arena = Labels::default();
+        for l in labels {
+            arena.push(l);
+        }
+        let n = records.len() as u64;
+        SimReport::new(
+            TimeSpan::from_seconds(total_s),
+            per_gpu_s
+                .iter()
+                .map(|&s| TimeSpan::from_seconds(s))
+                .collect(),
+            TimeSpan::ZERO,
+            0,
+            records.len(),
+            QueueStats::default(),
+            NetObservation::default(),
+            records,
+            Arc::new(arena),
+            (n, FNV_OFFSET),
+        )
+    }
+
+    /// Task 0 on GPU 0, in layer `layer`.
+    fn op(start: f64, end: f64, layer: Option<usize>) -> TimelineEntry {
+        TimelineEntry::new(TaskId(0), TimelineTrack::Gpu(0), layer, t(start), t(end))
+    }
+
     #[test]
     fn union_of_disjoint_intervals() {
         let u = union_length(vec![(t(0.0), t(1.0)), (t(2.0), t(3.0))]);
@@ -629,6 +783,7 @@ mod tests {
             QueueStats::default(),
             NetObservation::default(),
             vec![],
+            Arc::default(),
             (0, FNV_OFFSET),
         );
         assert_eq!(report.total_time_s(), 10.0);
@@ -637,28 +792,37 @@ mod tests {
         assert!((report.comm_ratio() - 0.25).abs() < 1e-12);
         assert_eq!(report.bytes_transferred(), 1234);
         assert_eq!(report.tasks_executed(), 7);
+        assert!(report.timeline().is_empty());
+    }
+
+    #[test]
+    fn entries_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<TimelineEntry>(), 32);
+    }
+
+    #[test]
+    fn entries_round_trip_tracks_and_layers() {
+        let mut labels = Labels::default();
+        labels.push("a");
+        labels.push("b");
+        let gpu = TimelineEntry::new(TaskId(1), TimelineTrack::Gpu(3), Some(0), t(1.0), t(2.0));
+        let net = TimelineEntry::new(TaskId(0), TimelineTrack::Network, None, t(0.0), t(1.0));
+        let r = gpu.record(&labels);
+        assert_eq!(
+            (r.label, r.track, r.layer),
+            ("b", TimelineTrack::Gpu(3), Some(0))
+        );
+        let r = net.record(&labels);
+        assert_eq!(
+            (r.label, r.track, r.layer),
+            ("a", TimelineTrack::Network, None)
+        );
     }
 
     #[test]
     fn utilization_profile_localizes_work() {
         // One task occupying the first half of a 2-second run.
-        let report = SimReport::new(
-            TimeSpan::from_seconds(2.0),
-            vec![TimeSpan::from_seconds(1.0)],
-            TimeSpan::ZERO,
-            0,
-            1,
-            QueueStats::default(),
-            NetObservation::default(),
-            vec![TimelineRecord {
-                label: "op".into(),
-                track: TimelineTrack::Gpu(0),
-                start: t(0.0),
-                end: t(1.0),
-                layer: Some(3),
-            }],
-            (1, FNV_OFFSET),
-        );
+        let report = report(2.0, &[1.0], &["op"], vec![op(0.0, 1.0, Some(3))]);
         let profile = report.gpu_utilization(4);
         assert_eq!(profile.len(), 1);
         assert!((profile[0][0] - 1.0).abs() < 1e-9);
@@ -669,23 +833,7 @@ mod tests {
 
     #[test]
     fn per_layer_compute_attributes_time() {
-        let report = SimReport::new(
-            TimeSpan::from_seconds(2.0),
-            vec![TimeSpan::from_seconds(1.0)],
-            TimeSpan::ZERO,
-            0,
-            1,
-            QueueStats::default(),
-            NetObservation::default(),
-            vec![TimelineRecord {
-                label: "op".into(),
-                track: TimelineTrack::Gpu(0),
-                start: t(0.0),
-                end: t(1.0),
-                layer: Some(3),
-            }],
-            (1, FNV_OFFSET),
-        );
+        let report = report(2.0, &[1.0], &["op"], vec![op(0.0, 1.0, Some(3))]);
         let per_layer = report.per_layer_compute_s();
         assert_eq!(per_layer.len(), 4);
         assert!((per_layer[3] - 1.0).abs() < 1e-12);
@@ -694,76 +842,47 @@ mod tests {
 
     #[test]
     fn chrome_trace_exports() {
-        let report = SimReport::new(
-            TimeSpan::from_seconds(1.0),
-            vec![TimeSpan::from_seconds(1.0)],
-            TimeSpan::ZERO,
-            0,
-            1,
-            QueueStats::default(),
-            NetObservation::default(),
-            vec![TimelineRecord {
-                label: "conv1@g0".into(),
-                track: TimelineTrack::Gpu(0),
-                start: t(0.0),
-                end: t(1.0),
-                layer: None,
-            }],
-            (1, FNV_OFFSET),
-        );
+        let report = report(1.0, &[1.0], &["conv1@g0"], vec![op(0.0, 1.0, None)]);
         let json = report.to_chrome_trace().unwrap();
         assert!(json.contains("conv1@g0"));
         assert!(json.contains("\"ph\":\"X\""));
     }
 
-    fn op(start: f64, end: f64) -> TimelineRecord {
-        TimelineRecord {
-            label: "op".into(),
-            track: TimelineTrack::Gpu(0),
-            start: t(start),
-            end: t(end),
-            layer: Some(0),
-        }
-    }
-
     #[test]
     fn replayed_timeline_repeats_the_segment_on_first_read() {
         // Two simulated 1-second iterations, then two synthesized ones.
-        let simulated = vec![op(0.0, 0.5), op(1.0, 1.5)];
-        let mut report = SimReport::new(
-            TimeSpan::from_seconds(4.0),
-            vec![TimeSpan::from_seconds(2.0)],
-            TimeSpan::ZERO,
-            0,
-            4,
-            QueueStats::default(),
-            NetObservation::default(),
-            simulated,
-            (4, FNV_OFFSET),
-        );
-        report.set_replay(Ok(Repeat {
+        let simulated = vec![op(0.0, 0.5, Some(0)), op(1.0, 1.5, Some(0))];
+        let mut replayed = report(4.0, &[2.0], &["op"], simulated);
+        replayed.set_replay(Ok(Repeat {
             segment: 1,
             period: TimeSpan::from_seconds(1.0),
             count: 2,
         }));
-        assert_eq!(report.replay(), Replay::Synthesized(2));
-        let all: Vec<TimelineRecord> = (0..4).map(|k| op(k as f64, k as f64 + 0.5)).collect();
-        assert_eq!(report.timeline(), all.as_slice());
-        assert_eq!(report.per_layer_compute_s(), vec![2.0]);
+        assert_eq!(replayed.replay(), Replay::Synthesized(2));
+        let all = (0..4)
+            .map(|k| op(k as f64, k as f64 + 0.5, Some(0)))
+            .collect();
+        let serial = report(4.0, &[2.0], &["op"], all);
+        assert_eq!(replayed.timeline().len(), 4);
+        assert_eq!(replayed.timeline().iter().count(), 4);
+        assert_eq!(replayed.timeline(), serial.timeline());
+        assert_eq!(replayed.per_layer_compute_s(), vec![2.0]);
     }
 
     #[test]
     fn shifted_fold_equals_folding_shifted_records() {
-        let records = [op(0.0, 0.5), op(0.5, 1.0)];
+        let mut labels = Labels::default();
+        labels.push("op");
+        let records = [op(0.0, 0.5, Some(0)), op(0.5, 1.0, Some(0))];
         let shift = TimeSpan::from_seconds(3.0);
-        let moved = [op(3.0, 3.5), op(3.5, 4.0)];
+        let moved = [op(3.0, 3.5, Some(0)), op(3.5, 4.0, Some(0))];
         assert_eq!(
-            timeline_fnv(FNV_OFFSET, records.iter(), shift),
-            timeline_fnv(FNV_OFFSET, moved.iter(), TimeSpan::ZERO)
+            timeline_fnv(FNV_OFFSET, &records, &labels, shift),
+            timeline_fnv(FNV_OFFSET, &moved, &labels, TimeSpan::ZERO)
         );
         assert_ne!(
-            timeline_fnv(FNV_OFFSET, records.iter(), shift),
-            timeline_fnv(FNV_OFFSET, records.iter(), TimeSpan::ZERO)
+            timeline_fnv(FNV_OFFSET, &records, &labels, shift),
+            timeline_fnv(FNV_OFFSET, &records, &labels, TimeSpan::ZERO)
         );
     }
 }

@@ -6,6 +6,12 @@
 //! compute stream; transfer tasks go to the network model and may overlap
 //! freely with compute — exactly the PyTorch execution model, where NCCL
 //! runs on its own stream.
+//!
+//! Every label lives once, in the graph's label arena: the executor's
+//! timeline and the report name tasks by id and share the arena.
+
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use triosim_des::TimeSpan;
 use triosim_network::NodeId;
@@ -37,11 +43,10 @@ pub enum TaskKind {
     Barrier,
 }
 
-/// One node of the task DAG.
+/// One node of the task DAG. Its label lives in the graph (see
+/// [`TaskGraph::label`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Task {
-    /// Human-readable label (surfaces in the timeline output).
-    pub label: String,
     /// The work.
     pub kind: TaskKind,
     /// Tasks that must complete before this one starts.
@@ -76,6 +81,33 @@ pub struct CollectiveMeta {
     pub last: TaskId,
 }
 
+/// Every task label of a graph, stored once: the labels back to back in
+/// one string, and where each one ends.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Labels {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Labels {
+    /// Label `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the number of labels pushed.
+    pub(crate) fn get(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// Appends `label`, formatting it straight into the arena.
+    pub(crate) fn push(&mut self, label: impl fmt::Display) {
+        write!(self.text, "{label}").expect("formatting into a String cannot fail");
+        let end = u32::try_from(self.text.len()).expect("task labels fit in 4 GiB");
+        self.ends.push(end);
+    }
+}
+
 /// The extrapolated multi-GPU execution plan.
 ///
 /// # Example
@@ -95,6 +127,9 @@ pub struct CollectiveMeta {
 pub struct TaskGraph {
     gpus: usize,
     tasks: Vec<Task>,
+    /// `tasks[i]`'s label is `labels.get(i)`. Shared with the reports
+    /// of runs over this graph, which name tasks by id.
+    labels: Arc<Labels>,
     collectives: Vec<CollectiveMeta>,
 }
 
@@ -104,6 +139,7 @@ impl TaskGraph {
         TaskGraph {
             gpus,
             tasks: Vec::new(),
+            labels: Arc::default(),
             collectives: Vec::new(),
         }
     }
@@ -128,14 +164,30 @@ impl TaskGraph {
         &self.tasks
     }
 
-    /// Adds an arbitrary task.
+    /// The label of task `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a task of this graph.
+    pub fn label(&self, id: TaskId) -> &str {
+        self.labels.get(id.0)
+    }
+
+    /// The label arena, for reports that outlive a borrow of the graph.
+    pub(crate) fn labels(&self) -> &Arc<Labels> {
+        &self.labels
+    }
+
+    /// Adds an arbitrary task labelled `label`. Any [`fmt::Display`]
+    /// value works; `format_args!` writes into the label arena without
+    /// allocating a `String` per task.
     ///
     /// # Panics
     ///
     /// Panics if a dependency refers to a not-yet-added task (the graph
     /// is built in topological order by construction) or a compute task
     /// names a GPU out of range.
-    pub fn push(&mut self, task: Task) -> TaskId {
+    pub fn push(&mut self, label: impl fmt::Display, task: Task) -> TaskId {
         let id = TaskId(self.tasks.len());
         for d in &task.deps {
             assert!(d.0 < id.0, "dependency {d:?} added after dependent task");
@@ -143,6 +195,7 @@ impl TaskGraph {
         if let TaskKind::Compute { gpu, .. } = task.kind {
             assert!(gpu < self.gpus, "GPU {gpu} out of range");
         }
+        Arc::make_mut(&mut self.labels).push(label);
         self.tasks.push(task);
         id
     }
@@ -150,61 +203,69 @@ impl TaskGraph {
     /// Adds a compute task.
     pub fn compute(
         &mut self,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         gpu: usize,
         duration: TimeSpan,
         deps: Vec<TaskId>,
     ) -> TaskId {
-        self.push(Task {
-            label: label.into(),
-            kind: TaskKind::Compute { gpu, duration },
-            deps,
-            layer: None,
-        })
+        self.push(
+            label,
+            Task {
+                kind: TaskKind::Compute { gpu, duration },
+                deps,
+                layer: None,
+            },
+        )
     }
 
     /// Adds a compute task attributed to a model layer.
     pub fn compute_in_layer(
         &mut self,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         gpu: usize,
         duration: TimeSpan,
         deps: Vec<TaskId>,
         layer: usize,
     ) -> TaskId {
-        self.push(Task {
-            label: label.into(),
-            kind: TaskKind::Compute { gpu, duration },
-            deps,
-            layer: Some(layer),
-        })
+        self.push(
+            label,
+            Task {
+                kind: TaskKind::Compute { gpu, duration },
+                deps,
+                layer: Some(layer),
+            },
+        )
     }
 
     /// Adds a transfer task.
     pub fn transfer(
         &mut self,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         src: NodeId,
         dst: NodeId,
         bytes: u64,
         deps: Vec<TaskId>,
     ) -> TaskId {
-        self.push(Task {
-            label: label.into(),
-            kind: TaskKind::Transfer { src, dst, bytes },
-            deps,
-            layer: None,
-        })
+        self.push(
+            label,
+            Task {
+                kind: TaskKind::Transfer { src, dst, bytes },
+                deps,
+                layer: None,
+            },
+        )
     }
 
     /// Adds a zero-cost barrier joining `deps`.
-    pub fn barrier(&mut self, label: impl Into<String>, deps: Vec<TaskId>) -> TaskId {
-        self.push(Task {
-            label: label.into(),
-            kind: TaskKind::Barrier,
-            deps,
-            layer: None,
-        })
+    pub fn barrier(&mut self, label: impl fmt::Display, deps: Vec<TaskId>) -> TaskId {
+        self.push(
+            label,
+            Task {
+                kind: TaskKind::Barrier,
+                deps,
+                layer: None,
+            },
+        )
     }
 
     /// Registers collective metadata for a group of already-added tasks.
@@ -268,12 +329,14 @@ mod tests {
     #[should_panic(expected = "added after dependent")]
     fn forward_dependency_rejected() {
         let mut g = TaskGraph::new(1);
-        g.push(Task {
-            label: "bad".into(),
-            kind: TaskKind::Barrier,
-            deps: vec![TaskId(5)],
-            layer: None,
-        });
+        g.push(
+            "bad",
+            Task {
+                kind: TaskKind::Barrier,
+                deps: vec![TaskId(5)],
+                layer: None,
+            },
+        );
     }
 
     #[test]
@@ -314,6 +377,33 @@ mod tests {
             first: TaskId(0),
             last: TaskId(3),
         });
+    }
+
+    #[test]
+    fn labels_read_back_exactly() {
+        let mut g = TaskGraph::new(1);
+        let empty = g.barrier("", vec![]);
+        let ascii = g.compute("conv1@g0", 0, TimeSpan::ZERO, vec![]);
+        let wide = g.barrier("Grüße→τ·🚀", vec![]);
+        let (name, gpu) = ("fc", 0);
+        let formatted = g.compute(format_args!("{name}@g{gpu}"), 0, TimeSpan::ZERO, vec![]);
+        let after_empty = g.barrier("", vec![]);
+        assert_eq!(g.label(empty), "");
+        assert_eq!(g.label(ascii), "conv1@g0");
+        assert_eq!(g.label(wide), "Grüße→τ·🚀");
+        assert_eq!(g.label(formatted), "fc@g0");
+        assert_eq!(g.label(after_empty), "");
+    }
+
+    #[test]
+    fn cloned_graphs_keep_their_own_labels() {
+        let mut a = TaskGraph::new(1);
+        a.barrier("shared", vec![]);
+        let mut b = a.clone();
+        b.barrier("only-b", vec![]);
+        assert_eq!(a.len(), 1);
+        assert_eq!(b.label(TaskId(0)), "shared");
+        assert_eq!(b.label(TaskId(1)), "only-b");
     }
 
     #[test]

@@ -22,7 +22,7 @@ enum Lane {
 }
 
 impl Lane {
-    fn of(r: &TimelineRecord) -> Lane {
+    fn of(r: TimelineRecord<'_>) -> Lane {
         if r.track == TimelineTrack::Network {
             return Lane::Transfer;
         }
@@ -113,7 +113,7 @@ pub fn render_html_timeline(report: &SimReport, title: &str) -> String {
         );
     }
     // Spans.
-    for r in report.timeline() {
+    for r in report.timeline().iter() {
         let lane = match r.track {
             TimelineTrack::Gpu(g) => g,
             TimelineTrack::Network => gpus,
@@ -124,7 +124,7 @@ pub fn render_html_timeline(report: &SimReport, title: &str) -> String {
         let kind = Lane::of(r);
         let tip = format!(
             "{} [{:.3}..{:.3} ms]",
-            escape(&r.label),
+            escape(r.label),
             r.start.as_seconds() * 1e3,
             r.end.as_seconds() * 1e3
         );

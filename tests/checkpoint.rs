@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use serde::Deserialize as _;
 use triosim::{
     CheckpointError, FaultPlan, GpuSlowdown, Jitter, LinkDegradation, Parallelism, Platform,
-    SimBuilder, SimError,
+    Replay, SimBuilder, SimError,
 };
 use triosim_des::RunBudget;
 use triosim_modelzoo::ModelId;
@@ -87,6 +87,39 @@ fn checkpointing_is_invisible_in_the_report() {
     assert_eq!(plain.to_canonical_json(), checkpointed.to_canonical_json());
     assert!(path.exists(), "final boundary snapshot is on disk");
     std::fs::remove_file(&path).ok();
+}
+
+/// The report's timeline view yields as many records as its `len()`
+/// says, on a serial run, a replayed run, and a run restored from a
+/// snapshot. A restored run's view holds only the post-restore
+/// iterations: the serial run's records from the restore boundary on.
+#[test]
+fn timeline_view_counts_what_it_yields() {
+    let t = trace(ModelId::ResNet18, 16);
+    let p = Platform::p2(2);
+    let (n, k) = (5, 2);
+    let b = || SimBuilder::new(&t, &p).iterations(n);
+    let serial = b().network(common::serial_flow(&p)).run();
+    let replayed = b().run();
+    assert_eq!(replayed.replay(), Replay::Synthesized(n - 2));
+    let path = temp_path("view");
+    SimBuilder::new(&t, &p)
+        .iterations(k)
+        .checkpoint(&path, k)
+        .try_run()
+        .expect("prefix run completes");
+    let restored = b().restore(&path).try_run().expect("restore succeeds");
+    std::fs::remove_file(&path).ok();
+    for report in [&serial, &replayed, &restored] {
+        assert_eq!(report.timeline().len(), report.timeline().iter().count());
+    }
+    assert!(replayed.timeline() == serial.timeline());
+    let per_iteration = serial.timeline().len() / n;
+    assert_eq!(restored.timeline().len(), per_iteration * (n - k));
+    assert!(restored
+        .timeline()
+        .iter()
+        .eq(serial.timeline().iter().skip(per_iteration * k)));
 }
 
 #[test]

@@ -10,7 +10,9 @@
 //! hand-offs for GPipe) for every configuration proptest can reach.
 
 use proptest::prelude::*;
-use triosim::{extrapolate, summarize_layers, ComputeModel, Parallelism, Platform, TaskGraph};
+use triosim::{
+    extrapolate, summarize_layers, ComputeModel, Parallelism, Platform, TaskGraph, TaskId,
+};
 use triosim_collectives::GradientBucketizer;
 use triosim_modelzoo::ModelId;
 use triosim_perfmodel::LisModel;
@@ -130,16 +132,13 @@ proptest! {
         let trace = trace_for(model, batch);
         let g = graph_for(&trace, n, Parallelism::Pipeline { chunks }, batch);
         let expected = (chunks as usize) * (n - 1);
-        let acts = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("pp.act"))
-            .count();
-        let grads = g
-            .tasks()
-            .iter()
-            .filter(|t| t.label.starts_with("pp.grad"))
-            .count();
+        let with_prefix = |prefix: &str| {
+            (0..g.len())
+                .filter(|&i| g.label(TaskId(i)).starts_with(prefix))
+                .count()
+        };
+        let acts = with_prefix("pp.act");
+        let grads = with_prefix("pp.grad");
         prop_assert_eq!(acts, expected);
         prop_assert_eq!(grads, expected);
     }
