@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use triosim::{run_sweep, SweepJobRunner, SweepSpec};
 use triosim_bench::Summary;
-use triosim_server::{request, HttpResponse, RetryPolicy, Server, ServerConfig};
+use triosim_server::{request, HttpResponse, JobStore, RetryPolicy, Server, ServerConfig};
 
 const T: Duration = Duration::from_secs(5);
 
@@ -35,7 +35,8 @@ const SMALL_SPEC: &str = r#"{
     "grid": { "trace_batch": [8, 16, 24, 32] }
 }"#;
 
-/// A job long enough that drain reliably interrupts it mid-flight.
+/// A job of several scenarios, so a drain after its first journal entry
+/// interrupts it mid-flight.
 const SLOW_SPEC: &str = r#"{
     "name": "bench-server-slow",
     "defaults": { "model": "vgg11", "trace_batch": 8, "gpu": "A40",
@@ -211,8 +212,16 @@ fn main() {
     let addr = server.local_addr().to_string();
     wait_ready(&addr);
     let id = job_id(&submit(&addr, SLOW_SPEC));
-    // Let the job make some journaled progress, then interrupt it.
-    std::thread::sleep(Duration::from_millis(600));
+    // Interrupt the job once its journal holds a header and an entry.
+    let journal = JobStore::open(&dir)
+        .expect("job store opens")
+        .paths(&id)
+        .journal();
+    let end = Instant::now() + Duration::from_secs(60);
+    while std::fs::read_to_string(&journal).map_or(0, |t| t.matches('\n').count()) < 2 {
+        assert!(Instant::now() < end, "job {id} journaled no scenario");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     server.drain();
     server.join();
 

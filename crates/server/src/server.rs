@@ -24,10 +24,10 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -39,6 +39,11 @@ use crate::http::{read_request, HttpError, Request, Response};
 use crate::job::{job_id, JobRunner, JobState, JobStore, RunError};
 use crate::queue::{Admission, JobQueue};
 use crate::retry::RetryPolicy;
+
+/// How long `GET /jobs/<id>/result` holds a request for a pending job
+/// open, so the client hears of the job's end when it happens instead
+/// of at its next poll. Below every in-tree client's request timeout.
+const RESULT_HOLD: Duration = Duration::from_secs(1);
 
 /// Everything tunable about a server instance.
 #[derive(Debug, Clone)]
@@ -116,6 +121,9 @@ struct Inner {
     runner: Box<dyn JobRunner>,
     queue: JobQueue,
     states: Mutex<HashMap<String, JobState>>,
+    /// Notified on every state change and when a drain begins; held
+    /// result requests wait on it.
+    state_changed: Condvar,
     counters: Counters,
     /// Recovery scan finished; submissions are accepted.
     ready: AtomicBool,
@@ -127,10 +135,14 @@ struct Inner {
 }
 
 impl Inner {
+    /// Publishes `state` and wakes held result requests, which answer
+    /// at once: bump a job's counters before publishing its terminal
+    /// state.
     fn set_state(&self, id: &str, state: JobState) {
         if let Ok(mut states) = self.states.lock() {
             states.insert(id.to_string(), state);
         }
+        self.state_changed.notify_all();
     }
 
     fn state_of(&self, id: &str) -> Option<JobState> {
@@ -141,6 +153,35 @@ impl Inner {
         }
         // Jobs finished in a previous server life live only on disk.
         self.store.state_on_disk(id)
+    }
+
+    /// Flags the drain and wakes what waits on it: idle workers and held
+    /// result requests.
+    fn begin_drain(&self) {
+        self.shutting_down.store(true, Ordering::SeqCst);
+        self.cancel.store(true, Ordering::SeqCst);
+        self.queue.wake_all();
+        // Taking the lock orders this notify after any waiter's check of
+        // the flag, so no held request sleeps through the drain.
+        drop(self.states.lock());
+        self.state_changed.notify_all();
+    }
+
+    /// [`Inner::state_of`] once the job is done or dead, a drain begins,
+    /// or [`RESULT_HOLD`] elapses, whichever comes first.
+    fn settled_state_of(&self, id: &str) -> Option<JobState> {
+        let pending = |states: &mut HashMap<String, JobState>| {
+            !self.shutting_down.load(Ordering::SeqCst)
+                && states
+                    .get(id)
+                    .is_some_and(|s| !matches!(s, JobState::Done | JobState::Dead))
+        };
+        if let Ok(states) = self.states.lock() {
+            let _held = self
+                .state_changed
+                .wait_timeout_while(states, RESULT_HOLD, pending);
+        }
+        self.state_of(id)
     }
 }
 
@@ -170,7 +211,6 @@ impl Server {
     /// Propagates bind and job-store failures.
     pub fn start(config: ServerConfig, runner: Box<dyn JobRunner>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let store = JobStore::open(&config.data_dir)?;
         let inner = Arc::new(Inner {
@@ -178,6 +218,7 @@ impl Server {
             store,
             runner,
             states: Mutex::new(HashMap::new()),
+            state_changed: Condvar::new(),
             counters: Counters::default(),
             ready: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
@@ -219,12 +260,21 @@ impl Server {
 
     /// Begins a graceful drain: stop accepting connections and jobs,
     /// flip the runners' cancel flag so in-flight jobs checkpoint and
-    /// return promptly. Incomplete jobs stay durable on disk for the
-    /// next start. Non-blocking; follow with [`Server::join`].
+    /// return promptly, and answer held result requests. Incomplete jobs
+    /// stay durable on disk for the next start. Non-blocking; follow
+    /// with [`Server::join`].
     pub fn drain(&self) {
-        self.inner.shutting_down.store(true, Ordering::SeqCst);
-        self.inner.cancel.store(true, Ordering::SeqCst);
-        self.inner.queue.wake_all();
+        self.inner.begin_drain();
+        // Wake the blocked accept with a connection of our own.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        TcpStream::connect_timeout(&wake, Duration::from_secs(1)).ok();
     }
 
     /// Waits for the accept loop and workers to exit (call after
@@ -266,10 +316,15 @@ fn recover(inner: &Inner) {
     inner.ready.store(true, Ordering::SeqCst);
 }
 
-/// Nonblocking accept loop, polling the shutdown flag between accepts.
+/// Blocking accept loop. [`Server::drain`] wakes it with a connection of
+/// its own, so the shutdown flag is checked after every accept.
 fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
-    while !inner.shutting_down.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.shutting_down.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 if inner.active_conns.load(Ordering::SeqCst) >= inner.config.max_conns {
                     Counters::bump(&inner.counters.conns_refused);
@@ -283,9 +338,8 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
                     inner.active_conns.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A real error (e.g. out of file descriptors): back off so it
+            // cannot become a busy loop.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -486,9 +540,10 @@ fn job_status(inner: &Inner, id: &str) -> Response {
     }
 }
 
-/// `GET /jobs/<id>/result`: the stored canonical bytes, verbatim.
+/// `GET /jobs/<id>/result`: the stored canonical bytes, verbatim. A
+/// pending job's request is held up to [`RESULT_HOLD`] for it to finish.
 fn job_result(inner: &Inner, id: &str) -> Response {
-    match inner.state_of(id) {
+    match inner.settled_state_of(id) {
         Some(JobState::Done) => match std::fs::read(inner.store.paths(id).result()) {
             Ok(bytes) => Response::json_bytes(200, bytes),
             Err(e) => Response::text(500, format!("result unreadable: {e}\n")),
@@ -585,8 +640,8 @@ fn run_job(inner: &Inner, id: &str) {
                 .store
                 .write_dead(id, 0, &format!("spec unreadable: {e}"))
                 .ok();
-            inner.set_state(id, JobState::Dead);
             Counters::bump(&inner.counters.dead_lettered);
+            inner.set_state(id, JobState::Dead);
             return;
         }
     };
@@ -598,16 +653,16 @@ fn run_job(inner: &Inner, id: &str) {
             Ok(result_text) => {
                 match inner.store.write_result(id, &result_text) {
                     Ok(()) => {
-                        inner.set_state(id, JobState::Done);
                         Counters::bump(&inner.counters.completed);
+                        inner.set_state(id, JobState::Done);
                     }
                     Err(e) => {
                         inner
                             .store
                             .write_dead(id, attempt, &format!("result unwritable: {e}"))
                             .ok();
-                        inner.set_state(id, JobState::Dead);
                         Counters::bump(&inner.counters.dead_lettered);
+                        inner.set_state(id, JobState::Dead);
                     }
                 }
                 return;
@@ -620,8 +675,8 @@ fn run_job(inner: &Inner, id: &str) {
             }
             Err(RunError::Permanent(e)) => {
                 inner.store.write_dead(id, attempt, &e).ok();
-                inner.set_state(id, JobState::Dead);
                 Counters::bump(&inner.counters.dead_lettered);
+                inner.set_state(id, JobState::Dead);
                 return;
             }
             Err(RunError::Transient(e)) => {
@@ -630,8 +685,8 @@ fn run_job(inner: &Inner, id: &str) {
                         .store
                         .write_dead(id, attempt, &format!("retries exhausted: {e}"))
                         .ok();
-                    inner.set_state(id, JobState::Dead);
                     Counters::bump(&inner.counters.dead_lettered);
+                    inner.set_state(id, JobState::Dead);
                     return;
                 }
                 Counters::bump(&inner.counters.retried);
@@ -696,6 +751,7 @@ mod tests {
             store,
             runner,
             states: Mutex::new(HashMap::new()),
+            state_changed: Condvar::new(),
             counters: Counters::default(),
             ready: AtomicBool::new(true),
             shutting_down: AtomicBool::new(false),
@@ -806,6 +862,31 @@ mod tests {
         let done = get(&inner, &format!("/jobs/{id}/result"));
         assert_eq!(done.status, 200);
         assert_eq!(done.body, "echo:{\"job\":1}".to_string().into_bytes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_drain_answers_held_result_requests() {
+        let (dir, inner) = test_inner("hold", Box::new(Echo));
+        post(&inner, "/jobs", "{\"held\":1}");
+        let path = format!("/jobs/{}/result", job_id("{\"held\":1}"));
+        std::thread::scope(|s| {
+            // No worker runs the job, so only the drain can end the hold.
+            // The sleep lets the request start waiting; a drain that
+            // lands first is answered at once, so it cannot flake.
+            let held = s.spawn(|| get(&inner, &path));
+            std::thread::sleep(Duration::from_millis(100));
+            let t = std::time::Instant::now();
+            inner.begin_drain();
+            let r = held.join().unwrap();
+            assert_eq!(r.status, 409);
+            assert!(String::from_utf8_lossy(&r.body).contains("queued"));
+            assert!(
+                t.elapsed() < RESULT_HOLD / 2,
+                "held through the drain: {:?}",
+                t.elapsed()
+            );
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 

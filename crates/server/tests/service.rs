@@ -1,7 +1,8 @@
 //! End-to-end service tests over real sockets: submit → poll → result,
-//! load shedding on the wire, slow-loris ejection, and the
-//! drain-restart-recover loop — all with a stub runner, so these tests
-//! exercise the service machinery, not the simulator.
+//! held result requests, load shedding on the wire, slow-loris
+//! ejection, and the drain-restart-recover loop — all with a stub
+//! runner, so these tests exercise the service machinery, not the
+//! simulator.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -169,6 +170,100 @@ fn submit_runs_to_a_served_result() {
 
     server.drain();
     server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn one_result_request_waits_for_a_running_job() {
+    let dir = temp_dir("held");
+    let server = Server::start(config(&dir), Box::new(Stub::new())).unwrap();
+    let addr = server.local_addr().to_string();
+    wait_ready(&addr);
+
+    // The slow job takes ~500 ms, inside the server's hold.
+    let spec = "{\"work\":\"slow\",\"n\":5}";
+    let accepted = request(&addr, "POST", "/jobs", Some(spec.as_bytes()), T).unwrap();
+    assert_eq!(accepted.status, 202, "{}", accepted.body_text());
+    let id = extract_id(&accepted.body_text());
+    let r = request(&addr, "GET", &format!("/jobs/{id}/result"), None, T).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body_text());
+    assert_eq!(r.body_text(), format!("done:{spec}"));
+
+    server.drain();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_drain_answers_a_held_result_request_promptly() {
+    let dir = temp_dir("held-drain");
+    let server = Server::start(config(&dir), Box::new(Stub::new())).unwrap();
+    let addr = server.local_addr().to_string();
+    wait_ready(&addr);
+
+    let spec = "{\"work\":\"slow\",\"n\":6}";
+    let accepted = request(&addr, "POST", "/jobs", Some(spec.as_bytes()), T).unwrap();
+    let id = extract_id(&accepted.body_text());
+    let held = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let r = request(&addr, "GET", &format!("/jobs/{id}/result"), None, T).unwrap();
+            (r, Instant::now())
+        })
+    };
+    // Drain once the server holds the request: the held one plus this
+    // metrics request are both active. A drain that lands before the
+    // handler waits is answered at once, like one that wakes it.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !request(&addr, "GET", "/metrics", None, T)
+        .unwrap()
+        .body_text()
+        .contains("triosim_server_active_connections 2")
+    {
+        assert!(
+            Instant::now() < deadline,
+            "the result request never arrived"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let drained = Instant::now();
+    server.drain();
+    let (r, answered) = held.join().unwrap();
+    assert_eq!(r.status, 409, "{}", r.body_text());
+    let waited = answered.saturating_duration_since(drained);
+    assert!(
+        waited < Duration::from_millis(200),
+        "held {waited:?} past the drain"
+    );
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_server_on_the_unspecified_address_drains_and_joins() {
+    let dir = temp_dir("unspecified");
+    let server = Server::start(
+        ServerConfig {
+            addr: "0.0.0.0:0".into(),
+            ..config(&dir)
+        },
+        Box::new(Stub::new()),
+    )
+    .unwrap();
+    let addr = format!("127.0.0.1:{}", server.local_addr().port());
+    wait_ready(&addr);
+
+    // Joined on another thread, so a drain that never wakes the accept
+    // fails here instead of hanging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let drained = std::thread::spawn(move || {
+        server.drain();
+        server.join();
+        tx.send(()).ok();
+    });
+    rx.recv_timeout(Duration::from_secs(2))
+        .expect("drain woke the accept loop and the server joined");
+    drained.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 

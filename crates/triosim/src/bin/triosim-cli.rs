@@ -125,7 +125,8 @@ COMMANDS:
                                 in-progress scenarios from their last
                                 iteration boundary instead of scratch
         --checkpoint-every <n>  boundaries between snapshots (default 1;
-                                requires --checkpoint-dir)
+                                requires --checkpoint-dir); a scenario
+                                of at most <n> iterations writes none
     serve                       run the crash-recoverable sweep service
                                 (POST specs to /jobs; see DESIGN.md §15)
         --addr <host:port>      listen address (default 127.0.0.1:7077)
@@ -152,7 +153,8 @@ COMMANDS:
         --max-sim-time-us <n>   default per-scenario virtual-time budget
         --wall-timeout-ms <n>   default per-scenario wall-clock deadline
         --checkpoint-every <n>  iteration boundaries between scenario
-                                snapshots (default 1)
+                                snapshots (default 1); a scenario of at
+                                most <n> iterations writes none
     submit                      submit a sweep spec to a running server
         --spec <sweep.json>     the spec to submit (required)
         --addr <host:port>      server address (default 127.0.0.1:7077)

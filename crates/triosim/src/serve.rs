@@ -39,7 +39,8 @@ pub struct SweepJobRunner {
     /// Worker threads per sweep (clamped to at least 1 downstream).
     pub threads: usize,
     /// Iteration boundaries between scenario checkpoints (`0` = every
-    /// boundary).
+    /// boundary). A scenario whose only checkpoint would land at its
+    /// final boundary writes none.
     pub checkpoint_every: usize,
     /// Default per-scenario event budget injected into specs that do not
     /// set one (canonical: changes simulation output deterministically).

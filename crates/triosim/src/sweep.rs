@@ -410,6 +410,14 @@ fn run_scenario(
         .as_ref()
         .expect("only pending scenarios are executed");
     let s = &r.scenario;
+    let ckpt_path =
+        ckpt.map(|(dir, every, index)| (dir.join(format!("scenario-{index}.ckpt")), every));
+    // A snapshot pays off only if one lands before the final boundary. A
+    // scenario of at most `every` iterations could only write one at its
+    // end, which is deleted as soon as the scenario returns.
+    let cadence = ckpt_path
+        .as_ref()
+        .filter(|(_, every)| e.iterations > *every);
     // Reconstructible builder: a stale per-scenario snapshot must not
     // fail the scenario, so the rerun-from-scratch path rebuilds the
     // whole configuration (network state included) from the same inputs.
@@ -461,14 +469,14 @@ fn run_scenario(
             }
             builder = builder.budget(budget);
         }
+        if let Some((path, every)) = cadence {
+            builder = builder.checkpoint(path, *every);
+        }
         builder
     };
-    let ckpt_path =
-        ckpt.map(|(dir, every, index)| (dir.join(format!("scenario-{index}.ckpt")), every));
     let mut builder = mk();
     let mut resuming = false;
-    if let Some((path, every)) = &ckpt_path {
-        builder = builder.checkpoint(path, *every);
+    if let Some((path, _)) = &ckpt_path {
         if path.exists() {
             resuming = true;
             builder = builder.restore(path);
@@ -483,8 +491,8 @@ fn run_scenario(
         if let Err(SimError::Checkpoint(ce)) = &run {
             // A stale or corrupt snapshot (e.g. the spec changed between
             // sweep invocations) must not fail the scenario: warn, drop
-            // it, and rerun from scratch with checkpointing still on.
-            let (path, every) = ckpt_path
+            // it, and rerun from scratch at the same cadence.
+            let (path, _) = ckpt_path
                 .as_ref()
                 .expect("resuming implies a snapshot path");
             eprintln!(
@@ -492,7 +500,7 @@ fn run_scenario(
                 path.display()
             );
             std::fs::remove_file(path).ok();
-            let fresh = mk().checkpoint(path, *every);
+            let fresh = mk();
             run = if prof.is_enabled() {
                 fresh.try_run_profiled(prof)
             } else {
@@ -625,7 +633,8 @@ pub struct SweepRunConfig {
     /// killed mid-scenario then resumed restarts that scenario from its
     /// last boundary instead of from scratch; snapshots are deleted as
     /// their scenarios complete, and a stale or corrupt snapshot demotes
-    /// to a warning plus a from-scratch rerun.
+    /// to a warning plus a from-scratch rerun. A scenario whose only
+    /// snapshot would land at its final boundary writes none.
     pub checkpoint_dir: Option<PathBuf>,
     /// Iteration boundaries between snapshots (`0` means every
     /// boundary). Only meaningful with `checkpoint_dir`.
@@ -926,6 +935,42 @@ mod tests {
             "completed scenarios delete their snapshots"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_multi_boundary_scenarios_write_snapshots() {
+        // A snapshot into a directory that does not exist fails, so
+        // success means no snapshot was attempted.
+        let missing =
+            std::env::temp_dir().join(format!("triosim-sweep-ckpt-missing-{}", std::process::id()));
+        assert!(!missing.exists());
+        let run = |iterations: u32| {
+            let spec = SweepSpec::from_json(&format!(
+                r#"{{ "scenarios": [ {{ "model": "vgg11", "trace_batch": 8, "gpu": "A40",
+                                       "platform": "p2:2", "parallelism": "ddp",
+                                       "iterations": {iterations} }} ] }}"#
+            ))
+            .unwrap();
+            let resolved = resolve_scenarios(
+                spec.expand().unwrap(),
+                &HashSet::new(),
+                &mut SelfProfiler::disabled(),
+            )
+            .unwrap();
+            run_scenario(
+                &resolved[0],
+                &mut SelfProfiler::disabled(),
+                Some((&missing, 1, 0)),
+            )
+        };
+        // One iteration at cadence 1: the only boundary is the last.
+        let single = run(1);
+        assert!(single.is_ok(), "{single:?}");
+        // Three iterations: boundaries 1 and 2 still snapshot.
+        match run(3) {
+            Err(ScenarioError::Sim(m)) => assert!(m.contains("snapshot i/o failed"), "{m}"),
+            other => panic!("a multi-boundary scenario must snapshot: {other:?}"),
+        }
     }
 
     #[test]
