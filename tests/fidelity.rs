@@ -12,7 +12,7 @@
 //!   tier reports a *longer* total than the flow tier, plus nonzero
 //!   ECN marks (and a populated queue-depth histogram) the flow tier
 //!   cannot see. Canonical packet reports are pinned as golden
-//!   snapshots (`tests/golden/packet_{ddp,tp,ddp8}.json`), re-blessable via
+//!   snapshots (`tests/golden/packet_{ddp,tp,ddp8,ddp8_x4}.json`), re-blessable via
 //!   `TRIOSIM_BLESS=1 cargo test --test fidelity`.
 //! * **Determinism**: packet runs are byte-identical across invocations.
 //!   The packet tier is not iteration-invariant, so its runs simulate
@@ -48,16 +48,18 @@ fn congested_report(
     platform: &Platform,
     parallelism: Parallelism,
     fidelity: Fidelity,
+    iterations: usize,
 ) -> triosim::SimReport {
     let trace = Tracer::new(GpuModel::A100).trace(&ModelId::ResNet18.build(8));
     SimBuilder::new(&trace, platform)
         .parallelism(parallelism)
         .fidelity(fidelity)
+        .iterations(iterations)
         .run()
 }
 
-fn check_golden(name: &str, platform: &Platform, parallelism: Parallelism) {
-    let report = congested_report(platform, parallelism, Fidelity::Packet);
+fn check_golden(name: &str, platform: &Platform, parallelism: Parallelism, iterations: usize) {
+    let report = congested_report(platform, parallelism, Fidelity::Packet, iterations);
     let actual =
         serde_json::to_string(&report.to_canonical_json()).expect("canonical JSON is finite");
     let path = golden_dir().join(format!("{name}.json"));
@@ -88,6 +90,7 @@ fn golden_packet_ddp() {
         "packet_ddp",
         &congested_platform(),
         Parallelism::DataParallel { overlap: true },
+        1,
     );
 }
 
@@ -97,6 +100,7 @@ fn golden_packet_tp() {
         "packet_tp",
         &congested_platform(),
         Parallelism::TensorParallel,
+        1,
     );
 }
 
@@ -109,6 +113,21 @@ fn golden_packet_ddp8() {
         "packet_ddp8",
         &platform,
         Parallelism::DataParallel { overlap: true },
+        1,
+    );
+}
+
+/// The same shape over four iterations. Nearly every ring step of
+/// iterations 1–3 repeats a step of iteration 0 shifted in time, so a
+/// wrong cross-iteration reuse of a packet replay shows here first.
+#[test]
+fn golden_packet_ddp8_four_iterations() {
+    let platform: Platform = "fat:A100:8".parse().expect("a valid platform spec");
+    check_golden(
+        "packet_ddp8_x4",
+        &platform,
+        Parallelism::DataParallel { overlap: true },
+        4,
     );
 }
 
@@ -122,8 +141,8 @@ fn golden_packet_ddp8() {
 fn packet_tier_diverges_under_congestion_with_evidence() {
     let parallelism = Parallelism::DataParallel { overlap: true };
     let platform = congested_platform();
-    let flow = congested_report(&platform, parallelism, Fidelity::TrioSim);
-    let packet = congested_report(&platform, parallelism, Fidelity::Packet);
+    let flow = congested_report(&platform, parallelism, Fidelity::TrioSim, 1);
+    let packet = congested_report(&platform, parallelism, Fidelity::Packet, 1);
     assert!(
         flow.packet_stats().is_none(),
         "flow tier reports no packets"
