@@ -7,90 +7,39 @@
 //!
 //! Run with `--seed <n>` to change the scenario family.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::Value;
-use triosim::{HopConfig, HopGraph, HopSimulator};
-use triosim_bench::{arg_u64, json_num, json_obj, paper_trace, Summary};
-use triosim_modelzoo::ModelId;
-use triosim_trace::{GpuModel, Phase};
+use triosim_bench::{arg_u64, hop_speedups, json_num, json_obj, Summary, HOP_WORKERS};
 
 fn main() {
     let seed = arg_u64("seed", 42);
-    let workers = 8usize;
-
-    // VGG-11 @128 on A100: compute time from the single-GPU trace, update
-    // volume = the model's parameters (as in the Hop paper's setup).
-    let trace = paper_trace(ModelId::Vgg11, GpuModel::A100);
-    let compute_time_s = trace.phase_time_s(Phase::Forward) + trace.phase_time_s(Phase::Backward);
-    let update_bytes = trace.gradient_bytes();
-
-    let config = |backup: usize| HopConfig {
-        backup_workers: backup,
-        bounded_staleness: 2,
-        iterations: 20,
-        compute_time_s,
-        update_bytes,
-        // Hop targets decentralized clusters on commodity interconnects
-        // (Ethernet/IB class), where update exchange is comparable to
-        // compute — the regime in which backup workers matter.
-        link_bandwidth: 10.0e9,
-        link_latency_s: 5.0e-6,
-        skip_lag: None,
-    };
-
     println!("== Figure 16: Hop with 1 backup worker, 8x A100, VGG-11 @128 ==");
     println!(
         "{:<8} {:>16} {:>18}",
         "group", "ring speedup", "double-ring speedup"
     );
-    let mut ring_speedups = Vec::new();
-    let mut double_speedups = Vec::new();
+    let speedups = hop_speedups(seed);
     let mut json_rows = Vec::new();
-    for group in 0..8u64 {
-        // One random slowdown scenario per group: each directed link gets
-        // a factor drawn uniformly from [1, 10].
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1000) + group);
-        let mut factors = vec![vec![1.0f64; workers]; workers];
-        for row in factors.iter_mut() {
-            for f in row.iter_mut() {
-                *f = rng.gen_range(1.0..10.0);
-            }
-        }
-        let slowdown = |from: usize, to: usize| factors[from][to];
-
-        let speedup = |graph: HopGraph| {
-            let base = HopSimulator::new(graph.clone(), config(0)).run(&slowdown);
-            let backup = HopSimulator::new(graph, config(1)).run(&slowdown);
-            base.total_time_s / backup.total_time_s
-        };
-        let ring = speedup(HopGraph::ring_based(workers));
-        let double = speedup(HopGraph::double_ring(workers));
-        ring_speedups.push(ring);
-        double_speedups.push(double);
-        println!("{:<8} {:>15.3}x {:>17.3}x", group + 1, ring, double);
+    for (group, &(ring, double)) in (1u64..).zip(&speedups) {
+        println!("{group:<8} {ring:>15.3}x {double:>17.3}x");
         json_rows.push(json_obj(vec![
-            ("group", Value::UInt(group + 1)),
+            ("group", Value::UInt(group)),
             ("ring_speedup", json_num(ring)),
             ("double_ring_speedup", json_num(double)),
         ]));
     }
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    println!(
-        "{:<8} {:>15.3}x {:>17.3}x",
-        "average",
-        avg(&ring_speedups),
-        avg(&double_speedups)
-    );
+    let n = speedups.len() as f64;
+    let avg_ring = speedups.iter().map(|s| s.0).sum::<f64>() / n;
+    let avg_double = speedups.iter().map(|s| s.1).sum::<f64>() / n;
+    println!("{:<8} {avg_ring:>15.3}x {avg_double:>17.3}x", "average");
     println!(
         "\npaper: the backup worker's effect varies greatly with the slowdown \
          scenario, demonstrating heterogeneity-aware simulation"
     );
     let mut summary = Summary::new("fig16");
     summary.int("seed", seed);
-    summary.int("workers", workers as u64);
+    summary.int("workers", HOP_WORKERS as u64);
     summary.put("rows", Value::Array(json_rows));
-    summary.num("avg_ring_speedup", avg(&ring_speedups));
-    summary.num("avg_double_ring_speedup", avg(&double_speedups));
+    summary.num("avg_ring_speedup", avg_ring);
+    summary.num("avg_double_ring_speedup", avg_double);
     summary.finish();
 }

@@ -54,8 +54,10 @@ impl fmt::Display for BudgetKind {
     }
 }
 
-/// A per-run execution budget; see the [module docs](self) for the
-/// three axes and their determinism guarantees.
+/// A per-run execution budget along three axes: delivered events and
+/// simulated time, which trip at exactly the same event on every run,
+/// and a host-time deadline, which does not and so must stay out of any
+/// canonical serialization.
 ///
 /// The wall-clock deadline is armed when
 /// [`with_wall_timeout_ms`](RunBudget::with_wall_timeout_ms) is called,

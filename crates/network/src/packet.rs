@@ -42,6 +42,26 @@
 //! components' packet statistics are committed and the period is
 //! cleared.
 //!
+//! # Replay memo
+//!
+//! A replay is a pure function of its *shift-free input*: each member's
+//! arrival offset from the earliest member, its size, ACK latency and
+//! route over locally numbered links, and those links' bandwidth and
+//! latency (the [`PacketConfig`] is fixed per network). Every time in a
+//! replay is an integer femtosecond count built by checked addition
+//! from the arrival times, and events are ordered by `(time, insertion
+//! id)`, so the same input shifted by Δ replays to the same outcome
+//! shifted by Δ, bit for bit. A ring collective sends the same chunk
+//! over the same route shapes at every step and every iteration, so
+//! most replays repeat an earlier one's input. The network therefore
+//! keeps a memo from the full input (stored, not hashed, so a hit is
+//! exact) to the outcome — completions as offsets, packet statistics,
+//! and per-link usage — and a send whose component input is already
+//! there shifts the stored outcome instead of re-simulating. The memo
+//! lives as long as the network, stores at most [`MEMO_WORD_BUDGET`]
+//! words, and is invisible in every output: packet cost scales with the
+//! distinct replay inputs of a run, not with its sends.
+//!
 //! # Where the tiers must agree, and where they must not
 //!
 //! On an uncongested path whose congestion window covers the
@@ -215,6 +235,53 @@ struct Replay {
 /// busy period, so hitting it means the packet dynamics stopped making
 /// progress (a model bug, not a runtime condition).
 const REPLAY_EVENT_BUDGET: u64 = 200_000_000;
+
+/// Ceiling on the replay memo's size in `u64` words, keys and outcomes
+/// together (about 2 MiB). Every in-tree scenario stores a few hundred
+/// words; the ceiling binds only on traffic that never repeats, where
+/// a full memo replays each miss without storing it.
+const MEMO_WORD_BUDGET: usize = 1 << 18;
+
+/// A replay's outcome stated relative to its earliest arrival, so it
+/// stands for every time-shifted copy of the replay's input.
+#[derive(Debug)]
+struct Outcome {
+    /// Completion per member, as an offset from the earliest arrival.
+    completion: Vec<TimeSpan>,
+    stats: PacketObservation,
+    /// Bytes and busy time per local link, in first-use order.
+    links: Vec<(u64, TimeSpan)>,
+}
+
+/// Replay outcomes keyed by their shift-free input (see the module
+/// docs), for the lifetime of one network.
+#[derive(Debug)]
+struct ReplayMemo {
+    entries: BTreeMap<Vec<u64>, Outcome>,
+    /// `u64` words stored, keys and outcomes together.
+    words: usize,
+    /// Never exceeded by `words`: [`MEMO_WORD_BUDGET`], or less in tests.
+    budget: usize,
+}
+
+impl ReplayMemo {
+    /// Stores `replay` (whose earliest arrival is `base`) under `key`,
+    /// unless that would outgrow the budget.
+    fn insert(&mut self, key: Vec<u64>, base: VirtualTime, replay: &Replay) {
+        const STATS_WORDS: usize = size_of::<PacketObservation>() / size_of::<u64>();
+        let words = key.len() + replay.completion.len() + STATS_WORDS + 2 * replay.links.len();
+        if self.words + words > self.budget {
+            return;
+        }
+        self.words += words;
+        let outcome = Outcome {
+            completion: replay.completion.iter().map(|&t| t - base).collect(),
+            stats: replay.stats,
+            links: replay.links.iter().map(|&(_, b, busy)| (b, busy)).collect(),
+        };
+        self.entries.insert(key, outcome);
+    }
+}
 
 struct Replayer {
     cfg: PacketConfig,
@@ -439,6 +506,7 @@ pub struct PacketNetwork {
     /// Packet statistics of closed busy periods.
     committed: PacketObservation,
     committed_links: Vec<(u64, TimeSpan)>,
+    memo: ReplayMemo,
 }
 
 impl PacketNetwork {
@@ -485,6 +553,11 @@ impl PacketNetwork {
             reschedules: 0,
             committed: PacketObservation::default(),
             committed_links: vec![(0, TimeSpan::ZERO); links],
+            memo: ReplayMemo {
+                entries: BTreeMap::new(),
+                words: 0,
+                budget: MEMO_WORD_BUDGET,
+            },
         }
     }
 
@@ -542,30 +615,112 @@ impl PacketNetwork {
         members
     }
 
-    /// Deterministically simulates the listed arrivals of the open period
-    /// (ascending arrival indices) on otherwise idle links, and returns
-    /// their completions, packet statistics and link usage. Over one
-    /// component this equals the whole-period replay restricted to it;
-    /// over every arrival it *is* the whole-period replay.
-    fn replay(&self, members: &[usize]) -> Replay {
-        let cfg = self.config;
-        // Number the members' links locally, so set-up scales with the
-        // component rather than the topology.
+    /// Numbers the links of the members' routes locally, in first-use
+    /// order, so set-up scales with the component rather than the
+    /// topology. Returns the links in that order and each member's route
+    /// over the local numbers. The replay and its memo key share this
+    /// numbering, so a memo hit maps local link `k` back to `links[k]`.
+    fn localize(&self, members: &[usize]) -> (Vec<LinkId>, Vec<Vec<u32>>) {
         let mut local: BTreeMap<LinkId, u32> = BTreeMap::new();
-        let mut ids: Vec<LinkId> = Vec::new();
-        let mut flows = Vec::with_capacity(members.len());
-        for &i in members {
-            let a = &self.arrivals[i];
-            let route = a
-                .route
-                .iter()
-                .map(|&l| {
-                    *local.entry(l).or_insert_with(|| {
-                        ids.push(l);
-                        (ids.len() - 1) as u32
+        let mut links: Vec<LinkId> = Vec::new();
+        let routes = members
+            .iter()
+            .map(|&i| {
+                self.arrivals[i]
+                    .route
+                    .iter()
+                    .map(|&l| {
+                        *local.entry(l).or_insert_with(|| {
+                            links.push(l);
+                            (links.len() - 1) as u32
+                        })
                     })
-                })
-                .collect();
+                    .collect()
+            })
+            .collect();
+        (links, routes)
+    }
+
+    /// The shift-free input of a replay of `members`, whose earliest
+    /// arrival is `base`: per member, ascending, its arrival offset from
+    /// `base`, bytes, ACK latency, route length and local route; then
+    /// each local link's bandwidth and latency bits. Never a flow id, an
+    /// arrival index or an absolute time — any of them would make every
+    /// lookup miss.
+    fn memo_key(
+        &self,
+        members: &[usize],
+        base: VirtualTime,
+        links: &[LinkId],
+        routes: &[Vec<u32>],
+    ) -> Vec<u64> {
+        let hops: usize = routes.iter().map(Vec::len).sum();
+        let mut key = Vec::with_capacity(4 * members.len() + hops + 2 * links.len());
+        for (&i, route) in members.iter().zip(routes) {
+            let a = &self.arrivals[i];
+            key.extend([
+                (a.at - base).as_femtos(),
+                a.bytes,
+                a.rev_latency.as_femtos(),
+                route.len() as u64,
+            ]);
+            key.extend(route.iter().map(|&l| u64::from(l)));
+        }
+        for &l in links {
+            key.extend([
+                self.topo.bandwidth(l).to_bits(),
+                self.topo.latency(l).to_bits(),
+            ]);
+        }
+        key
+    }
+
+    /// The replay of one component: shifted from the memo when an earlier
+    /// replay had the same shift-free input, else simulated and stored
+    /// while the memo has room.
+    fn replay_component(&mut self, members: &[usize]) -> Replay {
+        let (links, routes) = self.localize(members);
+        let base = members
+            .iter()
+            .map(|&i| self.arrivals[i].at)
+            .min()
+            .expect("a component has a member");
+        let key = self.memo_key(members, base, &links, &routes);
+        if let Some(o) = self.memo.entries.get(&key) {
+            return Replay {
+                completion: o.completion.iter().map(|&d| base + d).collect(),
+                stats: o.stats,
+                links: links
+                    .into_iter()
+                    .zip(&o.links)
+                    .map(|(id, &(bytes, busy))| (id, bytes, busy))
+                    .collect(),
+            };
+        }
+        let replay = self.simulate(members, links, routes);
+        self.memo.insert(key, base, &replay);
+        replay
+    }
+
+    /// The whole-period oracle: simulates `members` without consulting
+    /// the memo.
+    #[cfg(test)]
+    fn replay(&self, members: &[usize]) -> Replay {
+        let (links, routes) = self.localize(members);
+        self.simulate(members, links, routes)
+    }
+
+    /// Deterministically simulates the listed arrivals of the open period
+    /// (ascending arrival indices, with their [localized](Self::localize)
+    /// links and routes) on otherwise idle links, and returns their
+    /// completions, packet statistics and link usage. Over one component
+    /// this equals the whole-period replay restricted to it; over every
+    /// arrival it *is* the whole-period replay.
+    fn simulate(&self, members: &[usize], ids: Vec<LinkId>, routes: Vec<Vec<u32>>) -> Replay {
+        let cfg = self.config;
+        let mut flows = Vec::with_capacity(members.len());
+        for (&i, route) in members.iter().zip(routes) {
+            let a = &self.arrivals[i];
             let total = a.bytes.div_ceil(cfg.mtu_bytes).max(1);
             flows.push(SimFlow {
                 route,
@@ -704,7 +859,7 @@ impl NetworkModel for PacketNetwork {
             bytes,
         });
         let members = self.join(idx);
-        let replay = self.replay(&members);
+        let replay = self.replay_component(&members);
         self.replays += 1;
         // Re-arm every live member whose projected completion moved; the
         // new flow was never armed, so it always gets its `Schedule`
@@ -806,11 +961,14 @@ impl NetworkModel for PacketNetwork {
     }
 
     fn iteration_invariant(&self) -> bool {
-        // The packet dynamics are time-shift invariant in principle, but
-        // the model keeps open-period projections and per-period
-        // commitment state that a statistics delta does not cover, so it
-        // conservatively opts out: its runs simulate every iteration and
-        // report the reason in `SimReport::replay`.
+        // The replay memo relies on, and every hit exercises, the packet
+        // dynamics' time-shift invariance: a component's input shifted by
+        // Δ replays to its outcome shifted by Δ. What is still missing is
+        // the boundary-state contract: a statistics delta and absorb for
+        // the committed packet counters, per-link usage and queue-depth
+        // histogram, and snapshots of them. Until the model has those, it
+        // opts out: its runs simulate every iteration (cheaply, through
+        // the memo) and report the reason in `SimReport::replay`.
         false
     }
 
@@ -1031,26 +1189,31 @@ mod tests {
         merged: usize,
         /// Busy periods closed, the script's last one included.
         closed: usize,
+        /// Sends that stored nothing in the memo: its hits, while its
+        /// budget does not bind.
+        hits: usize,
     }
 
-    /// Feeds `sends` (sorted by time) to `net`, delivering every flow at
-    /// its armed time, and returns the command stream. With `oracle`, each
-    /// step is checked against the whole-period replay: every send's
+    /// Feeds `sends` (sorted by time, none before `net`'s last delivery)
+    /// to `net`, delivering every flow at its armed time, and returns the
+    /// command stream. With `oracle`, each step is checked against the
+    /// whole-period replay, which never consults the memo: every send's
     /// commands are the ones re-simulating all of the period's arrivals
     /// would emit, every live flow is armed at that replay's completion,
     /// and the packet and link observations equal closed periods plus
-    /// that replay.
+    /// that replay. After every step the memo is within its budget.
     fn drive(
         net: &mut PacketNetwork,
         sends: &[Send],
         oracle: bool,
         tally: &mut Tally,
     ) -> Result<Vec<Vec<NetCommand>>, String> {
+        prop_assert_eq!(net.in_flight(), 0, "scripts start between periods");
         let mut armed: BTreeMap<FlowId, VirtualTime> = BTreeMap::new();
         let mut log = Vec::new();
         let mut whole = net.replay(&[]);
-        let mut base = PacketObservation::default();
-        let mut base_links = vec![(0, TimeSpan::ZERO); net.topo.link_count()];
+        let mut base = net.committed;
+        let mut base_links = net.committed_links.clone();
         let mut sends = sends.iter().peekable();
         loop {
             let due = armed.iter().map(|(&f, &at)| (at, f)).min();
@@ -1058,10 +1221,14 @@ mod tests {
             let cmds = match (send, due) {
                 (Some(&(at, src, dst, bytes)), _) => {
                     let before = net.components.len();
+                    let stored = net.memo.entries.len();
                     let (flow, cmds) = net.send(at, src, dst, bytes);
                     tally.sends += 1;
                     if net.components.len() <= before {
                         tally.merged += 1;
+                    }
+                    if net.memo.entries.len() == stored {
+                        tally.hits += 1;
                     }
                     if oracle {
                         let all: Vec<usize> = (0..net.arrivals.len()).collect();
@@ -1098,6 +1265,12 @@ mod tests {
                 }
             }
             log.push(cmds);
+            prop_assert!(
+                net.memo.words <= net.memo.budget,
+                "memo holds {} words, over its budget of {}",
+                net.memo.words,
+                net.memo.budget
+            );
             if oracle {
                 for (a, &at) in net.arrivals.iter().zip(&whole.completion) {
                     if let Some(&got) = armed.get(&a.flow) {
@@ -1147,11 +1320,14 @@ mod tests {
     /// just above multiples of the MTU. The scripts are drawn from the
     /// vendored proptest's deterministic stream in one loop, so the tally
     /// can show the oracle was not vacuous: sends did merge components,
-    /// and periods did close mid-script.
+    /// and periods did close mid-script. Every third script runs again
+    /// once it has drained, shifted by a random Δ; each of the repeat's
+    /// sends must hit the memo, and still match the oracle.
     #[test]
     fn component_replay_matches_whole_period_oracle() {
         const SCRIPTS: usize = 300;
         let mut rng = TestRng::from_name("component_replay_matches_whole_period_oracle");
+        let mut shifts = TestRng::from_name("component_replay_matches_whole_period_oracle/shift");
         let case = (
             (any::<u8>(), 4usize..9, any::<bool>()),
             prop::collection::vec(
@@ -1164,6 +1340,7 @@ mod tests {
             ),
         );
         let mut tally = Tally::default();
+        let mut shifted_sends = 0;
         for script in 0..SCRIPTS {
             let ((kind, n, shallow), steps) = case.generate(&mut rng);
             let topo = oracle_topology(kind, n);
@@ -1194,24 +1371,49 @@ mod tests {
                 })
                 .filter(|&(_, src, dst, _)| src == dst || topo.route(src, dst).is_ok())
                 .collect();
-            let checked = drive(
-                &mut PacketNetwork::with_config(topo.clone(), cfg),
-                &sends,
-                true,
-                &mut tally,
-            );
-            let again = drive(
-                &mut PacketNetwork::with_config(topo, cfg),
-                &sends,
-                false,
-                &mut Tally::default(),
-            );
-            match (checked, again) {
+            let mut net = PacketNetwork::with_config(topo.clone(), cfg);
+            let mut twin = PacketNetwork::with_config(topo, cfg);
+            let checked = drive(&mut net, &sends, true, &mut tally);
+            let again = drive(&mut twin, &sends, false, &mut Tally::default());
+            let log = match (checked, again) {
                 (Ok(a), Ok(b)) => {
-                    assert_eq!(a, b, "script {script}: command streams differ between runs")
+                    assert_eq!(a, b, "script {script}: command streams differ between runs");
+                    a
                 }
                 (Err(e), _) | (_, Err(e)) => panic!("script {script}: {e}"),
+            };
+            if script % 3 != 0 || sends.is_empty() {
+                continue;
             }
+            let drained = log
+                .iter()
+                .flatten()
+                .filter_map(|c| match *c {
+                    NetCommand::Schedule { at, .. } => Some(at),
+                    NetCommand::Cancel { .. } => None,
+                })
+                .max()
+                .expect("every send is scheduled");
+            let delta = (drained - sends[0].0)
+                + TimeSpan::from_femtos((0u64..1 << 40).generate(&mut shifts));
+            let repeat: Vec<Send> = sends
+                .iter()
+                .map(|&(at, src, dst, bytes)| (at + delta, src, dst, bytes))
+                .collect();
+            let mut shifted = Tally::default();
+            let checked = drive(&mut net, &repeat, true, &mut shifted);
+            let again = drive(&mut twin, &repeat, false, &mut Tally::default());
+            match (checked, again) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a, b, "script {script}: repeats differ between runs")
+                }
+                (Err(e), _) | (_, Err(e)) => panic!("script {script} shifted: {e}"),
+            }
+            assert_eq!(
+                shifted.hits, shifted.sends,
+                "script {script}: every shifted send must hit the memo"
+            );
+            shifted_sends += shifted.sends;
         }
         assert!(
             tally.merged * 10 >= tally.sends && tally.merged < tally.sends,
@@ -1221,6 +1423,117 @@ mod tests {
             tally.closed >= 2 * SCRIPTS,
             "too few periods closed mid-script: {tally:?}"
         );
+        assert!(
+            shifted_sends * 5 >= tally.sends,
+            "too few shifted sends: {shifted_sends} after {tally:?}"
+        );
+    }
+
+    /// Drives `sends` against the oracle and returns each flow's final
+    /// delivery time relative to the script's first send, and the tally.
+    fn relative_completions(net: &mut PacketNetwork, sends: &[Send]) -> (Vec<TimeSpan>, Tally) {
+        let first = net.next_flow;
+        let mut tally = Tally::default();
+        let log = drive(net, sends, true, &mut tally).expect("matches the oracle");
+        let mut done = vec![sends[0].0; sends.len()];
+        for c in log.iter().flatten() {
+            if let NetCommand::Schedule { flow, at } = *c {
+                done[usize::try_from(flow.0 - first).expect("a script-sized index")] = at;
+            }
+        }
+        (done.into_iter().map(|t| t - sends[0].0).collect(), tally)
+    }
+
+    /// One-link routes of the same shape: one link at half the
+    /// bandwidth and one at twice the latency both miss the memo and
+    /// deliver later, while repeating the first send hits and shifts its
+    /// outcome.
+    #[test]
+    fn memo_key_tells_links_apart() {
+        let mut topo = Topology::new(6);
+        topo.add_duplex(NodeId(0), NodeId(1), 50e9, 1e-6);
+        topo.add_duplex(NodeId(2), NodeId(3), 25e9, 1e-6);
+        topo.add_duplex(NodeId(4), NodeId(5), 50e9, 2e-6);
+        let mut net = PacketNetwork::new(topo);
+        let mut send = |ms: f64, src, dst| {
+            let at = VirtualTime::from_seconds(ms * 1e-3);
+            relative_completions(&mut net, &[(at, NodeId(src), NodeId(dst), 4_000_000)])
+        };
+        let (fast, cold) = send(0.0, 0, 1);
+        let (slow, narrow) = send(1.0, 2, 3);
+        let (far, long) = send(2.0, 4, 5);
+        let (again, warm) = send(3.0, 0, 1);
+        assert_eq!((cold.hits, narrow.hits, long.hits, warm.hits), (0, 0, 0, 1));
+        assert!(
+            slow[0] > fast[0],
+            "half the bandwidth: {slow:?} vs {fast:?}"
+        );
+        assert!(far[0] > fast[0], "twice the latency: {far:?} vs {fast:?}");
+        assert_eq!(again, fast);
+    }
+
+    /// Three flows into one GPU form a 3-member component. Repeated at
+    /// the same relative offsets, every send hits and delivers at the
+    /// same offsets; moving the third send by one femtosecond misses.
+    #[test]
+    fn memo_hits_only_at_equal_relative_offsets() {
+        let topo = Topology::pcie_host_tree(4, 16e9, 1e-6);
+        let mut net = PacketNetwork::with_config(topo, PacketConfig::shallow());
+        let mut incast = |s: f64, skew: u64| {
+            let sends: Vec<Send> = (1..=3u64)
+                .map(|k| {
+                    let off = k * 1_000_000_000 + if k == 3 { skew } else { 0 };
+                    let at = VirtualTime::from_seconds(s) + TimeSpan::from_femtos(off);
+                    (at, NodeId(k as usize), NodeId(4), 2_000_000)
+                })
+                .collect();
+            relative_completions(&mut net, &sends)
+        };
+        let (first, cold) = incast(0.0, 0);
+        let (repeat, warm) = incast(1.0, 0);
+        let (_, skewed) = incast(2.0, 1);
+        assert_eq!((cold.merged, cold.hits), (2, 0), "one 3-member component");
+        assert_eq!(warm.hits, 3);
+        assert_eq!(repeat, first);
+        assert_eq!(skewed.hits, 2, "a 1 fs later third send must miss");
+    }
+
+    /// With the memo shrunk to a few entries, the words stored never
+    /// exceed the budget (`drive` checks after every step), a full memo
+    /// stops storing, and every output still equals the oracle's and an
+    /// unbounded memo's.
+    #[test]
+    fn memo_stays_within_a_shrunk_budget() {
+        let topo = Topology::fat_tree(8, 2, 25e9, 5e-6, 4.0);
+        // Pairs of sends into one host, at six sizes: repeats hit, and
+        // two-member components mix with singletons.
+        let sends: Vec<Send> = (0..24u32)
+            .flat_map(|i| {
+                let at = VirtualTime::from_seconds(f64::from(i) * 1e-3);
+                let bytes = 100_000 + u64::from(i % 6) * 8_192;
+                let dst = NodeId((i as usize + 1) % 8);
+                [
+                    (at, NodeId(i as usize % 8), dst, bytes),
+                    (at, NodeId((i as usize + 4) % 8), dst, bytes),
+                ]
+            })
+            .collect();
+        let mut small = PacketNetwork::new(topo.clone());
+        small.memo.budget = 200;
+        let mut large = PacketNetwork::new(topo);
+        let mut tally = Tally::default();
+        let bounded = drive(&mut small, &sends, true, &mut tally).expect("matches the oracle");
+        let unbounded =
+            drive(&mut large, &sends, true, &mut Tally::default()).expect("matches the oracle");
+        assert_eq!(bounded, unbounded);
+        assert!(!small.memo.entries.is_empty());
+        assert!(
+            small.memo.entries.len() < large.memo.entries.len(),
+            "the budget must bind: {} of {} entries",
+            small.memo.entries.len(),
+            large.memo.entries.len()
+        );
+        assert!(large.memo.words > small.memo.budget);
     }
 
     /// The benchmark's shape: a DDP ring step on an 8-host fat tree is

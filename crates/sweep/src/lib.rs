@@ -44,4 +44,4 @@ pub use journal::{
     JournalLock, JournalWriter,
 };
 pub use progress::SweepProgress;
-pub use spec::{Scenario, ScenarioPatch, SpecError, SweepSpec};
+pub use spec::{Scenario, ScenarioPatch, SpecError, SweepSpec, MAX_SCENARIOS};

@@ -375,7 +375,7 @@ pub fn validate_snapshot_file(path: &Path) -> Result<(), CheckpointError> {
 /// Startup hygiene: removes stale `.tmp` staging files from a
 /// checkpoint directory.
 ///
-/// A crash between [`write_snapshot`]'s `File::create(tmp)` and its
+/// A crash between `write_snapshot`'s `File::create(tmp)` and its
 /// atomic rename leaves the `.tmp` sibling behind. The rename protocol
 /// means such a file can never be *read* as a snapshot (restore only
 /// opens the final path), but without cleanup it leaks forever — one

@@ -50,8 +50,9 @@ pub enum SimError {
         limit: u64,
     },
     /// A checkpoint snapshot could not be written, read, or applied.
-    /// Carries the typed cause; see [`CheckpointError`] for the taxonomy
-    /// (I/O, corruption, spec mismatch, future format version).
+    /// Carries the typed cause; see
+    /// [`CheckpointError`](crate::CheckpointError) for the taxonomy (I/O,
+    /// corruption, spec mismatch, future format version).
     Checkpoint(crate::checkpoint::CheckpointError),
 }
 
