@@ -1,5 +1,6 @@
 //! Golden snapshot tests: canonical `SimReport` JSON for a small
-//! DP/DDP/TP/PP scenario quartet, committed under `tests/golden/`.
+//! DP/DDP/TP/PP scenario quartet and a hybrid DP x PP run, committed
+//! under `tests/golden/`.
 //!
 //! Any drift in a simulation-determined field — totals, per-GPU
 //! occupancy, queue/network counters, or the order-sensitive timeline
@@ -30,20 +31,20 @@ fn bless_mode() -> bool {
     std::env::var_os("TRIOSIM_BLESS").is_some_and(|v| v == "1")
 }
 
-/// The quartet's shared configuration: VGG-11 traced at batch 8 on an
-/// A40, simulated on two NVLink'd A100s (P2). Small enough to run in
-/// milliseconds, rich enough that every report field is non-trivial.
-fn canonical_report(parallelism: Parallelism) -> String {
+/// The goldens' shared trace: VGG-11 traced at batch 8 on an A40,
+/// simulated on `platform`. The quartet runs on two NVLink'd A100s (P2).
+/// Small enough to run in milliseconds, rich enough that every report
+/// field is non-trivial.
+fn canonical_report(platform: &Platform, parallelism: Parallelism) -> String {
     let trace = Tracer::new(GpuModel::A40).trace(&ModelId::Vgg11.build(8));
-    let platform = Platform::p2(2);
-    let report = SimBuilder::new(&trace, &platform)
+    let report = SimBuilder::new(&trace, platform)
         .parallelism(parallelism)
         .run();
     serde_json::to_string(&report.to_canonical_json()).expect("canonical JSON is finite")
 }
 
 fn check(name: &str, parallelism: Parallelism) {
-    check_snapshot(name, &canonical_report(parallelism));
+    check_snapshot(name, &canonical_report(&Platform::p2(2), parallelism));
 }
 
 /// Compares `actual` with the committed `tests/golden/{name}.json`, or
@@ -89,6 +90,17 @@ fn golden_tp() {
 #[test]
 fn golden_pp() {
     check("pp", Parallelism::Pipeline { chunks: 2 });
+}
+
+/// Hybrid DP x PP on four GPUs: two data-parallel groups of two pipeline
+/// stages each, whose per-stage gradient AllReduce runs over a GPU map.
+#[test]
+fn golden_hp() {
+    let parallelism = Parallelism::Hybrid {
+        dp_groups: 2,
+        chunks: 2,
+    };
+    check_snapshot("hp", &canonical_report(&Platform::p2(4), parallelism));
 }
 
 /// FNV-1a over `bytes`, as 16 hex digits: keeps a large export's
@@ -177,7 +189,8 @@ fn golden_quartet_is_replay_invariant() {
 /// aggregate totals, by checking two different configurations disagree.
 #[test]
 fn canonical_form_is_sensitive_to_configuration() {
-    let a = canonical_report(Parallelism::DataParallel { overlap: true });
-    let b = canonical_report(Parallelism::TensorParallel);
+    let p = Platform::p2(2);
+    let a = canonical_report(&p, Parallelism::DataParallel { overlap: true });
+    let b = canonical_report(&p, Parallelism::TensorParallel);
     assert_ne!(a, b);
 }
