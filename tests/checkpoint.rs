@@ -159,6 +159,29 @@ fn restore_from_every_boundary_is_byte_identical() {
     }
 }
 
+/// `tests/fixtures/ddp_boundary2.ckpt` was written by an earlier build:
+/// the golden quartet's DDP scenario after 2 iterations, with cadence 2.
+/// Every other restore test writes its snapshot with the binary under
+/// test, so only this one notices a spec hash or snapshot format that
+/// drifted between builds.
+#[test]
+fn committed_snapshot_restores_byte_identically() {
+    let t = Tracer::new(GpuModel::A40).trace(&ModelId::Vgg11.build(8));
+    let p = Platform::p2(2);
+    let b = || {
+        SimBuilder::new(&t, &p)
+            .parallelism(Parallelism::DataParallel { overlap: true })
+            .iterations(4)
+    };
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/ddp_boundary2.ckpt");
+    let restored = b()
+        .restore(&fixture)
+        .try_run()
+        .expect("the committed snapshot restores");
+    assert_eq!(b().run().to_canonical_json(), restored.to_canonical_json());
+}
+
 #[test]
 fn restore_of_a_finished_run_reproduces_its_report() {
     let t = trace(ModelId::Vgg11, 8);
