@@ -1,5 +1,6 @@
 //! Operators: the unit of work in a trace.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -337,16 +338,27 @@ impl Operator {
     ///
     /// Panics if `old_batch` or `new_batch` is zero.
     pub fn with_batch_scaled(&self, old_batch: u64, new_batch: u64) -> Operator {
+        self.at_batch(old_batch, new_batch).into_owned()
+    }
+
+    /// [`with_batch_scaled`](Self::with_batch_scaled), borrowing `self`
+    /// instead of copying it when the rescale leaves it unchanged (same
+    /// batch, or an optimizer step, whose work is per parameter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `old_batch` or `new_batch` is zero.
+    pub fn at_batch(&self, old_batch: u64, new_batch: u64) -> Cow<'_, Operator> {
         assert!(
             old_batch > 0 && new_batch > 0,
             "batch sizes must be positive"
         );
         if old_batch == new_batch || self.class == OpClass::Optimizer {
-            return self.clone();
+            return Cow::Borrowed(self);
         }
         let ratio = new_batch as f64 / old_batch as f64;
         let scale_bytes = |b: u64| -> u64 { (b as f64 * ratio).round() as u64 };
-        Operator {
+        Cow::Owned(Operator {
             name: self.name.clone(),
             class: self.class,
             flops: self.flops * ratio,
@@ -356,7 +368,7 @@ impl Operator {
             output: self
                 .output
                 .with_batch(((self.output.batch() as f64) * ratio).round().max(1.0) as u64),
-        }
+        })
     }
 }
 

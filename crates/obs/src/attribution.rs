@@ -32,8 +32,6 @@
 //! [`BottleneckReport`] is part of the canonical report surface and is
 //! byte-identical across hosts, thread counts, and observability on/off.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize, Value};
 use triosim_des::{TimeSpan, VirtualTime};
 
@@ -75,12 +73,18 @@ impl TaskClass {
     }
 }
 
-/// Immutable dependency table in CSR form: `deps(t)` is the list of
-/// tasks that must finish before task `t` may start.
-#[derive(Debug, Clone)]
+/// Index of a task within its task graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TaskId(pub usize);
+
+/// Every task's dependencies in one flat table, appended task by task:
+/// task `t`'s are `edges[ends[t - 1]..ends[t]]` (from 0 for task 0), in
+/// the order they were given. A task graph owns the only copy; the
+/// executor and the critical-path walk read it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DepTable {
-    offsets: Vec<u32>,
-    edges: Vec<u32>,
+    ends: Vec<u32>,
+    edges: Vec<TaskId>,
 }
 
 impl DepTable {
@@ -88,30 +92,51 @@ impl DepTable {
     pub fn new<I, D>(deps_per_task: I) -> Self
     where
         I: IntoIterator<Item = D>,
-        D: IntoIterator<Item = u32>,
+        D: IntoIterator<Item = TaskId>,
     {
-        let mut offsets = vec![0u32];
-        let mut edges = Vec::new();
+        let mut table = DepTable::default();
         for deps in deps_per_task {
-            edges.extend(deps);
-            offsets.push(edges.len() as u32);
+            table.push(deps);
         }
-        DepTable { offsets, edges }
+        table
+    }
+
+    /// Appends the next task's dependencies and returns them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table would exceed `u32::MAX` edges.
+    pub fn push(&mut self, deps: impl IntoIterator<Item = TaskId>) -> &[TaskId] {
+        let start = self.edges.len();
+        self.edges.extend(deps);
+        let end = u32::try_from(self.edges.len()).expect("dependency edges fit in u32");
+        self.ends.push(end);
+        &self.edges[start..]
     }
 
     /// Number of tasks covered by the table.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.ends.len()
     }
 
     /// True when the table covers no tasks.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ends.is_empty()
     }
 
-    /// Dependencies of task `t`.
-    pub fn deps(&self, t: usize) -> &[u32] {
-        &self.edges[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+    /// Dependencies of task `t`, in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not below [`len`](Self::len).
+    pub fn deps(&self, t: usize) -> &[TaskId] {
+        let start = t.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.edges[start..self.ends[t] as usize]
+    }
+
+    /// Every task's dependencies, task after task.
+    pub fn edges(&self) -> &[TaskId] {
+        &self.edges
     }
 }
 
@@ -120,9 +145,14 @@ impl DepTable {
 /// `start[t]`/`finish[t]` are `None` for tasks that did not execute
 /// (possible only on aborted iterations, which are never recorded).
 /// `gpu_pred[t]` is the compute task that freed task `t`'s GPU, for
-/// compute tasks that had to wait on the serial stream.
+/// compute tasks that had to wait on the serial stream. The task
+/// structure (`classes`, `deps`) is the graph's own, borrowed.
 #[derive(Debug)]
 pub struct IterationObservation<'a> {
+    /// Per-task classification.
+    pub classes: &'a [TaskClass],
+    /// The graph's dependency table.
+    pub deps: &'a DepTable,
     /// Virtual time the iteration began (roots seeded).
     pub begin: VirtualTime,
     /// Virtual time the iteration's last event fired.
@@ -194,12 +224,11 @@ pub struct AttributionState {
 
 /// Accumulates per-iteration attribution state across a run.
 ///
-/// It owns no task labels: [`finish`](Self::finish) borrows them from
-/// the caller, which already stores each one.
+/// It owns no task structure: each [`IterationObservation`] and
+/// [`finish`](Self::finish) borrow the graph's classes, dependencies and
+/// labels from the caller, which already stores each one.
 #[derive(Debug)]
 pub struct AttributionAccumulator {
-    classes: Vec<TaskClass>,
-    deps: DepTable,
     /// Accumulated on-critical-path duration and hit count per task.
     on_path: Vec<(TimeSpan, u64)>,
     per_gpu: Vec<BucketTicks>,
@@ -214,15 +243,10 @@ pub struct AttributionAccumulator {
 }
 
 impl AttributionAccumulator {
-    /// Creates an accumulator for `gpus` GPUs over the given static task
-    /// structure. `classes` and `deps` must be index-aligned.
-    pub fn new(gpus: usize, classes: Vec<TaskClass>, deps: DepTable) -> Self {
-        assert_eq!(classes.len(), deps.len());
-        let n = classes.len();
+    /// Creates an empty accumulator for `tasks` tasks on `gpus` GPUs.
+    pub fn new(gpus: usize, tasks: usize) -> Self {
         AttributionAccumulator {
-            classes,
-            deps,
-            on_path: vec![(TimeSpan::ZERO, 0); n],
+            on_path: vec![(TimeSpan::ZERO, 0); tasks],
             per_gpu: vec![BucketTicks::default(); gpus],
             path_total: TimeSpan::ZERO,
             path_compute: TimeSpan::ZERO,
@@ -246,7 +270,16 @@ impl AttributionAccumulator {
     }
 
     /// Folds one completed iteration into the running totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `it` does not cover this accumulator's task count.
     pub fn record_iteration(&mut self, it: &IterationObservation<'_>) {
+        let n = self.on_path.len();
+        assert!(
+            it.classes.len() == n && it.deps.len() == n && it.finish.len() == n,
+            "observation must cover the accumulator's {n} tasks"
+        );
         self.iterations += 1;
         self.walk_critical_path(it);
         self.bucket_gpu_time(it);
@@ -259,19 +292,15 @@ impl AttributionAccumulator {
     /// some iterations, in iteration order, yields byte-for-byte the
     /// state recording them all here would have reached. Steady-state
     /// replay absorbs one verified iteration's accumulator per iteration
-    /// it synthesizes. `other` must share this accumulator's task
-    /// structure (same classes/deps) and its iterations must
-    /// chronologically follow this one's — its `last_path` becomes the
-    /// merged "most recent" path when it recorded any iterations.
+    /// it synthesizes. `other` must have recorded iterations of the same
+    /// task graph, chronologically after this one's — its `last_path`
+    /// becomes the merged "most recent" path when it recorded any.
     pub fn absorb(&mut self, other: &AttributionAccumulator) {
-        // Replay absorbs once per synthesized iteration: the full class
-        // comparison is a debug check, the length check is always on.
         assert_eq!(
-            self.classes.len(),
-            other.classes.len(),
+            self.on_path.len(),
+            other.on_path.len(),
             "absorbed accumulator must cover the same task graph"
         );
-        debug_assert_eq!(self.classes, other.classes);
         for (mine, theirs) in self.on_path.iter_mut().zip(&other.on_path) {
             mine.0 += theirs.0;
             mine.1 += theirs.1;
@@ -363,12 +392,12 @@ impl AttributionAccumulator {
         if let Some(seg) = state
             .last_path
             .iter()
-            .find(|seg| seg.task as usize >= self.classes.len())
+            .find(|seg| seg.task as usize >= self.on_path.len())
         {
             return Err(format!(
                 "attribution state path references task {} but the graph has {}",
                 seg.task,
-                self.classes.len()
+                self.on_path.len()
             ));
         }
         self.on_path.clone_from(&state.on_path);
@@ -421,7 +450,7 @@ impl AttributionAccumulator {
             self.on_path[cur].0 += seg;
             self.on_path[cur].1 += 1;
             self.path_total += seg;
-            match self.classes[cur] {
+            match it.classes[cur] {
                 TaskClass::Compute { .. } => self.path_compute += seg,
                 TaskClass::Comm { .. } => self.path_comm += seg,
                 TaskClass::Sync => {}
@@ -432,8 +461,7 @@ impl AttributionAccumulator {
             // The dependency that released this task: finished exactly
             // at `s`, smallest index wins ties.
             let mut pred: Option<usize> = None;
-            for &d in self.deps.deps(cur) {
-                let d = d as usize;
+            for &TaskId(d) in it.deps.deps(cur) {
                 if it.finish[d] == Some(s) && pred.is_none_or(|p| d < p) {
                     pred = Some(d);
                 }
@@ -467,11 +495,11 @@ impl AttributionAccumulator {
         for v in &mut self.scratch_comm {
             v.clear();
         }
-        for t in 0..self.classes.len() {
+        for (t, class) in it.classes.iter().enumerate() {
             let (Some(s), Some(f)) = (it.start[t], it.finish[t]) else {
                 continue;
             };
-            match self.classes[t] {
+            match *class {
                 TaskClass::Compute { gpu } => self.scratch_compute[gpu].push((s, f)),
                 TaskClass::Comm { src_gpu, dst_gpu } => {
                     if let Some(g) = src_gpu {
@@ -504,45 +532,28 @@ impl AttributionAccumulator {
 
     /// Folds the accumulated state into a [`BottleneckReport`].
     ///
-    /// `label(t)` names task `t`; `links` is the network layer's per-link
+    /// `label(t)` names task `t` and `classes` classifies it, as in the
+    /// recorded observations; `links` is the network layer's per-link
     /// busy accounting (already converted by the caller);
     /// `lost_compute_s` is the fault layer's per-GPU dilation attribution
     /// when a fault plan ran.
     pub fn finish<'l>(
         &self,
         label: impl Fn(usize) -> &'l str,
+        classes: &[TaskClass],
         mut links: Vec<HotLink>,
         lost_compute_s: Option<&[f64]>,
     ) -> BottleneckReport {
-        // Top critical ops: merge per-task path time by label, then rank.
-        let mut by_label: HashMap<&str, (TimeSpan, u64, &'static str)> = HashMap::new();
-        for (t, &(ticks, count)) in self.on_path.iter().enumerate() {
-            if count == 0 || matches!(self.classes[t], TaskClass::Sync) {
-                continue;
-            }
-            let e =
-                by_label
-                    .entry(label(t))
-                    .or_insert((TimeSpan::ZERO, 0, self.classes[t].kind_str()));
-            e.0 += ticks;
-            e.1 += count;
-        }
-        let mut ops: Vec<(&str, TimeSpan, u64, &'static str)> = by_label
-            .into_iter()
-            .map(|(l, (t, c, k))| (l, t, c, k))
-            .collect();
-        ops.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        ops.truncate(DEFAULT_TOP_K);
         let path_total_s = self.path_total.as_seconds();
-        let top_ops = ops
+        let top_ops = top_ops(&self.on_path, label, classes)
             .into_iter()
-            .map(|(label, ticks, count, kind)| CriticalOp {
-                label: label.to_string(),
-                kind,
-                seconds: ticks.as_seconds(),
-                count,
+            .map(|op| CriticalOp {
+                label: op.label.to_string(),
+                kind: op.kind,
+                seconds: op.ticks.as_seconds(),
+                count: op.count,
                 share: if path_total_s > 0.0 {
-                    ticks.as_seconds() / path_total_s
+                    op.ticks.as_seconds() / path_total_s
                 } else {
                     0.0
                 },
@@ -609,6 +620,67 @@ impl AttributionAccumulator {
             hottest_links: links,
         }
     }
+}
+
+/// One label's critical-path totals, before ranking.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LabelTotal<'l> {
+    label: &'l str,
+    ticks: TimeSpan,
+    count: u64,
+    kind: &'static str,
+}
+
+impl LabelTotal<'_> {
+    /// Rank order: more critical-path time first, then by label.
+    fn rank(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .ticks
+            .cmp(&self.ticks)
+            .then_with(|| self.label.cmp(other.label))
+    }
+}
+
+/// The [`DEFAULT_TOP_K`] labels with the most critical-path time, in rank
+/// order. Tasks sharing a label merge into one entry, whose kind is its
+/// lowest-indexed task's; barriers never rank.
+fn top_ops<'l>(
+    on_path: &[(TimeSpan, u64)],
+    label: impl Fn(usize) -> &'l str,
+    classes: &[TaskClass],
+) -> Vec<LabelTotal<'l>> {
+    // Group by sorting: equal labels become adjacent, lowest index first.
+    let mut tasks: Vec<(&str, usize)> = on_path
+        .iter()
+        .enumerate()
+        .filter(|&(t, &(_, count))| count > 0 && !matches!(classes[t], TaskClass::Sync))
+        .map(|(t, _)| (label(t), t))
+        .collect();
+    tasks.sort_unstable();
+    let mut totals: Vec<LabelTotal<'l>> = Vec::with_capacity(tasks.len());
+    for (label, t) in tasks {
+        let (ticks, count) = on_path[t];
+        match totals.last_mut() {
+            Some(last) if last.label == label => {
+                last.ticks += ticks;
+                last.count += count;
+            }
+            _ => totals.push(LabelTotal {
+                label,
+                ticks,
+                count,
+                kind: classes[t].kind_str(),
+            }),
+        }
+    }
+    // Labels are unique now, so the rank order is total: selecting the
+    // top k and sorting only those matches a full sort's first k.
+    if totals.len() > DEFAULT_TOP_K {
+        totals.select_nth_unstable_by(DEFAULT_TOP_K - 1, LabelTotal::rank);
+        totals.truncate(DEFAULT_TOP_K);
+    }
+    totals.sort_unstable_by(LabelTotal::rank);
+    totals
 }
 
 /// One entry in the top-k critical-op ranking.
@@ -832,10 +904,45 @@ mod tests {
         VirtualTime::from_seconds(s)
     }
 
+    /// A task graph's structure, as the executor lends it.
+    struct Graph {
+        classes: Vec<TaskClass>,
+        deps: DepTable,
+    }
+
+    impl Graph {
+        fn new(classes: Vec<TaskClass>, deps: Vec<Vec<usize>>) -> Self {
+            let deps = DepTable::new(deps.into_iter().map(|d| d.into_iter().map(TaskId)));
+            Graph { classes, deps }
+        }
+
+        fn accumulator(&self, gpus: usize) -> AttributionAccumulator {
+            AttributionAccumulator::new(gpus, self.classes.len())
+        }
+
+        fn observe<'a>(
+            &'a self,
+            (begin, end): (f64, f64),
+            start: &'a [Option<VirtualTime>],
+            finish: &'a [Option<VirtualTime>],
+            gpu_pred: &'a [Option<u32>],
+        ) -> IterationObservation<'a> {
+            IterationObservation {
+                classes: &self.classes,
+                deps: &self.deps,
+                begin: t(begin),
+                end: t(end),
+                start,
+                finish,
+                gpu_pred,
+            }
+        }
+    }
+
     /// Two GPUs: g0 computes [0,2], a transfer g0→g1 runs [2,3], g1
     /// computes [3,4]. Critical path is the whole chain; g1 has 1s of
     /// exposed comm and 2s idle.
-    fn chain_accumulator() -> AttributionAccumulator {
+    fn chain() -> Graph {
         let classes = vec![
             TaskClass::Compute { gpu: 0 },
             TaskClass::Comm {
@@ -844,8 +951,7 @@ mod tests {
             },
             TaskClass::Compute { gpu: 1 },
         ];
-        let deps = DepTable::new(vec![vec![], vec![0u32], vec![1u32]]);
-        AttributionAccumulator::new(2, classes, deps)
+        Graph::new(classes, vec![vec![], vec![0], vec![1]])
     }
 
     /// The chain's task labels.
@@ -853,28 +959,32 @@ mod tests {
         ["a", "x", "b"][t]
     }
 
-    fn chain_observation<'a>(
-        start: &'a [Option<VirtualTime>],
-        finish: &'a [Option<VirtualTime>],
-        gpu_pred: &'a [Option<u32>],
-    ) -> IterationObservation<'a> {
-        IterationObservation {
-            begin: t(0.0),
-            end: t(4.0),
-            start,
-            finish,
-            gpu_pred,
+    /// Records the chain's one iteration into `acc`.
+    fn record_chain(g: &Graph, acc: &mut AttributionAccumulator) {
+        let start = [Some(t(0.0)), Some(t(2.0)), Some(t(3.0))];
+        let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
+        let pred = [None, None, None];
+        acc.record_iteration(&g.observe((0.0, 4.0), &start, &finish, &pred));
+    }
+
+    #[test]
+    fn dep_table_reads_back_each_task_in_insertion_order() {
+        let lists = vec![vec![], vec![TaskId(0)], vec![], vec![TaskId(2), TaskId(0), TaskId(1)]];
+        let table = DepTable::new(lists.clone());
+        assert_eq!(table.len(), 4);
+        for (i, list) in lists.iter().enumerate() {
+            assert_eq!(table.deps(i), list.as_slice());
         }
+        assert_eq!(table.edges(), &[TaskId(0), TaskId(2), TaskId(0), TaskId(1)]);
+        assert!(DepTable::default().is_empty());
     }
 
     #[test]
     fn critical_path_covers_the_chain() {
-        let mut acc = chain_accumulator();
-        let start = [Some(t(0.0)), Some(t(2.0)), Some(t(3.0))];
-        let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
-        let pred = [None, None, None];
-        acc.record_iteration(&chain_observation(&start, &finish, &pred));
-        let r = acc.finish(chain_label, Vec::new(), None);
+        let g = chain();
+        let mut acc = g.accumulator(2);
+        record_chain(&g, &mut acc);
+        let r = acc.finish(chain_label, &g.classes, Vec::new(), None);
         assert_eq!(r.iterations, 1);
         assert!((r.critical_path_s - 4.0).abs() < 1e-12);
         assert!((r.path_compute_s - 3.0).abs() < 1e-12);
@@ -887,33 +997,31 @@ mod tests {
 
     #[test]
     fn absorb_matches_recording_the_iterations_serially() {
-        let start = [Some(t(0.0)), Some(t(2.0)), Some(t(3.0))];
-        let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
-        let pred = [None, None, None];
+        let g = chain();
 
         // Serial oracle: both iterations into one accumulator.
-        let mut serial = chain_accumulator();
-        serial.record_iteration(&chain_observation(&start, &finish, &pred));
-        serial.record_iteration(&chain_observation(&start, &finish, &pred));
+        let mut serial = g.accumulator(2);
+        record_chain(&g, &mut serial);
+        record_chain(&g, &mut serial);
 
         // Split shape: one iteration each, then absorb in order.
-        let mut first = chain_accumulator();
-        first.record_iteration(&chain_observation(&start, &finish, &pred));
-        let mut second = chain_accumulator();
-        second.record_iteration(&chain_observation(&start, &finish, &pred));
+        let mut first = g.accumulator(2);
+        record_chain(&g, &mut first);
+        let mut second = g.accumulator(2);
+        record_chain(&g, &mut second);
         first.absorb(&second);
 
         assert_eq!(first.iterations(), serial.iterations());
         assert_eq!(first.last_path(), serial.last_path());
         let stringify = |acc: &AttributionAccumulator| {
-            serde_json::to_string(&acc.finish(chain_label, Vec::new(), None).to_value())
+            serde_json::to_string(&acc.finish(chain_label, &g.classes, Vec::new(), None).to_value())
                 .expect("attribution JSON is finite")
         };
         assert_eq!(stringify(&first), stringify(&serial));
 
         // Absorbing an empty accumulator changes nothing.
         let snapshot = stringify(&first);
-        first.absorb(&chain_accumulator());
+        first.absorb(&g.accumulator(2));
         assert_eq!(stringify(&first), snapshot);
 
         // Shifting moves the path and nothing else.
@@ -929,12 +1037,10 @@ mod tests {
 
     #[test]
     fn buckets_partition_each_gpus_time() {
-        let mut acc = chain_accumulator();
-        let start = [Some(t(0.0)), Some(t(2.0)), Some(t(3.0))];
-        let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
-        let pred = [None, None, None];
-        acc.record_iteration(&chain_observation(&start, &finish, &pred));
-        let r = acc.finish(chain_label, Vec::new(), None);
+        let g = chain();
+        let mut acc = g.accumulator(2);
+        record_chain(&g, &mut acc);
+        let r = acc.finish(chain_label, &g.classes, Vec::new(), None);
         let g0 = r.per_gpu[0];
         let g1 = r.per_gpu[1];
         assert!((g0.compute_s - 2.0).abs() < 1e-12);
@@ -960,19 +1066,13 @@ mod tests {
                 dst_gpu: Some(1),
             },
         ];
-        let deps = DepTable::new(vec![vec![], vec![]]);
-        let mut acc = AttributionAccumulator::new(2, classes, deps);
+        let g = Graph::new(classes, vec![vec![], vec![]]);
+        let mut acc = g.accumulator(2);
         let start = [Some(t(0.0)), Some(t(1.0))];
         let finish = [Some(t(4.0)), Some(t(3.0))];
         let pred = [None, None];
-        acc.record_iteration(&IterationObservation {
-            begin: t(0.0),
-            end: t(4.0),
-            start: &start,
-            finish: &finish,
-            gpu_pred: &pred,
-        });
-        let r = acc.finish(chain_label, Vec::new(), None);
+        acc.record_iteration(&g.observe((0.0, 4.0), &start, &finish, &pred));
+        let r = acc.finish(chain_label, &g.classes, Vec::new(), None);
         assert!((r.per_gpu[0].overlapped_comm_s - 2.0).abs() < 1e-12);
         assert!(r.per_gpu[0].exposed_comm_s.abs() < 1e-12);
         assert!((r.per_gpu[1].exposed_comm_s - 2.0).abs() < 1e-12);
@@ -985,19 +1085,13 @@ mod tests {
         // not for a dependency. The walk must pass through a via
         // gpu_pred.
         let classes = vec![TaskClass::Compute { gpu: 0 }, TaskClass::Compute { gpu: 0 }];
-        let deps = DepTable::new(vec![vec![], vec![]]);
-        let mut acc = AttributionAccumulator::new(1, classes, deps);
+        let g = Graph::new(classes, vec![vec![], vec![]]);
+        let mut acc = g.accumulator(1);
         let start = [Some(t(0.0)), Some(t(2.0))];
         let finish = [Some(t(2.0)), Some(t(5.0))];
         let pred = [None, Some(0)];
-        acc.record_iteration(&IterationObservation {
-            begin: t(0.0),
-            end: t(5.0),
-            start: &start,
-            finish: &finish,
-            gpu_pred: &pred,
-        });
-        let r = acc.finish(|t| ["a", "b"][t], Vec::new(), None);
+        acc.record_iteration(&g.observe((0.0, 5.0), &start, &finish, &pred));
+        let r = acc.finish(|t| ["a", "b"][t], &g.classes, Vec::new(), None);
         assert!((r.critical_path_s - 5.0).abs() < 1e-12);
         assert_eq!(r.top_ops.len(), 2);
         assert_eq!(r.top_ops[0].label, "b");
@@ -1008,19 +1102,13 @@ mod tests {
     fn straggler_flagged_against_median() {
         // Four GPUs, one 3x slower than the rest.
         let classes: Vec<TaskClass> = (0..4).map(|gpu| TaskClass::Compute { gpu }).collect();
-        let deps = DepTable::new((0..4).map(|_| Vec::<u32>::new()));
-        let mut acc = AttributionAccumulator::new(4, classes, deps);
+        let g = Graph::new(classes, vec![vec![]; 4]);
+        let mut acc = g.accumulator(4);
         let start = [Some(t(0.0)), Some(t(0.0)), Some(t(0.0)), Some(t(0.0))];
         let finish = [Some(t(1.0)), Some(t(1.0)), Some(t(1.0)), Some(t(3.0))];
         let pred = [None, None, None, None];
-        acc.record_iteration(&IterationObservation {
-            begin: t(0.0),
-            end: t(3.0),
-            start: &start,
-            finish: &finish,
-            gpu_pred: &pred,
-        });
-        let r = acc.finish(|_| "k", Vec::new(), Some(&[0.0, 0.0, 0.0, 2.0]));
+        acc.record_iteration(&g.observe((0.0, 3.0), &start, &finish, &pred));
+        let r = acc.finish(|_| "k", &g.classes, Vec::new(), Some(&[0.0, 0.0, 0.0, 2.0]));
         assert_eq!(r.stragglers.len(), 1);
         assert_eq!(r.stragglers[0].gpu, 3);
         assert!((r.stragglers[0].vs_median - 3.0).abs() < 1e-12);
@@ -1030,25 +1118,20 @@ mod tests {
     #[test]
     fn balanced_gpus_produce_no_stragglers() {
         let classes: Vec<TaskClass> = (0..2).map(|gpu| TaskClass::Compute { gpu }).collect();
-        let deps = DepTable::new((0..2).map(|_| Vec::<u32>::new()));
-        let mut acc = AttributionAccumulator::new(2, classes, deps);
+        let g = Graph::new(classes, vec![vec![]; 2]);
+        let mut acc = g.accumulator(2);
         let start = [Some(t(0.0)), Some(t(0.0))];
         let finish = [Some(t(1.0)), Some(t(1.0))];
         let pred = [None, None];
-        acc.record_iteration(&IterationObservation {
-            begin: t(0.0),
-            end: t(1.0),
-            start: &start,
-            finish: &finish,
-            gpu_pred: &pred,
-        });
-        let r = acc.finish(|_| "k", Vec::new(), None);
+        acc.record_iteration(&g.observe((0.0, 1.0), &start, &finish, &pred));
+        let r = acc.finish(|_| "k", &g.classes, Vec::new(), None);
         assert!(r.stragglers.is_empty());
     }
 
     #[test]
     fn hot_links_ranked_and_truncated() {
-        let acc = chain_accumulator();
+        let g = chain();
+        let acc = g.accumulator(2);
         let links: Vec<HotLink> = (0..12)
             .map(|i| HotLink {
                 label: format!("l{i:02}"),
@@ -1057,19 +1140,88 @@ mod tests {
                 utilization: 0.0,
             })
             .collect();
-        let r = acc.finish(chain_label, links, None);
+        let r = acc.finish(chain_label, &g.classes, links, None);
         assert_eq!(r.hottest_links.len(), DEFAULT_TOP_K);
         assert_eq!(r.hottest_links[0].label, "l11");
     }
 
+    /// The ranking `top_ops` must reproduce: merge by label in a map,
+    /// kind from the lowest index, full sort, keep the first k.
+    fn top_ops_by_full_sort<'l>(
+        on_path: &[(TimeSpan, u64)],
+        label: impl Fn(usize) -> &'l str,
+        classes: &[TaskClass],
+    ) -> Vec<LabelTotal<'l>> {
+        let mut by_label: std::collections::BTreeMap<&str, LabelTotal<'l>> = Default::default();
+        for (t, &(ticks, count)) in on_path.iter().enumerate() {
+            if count == 0 || matches!(classes[t], TaskClass::Sync) {
+                continue;
+            }
+            let e = by_label.entry(label(t)).or_insert(LabelTotal {
+                label: label(t),
+                ticks: TimeSpan::ZERO,
+                count: 0,
+                kind: classes[t].kind_str(),
+            });
+            e.ticks += ticks;
+            e.count += count;
+        }
+        let mut ops: Vec<LabelTotal<'l>> = by_label.into_values().collect();
+        ops.sort_by(LabelTotal::rank);
+        ops.truncate(DEFAULT_TOP_K);
+        ops
+    }
+
+    #[test]
+    fn top_k_selection_matches_a_full_sort() {
+        // SplitMix64: a dependency-free, seeded stream.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let names: Vec<String> = (0..40).map(|i| format!("op{i}")).collect();
+        let kinds = [
+            TaskClass::Compute { gpu: 0 },
+            TaskClass::Comm {
+                src_gpu: None,
+                dst_gpu: Some(0),
+            },
+            TaskClass::Sync,
+        ];
+        for case in 0..300 {
+            // Few tasks (fewer than k groups), few distinct labels (many
+            // repeats) and coarse ticks (many ties) all occur.
+            let tasks = 1 + next(if case % 3 == 0 { 8 } else { 120 }) as usize;
+            let distinct = 1 + next(if case % 2 == 0 { 6 } else { 40 }) as usize;
+            let labels: Vec<&str> = (0..tasks)
+                .map(|_| names[next(distinct as u64) as usize].as_str())
+                .collect();
+            let classes: Vec<TaskClass> = (0..tasks).map(|_| kinds[next(3) as usize]).collect();
+            let on_path: Vec<(TimeSpan, u64)> = (0..tasks)
+                .map(|_| {
+                    let count = next(3);
+                    (TimeSpan::from_femtos(next(4) * 1_000), count)
+                })
+                .collect();
+            let label = |t: usize| labels[t];
+            assert_eq!(
+                top_ops(&on_path, label, &classes),
+                top_ops_by_full_sort(&on_path, label, &classes),
+                "case {case}"
+            );
+        }
+    }
+
     #[test]
     fn canonical_value_has_fixed_key_order() {
-        let mut acc = chain_accumulator();
-        let start = [Some(t(0.0)), Some(t(2.0)), Some(t(3.0))];
-        let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
-        let pred = [None, None, None];
-        acc.record_iteration(&chain_observation(&start, &finish, &pred));
-        let v = acc.finish(chain_label, Vec::new(), None).to_value();
+        let g = chain();
+        let mut acc = g.accumulator(2);
+        record_chain(&g, &mut acc);
+        let v = acc.finish(chain_label, &g.classes, Vec::new(), None).to_value();
         let Value::Object(fields) = v else {
             panic!("expected object")
         };
@@ -1092,21 +1244,16 @@ mod tests {
 
     #[test]
     fn multi_iteration_totals_accumulate() {
-        let mut acc = chain_accumulator();
+        let g = chain();
+        let mut acc = g.accumulator(2);
         for i in 0..3 {
             let off = 4.0 * i as f64;
             let start = [Some(t(off)), Some(t(off + 2.0)), Some(t(off + 3.0))];
             let finish = [Some(t(off + 2.0)), Some(t(off + 3.0)), Some(t(off + 4.0))];
             let pred = [None, None, None];
-            acc.record_iteration(&IterationObservation {
-                begin: t(off),
-                end: t(off + 4.0),
-                start: &start,
-                finish: &finish,
-                gpu_pred: &pred,
-            });
+            acc.record_iteration(&g.observe((off, off + 4.0), &start, &finish, &pred));
         }
-        let r = acc.finish(chain_label, Vec::new(), None);
+        let r = acc.finish(chain_label, &g.classes, Vec::new(), None);
         assert_eq!(r.iterations, 3);
         assert!((r.critical_path_s - 12.0).abs() < 1e-12);
         assert_eq!(r.top_ops[0].count, 3);

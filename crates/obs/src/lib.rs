@@ -41,7 +41,7 @@ pub mod selfprof;
 pub use attribution::{
     AttributionAccumulator, AttributionState, BottleneckReport, CriticalOp, DepTable,
     GpuBucketState, GpuBuckets, HotLink, IterationObservation, PathSegmentState, Straggler,
-    TaskClass,
+    TaskClass, TaskId,
 };
 pub use chrome::ChromeTraceSink;
 pub use jsonl::JsonlSink;

@@ -1,6 +1,7 @@
 //! The per-GPU, per-class operator time model.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use triosim_modelzoo::{OpClass, Operator};
 use triosim_trace::{GpuModel, GpuSpec, OracleGpu};
@@ -40,8 +41,21 @@ impl LisModel {
     /// Calibrates the model for `gpu` from the standard microbenchmark
     /// sweep (measured with the default oracle jitter, as real
     /// microbenchmarks are noisy).
+    ///
+    /// The oracle's jitter is deterministic, so the result depends on
+    /// `gpu` alone: each GPU model is calibrated once per process, and
+    /// every call returns a clone of that model.
     pub fn calibrated(gpu: GpuModel) -> Self {
-        Self::calibrated_with(OracleGpu::new(gpu))
+        static A40: OnceLock<LisModel> = OnceLock::new();
+        static A100: OnceLock<LisModel> = OnceLock::new();
+        static H100: OnceLock<LisModel> = OnceLock::new();
+        let cell = match gpu {
+            GpuModel::A40 => &A40,
+            GpuModel::A100 => &A100,
+            GpuModel::H100 => &H100,
+        };
+        cell.get_or_init(|| Self::calibrated_with(OracleGpu::new(gpu)))
+            .clone()
     }
 
     /// Calibrates against a specific oracle (e.g. jitter-free in tests).
@@ -190,6 +204,32 @@ mod tests {
         let truth = oracle.sequence_time_s(ops.iter());
         let err = ((pred - truth) / truth).abs();
         assert!(err < 0.12, "aggregate error {err:.4}");
+    }
+
+    #[test]
+    fn memoized_calibration_predicts_as_a_fresh_one() {
+        let graph = ModelId::ResNet50.build(32);
+        let model_ops = graph.layers().iter().flat_map(|l| l.ops.iter().cloned());
+        let ops: Vec<Operator> = OpClass::ALL
+            .into_iter()
+            .flat_map(calibration_ops)
+            .chain(model_ops)
+            .collect();
+        for gpu in GpuModel::ALL {
+            let fresh = LisModel::calibrated_with(OracleGpu::new(gpu));
+            // The second call is served from the per-process memo.
+            for memo in [LisModel::calibrated(gpu), LisModel::calibrated(gpu)] {
+                assert_eq!(memo.spec(), fresh.spec());
+                for op in &ops {
+                    assert_eq!(
+                        memo.predict(op).to_bits(),
+                        fresh.predict(op).to_bits(),
+                        "{gpu} {}",
+                        op.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

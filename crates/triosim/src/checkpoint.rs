@@ -275,7 +275,7 @@ pub(crate) fn spec_hash(
             }
             TaskKind::Barrier => h = fnv_u64(h, 3),
         }
-        for dep in &task.deps {
+        for dep in graph.deps(TaskId(i)) {
             h = fnv_u64(h, dep.0 as u64);
         }
         h = fnv_u64(h, task.layer.map_or(0, |l| 1 + l as u64));

@@ -117,10 +117,9 @@ impl ComputeModel {
     /// trace collected on `source_gpu`, run on `platform` under
     /// `parallelism` at `fidelity`.
     ///
-    /// `calibrate` supplies Li's Models per GPU; callers that run many
-    /// scenarios (the sweep engine) pass a memoizing closure so each GPU
-    /// model is calibrated once and shared, while single runs pass
-    /// [`LisModel::calibrated`] directly.
+    /// `calibrate` supplies Li's Models per GPU: usually
+    /// [`LisModel::calibrated`], which calibrates each GPU model once per
+    /// process; callers wrap it to time or count the calls.
     pub fn resolve_with(
         fidelity: Fidelity,
         source_gpu: GpuModel,

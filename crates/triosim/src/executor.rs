@@ -18,7 +18,7 @@ use triosim_des::{
 use triosim_faults::{FaultKind, FaultPlan, FaultSession};
 use triosim_network::{FlowId, LinkFault, NetCommand, NetStatsSnapshot, NetworkModel, NodeId};
 use triosim_obs::{
-    AttrValue, AttributionAccumulator, BottleneckReport, DepTable, HotLink, IterationObservation,
+    AttrValue, AttributionAccumulator, BottleneckReport, HotLink, IterationObservation,
     ProgressMonitor, Recorder, SelfProfiler, TaskClass,
 };
 
@@ -412,10 +412,15 @@ impl FaultRuntime {
     }
 }
 
-/// An empty attribution accumulator over `graph`'s task structure.
+/// An empty attribution accumulator over `graph`'s tasks.
 fn attribution(graph: &TaskGraph) -> AttributionAccumulator {
+    AttributionAccumulator::new(graph.gpus(), graph.len())
+}
+
+/// How attribution classifies each of `graph`'s tasks.
+fn task_classes(graph: &TaskGraph) -> Vec<TaskClass> {
     let gpus = graph.gpus();
-    let classes = graph
+    graph
         .tasks()
         .iter()
         .map(|t| match t.kind {
@@ -426,14 +431,7 @@ fn attribution(graph: &TaskGraph) -> AttributionAccumulator {
             },
             TaskKind::Barrier => TaskClass::Sync,
         })
-        .collect();
-    let deps = DepTable::new(
-        graph
-            .tasks()
-            .iter()
-            .map(|t| t.deps.iter().map(|d| d.0 as u32)),
-    );
-    AttributionAccumulator::new(gpus, classes, deps)
+        .collect()
 }
 
 /// Steady-state replay's progress through a run (DESIGN.md §12).
@@ -541,7 +539,6 @@ struct Executor<'a> {
     flow_task: IdMap<FlowId, TaskId>,
     flow_event: IdMap<FlowId, EventId>,
     comm_intervals: Vec<(VirtualTime, VirtualTime)>,
-    compute_start: Vec<Option<VirtualTime>>,
     timeline: Vec<TimelineEntry>,
     /// Running timeline digest: `(count, FNV state)` over all records
     /// digested so far (including any pre-restore prefix, whose records
@@ -598,8 +595,10 @@ struct Executor<'a> {
     collective_begin: Vec<Option<VirtualTime>>,
     // ------- bottleneck attribution (always on: pure virtual-time state) -------
     attr: AttributionAccumulator,
-    /// Per-task start/finish times of the current iteration (all kinds,
-    /// unlike `compute_start`).
+    /// Each task's attribution class.
+    classes: Vec<TaskClass>,
+    /// Per-task start/finish times of the current iteration. A compute
+    /// task's busy time runs from its start.
     attr_start: Vec<Option<VirtualTime>>,
     attr_end: Vec<Option<VirtualTime>>,
     /// The compute task that freed this task's GPU stream, per task.
@@ -625,11 +624,12 @@ impl<'a> Executor<'a> {
     fn new(graph: &'a TaskGraph, network: &'a mut dyn NetworkModel) -> Self {
         let n = graph.len();
         let gpus = graph.gpus();
-        let indegree: Vec<usize> = graph.tasks().iter().map(|t| t.deps.len()).collect();
+        let table = graph.dep_table();
+        let indegree: Vec<usize> = (0..n).map(|i| table.deps(i).len()).collect();
         // Count each task's dependents, prefix-sum the counts into
         // offsets, then fill in task order so every run ascends.
         let mut dependent_offsets = vec![0usize; n + 1];
-        for d in graph.tasks().iter().flat_map(|t| &t.deps) {
+        for d in table.edges() {
             dependent_offsets[d.0 + 1] += 1;
         }
         for i in 0..n {
@@ -637,8 +637,8 @@ impl<'a> Executor<'a> {
         }
         let mut fill = dependent_offsets.clone();
         let mut dependents = vec![TaskId(0); dependent_offsets[n]];
-        for (i, task) in graph.tasks().iter().enumerate() {
-            for d in &task.deps {
+        for i in 0..n {
+            for d in table.deps(i) {
                 dependents[fill[d.0]] = TaskId(i);
                 fill[d.0] += 1;
             }
@@ -661,8 +661,7 @@ impl<'a> Executor<'a> {
             flow_task: IdMap::default(),
             flow_event: IdMap::default(),
             comm_intervals: Vec::new(),
-            compute_start: vec![None; n],
-            timeline: Vec::new(),
+            timeline: Vec::with_capacity(n),
             tl_digest: (0, FNV_OFFSET),
             tl_mark: 0,
             completed: 0,
@@ -689,6 +688,7 @@ impl<'a> Executor<'a> {
             collective_of_last: HashMap::new(),
             collective_begin: Vec::new(),
             attr: attribution(graph),
+            classes: task_classes(graph),
             attr_start: vec![None; n],
             attr_end: vec![None; n],
             attr_gpu_pred: vec![None; n],
@@ -977,7 +977,6 @@ impl<'a> Executor<'a> {
                 if iter > 0 {
                     self.indegree.clone_from(&base_indegree);
                     self.completed = 0;
-                    self.compute_start.fill(None);
                     self.collective_begin.fill(None);
                 }
                 let measured = matches!(replay, ReplayState::Candidate | ReplayState::Verifying(_));
@@ -1000,6 +999,8 @@ impl<'a> Executor<'a> {
                 // measured iteration is recorded on its own first, so
                 // replay can verify and repeat exactly its share.
                 let it = IterationObservation {
+                    classes: &self.classes,
+                    deps: self.graph.dep_table(),
                     begin: self.iter_begin,
                     end: self.queue.now(),
                     start: &self.attr_start,
@@ -1236,8 +1237,12 @@ impl<'a> Executor<'a> {
             .collect();
         let lost = self.faults.as_ref().map(|fr| fr.lost_compute.as_slice());
         let graph = self.graph;
-        self.attr
-            .finish(|task| graph.label(TaskId(task)), links, lost)
+        self.attr.finish(
+            |task| graph.label(TaskId(task)),
+            &self.classes,
+            links,
+            lost,
+        )
     }
 
     /// Records the engine-loop wall time (and the network model's share
@@ -1500,7 +1505,7 @@ impl<'a> Executor<'a> {
                     self.pending_real -= 1;
                     self.dispatches[0] += 1;
                     self.gpus[gpu].busy = false;
-                    let start = self.compute_start[task.0].expect("compute was started");
+                    let start = self.attr_start[task.0].expect("compute was started");
                     self.gpus[gpu].busy_time += now - start;
                     self.attr_end[task.0] = Some(now);
                     self.last_done[gpu] = Some(task.0 as u32);
@@ -1941,7 +1946,6 @@ impl<'a> Executor<'a> {
         let duration = self.dilated(gpu, task, duration);
         self.gpus[gpu].busy = true;
         let now = self.queue.now();
-        self.compute_start[task.0] = Some(now);
         self.attr_start[task.0] = Some(now);
         self.attr_gpu_pred[task.0] = self.last_done[gpu];
         self.pending_real += 1;

@@ -11,19 +11,21 @@
 //! plan does not depend on simulated times), and it keeps the executor a
 //! clean, separately testable component.
 
+use std::borrow::Cow;
+
 use triosim_collectives::{
     halving_doubling_all_reduce, ring_all_gather, ring_all_reduce, ring_all_reduce_unsegmented,
     tree_all_reduce, CollectiveSchedule, GradientBucketizer,
 };
 use triosim_des::TimeSpan;
 use triosim_modelzoo::{OpClass, Operator};
-use triosim_trace::{Trace, TraceEntry};
+use triosim_trace::Trace;
 
 use crate::compute::ComputeModel;
 use crate::layers::{summarize_layers, LayerSummary};
 use crate::parallelism::{CollectiveStyle, Parallelism};
 use crate::platform::Platform;
-use crate::taskgraph::{CollectiveMeta, TaskGraph, TaskId};
+use crate::taskgraph::{CollectiveMeta, Piece, Pieces, TaskGraph, TaskId};
 
 /// Extrapolates a single-GPU `trace` onto `platform` under `parallelism`.
 ///
@@ -97,7 +99,7 @@ struct Extrapolator<'a> {
     style: CollectiveStyle,
 }
 
-impl Extrapolator<'_> {
+impl<'a> Extrapolator<'a> {
     fn gpus(&self) -> usize {
         self.platform.gpu_count()
     }
@@ -118,49 +120,58 @@ impl Extrapolator<'_> {
     /// samples.
     fn input_bytes(&self, batch: u64) -> u64 {
         let first = &self.trace.entries()[0].op;
-        let scaled = first.with_batch_scaled(self.trace.batch(), batch.max(1));
-        scaled.bytes_in
+        first.at_batch(self.trace.batch(), batch.max(1)).bytes_in
     }
 
-    /// Times one trace entry after rescaling its operator to `to`.
-    fn op_duration(&self, entry: &TraceEntry, to: &Operator, gpu: usize) -> TimeSpan {
-        let s = self.compute.op_time_s(entry.time_s, &entry.op, to, gpu);
-        TimeSpan::from_seconds(s.max(0.0))
+    /// Every trace entry's operator at `batch` samples, indexed like the
+    /// trace: each entry is rescaled once however many GPUs or
+    /// micro-batches run it, and borrowed where rescaling leaves it as
+    /// it is.
+    fn ops_at(&self, batch: u64) -> Vec<Cow<'a, Operator>> {
+        let from = self.trace.batch();
+        let entries = self.trace.entries();
+        entries.iter().map(|e| e.op.at_batch(from, batch)).collect()
     }
 
-    /// Appends a compute task for `entry` rescaled to batch `batch` on
-    /// `gpu`, chained after `dep`.
+    /// Appends a compute task running trace entry `ei`, shaped as `to`
+    /// in this configuration, on `gpu` after `dep`. The operator is
+    /// timed per GPU: the reference policy's board skew and noise depend
+    /// on the GPU index.
     fn compute_task(
         &self,
         g: &mut TaskGraph,
-        entry: &TraceEntry,
-        batch: u64,
+        ei: usize,
+        to: &Operator,
         gpu: usize,
-        dep: Option<TaskId>,
+        dep: TaskId,
     ) -> TaskId {
-        let to = entry.op.with_batch_scaled(self.trace.batch(), batch);
-        let duration = self.op_duration(entry, &to, gpu);
+        let entry = &self.trace.entries()[ei];
+        let s = self.compute.op_time_s(entry.time_s, &entry.op, to, gpu);
+        let label = [
+            Piece::Str(&entry.op.name),
+            Piece::Str("@g"),
+            Piece::Int(gpu as u64),
+        ];
         g.compute_in_layer(
-            format_args!("{}@g{}", entry.op.name, gpu),
+            Pieces(&label),
             gpu,
-            duration,
-            dep.into_iter().collect(),
+            TimeSpan::from_seconds(s.max(0.0)),
+            [dep],
             entry.layer,
         )
     }
 
     /// Emits a collective schedule as transfer tasks with per-step
-    /// barriers. `deps[r]` gates rank `r`'s first-step sends; returns the
+    /// barriers. `deps(r)` gates rank `r`'s first-step sends; returns the
     /// final barrier. Ranks map to GPUs 0..n in order.
     fn collective(
         &self,
         g: &mut TaskGraph,
         label: &str,
         schedule: &CollectiveSchedule,
-        deps: &[TaskId],
+        deps: impl Fn(usize) -> TaskId,
     ) -> TaskId {
-        let identity: Vec<usize> = (0..schedule.ranks()).collect();
-        self.collective_mapped(g, label, schedule, deps, &identity)
+        self.collective_mapped(g, label, schedule, deps, |r| r)
     }
 
     /// [`collective`](Self::collective) with an explicit rank-to-GPU map
@@ -171,33 +182,38 @@ impl Extrapolator<'_> {
         g: &mut TaskGraph,
         label: &str,
         schedule: &CollectiveSchedule,
-        deps: &[TaskId],
-        gpu_map: &[usize],
+        deps: impl Fn(usize) -> TaskId,
+        gpu_of: impl Fn(usize) -> usize,
     ) -> TaskId {
         let mut prev_step: Option<TaskId> = None;
         let mut first_send: Option<TaskId> = None;
         for (si, step) in schedule.steps().iter().enumerate() {
-            let mut sends = Vec::with_capacity(step.len());
+            let si = si as u64;
+            // A step's sends are consecutive tasks; its barrier joins them.
+            let sends = g.len()..g.len() + step.len();
             for t in step {
-                let mut task_deps: Vec<TaskId> = Vec::new();
-                if let Some(b) = prev_step {
-                    task_deps.push(b);
-                } else if let Some(&d) = deps.get(t.src.0) {
-                    task_deps.push(d);
-                }
-                let src = self.platform.gpu_node(gpu_map[t.src.0]);
-                let dst = self.platform.gpu_node(gpu_map[t.dst.0]);
-                let id = g.transfer(
-                    format_args!("{label}.s{si}.{}->{}", t.src, t.dst),
-                    src,
-                    dst,
-                    t.bytes,
-                    task_deps,
-                );
+                let dep = prev_step.unwrap_or_else(|| deps(t.src.0));
+                let src = self.platform.gpu_node(gpu_of(t.src.0));
+                let dst = self.platform.gpu_node(gpu_of(t.dst.0));
+                let name = [
+                    Piece::Str(label),
+                    Piece::Str(".s"),
+                    Piece::Int(si),
+                    Piece::Str(".rank"),
+                    Piece::Int(t.src.0 as u64),
+                    Piece::Str("->rank"),
+                    Piece::Int(t.dst.0 as u64),
+                ];
+                let id = g.transfer(Pieces(&name), src, dst, t.bytes, [dep]);
                 first_send.get_or_insert(id);
-                sends.push(id);
             }
-            prev_step = Some(g.barrier(format_args!("{label}.s{si}.done"), sends));
+            let name = [
+                Piece::Str(label),
+                Piece::Str(".s"),
+                Piece::Int(si),
+                Piece::Str(".done"),
+            ];
+            prev_step = Some(g.barrier(Pieces(&name), sends.map(TaskId)));
         }
         let done = prev_step.expect("collective schedules have at least one step");
         g.register_collective(CollectiveMeta {
@@ -232,37 +248,26 @@ impl Extrapolator<'_> {
                     host,
                     self.platform.gpu_node(gpu),
                     self.input_bytes(per_gpu),
-                    vec![],
+                    [],
                 )
             })
             .collect();
 
         // Forward + backward chains, replicated per GPU at the per-GPU
         // batch size. Track where each layer's backward finishes.
+        let ops = self.ops_at(per_gpu);
         let mut bwd_done: Vec<Vec<Option<TaskId>>> = vec![vec![None; self.layers.len()]; n];
-        let mut cursors: Vec<TaskId> = inputs.clone();
+        let mut cursors: Vec<TaskId> = inputs;
         for gpu in 0..n {
             let mut cursor = cursors[gpu];
             for l in &self.layers {
                 for &ei in &l.fwd {
-                    cursor = self.compute_task(
-                        &mut g,
-                        &self.trace.entries()[ei],
-                        per_gpu,
-                        gpu,
-                        Some(cursor),
-                    );
+                    cursor = self.compute_task(&mut g, ei, &ops[ei], gpu, cursor);
                 }
             }
             for l in self.layers.iter().rev() {
                 for &ei in &l.bwd {
-                    cursor = self.compute_task(
-                        &mut g,
-                        &self.trace.entries()[ei],
-                        per_gpu,
-                        gpu,
-                        Some(cursor),
-                    );
+                    cursor = self.compute_task(&mut g, ei, &ops[ei], gpu, cursor);
                 }
                 bwd_done[gpu][l.index] = Some(cursor);
             }
@@ -275,7 +280,7 @@ impl Extrapolator<'_> {
         let total_grads: u64 = self.layers.iter().map(|l| l.param_bytes).sum();
         let sync_done = if n == 1 || is_inference || total_grads == 0 {
             // Single GPU or inference: nothing to synchronize.
-            g.barrier("no-sync", cursors.clone())
+            g.barrier("no-sync", cursors)
         } else if overlap {
             // DDP: bucketed AllReduce, each kicked off as soon as the
             // bucket's last layer finishes backward; buckets serialize on
@@ -285,28 +290,23 @@ impl Extrapolator<'_> {
             let mut last = None;
             for (bi, bucket) in buckets.iter().enumerate() {
                 let ready_layer = bucket.ready_after_layer();
-                let mut deps: Vec<TaskId> = (0..n)
-                    .map(|gpu| bwd_done[gpu][ready_layer].expect("layer has backward"))
-                    .collect();
-                if let Some(prev) = last {
-                    deps.push(prev);
-                }
-                let gate = g.barrier(format_args!("ddp.bucket{bi}.ready"), deps);
+                let ready = (0..n).map(|gpu| bwd_done[gpu][ready_layer].expect("layer has backward"));
+                let gate = g.barrier(format_args!("ddp.bucket{bi}.ready"), ready.chain(last));
                 let sched = self.all_reduce(n, bucket.bytes);
                 last = Some(self.collective(
                     &mut g,
                     &format!("ddp.bucket{bi}.allreduce"),
                     &sched,
-                    &vec![gate; n],
+                    |_| gate,
                 ));
             }
-            last.unwrap_or_else(|| g.barrier("no-grads", cursors.clone()))
+            last.unwrap_or_else(|| g.barrier("no-grads", cursors))
         } else {
             // Standard DataParallel: one AllReduce after the full
             // backward pass of every replica.
-            let gate = g.barrier("dp.bwd.done", cursors.clone());
+            let gate = g.barrier("dp.bwd.done", cursors);
             let sched = self.all_reduce(n, total_grads);
-            self.collective(&mut g, "dp.allreduce", &sched, &vec![gate; n])
+            self.collective(&mut g, "dp.allreduce", &sched, |_| gate)
         };
 
         // Optimizer step on every replica.
@@ -314,13 +314,7 @@ impl Extrapolator<'_> {
             let mut cursor = sync_done;
             for l in &self.layers {
                 for &ei in &l.opt {
-                    cursor = self.compute_task(
-                        &mut g,
-                        &self.trace.entries()[ei],
-                        per_gpu,
-                        gpu,
-                        Some(cursor),
-                    );
+                    cursor = self.compute_task(&mut g, ei, &ops[ei], gpu, cursor);
                 }
             }
         }
@@ -343,32 +337,21 @@ impl Extrapolator<'_> {
                     host,
                     self.platform.gpu_node(gpu),
                     self.input_bytes(global_batch),
-                    vec![],
+                    [],
                 )
             })
             .collect();
 
         let mut cursors = inputs;
+        let ops = self.tp_ops(global_batch, n);
 
         // Forward: splittable layers shard compute then AllGather the
         // partial outputs; other layers run replicated.
         for l in &self.layers {
-            #[allow(clippy::needless_range_loop)]
-            for gpu in 0..n {
-                let mut cursor = cursors[gpu];
+            for (gpu, cursor) in cursors.iter_mut().enumerate() {
                 for &ei in &l.fwd {
-                    let entry = &self.trace.entries()[ei];
-                    let to = self.tp_shape(entry, global_batch, l.tp_splittable, n);
-                    let duration = self.op_duration(entry, &to, gpu);
-                    cursor = g.compute_in_layer(
-                        format_args!("{}@g{gpu}", entry.op.name),
-                        gpu,
-                        duration,
-                        vec![cursor],
-                        entry.layer,
-                    );
+                    *cursor = self.compute_task(&mut g, ei, &ops[ei], gpu, *cursor);
                 }
-                cursors[gpu] = cursor;
             }
             if l.tp_splittable && l.output_bytes > 0 {
                 let out = scaled_bytes(l.output_bytes, self.trace.batch(), global_batch);
@@ -377,31 +360,19 @@ impl Extrapolator<'_> {
                     &mut g,
                     &format!("tp.l{}.allgather", l.index),
                     &sched,
-                    &cursors,
+                    |r| cursors[r],
                 );
-                cursors = vec![done; n];
+                cursors.fill(done);
             }
         }
 
         // Backward: mirrored; splittable layers AllReduce the gradient of
         // their input activation.
         for l in self.layers.iter().rev() {
-            #[allow(clippy::needless_range_loop)]
-            for gpu in 0..n {
-                let mut cursor = cursors[gpu];
+            for (gpu, cursor) in cursors.iter_mut().enumerate() {
                 for &ei in &l.bwd {
-                    let entry = &self.trace.entries()[ei];
-                    let to = self.tp_shape(entry, global_batch, l.tp_splittable, n);
-                    let duration = self.op_duration(entry, &to, gpu);
-                    cursor = g.compute_in_layer(
-                        format_args!("{}@g{gpu}", entry.op.name),
-                        gpu,
-                        duration,
-                        vec![cursor],
-                        entry.layer,
-                    );
+                    *cursor = self.compute_task(&mut g, ei, &ops[ei], gpu, *cursor);
                 }
-                cursors[gpu] = cursor;
             }
             if l.tp_splittable {
                 let input_bytes = self
@@ -416,9 +387,9 @@ impl Extrapolator<'_> {
                         &mut g,
                         &format!("tp.l{}.grad.allreduce", l.index),
                         &sched,
-                        &cursors,
+                        |r| cursors[r],
                     );
-                    cursors = vec![done; n];
+                    cursors.fill(done);
                 }
             }
         }
@@ -426,40 +397,40 @@ impl Extrapolator<'_> {
         // Optimizer: each GPU updates its own shard (1/n of splittable
         // layers' parameters, full copy of replicated layers).
         for l in &self.layers {
-            #[allow(clippy::needless_range_loop)]
-            for gpu in 0..n {
-                let mut cursor = cursors[gpu];
+            for (gpu, cursor) in cursors.iter_mut().enumerate() {
                 for &ei in &l.opt {
-                    let entry = &self.trace.entries()[ei];
-                    let to = if l.tp_splittable {
-                        scale_op(&entry.op, 1.0 / n as f64)
-                    } else {
-                        entry.op.clone()
-                    };
-                    let duration = self.op_duration(entry, &to, gpu);
-                    cursor = g.compute_in_layer(
-                        format_args!("{}@g{gpu}", entry.op.name),
-                        gpu,
-                        duration,
-                        vec![cursor],
-                        entry.layer,
-                    );
+                    *cursor = self.compute_task(&mut g, ei, &ops[ei], gpu, *cursor);
                 }
-                cursors[gpu] = cursor;
             }
         }
         g
     }
 
-    /// Shapes a TP operator: batch-rescaled, and sharded 1/n if its layer
-    /// splits.
-    fn tp_shape(&self, entry: &TraceEntry, batch: u64, splittable: bool, n: usize) -> Operator {
-        let rescaled = entry.op.with_batch_scaled(self.trace.batch(), batch);
-        if splittable && shards_under_tp(entry.op.class) {
-            shard_op(&rescaled, n)
-        } else {
-            rescaled
+    /// Every trace entry's operator as one of `n` TP ranks runs it, at
+    /// `batch` samples, indexed like the trace. Forward and backward
+    /// operators are batch-rescaled, and sharded 1/n if their layer
+    /// splits; optimizer operators keep the traced batch and update a
+    /// 1/n shard of a split layer's parameters.
+    fn tp_ops(&self, batch: u64, n: usize) -> Vec<Cow<'a, Operator>> {
+        let entries = self.trace.entries();
+        let mut ops: Vec<Cow<'a, Operator>> = entries.iter().map(|e| Cow::Borrowed(&e.op)).collect();
+        for l in &self.layers {
+            for &ei in l.fwd.iter().chain(&l.bwd) {
+                let op = &entries[ei].op;
+                let rescaled = op.at_batch(self.trace.batch(), batch);
+                ops[ei] = if l.tp_splittable && shards_under_tp(op.class) {
+                    Cow::Owned(shard_op(&rescaled, n))
+                } else {
+                    rescaled
+                };
+            }
+            if l.tp_splittable {
+                for &ei in &l.opt {
+                    ops[ei] = Cow::Owned(scale_op(&entries[ei].op, 1.0 / n as f64));
+                }
+            }
         }
+        ops
     }
 
     // ---------------- pipeline parallelism ----------------
@@ -469,21 +440,16 @@ impl Extrapolator<'_> {
         let mut g = TaskGraph::new(n);
         let gpu_map: Vec<usize> = (0..n).collect();
         let micro = Self::micro_batch(mini_batch, chunks);
-        let (stages, bwd_done) = self.build_gpipe(&mut g, micro, chunks, &gpu_map, "pp");
+        let ops = self.ops_at(micro);
+        let (stages, bwd_done) = self.build_gpipe(&mut g, &ops, micro, chunks, &gpu_map, "pp");
 
         // Optimizer: each stage updates its own layers once its backward
         // micro-batches are done.
         for (s, stage_layers) in stages.iter().enumerate() {
-            let mut cursor = g.barrier(format_args!("pp.s{s}.bwd.done"), bwd_done[s].clone());
+            let mut cursor = g.barrier(format_args!("pp.s{s}.bwd.done"), bwd_done[s].iter().copied());
             for &li in stage_layers {
                 for &ei in &self.layers[li].opt {
-                    cursor = self.compute_task(
-                        &mut g,
-                        &self.trace.entries()[ei],
-                        micro,
-                        s,
-                        Some(cursor),
-                    );
+                    cursor = self.compute_task(&mut g, ei, &ops[ei], s, cursor);
                 }
             }
         }
@@ -501,11 +467,13 @@ impl Extrapolator<'_> {
     }
 
     /// Builds one GPipe schedule over `gpu_map` (stage s runs on GPU
-    /// `gpu_map[s]`). Returns the stage->layers assignment and, per
-    /// stage, the completion tasks of every micro-batch's backward.
+    /// `gpu_map[s]`), running `ops` (the trace's operators at `micro`
+    /// samples). Returns the stage->layers assignment and, per stage,
+    /// the completion tasks of every micro-batch's backward.
     fn build_gpipe(
         &self,
         g: &mut TaskGraph,
+        ops: &[Cow<'a, Operator>],
         micro: u64,
         chunks: u64,
         gpu_map: &[usize],
@@ -535,7 +503,7 @@ impl Extrapolator<'_> {
                         host,
                         self.platform.gpu_node(gpu_map[0]),
                         self.input_bytes(micro),
-                        vec![],
+                        [],
                     )
                 } else {
                     let prev_out = stages[s - 1]
@@ -548,22 +516,15 @@ impl Extrapolator<'_> {
                         self.platform.gpu_node(gpu_map[s - 1]),
                         self.platform.gpu_node(gpu_map[s]),
                         bytes,
-                        carry.into_iter().collect(),
+                        carry,
                     )
                 };
-                let mut deps = vec![arrive];
-                deps.extend(prev_chunk[s]);
+                let deps = std::iter::once(arrive).chain(prev_chunk[s]);
                 let gate = g.barrier(format_args!("{tag}.fwd.c{c}.s{s}.start"), deps);
                 let mut cursor = gate;
                 for &li in stage_layers {
                     for &ei in &self.layers[li].fwd {
-                        cursor = self.compute_task(
-                            g,
-                            &self.trace.entries()[ei],
-                            micro,
-                            gpu_map[s],
-                            Some(cursor),
-                        );
+                        cursor = self.compute_task(g, ei, &ops[ei], gpu_map[s], cursor);
                     }
                 }
                 fwd_done[s][c] = Some(cursor);
@@ -599,22 +560,15 @@ impl Extrapolator<'_> {
                         self.platform.gpu_node(gpu_map[s + 1]),
                         self.platform.gpu_node(gpu_map[s]),
                         bytes,
-                        carry.into_iter().collect(),
+                        carry,
                     )
                 };
-                let mut deps = vec![arrive];
-                deps.extend(prev_chunk[s]);
+                let deps = std::iter::once(arrive).chain(prev_chunk[s]);
                 let gate = g.barrier(format_args!("{tag}.bwd.c{c}.s{s}.start"), deps);
                 let mut cursor = gate;
                 for &li in stages[s].iter().rev() {
                     for &ei in &self.layers[li].bwd {
-                        cursor = self.compute_task(
-                            g,
-                            &self.trace.entries()[ei],
-                            micro,
-                            gpu_map[s],
-                            Some(cursor),
-                        );
+                        cursor = self.compute_task(g, ei, &ops[ei], gpu_map[s], cursor);
                     }
                 }
                 bwd_done[s][c] = Some(cursor);
@@ -660,6 +614,7 @@ impl Extrapolator<'_> {
         );
         let per_group = global_batch / dp_groups as u64;
         let micro = Self::micro_batch(per_group.max(1), chunks);
+        let ops = self.ops_at(micro);
         let mut g = TaskGraph::new(n);
 
         // Build one pipeline per group. Group gr owns GPUs
@@ -669,7 +624,8 @@ impl Extrapolator<'_> {
             let gpu_map: Vec<usize> = (0..stages_per_group)
                 .map(|s| gr * stages_per_group + s)
                 .collect();
-            let build = self.build_gpipe(&mut g, micro, chunks, &gpu_map, &format!("hp{gr}"));
+            let tag = format!("hp{gr}");
+            let build = self.build_gpipe(&mut g, &ops, micro, chunks, &gpu_map, &tag);
             group_builds.push(build);
         }
         let stages = group_builds[0].0.clone();
@@ -681,37 +637,24 @@ impl Extrapolator<'_> {
                 .map(|&li| self.layers[li].param_bytes)
                 .sum();
             // Every group's backward for this stage must finish.
-            let deps: Vec<TaskId> = group_builds
+            let deps = group_builds
                 .iter()
-                .flat_map(|(_, bwd)| bwd[s].iter().copied())
-                .collect();
+                .flat_map(|(_, bwd)| bwd[s].iter().copied());
             let gate = g.barrier(format_args!("hp.s{s}.bwd.done"), deps);
+            let gpu_of = |gr: usize| gr * stages_per_group + s;
             let sync = if grad_bytes > 0 {
                 let sched = self.all_reduce(dp_groups, grad_bytes);
-                let gpu_map: Vec<usize> =
-                    (0..dp_groups).map(|gr| gr * stages_per_group + s).collect();
-                self.collective_mapped(
-                    &mut g,
-                    &format!("hp.s{s}.allreduce"),
-                    &sched,
-                    &vec![gate; dp_groups],
-                    &gpu_map,
-                )
+                let label = format!("hp.s{s}.allreduce");
+                self.collective_mapped(&mut g, &label, &sched, |_| gate, gpu_of)
             } else {
                 gate
             };
             for gr in 0..dp_groups {
-                let gpu = gr * stages_per_group + s;
+                let gpu = gpu_of(gr);
                 let mut cursor = sync;
                 for &li in stage_layers {
                     for &ei in &self.layers[li].opt {
-                        cursor = self.compute_task(
-                            &mut g,
-                            &self.trace.entries()[ei],
-                            micro,
-                            gpu,
-                            Some(cursor),
-                        );
+                        cursor = self.compute_task(&mut g, ei, &ops[ei], gpu, cursor);
                     }
                 }
             }

@@ -97,7 +97,7 @@ pub use sweep::{
     run_sweep, run_sweep_with, ScenarioError, ScenarioResult, SweepError, SweepOutcome,
     SweepRunConfig,
 };
-pub use taskgraph::{CollectiveMeta, Task, TaskGraph, TaskId, TaskKind};
+pub use taskgraph::{CollectiveMeta, LabelText, Task, TaskGraph, TaskId, TaskKind};
 pub use triosim_faults::{
     FaultKind, FaultPlan, FaultPlanError, FaultSession, GpuDropout, GpuSlowdown, Jitter,
     LinkDegradation, LinkFailure, TimedFault,

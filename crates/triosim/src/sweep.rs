@@ -8,8 +8,8 @@
 //!   typed configuration, reported per scenario with its index and label;
 //! * sharing expensive read-only artifacts across scenarios — the
 //!   synthetic trace (parsed/generated once per unique
-//!   model x batch x GPU behind an [`Arc`]) and the calibrated Li's
-//!   Models (one ridge regression per GPU model, not per scenario);
+//!   model x batch x GPU behind an [`Arc`]); Li's Models are calibrated
+//!   once per GPU model per process by [`LisModel::calibrated`] itself;
 //! * executing each scenario in full isolation: its own DES engine and
 //!   its own [`FlowNetwork`] state, so no scenario can observe another's
 //!   scheduling;
@@ -306,10 +306,12 @@ impl SweepOutcome {
 /// the parallel phase. Scenarios whose index is in `skip` (journal
 /// replays) are parsed but their trace and compute model are not built.
 ///
-/// When `prof` is enabled, cache *misses* (each unique trace build and
-/// Li's Model calibration) are timed and reported as `trace_build` /
-/// `calibration` spans relative to the caller's open span; cache hits
-/// never read the clock.
+/// When `prof` is enabled, each unique trace build (a cache miss; hits
+/// never read the clock) and each scenario's Li's Model calibrations are
+/// timed and reported as `trace_build` / `calibration` spans relative to
+/// the caller's open span. [`LisModel::calibrated`] calibrates each GPU
+/// model once per process, so only the first calibration of a GPU costs
+/// more than a copy.
 fn resolve_scenarios(
     scenarios: Vec<Scenario>,
     skip: &HashSet<usize>,
@@ -319,18 +321,13 @@ fn resolve_scenarios(
     let mut trace_wall = (0.0f64, 0u64);
     let mut cal_wall = (0.0f64, 0u64);
     let mut traces: HashMap<(String, u64, GpuModel), Arc<Trace>> = HashMap::new();
-    let mut lis: HashMap<GpuModel, LisModel> = HashMap::new();
-    let mut calibrate = |gpu: GpuModel, cache: &mut HashMap<GpuModel, LisModel>| {
-        if let Some(model) = cache.get(&gpu) {
-            return model.clone();
-        }
+    let mut calibrate = |gpu: GpuModel| {
         let t0 = profiling.then(Instant::now);
         let model = LisModel::calibrated(gpu);
         if let Some(t0) = t0 {
             cal_wall.0 += t0.elapsed().as_secs_f64();
             cal_wall.1 += 1;
         }
-        cache.insert(gpu, model.clone());
         model
     };
     let mut resolved = Vec::with_capacity(scenarios.len());
@@ -369,9 +366,8 @@ fn resolve_scenarios(
                 v.insert(built).clone()
             }
         };
-        let compute = ComputeModel::resolve_with(fidelity, gpu, &platform, parallelism, &mut |g| {
-            calibrate(g, &mut lis)
-        });
+        let compute =
+            ComputeModel::resolve_with(fidelity, gpu, &platform, parallelism, &mut calibrate);
         let exec = ExecScenario {
             faults: scenario.faults.clone(),
             fault_seed: scenario.fault_seed,

@@ -8,17 +8,17 @@
 //! runs on its own stream.
 //!
 //! Every label lives once, in the graph's label arena: the executor's
-//! timeline and the report name tasks by id and share the arena.
+//! timeline and the report name tasks by id and share the arena. Every
+//! dependency list lives once too, in the graph's flat [`DepTable`]: the
+//! executor and the critical-path walk read it in place.
 
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use triosim_des::TimeSpan;
 use triosim_network::NodeId;
-
-/// Index of a task within its [`TaskGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TaskId(pub usize);
+use triosim_obs::DepTable;
+pub use triosim_obs::TaskId;
 
 /// What a task does.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,14 +43,12 @@ pub enum TaskKind {
     Barrier,
 }
 
-/// One node of the task DAG. Its label lives in the graph (see
-/// [`TaskGraph::label`]).
+/// One node of the task DAG. Its label and dependencies live in the
+/// graph (see [`TaskGraph::label`] and [`TaskGraph::deps`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// The work.
     pub kind: TaskKind,
-    /// Tasks that must complete before this one starts.
-    pub deps: Vec<TaskId>,
     /// Model layer this task belongs to, when applicable (drives the
     /// per-layer time breakdown of §4.1).
     pub layer: Option<usize>,
@@ -100,12 +98,67 @@ impl Labels {
         &self.text[start..self.ends[i] as usize]
     }
 
-    /// Appends `label`, formatting it straight into the arena.
-    pub(crate) fn push(&mut self, label: impl fmt::Display) {
-        write!(self.text, "{label}").expect("formatting into a String cannot fail");
+    /// Appends `label`, written straight into the arena.
+    pub(crate) fn push(&mut self, label: impl LabelText) {
+        label.write_to(&mut self.text);
         let end = u32::try_from(self.text.len()).expect("task labels fit in 4 GiB");
         self.ends.push(end);
     }
+}
+
+/// What a task label is written from: any [`fmt::Display`] value
+/// (`format_args!` writes into the label arena without allocating a
+/// `String` per task), or [`Pieces`], which skips `core::fmt` entirely.
+pub trait LabelText {
+    /// Appends the label to `out`.
+    fn write_to(&self, out: &mut String);
+}
+
+impl<T: fmt::Display + ?Sized> LabelText for T {
+    fn write_to(&self, out: &mut String) {
+        write!(out, "{self}").expect("formatting into a String cannot fail");
+    }
+}
+
+/// One piece of a [`Pieces`] label.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Piece<'a> {
+    /// Text, copied as is.
+    Str(&'a str),
+    /// An integer, in decimal.
+    Int(u64),
+}
+
+/// A label written piece by piece without `core::fmt`: its bytes equal
+/// `format_args!`'s over the same pieces. The extrapolator's per-task
+/// labels take this path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pieces<'a>(pub(crate) &'a [Piece<'a>]);
+
+impl LabelText for Pieces<'_> {
+    fn write_to(&self, out: &mut String) {
+        for piece in self.0 {
+            match *piece {
+                Piece::Str(s) => out.push_str(s),
+                Piece::Int(n) => push_decimal(out, n),
+            }
+        }
+    }
+}
+
+/// Appends `n` in decimal, as `{n}` formats it.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// The extrapolated multi-GPU execution plan.
@@ -127,6 +180,8 @@ impl Labels {
 pub struct TaskGraph {
     gpus: usize,
     tasks: Vec<Task>,
+    /// `tasks[i]`'s dependencies are `deps.deps(i)`.
+    deps: DepTable,
     /// `tasks[i]`'s label is `labels.get(i)`. Shared with the reports
     /// of runs over this graph, which name tasks by id.
     labels: Arc<Labels>,
@@ -139,6 +194,7 @@ impl TaskGraph {
         TaskGraph {
             gpus,
             tasks: Vec::new(),
+            deps: DepTable::default(),
             labels: Arc::default(),
             collectives: Vec::new(),
         }
@@ -173,23 +229,41 @@ impl TaskGraph {
         self.labels.get(id.0)
     }
 
+    /// The tasks that must complete before task `id` starts, in the
+    /// order they were given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a task of this graph.
+    pub fn deps(&self, id: TaskId) -> &[TaskId] {
+        self.deps.deps(id.0)
+    }
+
+    /// Every task's dependencies, in one table.
+    pub(crate) fn dep_table(&self) -> &DepTable {
+        &self.deps
+    }
+
     /// The label arena, for reports that outlive a borrow of the graph.
     pub(crate) fn labels(&self) -> &Arc<Labels> {
         &self.labels
     }
 
-    /// Adds an arbitrary task labelled `label`. Any [`fmt::Display`]
-    /// value works; `format_args!` writes into the label arena without
-    /// allocating a `String` per task.
+    /// Adds an arbitrary task labelled `label`, after `deps`.
     ///
     /// # Panics
     ///
     /// Panics if a dependency refers to a not-yet-added task (the graph
     /// is built in topological order by construction) or a compute task
     /// names a GPU out of range.
-    pub fn push(&mut self, label: impl fmt::Display, task: Task) -> TaskId {
+    pub fn push(
+        &mut self,
+        label: impl LabelText,
+        task: Task,
+        deps: impl IntoIterator<Item = TaskId>,
+    ) -> TaskId {
         let id = TaskId(self.tasks.len());
-        for d in &task.deps {
+        for d in self.deps.push(deps) {
             assert!(d.0 < id.0, "dependency {d:?} added after dependent task");
         }
         if let TaskKind::Compute { gpu, .. } = task.kind {
@@ -203,69 +277,56 @@ impl TaskGraph {
     /// Adds a compute task.
     pub fn compute(
         &mut self,
-        label: impl fmt::Display,
+        label: impl LabelText,
         gpu: usize,
         duration: TimeSpan,
-        deps: Vec<TaskId>,
+        deps: impl IntoIterator<Item = TaskId>,
     ) -> TaskId {
-        self.push(
-            label,
-            Task {
-                kind: TaskKind::Compute { gpu, duration },
-                deps,
-                layer: None,
-            },
-        )
+        let kind = TaskKind::Compute { gpu, duration };
+        self.push(label, Task { kind, layer: None }, deps)
     }
 
     /// Adds a compute task attributed to a model layer.
     pub fn compute_in_layer(
         &mut self,
-        label: impl fmt::Display,
+        label: impl LabelText,
         gpu: usize,
         duration: TimeSpan,
-        deps: Vec<TaskId>,
+        deps: impl IntoIterator<Item = TaskId>,
         layer: usize,
     ) -> TaskId {
+        let kind = TaskKind::Compute { gpu, duration };
         self.push(
             label,
             Task {
-                kind: TaskKind::Compute { gpu, duration },
-                deps,
+                kind,
                 layer: Some(layer),
             },
+            deps,
         )
     }
 
     /// Adds a transfer task.
     pub fn transfer(
         &mut self,
-        label: impl fmt::Display,
+        label: impl LabelText,
         src: NodeId,
         dst: NodeId,
         bytes: u64,
-        deps: Vec<TaskId>,
+        deps: impl IntoIterator<Item = TaskId>,
     ) -> TaskId {
-        self.push(
-            label,
-            Task {
-                kind: TaskKind::Transfer { src, dst, bytes },
-                deps,
-                layer: None,
-            },
-        )
+        let kind = TaskKind::Transfer { src, dst, bytes };
+        self.push(label, Task { kind, layer: None }, deps)
     }
 
     /// Adds a zero-cost barrier joining `deps`.
-    pub fn barrier(&mut self, label: impl fmt::Display, deps: Vec<TaskId>) -> TaskId {
-        self.push(
-            label,
-            Task {
-                kind: TaskKind::Barrier,
-                deps,
-                layer: None,
-            },
-        )
+    pub fn barrier(
+        &mut self,
+        label: impl LabelText,
+        deps: impl IntoIterator<Item = TaskId>,
+    ) -> TaskId {
+        let kind = TaskKind::Barrier;
+        self.push(label, Task { kind, layer: None }, deps)
     }
 
     /// Registers collective metadata for a group of already-added tasks.
@@ -322,7 +383,34 @@ mod tests {
         let mut g = TaskGraph::new(1);
         let a = g.compute("a", 0, TimeSpan::from_millis(1.0), vec![]);
         let b = g.compute("b", 0, TimeSpan::from_millis(1.0), vec![a]);
-        assert_eq!(g.tasks()[b.0].deps, vec![a]);
+        assert_eq!(g.deps(b), [a]);
+    }
+
+    #[test]
+    fn deps_keep_insertion_order_from_every_builder_input() {
+        let mut g = TaskGraph::new(2);
+        let t = |g: &mut TaskGraph, deps: Vec<TaskId>| g.barrier("", deps);
+        let (a, b, c) = (t(&mut g, vec![]), t(&mut g, vec![]), t(&mut g, vec![]));
+        let from_vec = g.compute("v", 0, TimeSpan::ZERO, vec![c, a, b]);
+        let from_array = g.transfer("x", NodeId(0), NodeId(1), 1, [b, from_vec, a]);
+        let from_some = g.compute_in_layer("s", 1, TimeSpan::ZERO, Some(c), 0);
+        let from_none = g.barrier("n", None);
+        let from_empty = g.barrier("e", []);
+        let from_iter = g.push(
+            "i",
+            Task {
+                kind: TaskKind::Barrier,
+                layer: None,
+            },
+            (0..3).rev().map(TaskId),
+        );
+        assert_eq!(g.deps(from_vec), [c, a, b]);
+        assert_eq!(g.deps(from_array), [b, from_vec, a]);
+        assert_eq!(g.deps(from_some), [c]);
+        assert_eq!(g.deps(from_none), []);
+        assert_eq!(g.deps(from_empty), []);
+        assert_eq!(g.deps(from_iter), [c, b, a]);
+        assert_eq!(g.deps(a), []);
     }
 
     #[test]
@@ -333,9 +421,9 @@ mod tests {
             "bad",
             Task {
                 kind: TaskKind::Barrier,
-                deps: vec![TaskId(5)],
                 layer: None,
             },
+            [TaskId(5)],
         );
     }
 
@@ -393,6 +481,33 @@ mod tests {
         assert_eq!(g.label(wide), "Grüße→τ·🚀");
         assert_eq!(g.label(formatted), "fc@g0");
         assert_eq!(g.label(after_empty), "");
+    }
+
+    #[test]
+    fn pieces_write_what_format_writes() {
+        let ints = [0, 9, 10, 99, 100, 12_345, u64::MAX - 1, u64::MAX];
+        for n in ints {
+            let mut out = String::new();
+            Pieces(&[Piece::Int(n)]).write_to(&mut out);
+            assert_eq!(out, format!("{n}"));
+        }
+        let shapes: [(&str, u64, u64); 4] = [("conv1", 0, 3), ("", 10, 0), ("fc", 9, u64::MAX), ("", 0, 0)];
+        for (label, a, b) in shapes {
+            let mut out = String::new();
+            Pieces(&[
+                Piece::Str(label),
+                Piece::Str(".s"),
+                Piece::Int(a),
+                Piece::Str(""),
+                Piece::Str(".rank"),
+                Piece::Int(b),
+            ])
+            .write_to(&mut out);
+            assert_eq!(out, format!("{label}.s{a}.rank{b}"));
+        }
+        let mut out = String::from("kept");
+        Pieces(&[]).write_to(&mut out);
+        assert_eq!(out, "kept");
     }
 
     #[test]
