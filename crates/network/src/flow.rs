@@ -69,10 +69,10 @@ impl FlowNetworkConfig {
 
 /// How the network recomputes fair shares when a flow starts or finishes.
 ///
-/// All three modes produce bit-identical per-flow rates (progressive
-/// filling decomposes over connected components of the flow-interference
-/// graph, and every mode runs the same component-local filling
-/// arithmetic). They differ in how much work they do per event:
+/// Both modes produce bit-identical per-flow rates (progressive filling
+/// decomposes over connected components of the flow-interference graph,
+/// and both run the same component-local filling arithmetic). They
+/// differ in how much work they do per event:
 ///
 /// * [`Incremental`](ReallocationMode::Incremental) — the default fast
 ///   path. Refills only the connected component of links touched by the
@@ -81,10 +81,6 @@ impl FlowNetworkConfig {
 /// * [`Full`](ReallocationMode::Full) — refills every component from
 ///   scratch but still delta-reschedules. The equivalence oracle the
 ///   incremental path is validated against.
-/// * [`FullReschedule`](ReallocationMode::FullReschedule) — refills every
-///   component *and* re-arms every in-flight delivery, whether or not its
-///   rate changed: the pre-fast-path behaviour, kept as the benchmark
-///   baseline for the O(F²) event churn it produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReallocationMode {
     /// Component-scoped refill + delta-rescheduling (the fast path).
@@ -92,8 +88,6 @@ pub enum ReallocationMode {
     Incremental,
     /// From-scratch refill + delta-rescheduling (equivalence oracle).
     Full,
-    /// From-scratch refill + re-arm everything (legacy baseline).
-    FullReschedule,
 }
 
 impl std::str::FromStr for ReallocationMode {
@@ -103,9 +97,8 @@ impl std::str::FromStr for ReallocationMode {
         match spec {
             "incremental" => Ok(ReallocationMode::Incremental),
             "full" => Ok(ReallocationMode::Full),
-            "full-reschedule" | "full_reschedule" => Ok(ReallocationMode::FullReschedule),
             _ => Err(format!(
-                "unknown reallocation mode `{spec}` (try incremental, full, full-reschedule)"
+                "unknown reallocation mode `{spec}` (try incremental, full)"
             )),
         }
     }
@@ -370,8 +363,6 @@ impl FlowNetwork {
 
     /// Delivery events re-armed because a reallocation changed an
     /// in-flight flow's rate — the model's genuine reallocation churn.
-    /// (In [`ReallocationMode::FullReschedule`] this reverts to counting
-    /// every re-arm, changed or not.)
     pub fn reschedules(&self) -> u64 {
         self.reschedules
     }
@@ -737,7 +728,7 @@ impl FlowNetwork {
                 #[cfg(debug_assertions)]
                 self.assert_full_equivalence();
             }
-            ReallocationMode::Full | ReallocationMode::FullReschedule => {
+            ReallocationMode::Full => {
                 let mut emit = std::mem::take(&mut self.scratch.emit);
                 emit.clear();
                 emit.extend(
@@ -751,14 +742,12 @@ impl FlowNetwork {
     }
 
     /// Emits `Schedule` commands — in `FlowId` order for determinism —
-    /// for the candidate flows whose rate changed (plus the new flow,
-    /// plus everything in [`ReallocationMode::FullReschedule`]).
+    /// for the candidate flows whose rate changed, plus the new flow.
     fn emit_commands(&mut self, now: VirtualTime, new_slot: Option<u32>) -> Vec<NetCommand> {
         let sc = &mut self.scratch;
         let slots = &mut self.slots;
         sc.emit
             .sort_unstable_by_key(|&s| slots[s as usize].as_ref().expect("candidate live").id);
-        let rearm_all = self.mode == ReallocationMode::FullReschedule;
         let mut cmds = Vec::with_capacity(sc.emit.len());
         let mut reschedules = 0u64;
         for &s in &sc.emit {
@@ -767,7 +756,7 @@ impl FlowNetwork {
             let is_new = new_slot == Some(s);
             let changed = new_rate.to_bits() != f.rate.to_bits();
             f.rate = new_rate;
-            if !(is_new || changed || rearm_all) {
+            if !(is_new || changed) {
                 // Delta-rescheduling: an unchanged rate means the armed
                 // delivery event is still exact — leave it alone.
                 continue;
@@ -1103,7 +1092,6 @@ impl NetworkModel for FlowNetwork {
         fold(&[match self.mode {
             ReallocationMode::Incremental => 0u8,
             ReallocationMode::Full => 1,
-            ReallocationMode::FullReschedule => 2,
         }]);
         h
     }
@@ -1460,8 +1448,8 @@ mod tests {
 
     /// Drives the same send script through two modes — delivering flows
     /// at exactly their armed times — and asserts bit-identical command
-    /// streams and delivery sequences.
-    fn assert_modes_agree(a: ReallocationMode, b: ReallocationMode, delta_only: bool) {
+    /// streams, delivery sequences and reschedule counts.
+    fn assert_modes_agree(a: ReallocationMode, b: ReallocationMode) {
         use std::collections::BTreeMap;
         let run = |mode: ReallocationMode| {
             let mut net = FlowNetwork::new(Topology::ring(6, 1e9, 1e-6));
@@ -1518,14 +1506,22 @@ mod tests {
         let (log_b, del_b, resched_b) = run(b);
         assert_eq!(log_a, log_b, "{a:?} and {b:?} command streams diverged");
         assert_eq!(del_a, del_b, "{a:?} and {b:?} delivery order diverged");
-        if delta_only {
-            assert_eq!(resched_a, resched_b);
-        }
+        assert_eq!(resched_a, resched_b);
     }
 
     #[test]
     fn incremental_matches_full_bitwise() {
-        assert_modes_agree(ReallocationMode::Incremental, ReallocationMode::Full, true);
+        assert_modes_agree(ReallocationMode::Incremental, ReallocationMode::Full);
+    }
+
+    #[test]
+    fn only_incremental_and_full_parse() {
+        assert_eq!("incremental".parse(), Ok(ReallocationMode::Incremental));
+        assert_eq!("full".parse(), Ok(ReallocationMode::Full));
+        for spec in ["full-reschedule", "full_reschedule"] {
+            let err = spec.parse::<ReallocationMode>().expect_err("no such mode");
+            assert!(err.contains(spec), "{err}");
+        }
     }
 
     #[test]

@@ -86,6 +86,21 @@ fn parse_errors_surface_before_any_simulation() {
     }
 }
 
+#[test]
+fn removed_reallocation_mode_is_a_parse_error() {
+    let spec = SweepSpec::from_json(
+        r#"{ "defaults": { "realloc": "full-reschedule" }, "grid": { "platform": ["p2:2"] } }"#,
+    )
+    .unwrap();
+    match run_sweep(&spec, 1, false).unwrap_err() {
+        SweepError::Scenario { index, error, .. } => {
+            assert_eq!(index, 0);
+            assert!(error.contains("full-reschedule"), "{error}");
+        }
+        other => panic!("wrong error: {other}"),
+    }
+}
+
 fn temp_path(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static SEQ: AtomicUsize = AtomicUsize::new(0);
