@@ -88,19 +88,6 @@ pub struct DepTable {
 }
 
 impl DepTable {
-    /// Builds the table from per-task dependency lists.
-    pub fn new<I, D>(deps_per_task: I) -> Self
-    where
-        I: IntoIterator<Item = D>,
-        D: IntoIterator<Item = TaskId>,
-    {
-        let mut table = DepTable::default();
-        for deps in deps_per_task {
-            table.push(deps);
-        }
-        table
-    }
-
     /// Appends the next task's dependencies and returns them.
     ///
     /// # Panics
@@ -912,8 +899,14 @@ mod tests {
 
     impl Graph {
         fn new(classes: Vec<TaskClass>, deps: Vec<Vec<usize>>) -> Self {
-            let deps = DepTable::new(deps.into_iter().map(|d| d.into_iter().map(TaskId)));
-            Graph { classes, deps }
+            let mut table = DepTable::default();
+            for d in deps {
+                table.push(d.into_iter().map(TaskId));
+            }
+            Graph {
+                classes,
+                deps: table,
+            }
         }
 
         fn accumulator(&self, gpus: usize) -> AttributionAccumulator {
@@ -969,8 +962,16 @@ mod tests {
 
     #[test]
     fn dep_table_reads_back_each_task_in_insertion_order() {
-        let lists = vec![vec![], vec![TaskId(0)], vec![], vec![TaskId(2), TaskId(0), TaskId(1)]];
-        let table = DepTable::new(lists.clone());
+        let lists = vec![
+            vec![],
+            vec![TaskId(0)],
+            vec![],
+            vec![TaskId(2), TaskId(0), TaskId(1)],
+        ];
+        let mut table = DepTable::default();
+        for list in &lists {
+            assert_eq!(table.push(list.iter().copied()), list.as_slice());
+        }
         assert_eq!(table.len(), 4);
         for (i, list) in lists.iter().enumerate() {
             assert_eq!(table.deps(i), list.as_slice());
@@ -1014,8 +1015,11 @@ mod tests {
         assert_eq!(first.iterations(), serial.iterations());
         assert_eq!(first.last_path(), serial.last_path());
         let stringify = |acc: &AttributionAccumulator| {
-            serde_json::to_string(&acc.finish(chain_label, &g.classes, Vec::new(), None).to_value())
-                .expect("attribution JSON is finite")
+            serde_json::to_string(
+                &acc.finish(chain_label, &g.classes, Vec::new(), None)
+                    .to_value(),
+            )
+            .expect("attribution JSON is finite")
         };
         assert_eq!(stringify(&first), stringify(&serial));
 
@@ -1221,7 +1225,9 @@ mod tests {
         let g = chain();
         let mut acc = g.accumulator(2);
         record_chain(&g, &mut acc);
-        let v = acc.finish(chain_label, &g.classes, Vec::new(), None).to_value();
+        let v = acc
+            .finish(chain_label, &g.classes, Vec::new(), None)
+            .to_value();
         let Value::Object(fields) = v else {
             panic!("expected object")
         };

@@ -1237,12 +1237,8 @@ impl<'a> Executor<'a> {
             .collect();
         let lost = self.faults.as_ref().map(|fr| fr.lost_compute.as_slice());
         let graph = self.graph;
-        self.attr.finish(
-            |task| graph.label(TaskId(task)),
-            &self.classes,
-            links,
-            lost,
-        )
+        self.attr
+            .finish(|task| graph.label(TaskId(task)), &self.classes, links, lost)
     }
 
     /// Records the engine-loop wall time (and the network model's share

@@ -290,7 +290,8 @@ impl<'a> Extrapolator<'a> {
             let mut last = None;
             for (bi, bucket) in buckets.iter().enumerate() {
                 let ready_layer = bucket.ready_after_layer();
-                let ready = (0..n).map(|gpu| bwd_done[gpu][ready_layer].expect("layer has backward"));
+                let ready =
+                    (0..n).map(|gpu| bwd_done[gpu][ready_layer].expect("layer has backward"));
                 let gate = g.barrier(format_args!("ddp.bucket{bi}.ready"), ready.chain(last));
                 let sched = self.all_reduce(n, bucket.bytes);
                 last = Some(self.collective(
@@ -356,12 +357,8 @@ impl<'a> Extrapolator<'a> {
             if l.tp_splittable && l.output_bytes > 0 {
                 let out = scaled_bytes(l.output_bytes, self.trace.batch(), global_batch);
                 let sched = ring_all_gather(n, out.max(1));
-                let done = self.collective(
-                    &mut g,
-                    &format!("tp.l{}.allgather", l.index),
-                    &sched,
-                    |r| cursors[r],
-                );
+                let label = format!("tp.l{}.allgather", l.index);
+                let done = self.collective(&mut g, &label, &sched, |r| cursors[r]);
                 cursors.fill(done);
             }
         }
@@ -383,12 +380,8 @@ impl<'a> Extrapolator<'a> {
                 if input_bytes > 0 {
                     let bytes = scaled_bytes(input_bytes, self.trace.batch(), global_batch);
                     let sched = ring_all_reduce(n, bytes.max(1));
-                    let done = self.collective(
-                        &mut g,
-                        &format!("tp.l{}.grad.allreduce", l.index),
-                        &sched,
-                        |r| cursors[r],
-                    );
+                    let label = format!("tp.l{}.grad.allreduce", l.index);
+                    let done = self.collective(&mut g, &label, &sched, |r| cursors[r]);
                     cursors.fill(done);
                 }
             }
@@ -413,7 +406,8 @@ impl<'a> Extrapolator<'a> {
     /// 1/n shard of a split layer's parameters.
     fn tp_ops(&self, batch: u64, n: usize) -> Vec<Cow<'a, Operator>> {
         let entries = self.trace.entries();
-        let mut ops: Vec<Cow<'a, Operator>> = entries.iter().map(|e| Cow::Borrowed(&e.op)).collect();
+        let mut ops: Vec<Cow<'a, Operator>> =
+            entries.iter().map(|e| Cow::Borrowed(&e.op)).collect();
         for l in &self.layers {
             for &ei in l.fwd.iter().chain(&l.bwd) {
                 let op = &entries[ei].op;
@@ -446,7 +440,10 @@ impl<'a> Extrapolator<'a> {
         // Optimizer: each stage updates its own layers once its backward
         // micro-batches are done.
         for (s, stage_layers) in stages.iter().enumerate() {
-            let mut cursor = g.barrier(format_args!("pp.s{s}.bwd.done"), bwd_done[s].iter().copied());
+            let mut cursor = g.barrier(
+                format_args!("pp.s{s}.bwd.done"),
+                bwd_done[s].iter().copied(),
+            );
             for &li in stage_layers {
                 for &ei in &self.layers[li].opt {
                     cursor = self.compute_task(&mut g, ei, &ops[ei], s, cursor);

@@ -491,7 +491,12 @@ mod tests {
             Pieces(&[Piece::Int(n)]).write_to(&mut out);
             assert_eq!(out, format!("{n}"));
         }
-        let shapes: [(&str, u64, u64); 4] = [("conv1", 0, 3), ("", 10, 0), ("fc", 9, u64::MAX), ("", 0, 0)];
+        let shapes: [(&str, u64, u64); 4] = [
+            ("conv1", 0, 3),
+            ("", 10, 0),
+            ("fc", 9, u64::MAX),
+            ("", 0, 0),
+        ];
         for (label, a, b) in shapes {
             let mut out = String::new();
             Pieces(&[
