@@ -108,7 +108,8 @@ impl Labels {
 
 /// What a task label is written from: any [`fmt::Display`] value
 /// (`format_args!` writes into the label arena without allocating a
-/// `String` per task), or [`Pieces`], which skips `core::fmt` entirely.
+/// `String` per task). The extrapolator's per-task labels instead append
+/// `&str` pieces and decimal integers, skipping `core::fmt` entirely.
 pub trait LabelText {
     /// Appends the label to `out`.
     fn write_to(&self, out: &mut String);
