@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::time::VirtualTime;
 
 /// Which budget axis a run exceeded.
@@ -126,18 +127,10 @@ impl RunBudget {
     /// excluded: it is host-dependent by design and is re-armed on
     /// restore.
     pub fn deterministic_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        fold(self.max_events.map_or(0, |m| 1 + m));
-        fold(self.max_sim_time.map_or(0, |(_, us)| 1 + us));
-        h
+        let events = self.max_events.map_or(0, |m| 1 + m);
+        let sim_time = self.max_sim_time.map_or(0, |(_, us)| 1 + us);
+        let h = fnv1a(FNV_OFFSET, &events.to_le_bytes());
+        fnv1a(h, &sim_time.to_le_bytes())
     }
 
     /// Checks the budget against the run's progress: `events` delivered

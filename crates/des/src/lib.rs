@@ -58,6 +58,7 @@
 
 mod budget;
 mod engine;
+mod fnv;
 mod idhash;
 mod queue;
 mod stats;
@@ -66,6 +67,7 @@ mod time;
 
 pub use budget::{BudgetKind, BudgetProgress, RunBudget};
 pub use engine::{Engine, EngineCtx, EngineError, Handler, HandlerId, HandlerStats};
+pub use fnv::{fnv1a, FNV_OFFSET, FNV_PRIME};
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use queue::{EventId, EventQueue};
 pub use stats::QueueStats;

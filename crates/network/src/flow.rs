@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use triosim_des::{IdMap, TimeSpan, VirtualTime};
+use triosim_des::{fnv1a, IdMap, TimeSpan, VirtualTime, FNV_OFFSET};
 
 use crate::model::{
     FlowId, LinkCheckpoint, LinkFault, LinkObservation, NetCheckpoint, NetCommand, NetObservation,
@@ -1073,15 +1073,8 @@ impl NetworkModel for FlowNetwork {
         // mutable state (link stats, counters, the route cache) is
         // deliberately excluded — two runs of the same *spec* must agree
         // even when captured at different points in time.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut fold = |bytes: &[u8]| h = fnv1a(h, bytes);
         let topo_json =
             serde_json::to_string(&self.topo).expect("topologies serialize to plain JSON");
         fold(topo_json.as_bytes());

@@ -78,7 +78,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use triosim_des::{TimeSpan, VirtualTime};
+use triosim_des::{fnv1a, TimeSpan, VirtualTime, FNV_OFFSET};
 
 use crate::model::{
     FlowId, LinkObservation, NetCommand, NetObservation, NetworkModel, PacketObservation,
@@ -976,15 +976,8 @@ impl NetworkModel for PacketNetwork {
         // FNV-1a over the serialized topology and the packet-tier knobs
         // as raw bits — same recipe as the flow model: configuration
         // only, never live statistics.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut fold = |bytes: &[u8]| h = fnv1a(h, bytes);
         let topo_json =
             serde_json::to_string(&self.topo).expect("topologies serialize to plain JSON");
         fold(topo_json.as_bytes());

@@ -32,6 +32,8 @@
 //! [`BottleneckReport`] is part of the canonical report surface and is
 //! byte-identical across hosts, thread counts, and observability on/off.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize, Value};
 use triosim_des::{TimeSpan, VirtualTime};
 
@@ -79,26 +81,26 @@ pub struct TaskId(pub usize);
 
 /// Every task's dependencies in one flat table, appended task by task:
 /// task `t`'s are `edges[ends[t - 1]..ends[t]]` (from 0 for task 0), in
-/// the order they were given. A task graph owns the only copy; the
-/// executor and the critical-path walk read it.
+/// the order they were given, each a 4-byte task index. A task graph
+/// owns the only copy; the executor and the critical-path walk read it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DepTable {
     ends: Vec<u32>,
-    edges: Vec<TaskId>,
+    edges: Vec<u32>,
 }
 
 impl DepTable {
-    /// Appends the next task's dependencies and returns them.
+    /// Appends the next task's dependencies.
     ///
     /// # Panics
     ///
-    /// Panics if the table would exceed `u32::MAX` edges.
-    pub fn push(&mut self, deps: impl IntoIterator<Item = TaskId>) -> &[TaskId] {
-        let start = self.edges.len();
-        self.edges.extend(deps);
+    /// Panics if a dependency's id or the table's edge count would
+    /// exceed `u32::MAX`.
+    pub fn push(&mut self, deps: impl IntoIterator<Item = TaskId>) {
+        let index = |d: TaskId| u32::try_from(d.0).expect("task ids fit in u32");
+        self.edges.extend(deps.into_iter().map(index));
         let end = u32::try_from(self.edges.len()).expect("dependency edges fit in u32");
         self.ends.push(end);
-        &self.edges[start..]
     }
 
     /// Number of tasks covered by the table.
@@ -116,28 +118,37 @@ impl DepTable {
     /// # Panics
     ///
     /// Panics if `t` is not below [`len`](Self::len).
-    pub fn deps(&self, t: usize) -> &[TaskId] {
+    pub fn deps(&self, t: usize) -> impl ExactSizeIterator<Item = TaskId> + '_ {
         let start = t.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
-        &self.edges[start..self.ends[t] as usize]
+        self.edges[start..self.ends[t] as usize]
+            .iter()
+            .map(|&d| TaskId(d as usize))
     }
 
     /// Every task's dependencies, task after task.
-    pub fn edges(&self) -> &[TaskId] {
-        &self.edges
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = TaskId> + '_ {
+        self.edges.iter().map(|&d| TaskId(d as usize))
     }
 }
 
+/// The start or finish time of a task that has not run (yet) in an
+/// [`IterationObservation`]. A clock whose additions are checked reaches
+/// it only by landing on it exactly, which no simulated instant does.
+pub const NOT_RUN: VirtualTime = VirtualTime::MAX;
+
+/// The GPU-stream predecessor of a task that has none, in an
+/// [`IterationObservation`].
+pub const NO_TASK: u32 = u32::MAX;
+
 /// One completed iteration's timing state, borrowed from the executor.
 ///
-/// `start[t]`/`finish[t]` are `None` for tasks that did not execute
+/// `start[t]`/`finish[t]` are [`NOT_RUN`] for tasks that did not execute
 /// (possible only on aborted iterations, which are never recorded).
 /// `gpu_pred[t]` is the compute task that freed task `t`'s GPU, for
-/// compute tasks that had to wait on the serial stream. The task
-/// structure (`classes`, `deps`) is the graph's own, borrowed.
+/// compute tasks that had to wait on the serial stream, else
+/// [`NO_TASK`]. The dependency table is the graph's own, borrowed.
 #[derive(Debug)]
 pub struct IterationObservation<'a> {
-    /// Per-task classification.
-    pub classes: &'a [TaskClass],
     /// The graph's dependency table.
     pub deps: &'a DepTable,
     /// Virtual time the iteration began (roots seeded).
@@ -145,16 +156,24 @@ pub struct IterationObservation<'a> {
     /// Virtual time the iteration's last event fired.
     pub end: VirtualTime,
     /// Per-task start times.
-    pub start: &'a [Option<VirtualTime>],
+    pub start: &'a [VirtualTime],
     /// Per-task finish times.
-    pub finish: &'a [Option<VirtualTime>],
+    pub finish: &'a [VirtualTime],
     /// Per-task GPU-stream predecessor (compute tasks only).
-    pub gpu_pred: &'a [Option<u32>],
+    pub gpu_pred: &'a [u32],
+}
+
+impl IterationObservation<'_> {
+    /// Task `t`'s `(start, finish)`, when it ran.
+    fn span(&self, t: usize) -> Option<(VirtualTime, VirtualTime)> {
+        let (s, f) = (self.start[t], self.finish[t]);
+        (s != NOT_RUN && f != NOT_RUN).then_some((s, f))
+    }
 }
 
 /// Integer-tick bucket totals for one GPU (exact; converted to seconds
 /// only at report time).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BucketTicks {
     compute: TimeSpan,
     overlapped: TimeSpan,
@@ -193,11 +212,11 @@ pub struct PathSegmentState {
 /// serializable form for mid-run checkpoints.
 ///
 /// Only *accumulated* totals appear here: the static task structure
-/// (classes, dependencies) is a pure function of the simulation
-/// spec and is rebuilt from it on restore, and the scratch buffers are
-/// per-iteration working memory that is empty at every iteration
-/// boundary. All quantities are integer ticks or counts, so a restored
-/// accumulator continues to byte-identical final reports.
+/// (classes, dependencies) is the graph's, which the accumulator only
+/// borrows. All quantities are integer ticks or counts, so a restored
+/// accumulator continues to byte-identical final reports. The on-path
+/// totals are one entry per task here, zero for tasks never on a path,
+/// though the accumulator keeps only the others.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AttributionState {
     on_path: Vec<(TimeSpan, u64)>,
@@ -211,37 +230,39 @@ pub struct AttributionState {
 
 /// Accumulates per-iteration attribution state across a run.
 ///
-/// It owns no task structure: each [`IterationObservation`] and
-/// [`finish`](Self::finish) borrow the graph's classes, dependencies and
-/// labels from the caller, which already stores each one.
-#[derive(Debug)]
+/// It owns no task structure: [`record_iteration`](Self::record_iteration)
+/// and [`finish`](Self::finish) borrow the graph's dependencies and
+/// labels from the caller, which already stores them, and classify each
+/// task through the caller's function. Two accumulators are equal when
+/// every total and the last path are.
+#[derive(Debug, PartialEq)]
 pub struct AttributionAccumulator {
-    /// Accumulated on-critical-path duration and hit count per task.
-    on_path: Vec<(TimeSpan, u64)>,
+    /// Tasks in the graph.
+    tasks: usize,
+    /// Accumulated on-critical-path duration and hit count of each task
+    /// that has been on a path, by task: a path holds a small share of
+    /// the tasks, so this stays far smaller than a per-task table.
+    on_path: BTreeMap<u32, (TimeSpan, u64)>,
     per_gpu: Vec<BucketTicks>,
     path_total: TimeSpan,
     path_compute: TimeSpan,
     path_comm: TimeSpan,
     iterations: u64,
     last_path: Vec<(u32, VirtualTime, VirtualTime)>,
-    // Scratch buffers reused across iterations.
-    scratch_compute: Vec<Vec<(VirtualTime, VirtualTime)>>,
-    scratch_comm: Vec<Vec<(VirtualTime, VirtualTime)>>,
 }
 
 impl AttributionAccumulator {
     /// Creates an empty accumulator for `tasks` tasks on `gpus` GPUs.
     pub fn new(gpus: usize, tasks: usize) -> Self {
         AttributionAccumulator {
-            on_path: vec![(TimeSpan::ZERO, 0); tasks],
+            tasks,
+            on_path: BTreeMap::new(),
             per_gpu: vec![BucketTicks::default(); gpus],
             path_total: TimeSpan::ZERO,
             path_compute: TimeSpan::ZERO,
             path_comm: TimeSpan::ZERO,
             iterations: 0,
             last_path: Vec::new(),
-            scratch_compute: vec![Vec::new(); gpus],
-            scratch_comm: vec![Vec::new(); gpus],
         }
     }
 
@@ -256,20 +277,28 @@ impl AttributionAccumulator {
         &self.last_path
     }
 
-    /// Folds one completed iteration into the running totals.
+    /// Folds one completed iteration into the running totals; `class(t)`
+    /// classifies task `t`.
     ///
     /// # Panics
     ///
     /// Panics if `it` does not cover this accumulator's task count.
-    pub fn record_iteration(&mut self, it: &IterationObservation<'_>) {
-        let n = self.on_path.len();
+    pub fn record_iteration(
+        &mut self,
+        it: &IterationObservation<'_>,
+        class: impl Fn(usize) -> TaskClass,
+    ) {
+        let n = self.tasks;
         assert!(
-            it.classes.len() == n && it.deps.len() == n && it.finish.len() == n,
+            it.deps.len() == n
+                && it.start.len() == n
+                && it.finish.len() == n
+                && it.gpu_pred.len() == n,
             "observation must cover the accumulator's {n} tasks"
         );
         self.iterations += 1;
-        self.walk_critical_path(it);
-        self.bucket_gpu_time(it);
+        self.walk_critical_path(it, &class);
+        self.bucket_gpu_time(it, &class);
     }
 
     /// Folds another accumulator's totals into this one *exactly*.
@@ -284,13 +313,13 @@ impl AttributionAccumulator {
     /// becomes the merged "most recent" path when it recorded any.
     pub fn absorb(&mut self, other: &AttributionAccumulator) {
         assert_eq!(
-            self.on_path.len(),
-            other.on_path.len(),
+            self.tasks, other.tasks,
             "absorbed accumulator must cover the same task graph"
         );
-        for (mine, theirs) in self.on_path.iter_mut().zip(&other.on_path) {
-            mine.0 += theirs.0;
-            mine.1 += theirs.1;
+        for (&t, &(ticks, count)) in &other.on_path {
+            let mine = self.on_path.entry(t).or_default();
+            mine.0 += ticks;
+            mine.1 += count;
         }
         for (mine, theirs) in self.per_gpu.iter_mut().zip(&other.per_gpu) {
             mine.compute += theirs.compute;
@@ -323,8 +352,12 @@ impl AttributionAccumulator {
     /// (checkpoint support; see the state type's docs for what is — and
     /// deliberately is not — captured).
     pub fn snapshot(&self) -> AttributionState {
+        let mut on_path = vec![(TimeSpan::ZERO, 0); self.tasks];
+        for (&t, &totals) in &self.on_path {
+            on_path[t as usize] = totals;
+        }
         AttributionState {
-            on_path: self.on_path.clone(),
+            on_path,
             per_gpu: self
                 .per_gpu
                 .iter()
@@ -362,11 +395,11 @@ impl AttributionAccumulator {
     /// corrupt or mismatched snapshot must degrade to a typed error, not
     /// an out-of-bounds panic later.
     pub fn restore(&mut self, state: &AttributionState) -> Result<(), String> {
-        if state.on_path.len() != self.on_path.len() {
+        if state.on_path.len() != self.tasks {
             return Err(format!(
                 "attribution state covers {} tasks but the graph has {}",
                 state.on_path.len(),
-                self.on_path.len()
+                self.tasks
             ));
         }
         if state.per_gpu.len() != self.per_gpu.len() {
@@ -379,15 +412,19 @@ impl AttributionAccumulator {
         if let Some(seg) = state
             .last_path
             .iter()
-            .find(|seg| seg.task as usize >= self.on_path.len())
+            .find(|seg| seg.task as usize >= self.tasks)
         {
             return Err(format!(
                 "attribution state path references task {} but the graph has {}",
-                seg.task,
-                self.on_path.len()
+                seg.task, self.tasks
             ));
         }
-        self.on_path.clone_from(&state.on_path);
+        let zero = (TimeSpan::ZERO, 0);
+        self.on_path = (0u32..)
+            .zip(&state.on_path)
+            .filter(|&(_, &totals)| totals != zero)
+            .map(|(t, &totals)| (t, totals))
+            .collect();
         for (mine, theirs) in self.per_gpu.iter_mut().zip(&state.per_gpu) {
             *mine = BucketTicks {
                 compute: theirs.compute,
@@ -411,18 +448,16 @@ impl AttributionAccumulator {
         Ok(())
     }
 
-    fn walk_critical_path(&mut self, it: &IterationObservation<'_>) {
+    fn walk_critical_path(
+        &mut self,
+        it: &IterationObservation<'_>,
+        class: &impl Fn(usize) -> TaskClass,
+    ) {
         // Sink: the latest-finishing task (ties toward smallest index).
         let mut sink: Option<(usize, VirtualTime)> = None;
-        for (t, f) in it.finish.iter().enumerate() {
-            if let Some(f) = *f {
-                let better = match sink {
-                    None => true,
-                    Some((_, best)) => f > best,
-                };
-                if better {
-                    sink = Some((t, f));
-                }
+        for (t, &f) in it.finish.iter().enumerate() {
+            if f != NOT_RUN && sink.is_none_or(|(_, best)| f > best) {
+                sink = Some((t, f));
             }
         }
         let Some((sink, _)) = sink else {
@@ -431,13 +466,14 @@ impl AttributionAccumulator {
 
         self.last_path.clear();
         let mut cur = sink;
-        while let (Some(s), Some(f)) = (it.start[cur], it.finish[cur]) {
+        while let Some((s, f)) = it.span(cur) {
             self.last_path.push((cur as u32, s, f));
             let seg = f - s;
-            self.on_path[cur].0 += seg;
-            self.on_path[cur].1 += 1;
+            let totals = self.on_path.entry(cur as u32).or_default();
+            totals.0 += seg;
+            totals.1 += 1;
             self.path_total += seg;
-            match it.classes[cur] {
+            match class(cur) {
                 TaskClass::Compute { .. } => self.path_compute += seg,
                 TaskClass::Comm { .. } => self.path_comm += seg,
                 TaskClass::Sync => {}
@@ -446,19 +482,19 @@ impl AttributionAccumulator {
                 break;
             }
             // The dependency that released this task: finished exactly
-            // at `s`, smallest index wins ties.
+            // at `s` (never `NOT_RUN`: `s` is a real instant), smallest
+            // index wins ties.
             let mut pred: Option<usize> = None;
-            for &TaskId(d) in it.deps.deps(cur) {
-                if it.finish[d] == Some(s) && pred.is_none_or(|p| d < p) {
+            for TaskId(d) in it.deps.deps(cur) {
+                if it.finish[d] == s && pred.is_none_or(|p| d < p) {
                     pred = Some(d);
                 }
             }
             // Otherwise the task was gated by its GPU's serial stream.
             if pred.is_none() {
-                if let Some(g) = it.gpu_pred[cur] {
-                    if it.finish[g as usize] == Some(s) {
-                        pred = Some(g as usize);
-                    }
+                let g = it.gpu_pred[cur];
+                if g != NO_TASK && it.finish[g as usize] == s {
+                    pred = Some(g as usize);
                 }
             }
             match pred {
@@ -474,41 +510,28 @@ impl AttributionAccumulator {
         );
     }
 
-    fn bucket_gpu_time(&mut self, it: &IterationObservation<'_>) {
+    fn bucket_gpu_time(
+        &mut self,
+        it: &IterationObservation<'_>,
+        class: &impl Fn(usize) -> TaskClass,
+    ) {
         let span = it.end - it.begin;
-        for v in &mut self.scratch_compute {
-            v.clear();
-        }
-        for v in &mut self.scratch_comm {
-            v.clear();
-        }
-        for (t, class) in it.classes.iter().enumerate() {
-            let (Some(s), Some(f)) = (it.start[t], it.finish[t]) else {
-                continue;
-            };
-            match *class {
-                TaskClass::Compute { gpu } => self.scratch_compute[gpu].push((s, f)),
-                TaskClass::Comm { src_gpu, dst_gpu } => {
-                    if let Some(g) = src_gpu {
-                        self.scratch_comm[g].push((s, f));
-                    }
-                    if let Some(g) = dst_gpu {
-                        if dst_gpu != src_gpu {
-                            self.scratch_comm[g].push((s, f));
-                        }
-                    }
-                }
-                TaskClass::Sync => {}
-            }
-        }
-        for g in 0..self.per_gpu.len() {
-            let compute = union_in_place(&mut self.scratch_compute[g]);
-            let comm = union_in_place(&mut self.scratch_comm[g]);
+        // Each GPU's compute (list 0) and comm (list 1) intervals, in
+        // buffers counted to their exact size first and freed on return.
+        let mut counts = vec![[0usize; 2]; self.per_gpu.len()];
+        gpu_intervals(it, class, |g, list, _| counts[g][list] += 1);
+        let mut lists: Vec<[Vec<(VirtualTime, VirtualTime)>; 2]> = counts
+            .iter()
+            .map(|&[compute, comm]| [Vec::with_capacity(compute), Vec::with_capacity(comm)])
+            .collect();
+        gpu_intervals(it, class, |g, list, iv| lists[g][list].push(iv));
+        for (b, [compute, comm]) in self.per_gpu.iter_mut().zip(&mut lists) {
+            merge_intervals(compute);
+            merge_intervals(comm);
             let compute_len = total_len(compute);
             let comm_len = total_len(comm);
             let overlapped = intersect_len(compute, comm);
             let exposed = comm_len - overlapped;
-            let b = &mut self.per_gpu[g];
             b.compute += compute_len;
             b.overlapped += overlapped;
             b.exposed += exposed;
@@ -519,20 +542,20 @@ impl AttributionAccumulator {
 
     /// Folds the accumulated state into a [`BottleneckReport`].
     ///
-    /// `label(t)` names task `t` and `classes` classifies it, as in the
-    /// recorded observations; `links` is the network layer's per-link
+    /// `label(t)` names task `t` and `class(t)` classifies it, as in the
+    /// recorded iterations; `links` is the network layer's per-link
     /// busy accounting (already converted by the caller);
     /// `lost_compute_s` is the fault layer's per-GPU dilation attribution
     /// when a fault plan ran.
     pub fn finish<'l>(
         &self,
         label: impl Fn(usize) -> &'l str,
-        classes: &[TaskClass],
+        class: impl Fn(usize) -> TaskClass,
         mut links: Vec<HotLink>,
         lost_compute_s: Option<&[f64]>,
     ) -> BottleneckReport {
         let path_total_s = self.path_total.as_seconds();
-        let top_ops = top_ops(&self.on_path, label, classes)
+        let top_ops = top_ops(&self.on_path, label, class)
             .into_iter()
             .map(|op| CriticalOp {
                 label: op.label.to_string(),
@@ -629,24 +652,25 @@ impl LabelTotal<'_> {
 }
 
 /// The [`DEFAULT_TOP_K`] labels with the most critical-path time, in rank
-/// order. Tasks sharing a label merge into one entry, whose kind is its
-/// lowest-indexed task's; barriers never rank.
+/// order, from each task's `(ticks, count)` on the path. Tasks sharing a
+/// label merge into one entry, whose kind is its lowest-indexed task's;
+/// barriers never rank.
 fn top_ops<'l>(
-    on_path: &[(TimeSpan, u64)],
+    on_path: &BTreeMap<u32, (TimeSpan, u64)>,
     label: impl Fn(usize) -> &'l str,
-    classes: &[TaskClass],
+    class: impl Fn(usize) -> TaskClass,
 ) -> Vec<LabelTotal<'l>> {
     // Group by sorting: equal labels become adjacent, lowest index first.
     let mut tasks: Vec<(&str, usize)> = on_path
         .iter()
-        .enumerate()
-        .filter(|&(t, &(_, count))| count > 0 && !matches!(classes[t], TaskClass::Sync))
+        .map(|(&t, &(_, count))| (t as usize, count))
+        .filter(|&(t, count)| count > 0 && !matches!(class(t), TaskClass::Sync))
         .map(|(t, _)| (label(t), t))
         .collect();
     tasks.sort_unstable();
     let mut totals: Vec<LabelTotal<'l>> = Vec::with_capacity(tasks.len());
     for (label, t) in tasks {
-        let (ticks, count) = on_path[t];
+        let (ticks, count) = on_path[&(t as u32)];
         match totals.last_mut() {
             Some(last) if last.label == label => {
                 last.ticks += ticks;
@@ -656,7 +680,7 @@ fn top_ops<'l>(
                 label,
                 ticks,
                 count,
-                kind: classes[t].kind_str(),
+                kind: class(t).kind_str(),
             }),
         }
     }
@@ -839,10 +863,41 @@ impl BottleneckReport {
     }
 }
 
-/// Sorts and merges overlapping intervals in place; returns the merged
-/// prefix.
-fn union_in_place(v: &mut Vec<(VirtualTime, VirtualTime)>) -> &[(VirtualTime, VirtualTime)] {
-    v.sort();
+/// Calls `visit(gpu, list, interval)` for each interval a task that ran
+/// in `it` puts on a GPU: list 0 holds a GPU's compute, list 1 the
+/// transfers touching it (once, even when it is both ends).
+fn gpu_intervals(
+    it: &IterationObservation<'_>,
+    class: &impl Fn(usize) -> TaskClass,
+    mut visit: impl FnMut(usize, usize, (VirtualTime, VirtualTime)),
+) {
+    for t in 0..it.finish.len() {
+        let Some(iv) = it.span(t) else {
+            continue;
+        };
+        match class(t) {
+            TaskClass::Compute { gpu } => visit(gpu, 0, iv),
+            TaskClass::Comm { src_gpu, dst_gpu } => {
+                if let Some(g) = src_gpu {
+                    visit(g, 1, iv);
+                }
+                if let Some(g) = dst_gpu {
+                    if dst_gpu != src_gpu {
+                        visit(g, 1, iv);
+                    }
+                }
+            }
+            TaskClass::Sync => {}
+        }
+    }
+}
+
+/// Replaces intervals with their union in place: sorted, disjoint, with
+/// overlapping and touching intervals coalesced. The union is
+/// associative and idempotent, so merging a list that already holds a
+/// merged union (as checkpoints store it) changes no derived length.
+pub fn merge_intervals(v: &mut Vec<(VirtualTime, VirtualTime)>) {
+    v.sort_unstable();
     let mut w = 0;
     for i in 0..v.len() {
         if w == 0 || v[i].0 > v[w - 1].1 {
@@ -853,10 +908,11 @@ fn union_in_place(v: &mut Vec<(VirtualTime, VirtualTime)>) -> &[(VirtualTime, Vi
         }
     }
     v.truncate(w);
-    v
 }
 
-fn total_len(v: &[(VirtualTime, VirtualTime)]) -> TimeSpan {
+/// The summed length of `v`'s intervals (their union's length once
+/// [`merge_intervals`] has run).
+pub fn total_len(v: &[(VirtualTime, VirtualTime)]) -> TimeSpan {
     let mut t = TimeSpan::ZERO;
     for &(s, e) in v {
         t += e - s;
@@ -913,22 +969,28 @@ mod tests {
             AttributionAccumulator::new(gpus, self.classes.len())
         }
 
-        fn observe<'a>(
-            &'a self,
+        fn class(&self) -> impl Fn(usize) -> TaskClass + '_ {
+            |t| self.classes[t]
+        }
+
+        /// Records one iteration over `(begin, end)` into `acc`.
+        fn record(
+            &self,
+            acc: &mut AttributionAccumulator,
             (begin, end): (f64, f64),
-            start: &'a [Option<VirtualTime>],
-            finish: &'a [Option<VirtualTime>],
-            gpu_pred: &'a [Option<u32>],
-        ) -> IterationObservation<'a> {
-            IterationObservation {
-                classes: &self.classes,
+            start: &[VirtualTime],
+            finish: &[VirtualTime],
+            gpu_pred: &[u32],
+        ) {
+            let it = IterationObservation {
                 deps: &self.deps,
                 begin: t(begin),
                 end: t(end),
                 start,
                 finish,
                 gpu_pred,
-            }
+            };
+            acc.record_iteration(&it, self.class());
         }
     }
 
@@ -954,10 +1016,9 @@ mod tests {
 
     /// Records the chain's one iteration into `acc`.
     fn record_chain(g: &Graph, acc: &mut AttributionAccumulator) {
-        let start = [Some(t(0.0)), Some(t(2.0)), Some(t(3.0))];
-        let finish = [Some(t(2.0)), Some(t(3.0)), Some(t(4.0))];
-        let pred = [None, None, None];
-        acc.record_iteration(&g.observe((0.0, 4.0), &start, &finish, &pred));
+        let start = [t(0.0), t(2.0), t(3.0)];
+        let finish = [t(2.0), t(3.0), t(4.0)];
+        g.record(acc, (0.0, 4.0), &start, &finish, &[NO_TASK; 3]);
     }
 
     #[test]
@@ -970,13 +1031,15 @@ mod tests {
         ];
         let mut table = DepTable::default();
         for list in &lists {
-            assert_eq!(table.push(list.iter().copied()), list.as_slice());
+            table.push(list.iter().copied());
         }
         assert_eq!(table.len(), 4);
         for (i, list) in lists.iter().enumerate() {
-            assert_eq!(table.deps(i), list.as_slice());
+            assert_eq!(table.deps(i).len(), list.len());
+            assert!(table.deps(i).eq(list.iter().copied()));
         }
-        assert_eq!(table.edges(), &[TaskId(0), TaskId(2), TaskId(0), TaskId(1)]);
+        let edges = [TaskId(0), TaskId(2), TaskId(0), TaskId(1)];
+        assert!(table.edges().eq(edges));
         assert!(DepTable::default().is_empty());
     }
 
@@ -985,7 +1048,7 @@ mod tests {
         let g = chain();
         let mut acc = g.accumulator(2);
         record_chain(&g, &mut acc);
-        let r = acc.finish(chain_label, &g.classes, Vec::new(), None);
+        let r = acc.finish(chain_label, g.class(), Vec::new(), None);
         assert_eq!(r.iterations, 1);
         assert!((r.critical_path_s - 4.0).abs() < 1e-12);
         assert!((r.path_compute_s - 3.0).abs() < 1e-12);
@@ -1016,7 +1079,7 @@ mod tests {
         assert_eq!(first.last_path(), serial.last_path());
         let stringify = |acc: &AttributionAccumulator| {
             serde_json::to_string(
-                &acc.finish(chain_label, &g.classes, Vec::new(), None)
+                &acc.finish(chain_label, g.class(), Vec::new(), None)
                     .to_value(),
             )
             .expect("attribution JSON is finite")
@@ -1040,11 +1103,44 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_restore_to_an_equal_accumulator() {
+        // g0 computes [0,4] while a transfer runs [1,3]: only the compute
+        // task is on the path.
+        let classes = vec![
+            TaskClass::Compute { gpu: 0 },
+            TaskClass::Comm {
+                src_gpu: Some(0),
+                dst_gpu: Some(1),
+            },
+        ];
+        let g = Graph::new(classes, vec![vec![], vec![]]);
+        let record = |acc: &mut AttributionAccumulator| {
+            let (start, finish) = ([t(0.0), t(1.0)], [t(4.0), t(3.0)]);
+            g.record(acc, (0.0, 4.0), &start, &finish, &[NO_TASK; 2]);
+        };
+        let mut acc = g.accumulator(2);
+        record(&mut acc);
+        let state = acc.snapshot();
+        let zero = (TimeSpan::ZERO, 0);
+        assert_eq!(state.on_path.len(), 2, "dense: one entry per task");
+        assert_eq!(state.on_path[1], zero, "the transfer was never on the path");
+        assert_ne!(state.on_path[0], zero);
+        let mut restored = g.accumulator(2);
+        restored.restore(&state).expect("same graph");
+        assert_eq!(restored, acc);
+        assert_eq!(restored.snapshot(), state);
+        // Both go on identically.
+        record(&mut acc);
+        record(&mut restored);
+        assert_eq!(restored, acc);
+    }
+
+    #[test]
     fn buckets_partition_each_gpus_time() {
         let g = chain();
         let mut acc = g.accumulator(2);
         record_chain(&g, &mut acc);
-        let r = acc.finish(chain_label, &g.classes, Vec::new(), None);
+        let r = acc.finish(chain_label, g.class(), Vec::new(), None);
         let g0 = r.per_gpu[0];
         let g1 = r.per_gpu[1];
         assert!((g0.compute_s - 2.0).abs() < 1e-12);
@@ -1072,11 +1168,10 @@ mod tests {
         ];
         let g = Graph::new(classes, vec![vec![], vec![]]);
         let mut acc = g.accumulator(2);
-        let start = [Some(t(0.0)), Some(t(1.0))];
-        let finish = [Some(t(4.0)), Some(t(3.0))];
-        let pred = [None, None];
-        acc.record_iteration(&g.observe((0.0, 4.0), &start, &finish, &pred));
-        let r = acc.finish(chain_label, &g.classes, Vec::new(), None);
+        let start = [t(0.0), t(1.0)];
+        let finish = [t(4.0), t(3.0)];
+        g.record(&mut acc, (0.0, 4.0), &start, &finish, &[NO_TASK; 2]);
+        let r = acc.finish(chain_label, g.class(), Vec::new(), None);
         assert!((r.per_gpu[0].overlapped_comm_s - 2.0).abs() < 1e-12);
         assert!(r.per_gpu[0].exposed_comm_s.abs() < 1e-12);
         assert!((r.per_gpu[1].exposed_comm_s - 2.0).abs() < 1e-12);
@@ -1091,11 +1186,10 @@ mod tests {
         let classes = vec![TaskClass::Compute { gpu: 0 }, TaskClass::Compute { gpu: 0 }];
         let g = Graph::new(classes, vec![vec![], vec![]]);
         let mut acc = g.accumulator(1);
-        let start = [Some(t(0.0)), Some(t(2.0))];
-        let finish = [Some(t(2.0)), Some(t(5.0))];
-        let pred = [None, Some(0)];
-        acc.record_iteration(&g.observe((0.0, 5.0), &start, &finish, &pred));
-        let r = acc.finish(|t| ["a", "b"][t], &g.classes, Vec::new(), None);
+        let start = [t(0.0), t(2.0)];
+        let finish = [t(2.0), t(5.0)];
+        g.record(&mut acc, (0.0, 5.0), &start, &finish, &[NO_TASK, 0]);
+        let r = acc.finish(|t| ["a", "b"][t], g.class(), Vec::new(), None);
         assert!((r.critical_path_s - 5.0).abs() < 1e-12);
         assert_eq!(r.top_ops.len(), 2);
         assert_eq!(r.top_ops[0].label, "b");
@@ -1108,11 +1202,10 @@ mod tests {
         let classes: Vec<TaskClass> = (0..4).map(|gpu| TaskClass::Compute { gpu }).collect();
         let g = Graph::new(classes, vec![vec![]; 4]);
         let mut acc = g.accumulator(4);
-        let start = [Some(t(0.0)), Some(t(0.0)), Some(t(0.0)), Some(t(0.0))];
-        let finish = [Some(t(1.0)), Some(t(1.0)), Some(t(1.0)), Some(t(3.0))];
-        let pred = [None, None, None, None];
-        acc.record_iteration(&g.observe((0.0, 3.0), &start, &finish, &pred));
-        let r = acc.finish(|_| "k", &g.classes, Vec::new(), Some(&[0.0, 0.0, 0.0, 2.0]));
+        let start = [t(0.0); 4];
+        let finish = [t(1.0), t(1.0), t(1.0), t(3.0)];
+        g.record(&mut acc, (0.0, 3.0), &start, &finish, &[NO_TASK; 4]);
+        let r = acc.finish(|_| "k", g.class(), Vec::new(), Some(&[0.0, 0.0, 0.0, 2.0]));
         assert_eq!(r.stragglers.len(), 1);
         assert_eq!(r.stragglers[0].gpu, 3);
         assert!((r.stragglers[0].vs_median - 3.0).abs() < 1e-12);
@@ -1124,11 +1217,10 @@ mod tests {
         let classes: Vec<TaskClass> = (0..2).map(|gpu| TaskClass::Compute { gpu }).collect();
         let g = Graph::new(classes, vec![vec![]; 2]);
         let mut acc = g.accumulator(2);
-        let start = [Some(t(0.0)), Some(t(0.0))];
-        let finish = [Some(t(1.0)), Some(t(1.0))];
-        let pred = [None, None];
-        acc.record_iteration(&g.observe((0.0, 1.0), &start, &finish, &pred));
-        let r = acc.finish(|_| "k", &g.classes, Vec::new(), None);
+        let start = [t(0.0); 2];
+        let finish = [t(1.0); 2];
+        g.record(&mut acc, (0.0, 1.0), &start, &finish, &[NO_TASK; 2]);
+        let r = acc.finish(|_| "k", g.class(), Vec::new(), None);
         assert!(r.stragglers.is_empty());
     }
 
@@ -1144,7 +1236,7 @@ mod tests {
                 utilization: 0.0,
             })
             .collect();
-        let r = acc.finish(chain_label, &g.classes, links, None);
+        let r = acc.finish(chain_label, g.class(), links, None);
         assert_eq!(r.hottest_links.len(), DEFAULT_TOP_K);
         assert_eq!(r.hottest_links[0].label, "l11");
     }
@@ -1212,8 +1304,9 @@ mod tests {
                 })
                 .collect();
             let label = |t: usize| labels[t];
+            let sparse = (0u32..).zip(on_path.iter().copied()).collect();
             assert_eq!(
-                top_ops(&on_path, label, &classes),
+                top_ops(&sparse, label, |t| classes[t]),
                 top_ops_by_full_sort(&on_path, label, &classes),
                 "case {case}"
             );
@@ -1226,7 +1319,7 @@ mod tests {
         let mut acc = g.accumulator(2);
         record_chain(&g, &mut acc);
         let v = acc
-            .finish(chain_label, &g.classes, Vec::new(), None)
+            .finish(chain_label, g.class(), Vec::new(), None)
             .to_value();
         let Value::Object(fields) = v else {
             panic!("expected object")
@@ -1254,12 +1347,11 @@ mod tests {
         let mut acc = g.accumulator(2);
         for i in 0..3 {
             let off = 4.0 * i as f64;
-            let start = [Some(t(off)), Some(t(off + 2.0)), Some(t(off + 3.0))];
-            let finish = [Some(t(off + 2.0)), Some(t(off + 3.0)), Some(t(off + 4.0))];
-            let pred = [None, None, None];
-            acc.record_iteration(&g.observe((off, off + 4.0), &start, &finish, &pred));
+            let start = [t(off), t(off + 2.0), t(off + 3.0)];
+            let finish = [t(off + 2.0), t(off + 3.0), t(off + 4.0)];
+            g.record(&mut acc, (off, off + 4.0), &start, &finish, &[NO_TASK; 3]);
         }
-        let r = acc.finish(chain_label, &g.classes, Vec::new(), None);
+        let r = acc.finish(chain_label, g.class(), Vec::new(), None);
         assert_eq!(r.iterations, 3);
         assert!((r.critical_path_s - 12.0).abs() < 1e-12);
         assert_eq!(r.top_ops[0].count, 3);

@@ -39,9 +39,9 @@ mod prometheus;
 pub mod selfprof;
 
 pub use attribution::{
-    AttributionAccumulator, AttributionState, BottleneckReport, CriticalOp, DepTable,
-    GpuBucketState, GpuBuckets, HotLink, IterationObservation, PathSegmentState, Straggler,
-    TaskClass, TaskId,
+    merge_intervals, total_len, AttributionAccumulator, AttributionState, BottleneckReport,
+    CriticalOp, DepTable, GpuBucketState, GpuBuckets, HotLink, IterationObservation,
+    PathSegmentState, Straggler, TaskClass, TaskId, NOT_RUN, NO_TASK,
 };
 pub use chrome::ChromeTraceSink;
 pub use jsonl::JsonlSink;

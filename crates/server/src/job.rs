@@ -31,12 +31,7 @@ use serde::Value;
 
 /// FNV-1a 64-bit, the workspace's standard content fingerprint.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    triosim_des::fnv1a(triosim_des::FNV_OFFSET, bytes)
 }
 
 /// The content-addressed id of a spec: 16 lowercase hex digits.

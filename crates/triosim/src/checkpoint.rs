@@ -59,7 +59,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize, Value};
-use triosim_des::{BudgetProgress, QueueStats, RunBudget, TimeSpan, VirtualTime};
+use triosim_des::{
+    fnv1a, BudgetProgress, QueueStats, RunBudget, TimeSpan, VirtualTime, FNV_OFFSET,
+};
 use triosim_faults::FaultPlan;
 use triosim_network::{NetCheckpoint, NetworkModel};
 use triosim_obs::AttributionState;
@@ -230,19 +232,8 @@ pub(crate) struct CheckpointConfig {
     pub spec_hash: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 fn fnv_u64(hash: u64, value: u64) -> u64 {
-    fnv(hash, &value.to_le_bytes())
+    fnv1a(hash, &value.to_le_bytes())
 }
 
 /// Fingerprints everything that determines the engine's trajectory:
@@ -260,7 +251,7 @@ pub(crate) fn spec_hash(
     h = fnv_u64(h, graph.gpus() as u64);
     h = fnv_u64(h, graph.len() as u64);
     for (i, task) in graph.tasks().iter().enumerate() {
-        h = fnv(h, graph.label(TaskId(i)).as_bytes());
+        h = fnv1a(h, graph.label(TaskId(i)).as_bytes());
         match &task.kind {
             TaskKind::Compute { gpu, duration } => {
                 h = fnv_u64(h, 1);
@@ -281,7 +272,7 @@ pub(crate) fn spec_hash(
         h = fnv_u64(h, task.layer.map_or(0, |l| 1 + l as u64));
     }
     h = fnv_u64(h, network.spec_fingerprint());
-    h = fnv(h, plan.to_json().as_bytes());
+    h = fnv1a(h, plan.to_json().as_bytes());
     h = fnv_u64(h, budget.deterministic_fingerprint());
     h
 }

@@ -13,13 +13,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use triosim_des::{
-    EventId, EventQueue, IdMap, QueueStats, RunBudget, Ticker, TimeSpan, VirtualTime,
+    EventId, EventQueue, IdMap, QueueStats, RunBudget, Ticker, TimeSpan, VirtualTime, FNV_OFFSET,
 };
 use triosim_faults::{FaultKind, FaultPlan, FaultSession};
 use triosim_network::{FlowId, LinkFault, NetCommand, NetStatsSnapshot, NetworkModel, NodeId};
 use triosim_obs::{
-    AttrValue, AttributionAccumulator, BottleneckReport, HotLink, IterationObservation,
-    ProgressMonitor, Recorder, SelfProfiler, TaskClass,
+    merge_intervals, AttrValue, AttributionAccumulator, BottleneckReport, HotLink,
+    IterationObservation, ProgressMonitor, Recorder, SelfProfiler, TaskClass, NOT_RUN, NO_TASK,
 };
 
 use crate::checkpoint::{
@@ -27,8 +27,8 @@ use crate::checkpoint::{
 };
 use crate::error::SimError;
 use crate::report::{
-    merge_intervals, timeline_fnv, union_length, FaultStats, Repeat, SerialReason, SimReport,
-    TimelineEntry, TimelineTrack, FNV_OFFSET,
+    timeline_fnv, union_length, FaultStats, Repeat, SerialReason, SimReport, TimelineEntry,
+    TimelineTrack,
 };
 use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
@@ -417,21 +417,16 @@ fn attribution(graph: &TaskGraph) -> AttributionAccumulator {
     AttributionAccumulator::new(graph.gpus(), graph.len())
 }
 
-/// How attribution classifies each of `graph`'s tasks.
-fn task_classes(graph: &TaskGraph) -> Vec<TaskClass> {
-    let gpus = graph.gpus();
-    graph
-        .tasks()
-        .iter()
-        .map(|t| match t.kind {
-            TaskKind::Compute { gpu, .. } => TaskClass::Compute { gpu },
-            TaskKind::Transfer { src, dst, .. } => TaskClass::Comm {
-                src_gpu: node_gpu(src, gpus),
-                dst_gpu: node_gpu(dst, gpus),
-            },
-            TaskKind::Barrier => TaskClass::Sync,
-        })
-        .collect()
+/// How attribution classifies task `t` of `graph`.
+fn task_class(graph: &TaskGraph, t: usize) -> TaskClass {
+    match graph.tasks()[t].kind {
+        TaskKind::Compute { gpu, .. } => TaskClass::Compute { gpu },
+        TaskKind::Transfer { src, dst, .. } => TaskClass::Comm {
+            src_gpu: node_gpu(src, graph.gpus()),
+            dst_gpu: node_gpu(dst, graph.gpus()),
+        },
+        TaskKind::Barrier => TaskClass::Sync,
+    }
 }
 
 /// Steady-state replay's progress through a run (DESIGN.md §12).
@@ -518,7 +513,7 @@ impl IterationDelta {
             && ours.iter().zip(theirs).all(|(r, p)| *r == p.shifted(shift));
         counters && records && {
             prev.attr.shift_last_path(shift);
-            prev.attr.snapshot() == self.attr.snapshot()
+            prev.attr == self.attr
         }
     }
 }
@@ -527,12 +522,13 @@ struct Executor<'a> {
     graph: &'a TaskGraph,
     network: &'a mut dyn NetworkModel,
     queue: EventQueue<Event>,
-    indegree: Vec<usize>,
+    /// Each task's dependencies not yet completed this iteration.
+    indegree: Vec<u32>,
     /// Each task's dependents in CSR form, in ascending id order (the
     /// order activation, and so same-instant FIFO order, follows): task
     /// `t`'s are `dependents[dependent_offsets[t]..dependent_offsets[t + 1]]`.
-    dependent_offsets: Vec<usize>,
-    dependents: Vec<TaskId>,
+    dependent_offsets: Vec<u32>,
+    dependents: Vec<u32>,
     /// `complete`'s worklist, kept to reuse its buffer.
     worklist: Vec<TaskId>,
     gpus: Vec<GpuStream>,
@@ -595,16 +591,16 @@ struct Executor<'a> {
     collective_begin: Vec<Option<VirtualTime>>,
     // ------- bottleneck attribution (always on: pure virtual-time state) -------
     attr: AttributionAccumulator,
-    /// Each task's attribution class.
-    classes: Vec<TaskClass>,
-    /// Per-task start/finish times of the current iteration. A compute
-    /// task's busy time runs from its start.
-    attr_start: Vec<Option<VirtualTime>>,
-    attr_end: Vec<Option<VirtualTime>>,
-    /// The compute task that freed this task's GPU stream, per task.
-    attr_gpu_pred: Vec<Option<u32>>,
-    /// Most recently finished compute task per GPU, this iteration.
-    last_done: Vec<Option<u32>>,
+    /// Per-task start/finish times of the current iteration, [`NOT_RUN`]
+    /// until set. A compute task's busy time runs from its start.
+    attr_start: Vec<VirtualTime>,
+    attr_end: Vec<VirtualTime>,
+    /// The compute task that freed this task's GPU stream, per task, or
+    /// [`NO_TASK`].
+    attr_gpu_pred: Vec<u32>,
+    /// Most recently finished compute task per GPU this iteration, or
+    /// [`NO_TASK`].
+    last_done: Vec<u32>,
     /// Virtual time the current iteration's roots were seeded.
     iter_begin: VirtualTime,
     // ------- checkpointing (`None` on ordinary runs) -------
@@ -623,31 +619,40 @@ struct Executor<'a> {
 impl<'a> Executor<'a> {
     fn new(graph: &'a TaskGraph, network: &'a mut dyn NetworkModel) -> Self {
         let n = graph.len();
+        // Task ids are stored as `u32`, and `NO_TASK` is none of them.
+        assert!(n <= NO_TASK as usize, "task ids fit in u32");
         let gpus = graph.gpus();
         let table = graph.dep_table();
-        let indegree: Vec<usize> = (0..n).map(|i| table.deps(i).len()).collect();
-        // Count each task's dependents, prefix-sum the counts into
-        // offsets, then fill in task order so every run ascends.
-        let mut dependent_offsets = vec![0usize; n + 1];
+        // Count each task's dependents in its own slot and prefix-sum the
+        // counts, so `dependent_offsets[t]` is where `t`'s run ends. Then
+        // fill from the last task back, stepping each offset down to its
+        // run's start: every run ascends, and no second offset table is
+        // needed. `dependent_offsets[n]` keeps the edge count.
+        let mut dependent_offsets = vec![0u32; n + 1];
         for d in table.edges() {
-            dependent_offsets[d.0 + 1] += 1;
+            dependent_offsets[d.0] += 1;
         }
-        for i in 0..n {
-            dependent_offsets[i + 1] += dependent_offsets[i];
+        for t in 1..=n {
+            dependent_offsets[t] += dependent_offsets[t - 1];
         }
-        let mut fill = dependent_offsets.clone();
-        let mut dependents = vec![TaskId(0); dependent_offsets[n]];
-        for i in 0..n {
+        let mut dependents = vec![0u32; table.edges().len()];
+        for i in (0..n).rev() {
             for d in table.deps(i) {
-                dependents[fill[d.0]] = TaskId(i);
-                fill[d.0] += 1;
+                dependent_offsets[d.0] -= 1;
+                dependents[dependent_offsets[d.0] as usize] = i as u32;
             }
         }
+        let transfers = graph
+            .tasks()
+            .iter()
+            .filter(|t| matches!(t.kind, TaskKind::Transfer { .. }))
+            .count();
         Executor {
             graph,
             network,
             queue: EventQueue::new(),
-            indegree,
+            // Set from the dependency table as each iteration starts.
+            indegree: vec![0; n],
             dependent_offsets,
             dependents,
             worklist: Vec::new(),
@@ -660,7 +665,7 @@ impl<'a> Executor<'a> {
                 .collect(),
             flow_task: IdMap::default(),
             flow_event: IdMap::default(),
-            comm_intervals: Vec::new(),
+            comm_intervals: Vec::with_capacity(transfers),
             timeline: Vec::with_capacity(n),
             tl_digest: (0, FNV_OFFSET),
             tl_mark: 0,
@@ -688,11 +693,10 @@ impl<'a> Executor<'a> {
             collective_of_last: HashMap::new(),
             collective_begin: Vec::new(),
             attr: attribution(graph),
-            classes: task_classes(graph),
-            attr_start: vec![None; n],
-            attr_end: vec![None; n],
-            attr_gpu_pred: vec![None; n],
-            last_done: vec![None; gpus],
+            attr_start: vec![NOT_RUN; n],
+            attr_end: vec![NOT_RUN; n],
+            attr_gpu_pred: vec![NO_TASK; n],
+            last_done: vec![NO_TASK; gpus],
             iter_begin: VirtualTime::ZERO,
             ckpt: None,
             selfprof: None,
@@ -877,7 +881,7 @@ impl<'a> Executor<'a> {
         // associative and idempotent), and it keeps every snapshot —
         // and the run's own memory — proportional to the iteration
         // count instead of the event count.
-        self.comm_intervals = merge_intervals(std::mem::take(&mut self.comm_intervals));
+        merge_intervals(&mut self.comm_intervals);
         let ck = self.ckpt.as_ref().expect("checkpointing is configured");
         let net = self.network.checkpoint_state().ok_or_else(|| {
             SimError::Checkpoint(CheckpointError::Unsupported(
@@ -964,7 +968,6 @@ impl<'a> Executor<'a> {
     /// structured error; completed-iteration state (`iter_ends`,
     /// attribution) remains valid for inspection.
     fn run_iterations(&mut self, iterations: usize) -> Result<(), SimError> {
-        let base_indegree = self.indegree.clone();
         let mut replay = self.replay_plan(iterations);
         for iter in 0..iterations {
             self.current_iter = self.iter_offset + iter;
@@ -975,7 +978,6 @@ impl<'a> Executor<'a> {
                 }
             } else {
                 if iter > 0 {
-                    self.indegree.clone_from(&base_indegree);
                     self.completed = 0;
                     self.collective_begin.fill(None);
                 }
@@ -994,27 +996,34 @@ impl<'a> Executor<'a> {
                     self.current_iter
                 );
                 self.iter_ends.push(self.queue.now());
+                // Fold the digest first. It reads only the timeline and
+                // the attribution only the per-task arrays, so the order
+                // changes neither output, and the sort's scratch is freed
+                // before the attribution builds its per-GPU interval
+                // lists (freed in turn when it returns).
+                self.fold_timeline_digest();
                 // Fold the completed iteration into the bottleneck
                 // attribution (pure virtual-time state, always on). A
                 // measured iteration is recorded on its own first, so
                 // replay can verify and repeat exactly its share.
+                let graph = self.graph;
                 let it = IterationObservation {
-                    classes: &self.classes,
-                    deps: self.graph.dep_table(),
+                    deps: graph.dep_table(),
                     begin: self.iter_begin,
                     end: self.queue.now(),
                     start: &self.attr_start,
                     finish: &self.attr_end,
                     gpu_pred: &self.attr_gpu_pred,
                 };
+                let class = |t| task_class(graph, t);
                 let alone = measured.then(|| {
-                    let mut attr = attribution(self.graph);
-                    attr.record_iteration(&it);
+                    let mut attr = attribution(graph);
+                    attr.record_iteration(&it, class);
                     attr
                 });
                 match &alone {
                     Some(attr) => self.attr.absorb(attr),
-                    None => self.attr.record_iteration(&it),
+                    None => self.attr.record_iteration(&it, class),
                 }
                 if self.observing {
                     let now = self.queue.now();
@@ -1027,7 +1036,6 @@ impl<'a> Executor<'a> {
                         );
                     }
                 }
-                self.fold_timeline_digest();
                 if let (Some(before), Some(attr)) = (before, alone) {
                     let delta = self.delta_since(before, attr);
                     replay = match replay {
@@ -1118,13 +1126,15 @@ impl<'a> Executor<'a> {
     /// What the iteration that just ended added since `before`, with
     /// `attr` its attribution recorded alone.
     fn delta_since(&self, before: Mark, attr: AttributionAccumulator) -> IterationDelta {
+        let mut comm = self.comm_intervals[before.comm..].to_vec();
+        merge_intervals(&mut comm);
         IterationDelta {
             begin: before.at,
             period: self.queue.now() - before.at,
             counters: self.counters().since(&before.counters),
             attr,
             records: before.records..self.timeline.len(),
-            comm: merge_intervals(self.comm_intervals[before.comm..].to_vec()),
+            comm,
         }
     }
 
@@ -1237,8 +1247,12 @@ impl<'a> Executor<'a> {
             .collect();
         let lost = self.faults.as_ref().map(|fr| fr.lost_compute.as_slice());
         let graph = self.graph;
-        self.attr
-            .finish(|task| graph.label(TaskId(task)), &self.classes, links, lost)
+        self.attr.finish(
+            |t| graph.label(TaskId(t)),
+            |t| task_class(graph, t),
+            links,
+            lost,
+        )
     }
 
     /// Records the engine-loop wall time (and the network model's share
@@ -1450,17 +1464,22 @@ impl<'a> Executor<'a> {
     /// event queue.
     fn run_once(&mut self) {
         self.iter_begin = self.queue.now();
-        self.attr_start.fill(None);
-        self.attr_end.fill(None);
-        self.attr_gpu_pred.fill(None);
-        self.last_done.fill(None);
-        // Seed: every task with no dependencies starts immediately.
-        let roots: Vec<TaskId> = (0..self.graph.len())
-            .filter(|&i| self.indegree[i] == 0)
-            .map(TaskId)
-            .collect();
-        for t in roots {
-            self.activate(t);
+        self.attr_start.fill(NOT_RUN);
+        self.attr_end.fill(NOT_RUN);
+        self.attr_gpu_pred.fill(NO_TASK);
+        self.last_done.fill(NO_TASK);
+        let table = self.graph.dep_table();
+        for (t, n) in self.indegree.iter_mut().enumerate() {
+            *n = table.deps(t).len() as u32;
+        }
+        // Seed: every task with no dependencies starts immediately, in
+        // id order. Roots are read from the table, not the counts: a
+        // root barrier completes at once, and a task whose count that
+        // zeroes is activated by the completion.
+        for t in 0..self.graph.len() {
+            if table.deps(t).len() == 0 {
+                self.activate(TaskId(t));
+            }
         }
 
         // Arm the first monitor tick only if real work is pending.
@@ -1479,6 +1498,11 @@ impl<'a> Executor<'a> {
         }
 
         while let Some((now, event)) = self.queue.pop() {
+            debug_assert_ne!(
+                now, NOT_RUN,
+                "the checked clock reaches VirtualTime::MAX only by landing on it, \
+                 and NOT_RUN marks an unset time"
+            );
             // Runaway guard: real events are counted and checked before
             // they are processed, so with `max_events = N` exactly N
             // events take effect. Ticks and fault injections are
@@ -1501,10 +1525,11 @@ impl<'a> Executor<'a> {
                     self.pending_real -= 1;
                     self.dispatches[0] += 1;
                     self.gpus[gpu].busy = false;
-                    let start = self.attr_start[task.0].expect("compute was started");
+                    let start = self.attr_start[task.0];
+                    debug_assert_ne!(start, NOT_RUN, "compute was started");
                     self.gpus[gpu].busy_time += now - start;
-                    self.attr_end[task.0] = Some(now);
-                    self.last_done[gpu] = Some(task.0 as u32);
+                    self.attr_end[task.0] = now;
+                    self.last_done[gpu] = task.0 as u32;
                     self.timeline.push(TimelineEntry::new(
                         task,
                         TimelineTrack::Gpu(gpu),
@@ -1526,8 +1551,9 @@ impl<'a> Executor<'a> {
                         .flow_task
                         .remove(&flow)
                         .expect("delivered flow belongs to a task");
-                    let start = self.attr_start[task.0].expect("transfer was started");
-                    self.attr_end[task.0] = Some(now);
+                    let start = self.attr_start[task.0];
+                    debug_assert_ne!(start, NOT_RUN, "transfer was started");
+                    self.attr_end[task.0] = now;
                     self.comm_intervals.push((start, now));
                     self.timeline.push(TimelineEntry::new(
                         task,
@@ -1725,7 +1751,7 @@ impl<'a> Executor<'a> {
                 label,
                 start,
                 now,
-                &[("layer", AttrValue::U64(layer as u64))],
+                &[("layer", AttrValue::U64(u64::from(layer)))],
             ),
             None => r.span(&track, label, start, now, &[]),
         }
@@ -1811,10 +1837,10 @@ impl<'a> Executor<'a> {
                 self.record_completion(t);
             }
             for i in self.dependent_offsets[t.0]..self.dependent_offsets[t.0 + 1] {
-                let dep = self.dependents[i];
-                self.indegree[dep.0] -= 1;
-                if self.indegree[dep.0] == 0 {
-                    if let Some(done_now) = self.activate_inline(dep) {
+                let dep = self.dependents[i as usize] as usize;
+                self.indegree[dep] -= 1;
+                if self.indegree[dep] == 0 {
+                    if let Some(done_now) = self.activate_inline(TaskId(dep)) {
                         work.push(done_now);
                     }
                 }
@@ -1879,8 +1905,8 @@ impl<'a> Executor<'a> {
         match &self.graph.tasks()[task.0].kind {
             TaskKind::Barrier => {
                 let now = self.queue.now();
-                self.attr_start[task.0] = Some(now);
-                self.attr_end[task.0] = Some(now);
+                self.attr_start[task.0] = now;
+                self.attr_end[task.0] = now;
                 Some(task)
             }
             TaskKind::Compute { gpu, .. } => {
@@ -1890,7 +1916,7 @@ impl<'a> Executor<'a> {
             }
             TaskKind::Transfer { src, dst, bytes } => {
                 let now = self.queue.now();
-                self.attr_start[task.0] = Some(now);
+                self.attr_start[task.0] = now;
                 if self.observing {
                     if let Some(&ci) = self.collective_of_first.get(&task) {
                         self.collective_begin[ci].get_or_insert(now);
@@ -1942,7 +1968,7 @@ impl<'a> Executor<'a> {
         let duration = self.dilated(gpu, task, duration);
         self.gpus[gpu].busy = true;
         let now = self.queue.now();
-        self.attr_start[task.0] = Some(now);
+        self.attr_start[task.0] = now;
         self.attr_gpu_pred[task.0] = self.last_done[gpu];
         self.pending_real += 1;
         self.queue

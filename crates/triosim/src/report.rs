@@ -11,9 +11,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use serde::Value;
-use triosim_des::{QueueStats, TimeSpan, VirtualTime};
+use triosim_des::{fnv1a, QueueStats, TimeSpan, VirtualTime, FNV_PRIME};
 use triosim_network::{NetObservation, PacketObservation};
-use triosim_obs::{AttrValue, BottleneckReport, ChromeTraceSink, Recorder};
+use triosim_obs::{
+    merge_intervals, total_len, AttrValue, BottleneckReport, ChromeTraceSink, Recorder,
+};
 
 use crate::taskgraph::{Labels, TaskId};
 
@@ -62,11 +64,11 @@ impl TimelineEntry {
     pub(crate) fn new(
         task: TaskId,
         track: TimelineTrack,
-        layer: Option<usize>,
+        layer: Option<u32>,
         start: VirtualTime,
         end: VirtualTime,
     ) -> Self {
-        let code = |n: usize| u32::try_from(n).expect("task ids, GPUs and layers fit in u32");
+        let code = |n: usize| u32::try_from(n).expect("task ids and GPUs fit in u32");
         TimelineEntry {
             start,
             end,
@@ -75,7 +77,7 @@ impl TimelineEntry {
                 TimelineTrack::Gpu(i) => code(i),
                 TimelineTrack::Network => NONE,
             },
-            layer: layer.map_or(NONE, code),
+            layer: layer.unwrap_or(NONE),
         }
     }
 
@@ -644,14 +646,66 @@ impl SimReport {
     }
 }
 
-/// FNV-1a initial state: the digest of zero timeline records.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// `FNV_PRIME^k` for `k` in `0..=8`.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// FNV-1a over the 8 bytes of `u64::MAX`, by the state's low byte. A
+/// step XORs `0xff` into the low byte only, so it maps `high + low`
+/// (`high` a multiple of 256) to `high * FNV_PRIME + step(low)`, and
+/// `high * FNV_PRIME` is again a multiple of 256. From state `h` the 8
+/// steps therefore give `(h & !0xff) * FNV_PRIME^8 + FF_WORD[h & 0xff]`.
+const FF_WORD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut low = 0;
+    while low < 256 {
+        let mut h = low as u64;
+        let mut k = 0;
+        while k < 8 {
+            h = (h ^ 0xff).wrapping_mul(FNV_PRIME);
+            k += 1;
+        }
+        table[low] = h;
+        low += 1;
+    }
+    table
+};
+
+/// FNV-1a over `w`'s 8 little-endian bytes, a word at a time: XOR with a
+/// zero byte is the identity, so the zero high bytes fold as one multiply
+/// by a power of the prime, and `u64::MAX` folds through [`FF_WORD`].
+fn fold_word(h: u64, w: u64) -> u64 {
+    if w == u64::MAX {
+        return (h & !0xff)
+            .wrapping_mul(PRIME_POW[8])
+            .wrapping_add(FF_WORD[(h & 0xff) as usize]);
+    }
+    let len = 8 - w.leading_zeros() as usize / 8;
+    fnv1a(h, &w.to_le_bytes()[..len]).wrapping_mul(PRIME_POW[8 - len])
+}
+
+/// A track or layer code as the digest folds it: [`NONE`] is `u64::MAX`.
+fn code_word(code: u32) -> u64 {
+    if code == NONE {
+        u64::MAX
+    } else {
+        u64::from(code)
+    }
+}
 
 /// Folds timeline entries (in the order given, which must be the
 /// canonical `(start, end)` sort order), each moved `shift` later, into
-/// a running FNV-1a state: label (read from `labels`), track, start/end
-/// bits and layer, so
+/// a running FNV-1a state: label (read from `labels`), a `0xff`
+/// separator, then as little-endian `u64`s the track (the GPU index, or
+/// `u64::MAX` for the network), the start and end seconds' bits and the
+/// layer (`u64::MAX` for none), so
 /// any drift in task scheduling — not just in the aggregate totals —
 /// changes the canonical JSON. Because the fold is sequential, a sorted
 /// run splits into sorted segments — each iteration's records — and
@@ -659,7 +713,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// whole run at once. That is what lets checkpoints carry a fixed-size
 /// digest instead of the records themselves, and lets replay fold a
 /// synthesized iteration as the verified one shifted, without building
-/// its records.
+/// its records. The words fold a word at a time ([`fold_word`]); the
+/// state equals a byte-by-byte fold.
 pub(crate) fn timeline_fnv(
     seed: u64,
     entries: &[TimelineEntry],
@@ -667,55 +722,28 @@ pub(crate) fn timeline_fnv(
     shift: TimeSpan,
 ) -> u64 {
     let mut h = seed;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
     for e in entries {
-        let r = e.record(labels);
-        eat(r.label.as_bytes());
-        eat(&[0xff]);
-        match r.track {
-            TimelineTrack::Gpu(i) => eat(&(i as u64).to_le_bytes()),
-            TimelineTrack::Network => eat(&u64::MAX.to_le_bytes()),
-        }
-        eat(&(r.start + shift).as_seconds().to_bits().to_le_bytes());
-        eat(&(r.end + shift).as_seconds().to_bits().to_le_bytes());
-        eat(&r.layer.map_or(u64::MAX, |l| l as u64).to_le_bytes());
+        h = fnv1a(h, labels.get(e.task as usize).as_bytes());
+        h = fnv1a(h, &[0xff]);
+        h = fold_word(h, code_word(e.track));
+        h = fold_word(h, (e.start + shift).as_seconds().to_bits());
+        h = fold_word(h, (e.end + shift).as_seconds().to_bits());
+        h = fold_word(h, code_word(e.layer));
     }
     h
 }
 
-/// Merges possibly-overlapping intervals into their union: sorted,
-/// disjoint, with touching intervals coalesced. The union is
-/// associative and idempotent, so pre-merged interval sets (as stored
-/// in checkpoints) fold in without changing any derived length.
-pub(crate) fn merge_intervals(
-    mut intervals: Vec<(VirtualTime, VirtualTime)>,
-) -> Vec<(VirtualTime, VirtualTime)> {
-    intervals.sort();
-    let mut merged: Vec<(VirtualTime, VirtualTime)> = Vec::new();
-    for (s, e) in intervals {
-        match merged.last_mut() {
-            Some((_, ce)) if s <= *ce => *ce = (*ce).max(e),
-            _ => merged.push((s, e)),
-        }
-    }
-    merged
-}
-
-/// Merges possibly-overlapping intervals and returns their union length.
-pub(crate) fn union_length(intervals: Vec<(VirtualTime, VirtualTime)>) -> TimeSpan {
-    merge_intervals(intervals)
-        .into_iter()
-        .fold(TimeSpan::ZERO, |acc, (s, e)| acc + (e - s))
+/// Merges possibly-overlapping intervals in place and returns their
+/// union length.
+pub(crate) fn union_length(mut intervals: Vec<(VirtualTime, VirtualTime)>) -> TimeSpan {
+    merge_intervals(&mut intervals);
+    total_len(&intervals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triosim_des::FNV_OFFSET;
 
     fn t(s: f64) -> VirtualTime {
         VirtualTime::from_seconds(s)
@@ -751,7 +779,7 @@ mod tests {
     }
 
     /// Task 0 on GPU 0, in layer `layer`.
-    fn op(start: f64, end: f64, layer: Option<usize>) -> TimelineEntry {
+    fn op(start: f64, end: f64, layer: Option<u32>) -> TimelineEntry {
         TimelineEntry::new(TaskId(0), TimelineTrack::Gpu(0), layer, t(start), t(end))
     }
 
@@ -884,5 +912,93 @@ mod tests {
             timeline_fnv(FNV_OFFSET, &records, &labels, shift),
             timeline_fnv(FNV_OFFSET, &records, &labels, TimeSpan::ZERO)
         );
+    }
+
+    /// The byte-at-a-time fold `timeline_fnv` must equal: every field's
+    /// little-endian bytes through FNV-1a, one byte per step.
+    fn timeline_fnv_by_bytes(
+        seed: u64,
+        entries: &[TimelineEntry],
+        labels: &Labels,
+        shift: TimeSpan,
+    ) -> u64 {
+        let mut h = seed;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for e in entries {
+            let r = e.record(labels);
+            eat(r.label.as_bytes());
+            eat(&[0xff]);
+            match r.track {
+                TimelineTrack::Gpu(i) => eat(&(i as u64).to_le_bytes()),
+                TimelineTrack::Network => eat(&u64::MAX.to_le_bytes()),
+            }
+            eat(&(r.start + shift).as_seconds().to_bits().to_le_bytes());
+            eat(&(r.end + shift).as_seconds().to_bits().to_le_bytes());
+            eat(&r.layer.map_or(u64::MAX, |l| l as u64).to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn word_fold_equals_the_byte_fold() {
+        // Every low byte of the state, through the all-ones word.
+        for low in 0..256u64 {
+            let h = 0x1234_5678_9abc_de00 | low;
+            assert_eq!(
+                fold_word(h, u64::MAX),
+                fnv1a(h, &u64::MAX.to_le_bytes()),
+                "state low byte {low}"
+            );
+        }
+        // SplitMix64: a dependency-free, seeded stream.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let names = ["", "conv1@g0", "ddp.bucket3.s2.rank1->rank2", "Grüße→τ"];
+        let mut labels = Labels::default();
+        for name in names {
+            labels.push(name);
+        }
+        // Codes that fold through the table (`None`, the network), as one
+        // byte, as three, and as four; times whose seconds' bits are all
+        // zero (0), end in zero bytes (1 s, 0.5 s) or are arbitrary.
+        let codes = [None, Some(0), Some(7), Some(255), Some(256), Some(1 << 24)];
+        let code = |r: u64| codes[r as usize % codes.len()].map(|c: u32| c + (r >> 60) as u32);
+        let time = |r: u64| match r % 4 {
+            0 => VirtualTime::ZERO,
+            1 => t(1.0),
+            2 => t(0.5),
+            _ => VirtualTime::from_femtos(r >> 8),
+        };
+        for case in 0..200 {
+            let entries: Vec<TimelineEntry> = (0..1 + next() % 12)
+                .map(|_| {
+                    let (a, b) = (time(next()), time(next()));
+                    let track = match code(next()) {
+                        None => TimelineTrack::Network,
+                        Some(gpu) => TimelineTrack::Gpu(gpu as usize),
+                    };
+                    let task = TaskId(next() as usize % names.len());
+                    TimelineEntry::new(task, track, code(next()), a.min(b), a.max(b))
+                })
+                .collect();
+            let shift = TimeSpan::from_femtos(if case % 2 == 0 { 0 } else { next() >> 12 });
+            let seed = if case % 3 == 0 { FNV_OFFSET } else { next() };
+            assert_eq!(
+                timeline_fnv(seed, &entries, &labels, shift),
+                timeline_fnv_by_bytes(seed, &entries, &labels, shift),
+                "case {case}"
+            );
+        }
     }
 }

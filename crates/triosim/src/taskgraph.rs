@@ -51,7 +51,7 @@ pub struct Task {
     pub kind: TaskKind,
     /// Model layer this task belongs to, when applicable (drives the
     /// per-layer time breakdown of §4.1).
-    pub layer: Option<usize>,
+    pub layer: Option<u32>,
 }
 
 /// Metadata describing one collective operation lowered into the graph.
@@ -236,7 +236,7 @@ impl TaskGraph {
     /// # Panics
     ///
     /// Panics if `id` is not a task of this graph.
-    pub fn deps(&self, id: TaskId) -> &[TaskId] {
+    pub fn deps(&self, id: TaskId) -> impl ExactSizeIterator<Item = TaskId> + '_ {
         self.deps.deps(id.0)
     }
 
@@ -264,7 +264,8 @@ impl TaskGraph {
         deps: impl IntoIterator<Item = TaskId>,
     ) -> TaskId {
         let id = TaskId(self.tasks.len());
-        for d in self.deps.push(deps) {
+        self.deps.push(deps);
+        for d in self.deps.deps(id.0) {
             assert!(d.0 < id.0, "dependency {d:?} added after dependent task");
         }
         if let TaskKind::Compute { gpu, .. } = task.kind {
@@ -288,6 +289,10 @@ impl TaskGraph {
     }
 
     /// Adds a compute task attributed to a model layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` does not fit in `u32`.
     pub fn compute_in_layer(
         &mut self,
         label: impl LabelText,
@@ -297,14 +302,8 @@ impl TaskGraph {
         layer: usize,
     ) -> TaskId {
         let kind = TaskKind::Compute { gpu, duration };
-        self.push(
-            label,
-            Task {
-                kind,
-                layer: Some(layer),
-            },
-            deps,
-        )
+        let layer = Some(u32::try_from(layer).expect("layer indices fit in u32"));
+        self.push(label, Task { kind, layer }, deps)
     }
 
     /// Adds a transfer task.
@@ -384,7 +383,7 @@ mod tests {
         let mut g = TaskGraph::new(1);
         let a = g.compute("a", 0, TimeSpan::from_millis(1.0), vec![]);
         let b = g.compute("b", 0, TimeSpan::from_millis(1.0), vec![a]);
-        assert_eq!(g.deps(b), [a]);
+        assert!(g.deps(b).eq([a]));
     }
 
     #[test]
@@ -405,13 +404,14 @@ mod tests {
             },
             (0..3).rev().map(TaskId),
         );
-        assert_eq!(g.deps(from_vec), [c, a, b]);
-        assert_eq!(g.deps(from_array), [b, from_vec, a]);
-        assert_eq!(g.deps(from_some), [c]);
-        assert_eq!(g.deps(from_none), []);
-        assert_eq!(g.deps(from_empty), []);
-        assert_eq!(g.deps(from_iter), [c, b, a]);
-        assert_eq!(g.deps(a), []);
+        let deps = |id| g.deps(id).collect::<Vec<_>>();
+        assert_eq!(deps(from_vec), [c, a, b]);
+        assert_eq!(deps(from_array), [b, from_vec, a]);
+        assert_eq!(deps(from_some), [c]);
+        assert_eq!(deps(from_none), []);
+        assert_eq!(deps(from_empty), []);
+        assert_eq!(deps(from_iter), [c, b, a]);
+        assert_eq!(deps(a), []);
     }
 
     #[test]
