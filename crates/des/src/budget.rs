@@ -112,11 +112,6 @@ impl RunBudget {
         self.max_events.is_some() || self.max_sim_time.is_some()
     }
 
-    /// True when a wall-clock deadline is armed.
-    pub fn has_wall_deadline(&self) -> bool {
-        self.deadline.is_some()
-    }
-
     /// A stable fingerprint of the deterministic axes (event cap and
     /// sim-time horizon), FNV-1a over their configured limits.
     ///
@@ -262,7 +257,6 @@ mod tests {
             .with_max_sim_time_us(3)
             .with_wall_timeout_ms(60_000);
         assert!(b.has_deterministic_axes());
-        assert!(b.has_wall_deadline());
     }
 
     #[test]

@@ -6,16 +6,12 @@
 //! fast-forward over uninteresting wall-clock detail by jumping from event
 //! to event.
 //!
-//! Two layers are provided:
-//!
-//! * [`EventQueue`] — a minimal, fully generic priority queue of
-//!   `(time, event)` pairs with stable FIFO ordering for simultaneous
-//!   events and O(log n) lazy cancellation. Most simulators built on this
-//!   crate define one event `enum` and drive the loop themselves.
-//! * [`Engine`] + [`Handler`] — an Akita-style dispatch layer where
-//!   components register as handlers and events are routed by
-//!   [`HandlerId`]. Useful when a simulation is composed of many loosely
-//!   coupled components.
+//! The core is [`EventQueue`]: a minimal, fully generic priority queue
+//! of `(time, event)` pairs with stable FIFO ordering for simultaneous
+//! events and lazy cancellation. A simulator defines one event `enum`
+//! and drives the loop itself, as TrioSim's executor does. Around it sit
+//! the run guard ([`RunBudget`]), a periodic [`Ticker`], the queue's
+//! counters ([`QueueStats`]), id-keyed hash tables and FNV-1a.
 //!
 //! # Determinism
 //!
@@ -57,7 +53,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod budget;
-mod engine;
 mod fnv;
 mod idhash;
 mod queue;
@@ -66,10 +61,9 @@ mod ticker;
 mod time;
 
 pub use budget::{BudgetKind, BudgetProgress, RunBudget};
-pub use engine::{Engine, EngineCtx, EngineError, Handler, HandlerId, HandlerStats};
 pub use fnv::{fnv1a, FNV_OFFSET, FNV_PRIME};
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use queue::{EventId, EventQueue};
 pub use stats::QueueStats;
-pub use ticker::{tick_while, Ticker};
+pub use ticker::Ticker;
 pub use time::{TimeSpan, VirtualTime};

@@ -3,10 +3,10 @@
 //! Akita components that poll state (progress monitors, AkitaRTM's
 //! real-time view) are *ticking* components: they re-schedule themselves
 //! at a fixed period until told to stop. [`Ticker`] packages that pattern
-//! for [`EventQueue`]-based simulators: it hands out the next tick time
-//! and knows when to stop, leaving event delivery to the owning loop.
+//! for [`EventQueue`](crate::EventQueue)-based simulators: it hands out
+//! the next tick time and knows when to stop, leaving event delivery to
+//! the owning loop.
 
-use crate::queue::EventQueue;
 use crate::time::{TimeSpan, VirtualTime};
 
 /// A fixed-period tick source.
@@ -100,51 +100,6 @@ impl Ticker {
     }
 }
 
-/// Drives a closure at a fixed period over an existing queue until the
-/// queue runs dry or the closure returns `false` — a convenience for
-/// monitors that sample simulation state.
-///
-/// Returns the number of ticks delivered.
-///
-/// # Example
-///
-/// ```rust
-/// use triosim_des::{tick_while, EventQueue, TimeSpan, VirtualTime};
-///
-/// let mut samples = Vec::new();
-/// let n = tick_while(TimeSpan::from_millis(5.0), VirtualTime::from_millis(18.0), |t| {
-///     samples.push(t.as_millis());
-///     true
-/// });
-/// assert_eq!(n, 3); // 5, 10, 15 ms
-/// assert_eq!(samples, vec![5.0, 10.0, 15.0]);
-/// ```
-pub fn tick_while(
-    period: TimeSpan,
-    until: VirtualTime,
-    mut on_tick: impl FnMut(VirtualTime) -> bool,
-) -> u64 {
-    let mut queue: EventQueue<()> = EventQueue::new();
-    let mut ticker = Ticker::new(period);
-    let first = ticker.first_tick(VirtualTime::ZERO);
-    if first <= until {
-        queue.schedule(first, ());
-    }
-    let mut delivered = 0;
-    while let Some((now, ())) = queue.pop() {
-        delivered += 1;
-        if !on_tick(now) {
-            break;
-        }
-        if let Some(next) = ticker.next_tick(now) {
-            if next <= until {
-                queue.schedule(next, ());
-            }
-        }
-    }
-    delivered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,31 +115,6 @@ mod tests {
         assert!(t.is_stopped());
         assert_eq!(t.next_tick(t1), None);
         assert_eq!(t.ticks(), 2, "stopped ticker issues no ticks");
-    }
-
-    #[test]
-    fn tick_while_respects_deadline() {
-        let mut count = 0;
-        let n = tick_while(
-            TimeSpan::from_seconds(1.0),
-            VirtualTime::from_seconds(3.5),
-            |_| {
-                count += 1;
-                true
-            },
-        );
-        assert_eq!(n, 3);
-        assert_eq!(count, 3);
-    }
-
-    #[test]
-    fn tick_while_early_exit() {
-        let n = tick_while(
-            TimeSpan::from_seconds(1.0),
-            VirtualTime::from_seconds(100.0),
-            |t| t < VirtualTime::from_seconds(2.5),
-        );
-        assert_eq!(n, 3, "stops on the tick where the closure says no");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,15 +52,14 @@ enum Event {
 
 /// Observability options for one execution run.
 ///
-/// The default is fully off: no recorder, no progress reporting, and the
-/// executor takes the exact same code path as [`execute_iterations`].
-/// With a recorder attached, the executor emits per-operator and
-/// per-collective spans, per-event-kind dispatch counters, and sampled
-/// gauges (queue depth, in-flight flows, per-link utilization) driven by
-/// a virtual-time [`Ticker`] at `sample_period`. Monitor ticks are
-/// carefully kept out of the simulation's critical path: they never
-/// extend the reported total time and are cancelled the moment no real
-/// event remains.
+/// The default is fully off: no recorder, no progress reporting, and no
+/// monitor tick is scheduled. With a recorder attached, the executor
+/// emits per-operator and per-collective spans, per-event-kind dispatch
+/// counters, and sampled gauges (queue depth, in-flight flows, per-link
+/// utilization) driven by a virtual-time [`Ticker`] at `sample_period`.
+/// Monitor ticks are carefully kept out of the simulation's critical
+/// path: they never extend the reported total time and are cancelled the
+/// moment no real event remains.
 #[derive(Debug)]
 pub struct Observability {
     /// Receives spans and metrics. `None` (or a disabled recorder)
@@ -116,156 +116,131 @@ impl Observability {
     }
 }
 
-/// Executes `graph` against `network`, returning the run report.
+/// Everything one run carries besides its graph and network.
 ///
-/// Deterministic: identical inputs give identical reports.
-///
-/// # Panics
-///
-/// Panics if the graph deadlocks (a dependency cycle), which the
-/// [`TaskGraph`] construction rules make impossible, or if a transfer's
-/// endpoints are not connected in the network's topology.
-pub fn execute(graph: &TaskGraph, network: &mut dyn NetworkModel) -> SimReport {
-    execute_iterations(graph, network, 1)
+/// The default is one plain iteration: no observability, an empty fault
+/// plan, an unlimited budget, no profiler, no snapshots. An empty plan
+/// and an unlimited budget mean "none": the run takes the same code path
+/// and produces the same report as without them.
+#[derive(Debug)]
+pub struct RunOptions<'a> {
+    /// Back-to-back iterations on the same network state. Network state
+    /// persists across them, which lets the photonic model amortize its
+    /// circuit setup over a training run.
+    pub iterations: usize,
+    /// Spans, metrics and live progress. Cannot be combined with
+    /// `checkpoint` or `restore`.
+    pub observability: Observability,
+    /// Timed faults, compute slowdowns and jitter applied while the graph
+    /// executes, deterministic in the plan and its seed. It is consumed
+    /// as-is: [`SimBuilder::try_run`](crate::SimBuilder::try_run)
+    /// validates it against the platform first.
+    pub faults: FaultPlan,
+    /// Runaway guard over the whole multi-iteration run. Its event axis
+    /// counts only compute and flow events, never monitor ticks or fault
+    /// injections.
+    pub budget: RunBudget,
+    /// Host self-profiler: wall time in the engine loop, and the network
+    /// model's share of it, accumulates under an `engine_loop` span.
+    pub profiler: Option<&'a mut SelfProfiler>,
+    /// Writes a crash-safe snapshot to the path after every `n`-th
+    /// completed iteration (DESIGN.md §13).
+    pub checkpoint: Option<(PathBuf, usize)>,
+    /// Resumes from a snapshot written by `checkpoint` and runs the
+    /// remaining iterations.
+    pub restore: Option<PathBuf>,
 }
 
-/// Executes `graph` back-to-back `iterations` times on the same network
-/// state, returning the aggregate report.
-///
-/// Network state persists across iterations — this is what lets the
-/// photonic model amortize its circuit-establishment latency over a
-/// training run instead of paying it every iteration.
-///
-/// # Panics
-///
-/// Same conditions as [`execute`], plus `iterations == 0`.
-pub fn execute_iterations(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    iterations: usize,
-) -> SimReport {
-    assert!(iterations > 0, "need at least one iteration");
-    Executor::new(graph, network)
-        .run(iterations)
-        .unwrap_or_else(|e| panic!("fault-free execution cannot fail: {e}"))
-}
-
-/// [`execute_iterations`] with observability: spans, metrics, and live
-/// progress flow into `obs` while the simulation runs.
-///
-/// Simulation results are identical to the unobserved run — monitor
-/// ticks advance no state and never extend the reported total — and all
-/// recorder output is a deterministic function of the graph, the network
-/// model, and `obs.sample_period`.
-///
-/// # Panics
-///
-/// Same conditions as [`execute_iterations`].
-pub fn execute_observed(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    iterations: usize,
-    obs: Observability,
-) -> SimReport {
-    assert!(iterations > 0, "need at least one iteration");
-    Executor::new(graph, network)
-        .with_observability(obs)
-        .run(iterations)
-        .unwrap_or_else(|e| panic!("fault-free execution cannot fail: {e}"))
-}
-
-/// [`execute_observed`] with fault injection: the timed faults, compute
-/// slowdowns, and jitter described by `plan` are applied while the graph
-/// executes.
-///
-/// An empty plan takes the exact fault-free code path and produces a
-/// bit-identical report to [`execute_observed`]. A non-empty plan is
-/// deterministic in `plan` (including its seed): two runs with the same
-/// plan produce identical reports.
-///
-/// The plan is consumed as-is; use
-/// [`FaultPlan::validate`] (or [`SimBuilder::try_run`](crate::SimBuilder::try_run),
-/// which validates for you) to reject plans referencing GPUs or nodes the
-/// platform does not have.
-///
-/// # Errors
-///
-/// Returns [`SimError::Partitioned`] when a link failure disconnects a
-/// transfer's endpoints, and [`SimError::GpuLost`] when a GPU drop-out
-/// fires (its pinned tasks can never run).
-///
-/// # Panics
-///
-/// Same conditions as [`execute_iterations`].
-pub fn execute_faulted(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    iterations: usize,
-    obs: Observability,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    execute_budgeted(
-        graph,
-        network,
-        iterations,
-        obs,
-        plan,
-        RunBudget::unlimited(),
-    )
-}
-
-/// [`execute_faulted`] with a runaway guard: the run terminates with
-/// [`SimError::BudgetExceeded`] if it blows any axis of `budget`.
-///
-/// An unlimited budget takes the exact [`execute_faulted`] code path (and
-/// with an empty plan, the plain fault-free path) — reports stay
-/// bit-identical. The budget spans the whole multi-iteration run; its
-/// event axis counts only real compute/flow events, never monitor ticks
-/// or fault injections, so deterministic-axis trips are independent of
-/// observability settings.
-///
-/// # Errors
-///
-/// [`SimError::BudgetExceeded`] on a tripped budget, plus everything
-/// [`execute_faulted`] reports.
-///
-/// # Panics
-///
-/// Same conditions as [`execute_iterations`].
-pub fn execute_budgeted(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    iterations: usize,
-    obs: Observability,
-    plan: &FaultPlan,
-    budget: RunBudget,
-) -> Result<SimReport, SimError> {
-    assert!(iterations > 0, "need at least one iteration");
-    let mut ex = Executor::new(graph, network)
-        .with_observability(obs)
-        .with_budget(budget);
-    let session = FaultSession::new(plan, graph.gpus());
-    if !session.is_empty() {
-        ex = ex.with_faults(session);
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        RunOptions {
+            iterations: 1,
+            observability: Observability::off(),
+            faults: FaultPlan::default(),
+            budget: RunBudget::unlimited(),
+            profiler: None,
+            checkpoint: None,
+            restore: None,
+        }
     }
-    ex.run(iterations)
 }
 
-/// [`execute_budgeted`] with host self-profiling: when `prof` is
-/// enabled, wall-clock time spent in the engine loop (and, within it,
-/// the network model's send/deliver/reallocation work) accumulates
-/// under an `engine_loop` span.
+/// Executes `graph` against `network` as `opts` describes, returning the
+/// run report.
 ///
-/// Profiling never touches virtual-time state: the report — including
-/// its canonical bytes — is byte-identical with profiling on or off.
+/// Deterministic: identical inputs give identical reports. Monitor ticks,
+/// fault-free sessions, unlimited budgets, profiling and snapshots leave
+/// the report, including its canonical bytes, unchanged.
+///
+/// A restoring run reads the snapshot, checks its spec hash against this
+/// run's graph, network, fault plan and deterministic budget axes, applies
+/// the network half, and simulates the remaining iterations: the report
+/// is byte-identical to an uninterrupted run of `opts.iterations`.
 ///
 /// # Errors
 ///
-/// Same as [`execute_budgeted`].
+/// - [`SimError::Partitioned`] when a transfer's endpoints are not
+///   connected, at the start or after an injected link failure;
+/// - [`SimError::GpuLost`] when a GPU drop-out fires;
+/// - [`SimError::BudgetExceeded`] when the run blows an axis of its budget;
+/// - [`SimError::Checkpoint`] when a snapshot cannot be written, read or
+///   applied, and [`CheckpointError::Unsupported`], before anything runs,
+///   when observability is combined with `checkpoint` or `restore`:
+///   monitor ticks are queue events, which snapshots count but the spec
+///   hash does not cover.
 ///
 /// # Panics
 ///
-/// Same conditions as [`execute_iterations`].
+/// Panics if `opts.iterations` or the checkpoint cadence is zero, or if
+/// the graph deadlocks (a dependency cycle), which the [`TaskGraph`]
+/// construction rules make impossible.
+pub fn execute(
+    graph: &TaskGraph,
+    network: &mut dyn NetworkModel,
+    mut opts: RunOptions<'_>,
+) -> Result<SimReport, SimError> {
+    let iterations = opts.iterations;
+    assert!(iterations > 0, "need at least one iteration");
+    let restore = opts.restore.take();
+    if opts.checkpoint.is_none() && restore.is_none() {
+        return Executor::new(graph, network, opts, 0).run(iterations);
+    }
+    if opts.observability.is_active() {
+        return Err(SimError::Checkpoint(CheckpointError::Unsupported(
+            "observability recorders and progress monitors do not compose with \
+             checkpoint/restore"
+                .to_string(),
+        )));
+    }
+    let hash = checkpoint::spec_hash(graph, network, &opts.faults, &opts.budget);
+    let Some(path) = restore else {
+        return Executor::new(graph, network, opts, hash).run(iterations);
+    };
+    let snap = checkpoint::read_snapshot(&path).map_err(SimError::Checkpoint)?;
+    let found = snap.parsed_spec_hash().map_err(SimError::Checkpoint)?;
+    if found != hash {
+        return Err(SimError::Checkpoint(CheckpointError::SpecMismatch {
+            expected: hash,
+            found,
+        }));
+    }
+    let completed = snap.completed as usize;
+    if completed > iterations {
+        return Err(SimError::Checkpoint(CheckpointError::Corrupt(format!(
+            "snapshot completed {completed} iterations but the run requests only {iterations}"
+        ))));
+    }
+    network
+        .restore_state(&snap.state.net)
+        .map_err(|e| SimError::Checkpoint(CheckpointError::Corrupt(e.to_string())))?;
+    Executor::new(graph, network, opts, hash)
+        .with_restored_state(completed, &snap.state)?
+        .run(iterations - completed)
+}
+
+/// [`execute`] with positional options, as the repository benchmark
+/// (`perfbench/`) calls it.
+#[doc(hidden)]
 pub fn execute_budgeted_profiled<'a>(
     graph: &'a TaskGraph,
     network: &'a mut dyn NetworkModel,
@@ -275,90 +250,18 @@ pub fn execute_budgeted_profiled<'a>(
     budget: RunBudget,
     prof: Option<&'a mut SelfProfiler>,
 ) -> Result<SimReport, SimError> {
-    assert!(iterations > 0, "need at least one iteration");
-    let mut ex = Executor::new(graph, network)
-        .with_observability(obs)
-        .with_budget(budget);
-    let session = FaultSession::new(plan, graph.gpus());
-    if !session.is_empty() {
-        ex = ex.with_faults(session);
-    }
-    if let Some(p) = prof {
-        ex = ex.with_selfprof(p);
-    }
-    ex.run(iterations)
-}
-
-/// [`execute_budgeted`] with periodic boundary snapshots: every
-/// `ck.every`-th iteration boundary writes a crash-safe snapshot to
-/// `ck.path`. Checkpointing reads only quiescent state, so the report —
-/// including its canonical bytes — is byte-identical to the same run
-/// without checkpointing. Observability is not supported on this path
-/// (the builder gates it off with a warning).
-///
-/// # Errors
-///
-/// [`SimError::Checkpoint`] when a snapshot cannot be written, plus
-/// everything [`execute_budgeted`] reports.
-///
-/// # Panics
-///
-/// Same conditions as [`execute_iterations`].
-pub(crate) fn execute_with_checkpoints(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    iterations: usize,
-    plan: &FaultPlan,
-    budget: RunBudget,
-    ck: CheckpointConfig,
-) -> Result<SimReport, SimError> {
-    assert!(iterations > 0, "need at least one iteration");
-    let mut ex = Executor::new(graph, network)
-        .with_budget(budget)
-        .with_checkpoint(ck);
-    let session = FaultSession::new(plan, graph.gpus());
-    if !session.is_empty() {
-        ex = ex.with_faults(session);
-    }
-    ex.run(iterations)
-}
-
-/// Resumes a run from a boundary snapshot: executes iterations
-/// `completed..iterations` on top of the restored state, producing a
-/// report byte-identical to an uninterrupted `iterations`-iteration run.
-/// The caller has already validated the spec hash and applied the
-/// network half of the snapshot via `NetworkModel::restore_state`. When
-/// `ck` is set, checkpointing continues on the resumed run.
-///
-/// # Errors
-///
-/// [`SimError::Checkpoint`] on structurally invalid snapshot state, plus
-/// everything [`execute_budgeted`] reports.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_restored(
-    graph: &TaskGraph,
-    network: &mut dyn NetworkModel,
-    iterations: usize,
-    plan: &FaultPlan,
-    budget: RunBudget,
-    completed: usize,
-    state: &ExecutorState,
-    ck: Option<CheckpointConfig>,
-) -> Result<SimReport, SimError> {
-    assert!(
-        completed <= iterations,
-        "restore cannot exceed the requested iteration count"
-    );
-    let mut ex = Executor::new(graph, network).with_budget(budget);
-    let session = FaultSession::new(plan, graph.gpus());
-    if !session.is_empty() {
-        ex = ex.with_faults(session);
-    }
-    if let Some(ck) = ck {
-        ex = ex.with_checkpoint(ck);
-    }
-    let ex = ex.with_restored_state(completed, state)?;
-    ex.run(iterations - completed)
+    execute(
+        graph,
+        network,
+        RunOptions {
+            iterations,
+            observability: obs,
+            faults: plan.clone(),
+            budget,
+            profiler: prof,
+            ..RunOptions::default()
+        },
+    )
 }
 
 /// Maps a topology node to a GPU index under the repo-wide platform
@@ -617,7 +520,29 @@ struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    fn new(graph: &'a TaskGraph, network: &'a mut dyn NetworkModel) -> Self {
+    /// An executor over `graph` and `network`, configured by `opts` (its
+    /// `iterations` and `restore` are the caller's to act on). Unlimited
+    /// budgets and fault-free sessions become `None`, so the hot loop
+    /// tests one `Option` each; `spec_hash` stamps snapshots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint cadence is zero.
+    fn new(
+        graph: &'a TaskGraph,
+        network: &'a mut dyn NetworkModel,
+        opts: RunOptions<'a>,
+        spec_hash: u64,
+    ) -> Self {
+        let RunOptions {
+            iterations: _,
+            observability: obs,
+            faults,
+            budget,
+            profiler,
+            checkpoint,
+            restore: _,
+        } = opts;
         let n = graph.len();
         // Task ids are stored as `u32`, and `NO_TASK` is none of them.
         assert!(n <= NO_TASK as usize, "task ids fit in u32");
@@ -647,6 +572,10 @@ impl<'a> Executor<'a> {
             .iter()
             .filter(|t| matches!(t.kind, TaskKind::Transfer { .. }))
             .count();
+        let observing = obs.recorder.as_ref().is_some_and(|r| r.enabled());
+        let ticking = observing || obs.progress.is_some();
+        let collectives = if observing { graph.collectives() } else { &[] };
+        let session = FaultSession::new(&faults, gpus);
         Executor {
             graph,
             network,
@@ -671,16 +600,16 @@ impl<'a> Executor<'a> {
             tl_mark: 0,
             completed: 0,
             bytes_transferred: 0,
-            obs: Observability::off(),
-            observing: false,
-            ticking: false,
-            ticker: None,
+            ticker: ticking.then(|| Ticker::new(obs.sample_period)),
+            obs,
+            observing,
+            ticking,
             tick_event: None,
             pending_real: 0,
             dispatches: [0; 4],
-            faults: None,
+            faults: (!session.is_empty()).then(|| FaultRuntime::new(session, gpus)),
             stop_error: None,
-            budget: None,
+            budget: (!budget.is_unlimited()).then_some(budget),
             budget_events: 0,
             current_iter: 0,
             iter_offset: 0,
@@ -689,68 +618,36 @@ impl<'a> Executor<'a> {
             replay_wall_s: 0.0,
             prev_link_busy: Vec::new(),
             prev_sample_at: VirtualTime::ZERO,
-            collective_of_first: HashMap::new(),
-            collective_of_last: HashMap::new(),
-            collective_begin: Vec::new(),
+            collective_of_first: collectives
+                .iter()
+                .enumerate()
+                .map(|(ci, m)| (m.first, ci))
+                .collect(),
+            collective_of_last: collectives
+                .iter()
+                .enumerate()
+                .map(|(ci, m)| (m.last, ci))
+                .collect(),
+            collective_begin: vec![None; collectives.len()],
             attr: attribution(graph),
             attr_start: vec![NOT_RUN; n],
             attr_end: vec![NOT_RUN; n],
             attr_gpu_pred: vec![NO_TASK; n],
             last_done: vec![NO_TASK; gpus],
             iter_begin: VirtualTime::ZERO,
-            ckpt: None,
-            selfprof: None,
-            profiling: false,
+            ckpt: checkpoint.map(|(path, every)| {
+                assert!(every > 0, "checkpoint cadence must be at least 1");
+                CheckpointConfig {
+                    path,
+                    every,
+                    spec_hash,
+                }
+            }),
+            profiling: profiler.as_ref().is_some_and(|p| p.is_enabled()),
+            selfprof: profiler,
             net_wall_s: 0.0,
             net_wall_calls: 0,
         }
-    }
-
-    /// Attaches a host self-profiler. Wall clock only; virtual-time
-    /// state and the report stay byte-identical.
-    fn with_selfprof(mut self, prof: &'a mut SelfProfiler) -> Self {
-        self.profiling = prof.is_enabled();
-        self.selfprof = Some(prof);
-        self
-    }
-
-    fn with_observability(mut self, obs: Observability) -> Self {
-        self.observing = obs.recorder.as_ref().is_some_and(|r| r.enabled());
-        self.ticking = self.observing || obs.progress.is_some();
-        if self.ticking {
-            self.ticker = Some(Ticker::new(obs.sample_period));
-        }
-        if self.observing {
-            for (ci, meta) in self.graph.collectives().iter().enumerate() {
-                self.collective_of_first.insert(meta.first, ci);
-                self.collective_of_last.insert(meta.last, ci);
-            }
-            self.collective_begin = vec![None; self.graph.collectives().len()];
-        }
-        self.obs = obs;
-        self
-    }
-
-    /// Attaches a non-empty fault session. The fault timeline spans the
-    /// whole multi-iteration run (times are absolute, not per-iteration).
-    fn with_faults(mut self, session: FaultSession) -> Self {
-        let gpus = self.gpus.len();
-        self.faults = Some(FaultRuntime::new(session, gpus));
-        self
-    }
-
-    /// Attaches a run budget. Unlimited budgets are dropped so the hot
-    /// loop keeps its single `Option` discriminant test per event. The
-    /// budget spans the whole multi-iteration run.
-    fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.budget = (!budget.is_unlimited()).then_some(budget);
-        self
-    }
-
-    /// Enables periodic boundary snapshots to `ck.path`.
-    fn with_checkpoint(mut self, ck: CheckpointConfig) -> Self {
-        self.ckpt = Some(ck);
-        self
     }
 
     /// Rehydrates the executor from a quiescent-boundary snapshot taken
@@ -1568,15 +1465,7 @@ impl<'a> Executor<'a> {
                     if self.observing {
                         self.record_flow(task, start, now);
                     }
-                    let cmds = if self.profiling {
-                        let t0 = Instant::now();
-                        let cmds = self.network.deliver(flow, now);
-                        self.net_wall_s += t0.elapsed().as_secs_f64();
-                        self.net_wall_calls += 1;
-                        cmds
-                    } else {
-                        self.network.deliver(flow, now)
-                    };
+                    let cmds = self.timed_net(|n| n.deliver(flow, now));
                     self.apply(cmds);
                     self.complete(task);
                 }
@@ -1922,37 +1811,39 @@ impl<'a> Executor<'a> {
                         self.collective_begin[ci].get_or_insert(now);
                     }
                 }
-                if self.faults.is_some() {
-                    // Under fault injection a missing path is a runtime
-                    // outcome (an injected failure partitioned the
-                    // topology), not a configuration bug: surface it as
-                    // the run's structured error instead of panicking.
-                    match self.network.try_send(now, *src, *dst, *bytes) {
-                        Ok((flow, cmds)) => {
-                            self.flow_task.insert(flow, task);
-                            self.apply(cmds);
-                        }
-                        Err(e) => {
-                            self.stop_error = Some(SimError::Partitioned {
-                                src: e.src.0,
-                                dst: e.dst.0,
-                                at_s: now.as_seconds(),
-                            });
-                        }
+                let (src, dst, bytes) = (*src, *dst, *bytes);
+                // A missing path (a disconnected topology, or an injected
+                // failure that partitioned it) ends the run with a
+                // structured error instead of a panic.
+                match self.timed_net(|n| n.try_send(now, src, dst, bytes)) {
+                    Ok((flow, cmds)) => {
+                        self.flow_task.insert(flow, task);
+                        self.apply(cmds);
                     }
-                } else {
-                    let t0 = self.profiling.then(Instant::now);
-                    let (flow, cmds) = self.network.send(now, *src, *dst, *bytes);
-                    if let Some(t0) = t0 {
-                        self.net_wall_s += t0.elapsed().as_secs_f64();
-                        self.net_wall_calls += 1;
+                    Err(e) => {
+                        self.stop_error = Some(SimError::Partitioned {
+                            src: e.src.0,
+                            dst: e.dst.0,
+                            at_s: now.as_seconds(),
+                        });
                     }
-                    self.flow_task.insert(flow, task);
-                    self.apply(cmds);
                 }
                 None
             }
         }
+    }
+
+    /// Runs one network-model call, timed into the engine loop's
+    /// `network` share when profiling.
+    fn timed_net<T>(&mut self, call: impl FnOnce(&mut dyn NetworkModel) -> T) -> T {
+        if !self.profiling {
+            return call(&mut *self.network);
+        }
+        let t0 = Instant::now();
+        let out = call(&mut *self.network);
+        self.net_wall_s += t0.elapsed().as_secs_f64();
+        self.net_wall_calls += 1;
+        out
     }
 
     fn try_start_gpu(&mut self, gpu: usize) {
@@ -2038,7 +1929,7 @@ mod tests {
         let b = g.compute("b", 0, TimeSpan::from_millis(3.0), vec![a]);
         g.compute("c", 0, TimeSpan::from_millis(5.0), vec![b]);
         let mut net = net2();
-        let r = execute(&g, &mut net);
+        let r = execute(&g, &mut net, RunOptions::default()).unwrap();
         assert!((r.total_time_s() - 0.010).abs() < 1e-12);
         assert!((r.compute_time_s() - 0.010).abs() < 1e-12);
         assert_eq!(r.comm_time_s(), 0.0);
@@ -2050,7 +1941,7 @@ mod tests {
         g.compute("a", 0, TimeSpan::from_millis(1.0), vec![]);
         g.compute("b", 0, TimeSpan::from_millis(1.0), vec![]);
         let mut net = net2();
-        let r = execute(&g, &mut net);
+        let r = execute(&g, &mut net, RunOptions::default()).unwrap();
         assert!((r.total_time_s() - 0.002).abs() < 1e-12, "one stream");
     }
 
@@ -2060,7 +1951,7 @@ mod tests {
         g.compute("a", 0, TimeSpan::from_millis(1.0), vec![]);
         g.compute("b", 1, TimeSpan::from_millis(1.0), vec![]);
         let mut net = net2();
-        let r = execute(&g, &mut net);
+        let r = execute(&g, &mut net, RunOptions::default()).unwrap();
         assert!((r.total_time_s() - 0.001).abs() < 1e-12);
     }
 
@@ -2071,7 +1962,7 @@ mod tests {
         g.compute("work", 0, TimeSpan::from_millis(10.0), vec![]);
         g.transfer("move", NodeId(0), NodeId(1), 10_000_000, vec![]);
         let mut net = net2();
-        let r = execute(&g, &mut net);
+        let r = execute(&g, &mut net, RunOptions::default()).unwrap();
         assert!(
             (r.total_time_s() - 0.010).abs() < 1e-9,
             "{}",
@@ -2086,7 +1977,7 @@ mod tests {
         let t = g.transfer("move", NodeId(0), NodeId(1), 5_000_000, vec![]);
         g.compute("after", 0, TimeSpan::from_millis(1.0), vec![t]);
         let mut net = net2();
-        let r = execute(&g, &mut net);
+        let r = execute(&g, &mut net, RunOptions::default()).unwrap();
         assert!((r.total_time_s() - 0.006).abs() < 1e-9);
     }
 
@@ -2098,7 +1989,7 @@ mod tests {
         let b2 = g.barrier("sync2", vec![b]);
         g.compute("c", 0, TimeSpan::from_millis(1.0), vec![b2]);
         let mut net = net2();
-        let r = execute(&g, &mut net);
+        let r = execute(&g, &mut net, RunOptions::default()).unwrap();
         assert!((r.total_time_s() - 0.002).abs() < 1e-12);
         assert_eq!(r.tasks_executed(), 4);
     }
@@ -2107,7 +1998,7 @@ mod tests {
     fn empty_graph_finishes_at_zero() {
         let g = TaskGraph::new(1);
         let mut net = net2();
-        let r = execute(&g, &mut net);
+        let r = execute(&g, &mut net, RunOptions::default()).unwrap();
         assert_eq!(r.total_time_s(), 0.0);
     }
 
@@ -2117,7 +2008,7 @@ mod tests {
         g.compute("op1", 0, TimeSpan::from_millis(1.0), vec![]);
         g.transfer("mv", NodeId(0), NodeId(1), 1_000_000, vec![]);
         let mut net = net2();
-        let r = execute(&g, &mut net);
+        let r = execute(&g, &mut net, RunOptions::default()).unwrap();
         assert_eq!(r.timeline().len(), 2);
         let tracks: Vec<_> = r.timeline().iter().map(|t| t.track).collect();
         assert!(tracks.contains(&TimelineTrack::Gpu(0)));
@@ -2129,7 +2020,15 @@ mod tests {
         let mut g = TaskGraph::new(1);
         g.compute("a", 0, TimeSpan::from_millis(2.0), vec![]);
         let mut net = net2();
-        let r = execute_iterations(&g, &mut net, 5);
+        let r = execute(
+            &g,
+            &mut net,
+            RunOptions {
+                iterations: 5,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         assert!((r.total_time_s() - 0.010).abs() < 1e-12, "5 x 2 ms");
         assert_eq!(r.tasks_executed(), 5);
         assert_eq!(r.timeline().len(), 5);
@@ -2141,8 +2040,21 @@ mod tests {
         let mut g = TaskGraph::new(1);
         g.transfer("mv", NodeId(0), NodeId(1), 1 << 20, vec![]);
         let mut net = PhotonicNetwork::new(2, PhotonicConfig::passage());
-        let r1 = execute(&g, &mut PhotonicNetwork::new(2, PhotonicConfig::passage()));
-        let r10 = execute_iterations(&g, &mut net, 10);
+        let r1 = execute(
+            &g,
+            &mut PhotonicNetwork::new(2, PhotonicConfig::passage()),
+            RunOptions::default(),
+        )
+        .unwrap();
+        let r10 = execute(
+            &g,
+            &mut net,
+            RunOptions {
+                iterations: 10,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         // One iteration pays the 20 ms setup; ten iterations pay it once.
         assert!(r1.total_time_s() > 20e-3);
         assert!(
@@ -2158,7 +2070,14 @@ mod tests {
     #[should_panic(expected = "at least one iteration")]
     fn zero_iterations_rejected() {
         let g = TaskGraph::new(1);
-        execute_iterations(&g, &mut net2(), 0);
+        let _ = execute(
+            &g,
+            &mut net2(),
+            RunOptions {
+                iterations: 0,
+                ..RunOptions::default()
+            },
+        );
     }
 
     #[test]
@@ -2167,7 +2086,7 @@ mod tests {
         g.transfer("m1", NodeId(0), NodeId(1), 1_000_000, vec![]);
         g.transfer("m2", NodeId(0), NodeId(1), 1_000_000, vec![]);
         let mut net = net2();
-        let r = execute(&g, &mut net);
+        let r = execute(&g, &mut net, RunOptions::default()).unwrap();
         assert!((r.total_time_s() - 0.002).abs() < 1e-9, "fair sharing");
         assert_eq!(r.bytes_transferred(), 2_000_000);
     }
@@ -2218,9 +2137,26 @@ mod tests {
     #[test]
     fn monitor_ticks_never_change_simulation_results() {
         let g = overlap_graph();
-        let plain = execute_iterations(&g, &mut net2(), 3);
+        let plain = execute(
+            &g,
+            &mut net2(),
+            RunOptions {
+                iterations: 3,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         let buf = SharedBuf::default();
-        let observed = execute_observed(&g, &mut net2(), 3, jsonl_obs(&buf));
+        let observed = execute(
+            &g,
+            &mut net2(),
+            RunOptions {
+                iterations: 3,
+                observability: jsonl_obs(&buf),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         assert_eq!(plain.total_time(), observed.total_time());
         assert_eq!(plain.bytes_transferred(), observed.bytes_transferred());
         assert_eq!(plain.compute_time_s(), observed.compute_time_s());
@@ -2234,7 +2170,15 @@ mod tests {
     fn observed_run_emits_spans_and_end_of_run_metrics() {
         let g = overlap_graph();
         let buf = SharedBuf::default();
-        execute_observed(&g, &mut net2(), 1, jsonl_obs(&buf));
+        execute(
+            &g,
+            &mut net2(),
+            RunOptions {
+                observability: jsonl_obs(&buf),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         let out = buf.take_string();
         assert!(out.contains("\"track\":\"gpu0\""), "compute span: {out}");
         assert!(out.contains("\"track\":\"network\""), "flow span: {out}");
@@ -2248,7 +2192,16 @@ mod tests {
         let run = || {
             let g = overlap_graph();
             let buf = SharedBuf::default();
-            execute_observed(&g, &mut net2(), 2, jsonl_obs(&buf));
+            execute(
+                &g,
+                &mut net2(),
+                RunOptions {
+                    iterations: 2,
+                    observability: jsonl_obs(&buf),
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
             buf.take_string()
         };
         let a = run();
@@ -2273,7 +2226,15 @@ mod tests {
             last: done,
         });
         let buf = SharedBuf::default();
-        execute_observed(&g, &mut net2(), 1, jsonl_obs(&buf));
+        execute(
+            &g,
+            &mut net2(),
+            RunOptions {
+                observability: jsonl_obs(&buf),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         let out = buf.take_string();
         assert!(out.contains("\"track\":\"collectives\""), "{out}");
         assert!(out.contains("\"algorithm\":\"allreduce\""), "{out}");
@@ -2285,13 +2246,23 @@ mod tests {
     #[test]
     fn empty_plan_is_bit_identical_to_plain_run() {
         let g = overlap_graph();
-        let plain = execute_iterations(&g, &mut net2(), 3);
-        let faulted = execute_faulted(
+        let plain = execute(
             &g,
             &mut net2(),
-            3,
-            Observability::off(),
-            &triosim_faults::FaultPlan::default(),
+            RunOptions {
+                iterations: 3,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
+        let faulted = execute(
+            &g,
+            &mut net2(),
+            RunOptions {
+                iterations: 3,
+                faults: triosim_faults::FaultPlan::default(),
+                ..RunOptions::default()
+            },
         )
         .expect("empty plan cannot fail");
         assert_eq!(plain.total_time(), faulted.total_time());
@@ -2312,7 +2283,15 @@ mod tests {
             }],
             ..Default::default()
         };
-        let r = execute_faulted(&g, &mut net2(), 1, Observability::off(), &plan).unwrap();
+        let r = execute(
+            &g,
+            &mut net2(),
+            RunOptions {
+                faults: plan,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         assert!(
             (r.total_time_s() - 0.003).abs() < 1e-9,
             "{}",
@@ -2342,13 +2321,43 @@ mod tests {
             }],
             ..Default::default()
         };
-        let err = execute_faulted(&g, &mut net, 1, Observability::off(), &plan).unwrap_err();
+        let err = execute(
+            &g,
+            &mut net,
+            RunOptions {
+                faults: plan,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             crate::error::SimError::Partitioned {
                 src: 0,
                 dst: 2,
                 at_s: 0.001
+            }
+        );
+    }
+
+    #[test]
+    fn disconnected_transfer_returns_partitioned_error() {
+        // Nodes 0 and 1 are linked; node 2 has no link at all. A
+        // fault-free run that sends to it ends with a structured error,
+        // not a panic inside the network model.
+        let mut t = Topology::new(3);
+        t.add_duplex(NodeId(0), NodeId(1), 1e9, 0.0);
+        let mut net = FlowNetwork::new(t);
+        let mut g = TaskGraph::new(1);
+        g.compute("a", 0, TimeSpan::from_millis(1.0), vec![]);
+        g.transfer("mv", NodeId(0), NodeId(2), 1_000, vec![]);
+        let err = execute(&g, &mut net, RunOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            crate::error::SimError::Partitioned {
+                src: 0,
+                dst: 2,
+                at_s: 0.0
             }
         );
     }
@@ -2367,7 +2376,15 @@ mod tests {
             }],
             ..Default::default()
         };
-        let r = execute_faulted(&g, &mut net, 1, Observability::off(), &plan).unwrap();
+        let r = execute(
+            &g,
+            &mut net,
+            RunOptions {
+                faults: plan,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         assert_eq!(r.network_stats().reroutes, 1);
         assert_eq!(r.network_stats().added_hops, 2, "1 hop -> 3 hops");
         // A lone flow keeps its 1 GB/s bottleneck on the detour (zero
@@ -2392,7 +2409,15 @@ mod tests {
             }],
             ..Default::default()
         };
-        let err = execute_faulted(&g, &mut net2(), 1, Observability::off(), &plan).unwrap_err();
+        let err = execute(
+            &g,
+            &mut net2(),
+            RunOptions {
+                faults: plan,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             crate::error::SimError::GpuLost { gpu: 1, .. }
@@ -2415,7 +2440,16 @@ mod tests {
                 }],
                 ..Default::default()
             };
-            let r = execute_faulted(&g, &mut net2(), 3, Observability::off(), &plan).unwrap();
+            let r = execute(
+                &g,
+                &mut net2(),
+                RunOptions {
+                    iterations: 3,
+                    faults: plan,
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
             (r.total_time(), r.fault_stats().cloned())
         };
         assert_eq!(run(), run());
@@ -2434,7 +2468,15 @@ mod tests {
             }],
             ..Default::default()
         };
-        let r = execute_faulted(&g, &mut net2(), 1, Observability::off(), &plan).unwrap();
+        let r = execute(
+            &g,
+            &mut net2(),
+            RunOptions {
+                faults: plan,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         assert!((r.total_time_s() - 0.001).abs() < 1e-12);
         assert_eq!(r.fault_stats().unwrap().faults_injected, 0, "never fired");
     }
@@ -2454,7 +2496,16 @@ mod tests {
             ..Default::default()
         };
         let buf = SharedBuf::default();
-        let r = execute_faulted(&g, &mut net, 1, jsonl_obs(&buf), &plan).unwrap();
+        let r = execute(
+            &g,
+            &mut net,
+            RunOptions {
+                observability: jsonl_obs(&buf),
+                faults: plan,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         let out = buf.take_string();
         assert!(out.contains("link_fail"), "{out}");
         assert!(out.contains("triosim_faults_injected_total"), "{out}");
@@ -2472,7 +2523,15 @@ mod tests {
         let monitor = triosim_obs::ProgressMonitor::with_writer(Box::new(buf.clone()))
             .throttle(std::time::Duration::ZERO);
         let obs = Observability::off().with_progress(monitor);
-        execute_observed(&g, &mut net2(), 1, obs);
+        execute(
+            &g,
+            &mut net2(),
+            RunOptions {
+                observability: obs,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         let out = buf.take_string();
         assert!(out.contains("progress: done"), "{out}");
     }

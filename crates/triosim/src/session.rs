@@ -10,13 +10,9 @@ use triosim_obs::{ProgressMonitor, Recorder, SelfProfiler};
 use triosim_perfmodel::LisModel;
 use triosim_trace::{GpuModel, Trace};
 
-use crate::checkpoint::{self, CheckpointConfig, CheckpointError};
 use crate::compute::{ComputeModel, Fidelity};
 use crate::error::SimError;
-use crate::executor::{
-    execute_budgeted, execute_budgeted_profiled, execute_faulted, execute_iterations,
-    execute_observed, execute_restored, execute_with_checkpoints, Observability,
-};
+use crate::executor::{execute, RunOptions};
 use crate::extrapolate::extrapolate_with_style;
 use crate::parallelism::{CollectiveStyle, Parallelism};
 use crate::platform::Platform;
@@ -62,13 +58,8 @@ pub struct SimBuilder<'a> {
     compute: Option<ComputeModel>,
     network: Option<Box<dyn NetworkModel>>,
     collective_style: CollectiveStyle,
-    iterations: usize,
-    observability: Observability,
-    faults: Option<FaultPlan>,
     fault_seed: Option<u64>,
-    budget: Option<RunBudget>,
-    checkpoint: Option<(PathBuf, usize)>,
-    restore: Option<PathBuf>,
+    run: RunOptions<'a>,
 }
 
 impl<'a> SimBuilder<'a> {
@@ -83,13 +74,8 @@ impl<'a> SimBuilder<'a> {
             compute: None,
             network: None,
             collective_style: CollectiveStyle::default(),
-            iterations: 1,
-            observability: Observability::off(),
-            faults: None,
             fault_seed: None,
-            budget: None,
-            checkpoint: None,
-            restore: None,
+            run: RunOptions::default(),
         }
     }
 
@@ -108,7 +94,7 @@ impl<'a> SimBuilder<'a> {
     /// Panics if `iterations` is zero.
     pub fn iterations(mut self, iterations: usize) -> Self {
         assert!(iterations > 0, "need at least one iteration");
-        self.iterations = iterations;
+        self.run.iterations = iterations;
         self
     }
 
@@ -155,15 +141,18 @@ impl<'a> SimBuilder<'a> {
     /// Attaches an observability recorder (e.g. a
     /// [`RunRecorder`](triosim_obs::RunRecorder) fanning out to JSONL,
     /// Chrome-trace, and Prometheus sinks). The run emits spans and
-    /// metrics into it and calls `finish` when done.
+    /// metrics into it and calls `finish` when done. Cannot be combined
+    /// with [`checkpoint`](Self::checkpoint) or [`restore`](Self::restore).
     pub fn recorder(mut self, r: Box<dyn Recorder>) -> Self {
-        self.observability.recorder = Some(r);
+        self.run.observability.recorder = Some(r);
         self
     }
 
     /// Attaches a live progress monitor (wall-clock throttled, stderr).
+    /// Cannot be combined with [`checkpoint`](Self::checkpoint) or
+    /// [`restore`](Self::restore).
     pub fn progress(mut self, p: ProgressMonitor) -> Self {
-        self.observability.progress = Some(p);
+        self.run.observability.progress = Some(p);
         self
     }
 
@@ -173,7 +162,8 @@ impl<'a> SimBuilder<'a> {
     ///
     /// Panics if `period` is zero.
     pub fn sample_period(mut self, period: TimeSpan) -> Self {
-        self.observability = std::mem::take(&mut self.observability).with_sample_period(period);
+        self.run.observability =
+            std::mem::take(&mut self.run.observability).with_sample_period(period);
         self
     }
 
@@ -182,7 +172,7 @@ impl<'a> SimBuilder<'a> {
     /// The plan is validated against the platform by
     /// [`try_run`](Self::try_run) before execution.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.run.faults = plan;
         self
     }
 
@@ -199,7 +189,7 @@ impl<'a> SimBuilder<'a> {
     /// is armed when the budget is constructed, so build it right before
     /// calling [`try_run`](Self::try_run).
     pub fn budget(mut self, budget: RunBudget) -> Self {
-        self.budget = (!budget.is_unlimited()).then_some(budget);
+        self.run.budget = budget;
         self
     }
 
@@ -210,15 +200,18 @@ impl<'a> SimBuilder<'a> {
     /// run restores with [`restore`](Self::restore) and produces
     /// canonical bytes identical to an uninterrupted run.
     ///
-    /// Checkpointed runs execute serially; observability and
-    /// self-profiling are disabled with a warning.
+    /// Self-profiling composes with checkpointing (host time is not part
+    /// of a snapshot). A [`recorder`](Self::recorder) or
+    /// [`progress`](Self::progress) monitor does not: the run returns
+    /// [`CheckpointError::Unsupported`](crate::CheckpointError::Unsupported)
+    /// before it simulates or writes anything.
     ///
     /// # Panics
     ///
     /// Panics if `every` is zero.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: usize) -> Self {
         assert!(every > 0, "checkpoint cadence must be at least 1");
-        self.checkpoint = Some((path.into(), every));
+        self.run.checkpoint = Some((path.into(), every));
         self
     }
 
@@ -228,7 +221,7 @@ impl<'a> SimBuilder<'a> {
     /// budget axes) — iteration count and wall-clock timeout may differ.
     /// Composes with `checkpoint` to keep checkpointing the resumed run.
     pub fn restore(mut self, path: impl Into<PathBuf>) -> Self {
-        self.restore = Some(path.into());
+        self.run.restore = Some(path.into());
         self
     }
 
@@ -326,18 +319,22 @@ impl<'a> SimBuilder<'a> {
     /// or budget-induced early termination and invalid fault plans as
     /// typed errors.
     ///
-    /// Without a fault plan (or with an empty one) and without a budget
-    /// this cannot fail and produces a report bit-identical to
-    /// [`run`](Self::run).
+    /// The builder validates the fault plan, builds the graph and the
+    /// network, and hands everything else to one
+    /// [`execute`](crate::execute) call.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidPlan`] when the fault plan references GPUs,
     /// nodes, or links the platform does not have (or carries
     /// out-of-domain values); [`SimError::Partitioned`] /
-    /// [`SimError::GpuLost`] when an injected fault makes the remaining
-    /// work impossible; [`SimError::BudgetExceeded`] when the run blows
-    /// an axis of its [`budget`](Self::budget).
+    /// [`SimError::GpuLost`] when a transfer finds no path or an injected
+    /// fault makes the remaining work impossible;
+    /// [`SimError::BudgetExceeded`] when the run blows an axis of its
+    /// [`budget`](Self::budget); [`SimError::Checkpoint`] when a snapshot
+    /// cannot be written, read or applied, or when a recorder or progress
+    /// monitor is combined with [`checkpoint`](Self::checkpoint) or
+    /// [`restore`](Self::restore).
     pub fn try_run(self) -> Result<SimReport, SimError> {
         self.try_run_inner(None)
     }
@@ -349,7 +346,9 @@ impl<'a> SimBuilder<'a> {
     /// (`engine_loop`/`network`) accumulate into `prof`.
     ///
     /// Profiling is strictly diagnostic: the returned report — including
-    /// its canonical bytes — is byte-identical to an unprofiled run.
+    /// its canonical bytes — is byte-identical to an unprofiled run,
+    /// checkpointed and restored runs included. A disabled `prof` reads
+    /// no clock.
     ///
     /// # Errors
     ///
@@ -359,12 +358,12 @@ impl<'a> SimBuilder<'a> {
     }
 
     fn try_run_inner(mut self, mut prof: Option<&mut SelfProfiler>) -> Result<SimReport, SimError> {
-        let mut plan = self.faults.take().unwrap_or_default();
+        let mut run = std::mem::take(&mut self.run);
         if let Some(seed) = self.fault_seed {
-            plan = plan.with_seed(seed);
+            run.faults = run.faults.with_seed(seed);
         }
-        if !plan.is_empty() {
-            self.validate_plan(&plan)?;
+        if !run.faults.is_empty() {
+            self.validate_plan(&run.faults)?;
         }
         let graph = match prof.as_deref_mut() {
             None => self.build_graph(),
@@ -377,110 +376,11 @@ impl<'a> SimBuilder<'a> {
             None => self.resolved_network(),
             Some(p) => p.time("network_build", || self.resolved_network()),
         };
-        let obs = std::mem::take(&mut self.observability);
-        if self.checkpoint.is_some() || self.restore.is_some() {
-            if prof.is_some() {
-                eprintln!("warning: self-profiling is disabled under checkpoint/restore");
-            }
-            if obs.is_active() {
-                eprintln!(
-                    "warning: observability recorders and progress are disabled under \
-                     checkpoint/restore"
-                );
-            }
-            let budget = self.budget.take().unwrap_or_else(RunBudget::unlimited);
-            let hash = checkpoint::spec_hash(&graph, network.as_ref(), &plan, &budget);
-            let ck = self
-                .checkpoint
-                .take()
-                .map(|(path, every)| CheckpointConfig {
-                    path,
-                    every,
-                    spec_hash: hash,
-                });
-            if let Some(path) = self.restore.take() {
-                let snap = checkpoint::read_snapshot(&path).map_err(SimError::Checkpoint)?;
-                let found = snap.parsed_spec_hash().map_err(SimError::Checkpoint)?;
-                if found != hash {
-                    return Err(SimError::Checkpoint(CheckpointError::SpecMismatch {
-                        expected: hash,
-                        found,
-                    }));
-                }
-                let completed = snap.completed as usize;
-                if completed > self.iterations {
-                    return Err(SimError::Checkpoint(CheckpointError::Corrupt(format!(
-                        "snapshot completed {completed} iterations but the run requests only {}",
-                        self.iterations
-                    ))));
-                }
-                network
-                    .restore_state(&snap.state.net)
-                    .map_err(|e| SimError::Checkpoint(CheckpointError::Corrupt(e.to_string())))?;
-                return execute_restored(
-                    &graph,
-                    network.as_mut(),
-                    self.iterations,
-                    &plan,
-                    budget,
-                    completed,
-                    &snap.state,
-                    ck,
-                );
-            }
-            let ck = ck.expect("checkpointing implies a checkpoint path");
-            return execute_with_checkpoints(
-                &graph,
-                network.as_mut(),
-                self.iterations,
-                &plan,
-                budget,
-                ck,
-            );
-        }
-        if let Some(p) = prof {
-            // One entry point covers every configuration; unlimited
-            // budgets and empty plans are dropped inside the executor,
-            // so the simulated behavior (and the report's canonical
-            // bytes) exactly matches the unprofiled dispatch below.
-            return execute_budgeted_profiled(
-                &graph,
-                network.as_mut(),
-                self.iterations,
-                obs,
-                &plan,
-                self.budget.take().unwrap_or_else(RunBudget::unlimited),
-                Some(p),
-            );
-        }
-        if let Some(budget) = self.budget.take() {
-            return execute_budgeted(
-                &graph,
-                network.as_mut(),
-                self.iterations,
-                obs,
-                &plan,
-                budget,
-            );
-        }
-        if plan.is_empty() {
-            if obs.is_active() {
-                Ok(execute_observed(
-                    &graph,
-                    network.as_mut(),
-                    self.iterations,
-                    obs,
-                ))
-            } else {
-                Ok(execute_iterations(
-                    &graph,
-                    network.as_mut(),
-                    self.iterations,
-                ))
-            }
-        } else {
-            execute_faulted(&graph, network.as_mut(), self.iterations, obs, &plan)
-        }
+        let opts = RunOptions {
+            profiler: prof,
+            ..run
+        };
+        execute(&graph, network.as_mut(), opts)
     }
 
     /// Extrapolates and executes the simulation.
@@ -488,8 +388,8 @@ impl<'a> SimBuilder<'a> {
     /// # Panics
     ///
     /// Panics on any condition [`try_run`](Self::try_run) reports as an
-    /// error (invalid fault plans, fault-induced partitions or GPU loss).
-    /// Fault-free configurations never panic here.
+    /// error (invalid fault plans, partitions, GPU loss, budget trips,
+    /// snapshot errors).
     pub fn run(self) -> SimReport {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -594,9 +494,12 @@ mod tests {
             .try_run()
             .expect("generous budget never trips");
         assert_eq!(plain.to_canonical_json(), budgeted.to_canonical_json());
-        // Unlimited budgets are dropped entirely.
-        let unlimited = SimBuilder::new(&t, &p).budget(RunBudget::unlimited());
-        assert!(unlimited.budget.is_none());
+        // An unlimited budget is no budget at all.
+        let unlimited = SimBuilder::new(&t, &p)
+            .budget(RunBudget::unlimited())
+            .try_run()
+            .expect("an unlimited budget never trips");
+        assert_eq!(plain.to_canonical_json(), unlimited.to_canonical_json());
     }
 
     #[test]

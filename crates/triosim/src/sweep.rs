@@ -393,9 +393,10 @@ fn resolve_scenarios(
 
 /// Runs one resolved scenario in full isolation: fresh network state,
 /// fresh DES engine, nothing shared but the read-only trace and compute
-/// model. An enabled `prof` routes through the profiled session path
-/// (graph build / network build / engine loop spans); profiling never
-/// changes the canonical report bytes.
+/// model. An enabled `prof` collects the session's graph build /
+/// network build / engine loop spans, checkpointed and restored runs
+/// included; a disabled one reads no clock. Profiling never changes the
+/// canonical report bytes.
 fn run_scenario(
     r: &ResolvedScenario,
     prof: &mut SelfProfiler,
@@ -478,11 +479,7 @@ fn run_scenario(
             builder = builder.restore(path);
         }
     }
-    let mut run = if prof.is_enabled() {
-        builder.try_run_profiled(prof)
-    } else {
-        builder.try_run()
-    };
+    let mut run = builder.try_run_profiled(prof);
     if resuming {
         if let Err(SimError::Checkpoint(ce)) = &run {
             // A stale or corrupt snapshot (e.g. the spec changed between
@@ -496,12 +493,7 @@ fn run_scenario(
                 path.display()
             );
             std::fs::remove_file(path).ok();
-            let fresh = mk();
-            run = if prof.is_enabled() {
-                fresh.try_run_profiled(prof)
-            } else {
-                fresh.try_run()
-            };
+            run = mk().try_run_profiled(prof);
         }
     }
     if run.is_ok() {

@@ -19,10 +19,11 @@ use proptest::prelude::*;
 use serde::Deserialize as _;
 use triosim::{
     CheckpointError, FaultPlan, GpuSlowdown, Jitter, LinkDegradation, Parallelism, Platform,
-    Replay, SimBuilder, SimError,
+    Replay, SelfProfiler, SimBuilder, SimError,
 };
 use triosim_des::RunBudget;
 use triosim_modelzoo::ModelId;
+use triosim_obs::{JsonlSink, ProgressMonitor, RunRecorder};
 use triosim_trace::{GpuModel, Trace, Tracer};
 
 fn trace(model: ModelId, batch: u64) -> Trace {
@@ -87,6 +88,82 @@ fn checkpointing_is_invisible_in_the_report() {
     assert_eq!(plain.to_canonical_json(), checkpointed.to_canonical_json());
     assert!(path.exists(), "final boundary snapshot is on disk");
     std::fs::remove_file(&path).ok();
+}
+
+/// Profiling composes with snapshots, since host time is not part of
+/// one: a profiled checkpointed run and a profiled restored run each
+/// return the uninterrupted run's canonical bytes, and each profile has
+/// its engine loop.
+#[test]
+fn profiled_checkpoint_and_restore_are_byte_identical() {
+    let t = trace(ModelId::ResNet18, 16);
+    let p = Platform::p2(2);
+    let plain = SimBuilder::new(&t, &p)
+        .iterations(4)
+        .run()
+        .to_canonical_json();
+    let has_engine_loop = |prof: &SelfProfiler| prof.snapshot().find(&["engine_loop"]).is_some();
+    let path = temp_path("profiled");
+    let mut prof = SelfProfiler::new();
+    let checkpointed = SimBuilder::new(&t, &p)
+        .iterations(4)
+        .checkpoint(&path, 2)
+        .try_run_profiled(&mut prof)
+        .expect("profiled checkpointed run completes");
+    assert_eq!(plain, checkpointed.to_canonical_json());
+    assert!(has_engine_loop(&prof), "{}", prof.snapshot().render());
+    SimBuilder::new(&t, &p)
+        .iterations(2)
+        .checkpoint(&path, 2)
+        .try_run()
+        .expect("prefix run completes");
+    let mut prof = SelfProfiler::new();
+    let restored = SimBuilder::new(&t, &p)
+        .iterations(4)
+        .restore(&path)
+        .try_run_profiled(&mut prof)
+        .expect("profiled restore succeeds");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(plain, restored.to_canonical_json());
+    assert!(has_engine_loop(&prof), "{}", prof.snapshot().render());
+}
+
+/// A recorder or progress monitor does not compose with snapshots:
+/// monitor ticks are queue events, which a snapshot counts and its spec
+/// hash does not cover. Either combination is a typed error before
+/// anything runs, so no snapshot is written.
+#[test]
+fn observability_with_snapshots_is_a_typed_error() {
+    let t = trace(ModelId::Vgg11, 8);
+    let p = Platform::p2(2);
+    let unsupported = |r: Result<_, SimError>| {
+        matches!(
+            r,
+            Err(SimError::Checkpoint(CheckpointError::Unsupported(_)))
+        )
+    };
+    let path = temp_path("recorded");
+    let mut recorder = RunRecorder::new();
+    recorder.push(Box::new(JsonlSink::new(std::io::sink())));
+    let recorded = SimBuilder::new(&t, &p)
+        .iterations(2)
+        .checkpoint(&path, 1)
+        .recorder(Box::new(recorder))
+        .try_run();
+    assert!(unsupported(recorded));
+    assert!(!path.exists(), "no snapshot was written");
+    SimBuilder::new(&t, &p)
+        .iterations(1)
+        .checkpoint(&path, 1)
+        .try_run()
+        .expect("prefix run completes");
+    let progressed = SimBuilder::new(&t, &p)
+        .iterations(2)
+        .restore(&path)
+        .progress(ProgressMonitor::with_writer(Box::new(std::io::sink())))
+        .try_run();
+    std::fs::remove_file(&path).ok();
+    assert!(unsupported(progressed));
 }
 
 /// The report's timeline view yields as many records as its `len()`

@@ -2,7 +2,7 @@
 //! network, and trace tooling under randomized inputs.
 
 use proptest::prelude::*;
-use triosim::{execute, TaskGraph};
+use triosim::{execute, RunOptions, TaskGraph};
 use triosim_des::{TimeSpan, VirtualTime};
 use triosim_network::{FlowNetwork, NetworkModel, NodeId, Topology};
 
@@ -64,7 +64,7 @@ proptest! {
     ) {
         let g = random_graph(gpus, &spec);
         let mut net = star_network(gpus);
-        let report = execute(&g, &mut net);
+        let report = execute(&g, &mut net, RunOptions::default()).unwrap();
         prop_assert_eq!(report.tasks_executed(), g.len());
 
         // Lower bound: the longest compute task must fit inside the total.
@@ -93,8 +93,8 @@ proptest! {
         spec in prop::collection::vec((any::<u8>(), 1u64..1_000_000, any::<u8>()), 1..40),
     ) {
         let g = random_graph(2, &spec);
-        let a = execute(&g, &mut star_network(2));
-        let b = execute(&g, &mut star_network(2));
+        let a = execute(&g, &mut star_network(2), RunOptions::default()).unwrap();
+        let b = execute(&g, &mut star_network(2), RunOptions::default()).unwrap();
         prop_assert_eq!(a.total_time(), b.total_time());
         prop_assert_eq!(a.bytes_transferred(), b.bytes_transferred());
     }
