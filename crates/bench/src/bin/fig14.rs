@@ -2,8 +2,8 @@
 //! modeling DDP on P2 — the "completes within seconds" claim.
 //!
 //! Reports trace size, task count, and wall-clock seconds per model. The
-//! Criterion bench `end_to_end` in `benches/` measures the same quantity
-//! with statistical rigor.
+//! repository benchmark's `fig14` workload (`perfbench/`) measures the
+//! same quantity with repeated runs and a bound.
 
 use serde::Value;
 use triosim::{Parallelism, Platform, SimBuilder};

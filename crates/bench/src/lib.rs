@@ -5,8 +5,8 @@
 //! paper's workloads, runs the TrioSim prediction *and* the reference
 //! ground-truth simulation (the hardware stand-in — see `DESIGN.md` §2),
 //! and prints the same rows the paper plots, including the per-model and
-//! average errors. Criterion micro-benchmarks under `benches/` back the
-//! performance claims (Figure 14's "completes within seconds").
+//! average errors. The `bench_checkpoint` and `bench_profile` binaries
+//! gate the wall-clock overhead of snapshots and of the self-profiler.
 //!
 //! Everything is seeded and deterministic; binaries accept
 //! `--seed <n>` where randomness is involved (Figure 16).
@@ -338,25 +338,6 @@ pub fn field_f64(v: &Value, path: &[&str]) -> f64 {
     }
 }
 
-/// Reads an unsigned counter at `path` inside a canonical report.
-pub fn field_u64(v: &Value, path: &[&str]) -> u64 {
-    match canonical_field(v, path) {
-        Value::UInt(u) => *u,
-        Value::Int(i) if *i >= 0 => *i as u64,
-        other => panic!("field `{}` is not a counter: {other:?}", path.join(".")),
-    }
-}
-
-/// Whether a host-dependent performance gate should be *enforced* (hard
-/// assertion) rather than merely recorded: true when the host has at
-/// least `min_cores` cores. Bench binaries with wall-clock or scaling
-/// gates (`bench_sweep`, `bench_fidelity`) share this predicate and
-/// record it as the `gate_armed` summary field; callers AND in any
-/// binary-specific environment overrides on top.
-pub fn gate_armed(min_cores: usize) -> bool {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get) >= min_cores
-}
-
 /// Worker-thread count for sweep-backed binaries: `--threads <n>` when
 /// given, otherwise the host's available parallelism. Thread count never
 /// changes results (the sweep aggregate is canonical), only wall time.
@@ -508,13 +489,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains(r#""x":1"#));
         let _ = std::fs::remove_dir_all(dir.parent().unwrap());
-    }
-
-    #[test]
-    fn gate_arms_on_core_count() {
-        // One core always satisfies the minimum; usize::MAX never does.
-        assert!(gate_armed(1));
-        assert!(!gate_armed(usize::MAX));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! of `(time, event)` pairs with stable FIFO ordering for simultaneous
 //! events and lazy cancellation. A simulator defines one event `enum`
 //! and drives the loop itself, as TrioSim's executor does. Around it sit
-//! the run guard ([`RunBudget`]), a periodic [`Ticker`], the queue's
-//! counters ([`QueueStats`]), id-keyed hash tables and FNV-1a.
+//! the run guard ([`RunBudget`]), the queue's counters ([`QueueStats`]),
+//! id-keyed hash tables and FNV-1a.
 //!
 //! # Determinism
 //!
@@ -57,7 +57,6 @@ mod fnv;
 mod idhash;
 mod queue;
 mod stats;
-mod ticker;
 mod time;
 
 pub use budget::{BudgetKind, BudgetProgress, RunBudget};
@@ -65,5 +64,4 @@ pub use fnv::{fnv1a, FNV_OFFSET, FNV_PRIME};
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use queue::{EventId, EventQueue};
 pub use stats::QueueStats;
-pub use ticker::Ticker;
 pub use time::{TimeSpan, VirtualTime};

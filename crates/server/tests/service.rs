@@ -287,14 +287,20 @@ fn overload_sheds_with_429_retry_after_on_the_wire() {
     let mut shed = None;
     for n in 2..20 {
         let spec = format!("{{\"work\":\"ok\",\"n\":{n}}}");
+        let sent = Instant::now();
         let r = request(&addr, "POST", "/jobs", Some(spec.as_bytes()), T).unwrap();
         if r.status == 429 {
-            shed = Some(r);
+            shed = Some((r, sent.elapsed()));
             break;
         }
         assert_eq!(r.status, 202);
     }
-    let shed = shed.expect("a submission was shed under queue pressure");
+    let (shed, latency) = shed.expect("a submission was shed under queue pressure");
+    // Shedding is graceful only if a rejection is far cheaper than service.
+    assert!(
+        latency < Duration::from_millis(500),
+        "a 429 took {latency:?}"
+    );
     assert_eq!(shed.header("retry-after"), Some("1"));
     assert!(
         shed.body_text().contains("queue full"),

@@ -465,6 +465,42 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {
         opts,
     )?;
 
+    if let Some(path) = opts.get("checkpoint") {
+        let every: usize = match opts.get("checkpoint-every") {
+            Some(n) => parse(n)?,
+            None => 1,
+        };
+        if every == 0 {
+            return Err("--checkpoint-every must be at least 1".into());
+        }
+        builder = builder.checkpoint(path, every);
+    } else if opts.contains_key("checkpoint-every") {
+        return Err("--checkpoint-every requires --checkpoint".into());
+    }
+    if let Some(path) = opts.get("restore") {
+        builder = builder.restore(path);
+    }
+    // The run would reject these combinations too, but only after the
+    // sink files below exist; refuse them before anything is created.
+    let snapshots = opts.contains_key("checkpoint") || opts.contains_key("restore");
+    let observed = ["events", "trace-events", "metrics", "progress"]
+        .iter()
+        .any(|key| opts.contains_key(*key));
+    if snapshots && observed {
+        return Err(
+            "--events, --trace-events, --metrics and --progress do not compose \
+             with --checkpoint or --restore"
+                .into(),
+        );
+    }
+    if let Some(us) = opts.get("sample-period-us") {
+        let us: f64 = parse(us)?;
+        if !us.is_finite() || us <= 0.0 {
+            return Err("--sample-period-us must be positive".into());
+        }
+        builder = builder.sample_period(TimeSpan::from_micros(us));
+    }
+
     // Observability sinks: each flag adds one deterministic output file.
     let create = |path: &String| -> Result<std::io::BufWriter<std::fs::File>, String> {
         std::fs::File::create(path)
@@ -486,28 +522,6 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     if opts.contains_key("progress") {
         builder = builder.progress(ProgressMonitor::new());
-    }
-    if let Some(us) = opts.get("sample-period-us") {
-        let us: f64 = parse(us)?;
-        if !us.is_finite() || us <= 0.0 {
-            return Err("--sample-period-us must be positive".into());
-        }
-        builder = builder.sample_period(TimeSpan::from_micros(us));
-    }
-    if let Some(path) = opts.get("checkpoint") {
-        let every: usize = match opts.get("checkpoint-every") {
-            Some(n) => parse(n)?,
-            None => 1,
-        };
-        if every == 0 {
-            return Err("--checkpoint-every must be at least 1".into());
-        }
-        builder = builder.checkpoint(path, every);
-    } else if opts.contains_key("checkpoint-every") {
-        return Err("--checkpoint-every requires --checkpoint".into());
-    }
-    if let Some(path) = opts.get("restore") {
-        builder = builder.restore(path);
     }
     let (report, profile) = run_builder(builder, opts)?;
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use triosim_des::{
-    EventId, EventQueue, IdMap, QueueStats, RunBudget, Ticker, TimeSpan, VirtualTime, FNV_OFFSET,
+    EventId, EventQueue, IdMap, QueueStats, RunBudget, TimeSpan, VirtualTime, FNV_OFFSET,
 };
 use triosim_faults::{FaultKind, FaultPlan, FaultSession};
 use triosim_network::{FlowId, LinkFault, NetCommand, NetStatsSnapshot, NetworkModel, NodeId};
@@ -56,7 +56,8 @@ enum Event {
 /// monitor tick is scheduled. With a recorder attached, the executor
 /// emits per-operator and per-collective spans, per-event-kind dispatch
 /// counters, and sampled gauges (queue depth, in-flight flows, per-link
-/// utilization) driven by a virtual-time [`Ticker`] at `sample_period`.
+/// utilization) taken by a monitor tick every `sample_period` of
+/// virtual time.
 /// Monitor ticks are carefully kept out of the simulation's critical
 /// path: they never extend the reported total time and are cancelled the
 /// moment no real event remains.
@@ -67,7 +68,8 @@ pub struct Observability {
     pub recorder: Option<Box<dyn Recorder>>,
     /// Live wall-clock progress reporting (stderr by default).
     pub progress: Option<ProgressMonitor>,
-    /// Virtual-time period between monitor samples.
+    /// Virtual-time period between monitor samples; must be positive
+    /// when a recorder or progress monitor is attached.
     pub sample_period: TimeSpan,
 }
 
@@ -191,9 +193,10 @@ impl Default for RunOptions<'_> {
 ///
 /// # Panics
 ///
-/// Panics if `opts.iterations` or the checkpoint cadence is zero, or if
-/// the graph deadlocks (a dependency cycle), which the [`TaskGraph`]
-/// construction rules make impossible.
+/// Panics if `opts.iterations` or the checkpoint cadence is zero, if a
+/// recorder or progress monitor is attached with a zero sample period,
+/// or if the graph deadlocks (a dependency cycle), which the
+/// [`TaskGraph`] construction rules make impossible.
 pub fn execute(
     graph: &TaskGraph,
     network: &mut dyn NetworkModel,
@@ -455,7 +458,6 @@ struct Executor<'a> {
     observing: bool,
     /// True when monitor ticks should be scheduled at all.
     ticking: bool,
-    ticker: Option<Ticker>,
     tick_event: Option<EventId>,
     /// Pending non-tick events; ticks stop when this reaches zero.
     pending_real: usize,
@@ -527,7 +529,9 @@ impl<'a> Executor<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint cadence is zero.
+    /// Panics if the checkpoint cadence is zero, or if monitor ticks are
+    /// due (a recorder or progress monitor is attached) and the sample
+    /// period is zero: zero-period ticks would flood the queue.
     fn new(
         graph: &'a TaskGraph,
         network: &'a mut dyn NetworkModel,
@@ -574,6 +578,10 @@ impl<'a> Executor<'a> {
             .count();
         let observing = obs.recorder.as_ref().is_some_and(|r| r.enabled());
         let ticking = observing || obs.progress.is_some();
+        assert!(
+            !ticking || !obs.sample_period.is_zero(),
+            "sample period must be positive"
+        );
         let collectives = if observing { graph.collectives() } else { &[] };
         let session = FaultSession::new(&faults, gpus);
         Executor {
@@ -600,7 +608,6 @@ impl<'a> Executor<'a> {
             tl_mark: 0,
             completed: 0,
             bytes_transferred: 0,
-            ticker: ticking.then(|| Ticker::new(obs.sample_period)),
             obs,
             observing,
             ticking,
@@ -1381,11 +1388,7 @@ impl<'a> Executor<'a> {
 
         // Arm the first monitor tick only if real work is pending.
         if self.ticking && self.pending_real > 0 && self.tick_event.is_none() {
-            let at = self
-                .ticker
-                .as_mut()
-                .expect("ticking implies a ticker")
-                .first_tick(self.queue.now());
+            let at = self.queue.now() + self.obs.sample_period;
             self.tick_event = Some(self.queue.schedule(at, Event::MonitorTick));
         }
         // Likewise the next pending fault: armed only while real work
@@ -1474,9 +1477,8 @@ impl<'a> Executor<'a> {
                     self.dispatches[2] += 1;
                     self.sample(now);
                     if self.pending_real > 0 {
-                        if let Some(at) = self.ticker.as_mut().and_then(|t| t.next_tick(now)) {
-                            self.tick_event = Some(self.queue.schedule(at, Event::MonitorTick));
-                        }
+                        let at = now + self.obs.sample_period;
+                        self.tick_event = Some(self.queue.schedule(at, Event::MonitorTick));
                     }
                     continue;
                 }
@@ -2534,5 +2536,24 @@ mod tests {
         .unwrap();
         let out = buf.take_string();
         assert!(out.contains("progress: done"), "{out}");
+    }
+
+    /// The field is public, so a zero period can bypass
+    /// `with_sample_period`'s check; ticking on it would never advance.
+    #[test]
+    #[should_panic(expected = "sample period must be positive")]
+    fn zero_sample_period_is_rejected_when_ticking() {
+        let obs = Observability {
+            sample_period: TimeSpan::ZERO,
+            ..Observability::off().with_progress(triosim_obs::ProgressMonitor::new())
+        };
+        let _ = execute(
+            &overlap_graph(),
+            &mut net2(),
+            RunOptions {
+                observability: obs,
+                ..RunOptions::default()
+            },
+        );
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! Wall-clock numbers (per-scenario and sweep-level) are collected
 //! alongside but kept **out** of the canonical form; they feed the CLI's
-//! stdout summary and the `bench_sweep` artifact instead.
+//! stdout summary and the `bench_profile` artifact instead.
 //!
 //! # Crash safety
 //!

@@ -166,6 +166,44 @@ fn observability_with_snapshots_is_a_typed_error() {
     assert!(unsupported(progressed));
 }
 
+/// `simulate` refuses the same combinations before it creates a sink
+/// file or a snapshot, so a rejected run leaves nothing behind.
+#[test]
+fn simulate_rejects_sinks_with_snapshots_before_creating_files() {
+    let bin = env!("CARGO_BIN_EXE_triosim-cli");
+    let trace = temp_path("cli-trace");
+    let out = std::process::Command::new(bin)
+        .args(["trace", "--model", "vgg11", "--batch", "8", "--gpu", "A100"])
+        .arg("-o")
+        .arg(&trace)
+        .output()
+        .expect("trace subcommand runs");
+    assert!(out.status.success(), "trace failed: {out:?}");
+    let snapshot = temp_path("cli-snapshot");
+    let events = temp_path("cli-events");
+    for (mode, sink) in [
+        ("--checkpoint", "--events"),
+        ("--checkpoint", "--trace-events"),
+        ("--checkpoint", "--metrics"),
+        ("--restore", "--events"),
+    ] {
+        let out = std::process::Command::new(bin)
+            .args(["simulate", "--platform", "p2:2", "--iterations", "2"])
+            .arg("--trace")
+            .arg(&trace)
+            .arg(mode)
+            .arg(&snapshot)
+            .arg(sink)
+            .arg(&events)
+            .output()
+            .expect("simulate subcommand runs");
+        assert_eq!(out.status.code(), Some(1), "{mode} {sink}: {out:?}");
+        assert!(!events.exists(), "{mode} {sink} created its sink file");
+        assert!(!snapshot.exists(), "{mode} {sink} wrote a snapshot");
+    }
+    std::fs::remove_file(&trace).ok();
+}
+
 /// The report's timeline view yields as many records as its `len()`
 /// says, on a serial run, a replayed run, and a run restored from a
 /// snapshot. A restored run's view holds only the post-restore

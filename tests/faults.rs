@@ -172,29 +172,34 @@ fn ring_link_failure_reroutes_the_long_way() {
         .expect("ring DDP has allreduce traffic on rank1->rank2");
     let at_s = (step.start.as_seconds() + step.end.as_seconds()) / 2.0;
     let (src, dst) = ring_link(1);
-    let plan = FaultPlan {
-        link_failures: vec![LinkFailure {
-            src,
-            dst,
-            at_s,
-            repair_s: None,
-        }],
-        ..FaultPlan::default()
-    };
-    let report = run_ddp(&ring(), plan).expect("a ring survives one link failure");
-    let net = report.network_stats();
-    assert_eq!(net.link_faults, 1, "one injected link fault");
-    assert!(
-        net.reroutes > 0,
-        "ring traffic must be rerouted, got {net:?}"
-    );
-    assert!(
-        net.added_hops > 0,
-        "the detour is longer than the direct link"
-    );
-    let stats = report.fault_stats().expect("fault accounting attached");
-    assert_eq!(stats.link_fails, 1);
-    assert_eq!(stats.faults_injected, 1);
+    // Once left down, once repaired a quarter of the fault-free run later.
+    for repair_s in [None, Some(at_s + baseline.total_time_s() / 4.0)] {
+        let plan = FaultPlan {
+            link_failures: vec![LinkFailure {
+                src,
+                dst,
+                at_s,
+                repair_s,
+            }],
+            ..FaultPlan::default()
+        };
+        let report = run_ddp(&ring(), plan).expect("a ring survives one link failure");
+        let repairs = u64::from(repair_s.is_some());
+        let net = report.network_stats();
+        assert_eq!(net.link_faults, 1 + repairs, "injected link faults");
+        assert!(
+            net.reroutes > 0,
+            "ring traffic must be rerouted, got {net:?}"
+        );
+        assert!(
+            net.added_hops > 0,
+            "the detour is longer than the direct link"
+        );
+        let stats = report.fault_stats().expect("fault accounting attached");
+        assert_eq!(stats.link_fails, 1);
+        assert_eq!(stats.link_repairs, repairs);
+        assert_eq!(stats.faults_injected, 1 + repairs);
+    }
 }
 
 /// A degraded straggler link slows the run down relative to baseline but

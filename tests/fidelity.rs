@@ -136,34 +136,44 @@ fn golden_packet_ddp8_four_iterations() {
 /// the flow model cannot see), and must say *why* via its structured
 /// counters. The flow tier must carry no packet section at all — that
 /// absence is what keeps flow reports byte-identical to pre-packet
-/// builds.
+/// builds. Two congested cases: the 2-GPU DDP fat tree, and a 4-GPU TP
+/// incast that funnels every shard's activations across the
+/// oversubscribed spine at once.
 #[test]
 fn packet_tier_diverges_under_congestion_with_evidence() {
-    let parallelism = Parallelism::DataParallel { overlap: true };
-    let platform = congested_platform();
-    let flow = congested_report(&platform, parallelism, Fidelity::TrioSim, 1);
-    let packet = congested_report(&platform, parallelism, Fidelity::Packet, 1);
-    assert!(
-        flow.packet_stats().is_none(),
-        "flow tier reports no packets"
-    );
-    let ps = *packet
-        .packet_stats()
-        .expect("packet tier reports packet counters");
-    let ratio = packet.total_time_s() / flow.total_time_s();
-    assert!(
-        ratio > 1.0,
-        "congestion must slow the packet tier: ratio {ratio}"
-    );
-    assert!(ps.ecn_marks > 0, "congestion must mark: {ps:?}");
-    assert!(
-        ps.drops + ps.ecn_marks > 0 && ps.packets_sent > 0,
-        "divergence needs structured evidence: {ps:?}"
-    );
-    assert!(
-        ps.queue_depth_hist.iter().sum::<u64>() > 0,
-        "switch queues were never observed: {ps:?}"
-    );
+    let fat4 = Platform::fat_tree(GpuModel::A100, 4, 1, 25e9, 5e-6, 4.0, "fat4");
+    for (platform, parallelism) in [
+        (
+            congested_platform(),
+            Parallelism::DataParallel { overlap: true },
+        ),
+        (fat4, Parallelism::TensorParallel),
+    ] {
+        let flow = congested_report(&platform, parallelism, Fidelity::TrioSim, 1);
+        let packet = congested_report(&platform, parallelism, Fidelity::Packet, 1);
+        assert!(
+            flow.packet_stats().is_none(),
+            "flow tier reports no packets"
+        );
+        let ps = *packet
+            .packet_stats()
+            .expect("packet tier reports packet counters");
+        let ratio = packet.total_time_s() / flow.total_time_s();
+        assert!(
+            ratio > 1.0,
+            "{parallelism} on {}: congestion must slow the packet tier: ratio {ratio}",
+            platform.name()
+        );
+        assert!(
+            ps.drops > 0 && ps.ecn_marks > 0 && ps.packets_sent > 0,
+            "{parallelism} on {}: divergence needs drops and marks: {ps:?}",
+            platform.name()
+        );
+        assert!(
+            ps.queue_depth_hist.iter().sum::<u64>() > 0,
+            "switch queues were never observed: {ps:?}"
+        );
+    }
 }
 
 /// On an *uncongested* topology (every flow on its own NVLink) the two
@@ -185,7 +195,7 @@ fn tiers_converge_on_uncongested_topology() {
     let packet = run(Fidelity::Packet);
     let ratio = packet / flow;
     assert!(
-        (0.99..1.05).contains(&ratio),
+        (0.99..=1.02).contains(&ratio),
         "uncongested tiers must agree: flow {flow} vs packet {packet} (ratio {ratio})"
     );
 }

@@ -101,6 +101,26 @@ fn removed_reallocation_mode_is_a_parse_error() {
     }
 }
 
+/// `ReallocationMode::Full` is the oracle the incremental fast path is
+/// held to: run end to end on an allreduce-heavy DDP ring, the two modes
+/// must produce byte-identical canonical reports.
+#[test]
+fn full_and_incremental_reallocation_give_identical_reports() {
+    let spec = SweepSpec::from_json(
+        r#"{ "defaults": { "model": "resnet50", "trace_batch": 128, "gpu": "A100",
+                           "platform": "ring:A100:8", "parallelism": "ddp",
+                           "global_batch": 1024 },
+             "grid": { "realloc": ["full", "incremental"] } }"#,
+    )
+    .unwrap();
+    let outcome = run_sweep(&spec, 1, false).unwrap();
+    let [full, incremental] = [0, 1].map(|i| {
+        let report = outcome.results[i].outcome.as_ref().unwrap();
+        serde_json::to_string(report).unwrap()
+    });
+    assert_eq!(full, incremental);
+}
+
 fn temp_path(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static SEQ: AtomicUsize = AtomicUsize::new(0);
