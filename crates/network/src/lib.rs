@@ -9,9 +9,9 @@
 //! triggers rescheduling of all in-flight deliveries. This crate
 //! implements exactly that, plus:
 //!
-//! * [`Topology`] builders for every interconnect the paper uses: ring,
-//!   PCIe host tree, NVSwitch-style all-to-all, DGX-2 hypercube mesh, 2-D
-//!   wafer mesh, double ring, and the Hop case study's augmented rings.
+//! * [`Topology`] builders for the platforms' interconnects: ring, chain,
+//!   PCIe host tree, NVSwitch-style all-to-all, and a two-level fat tree.
+//!   Fig 15's wafer mesh and the Hop case study's graphs build their own.
 //! * [`FlowNetwork`] — the packet-switching model. With a
 //!   [`FlowNetworkConfig`] adding per-message protocol overhead and a
 //!   small-message bandwidth ramp, the *same* engine doubles as the

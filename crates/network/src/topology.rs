@@ -497,65 +497,6 @@ impl Topology {
         t
     }
 
-    /// A 2-D mesh of `w x h` nodes (wafer-scale case study), row-major
-    /// node numbering.
-    pub fn mesh2d(w: usize, h: usize, bandwidth: f64, latency: f64) -> Self {
-        assert!(w >= 1 && h >= 1 && w * h >= 2, "mesh too small");
-        let mut t = Topology::new(w * h);
-        let id = |x: usize, y: usize| NodeId(y * w + x);
-        for y in 0..h {
-            for x in 0..w {
-                if x + 1 < w {
-                    t.add_duplex(id(x, y), id(x + 1, y), bandwidth, latency);
-                }
-                if y + 1 < h {
-                    t.add_duplex(id(x, y), id(x, y + 1), bandwidth, latency);
-                }
-            }
-        }
-        t
-    }
-
-    /// The DGX-2 style hypercube mesh of 8 GPUs: a 3-cube with doubled
-    /// bandwidth on the ring-forming dimension, as described in §2.
-    pub fn hypercube8(bandwidth: f64, latency: f64) -> Self {
-        let mut t = Topology::new(8);
-        for i in 0..8usize {
-            for bit in 0..3 {
-                let j = i ^ (1 << bit);
-                if i < j {
-                    // Dimension-0 links get double bandwidth, forming the
-                    // strengthened loop that serves ring AllReduce.
-                    let bw = if bit == 0 { 2.0 * bandwidth } else { bandwidth };
-                    t.add_duplex(NodeId(i), NodeId(j), bw, latency);
-                }
-            }
-        }
-        t
-    }
-
-    /// A 2-D torus: a mesh with wraparound links in both dimensions
-    /// (row-major numbering). Halves the worst-case hop count of the
-    /// mesh — the standard scale-out NoC the paper's "mesh" wafer
-    /// generalizes to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is < 3 (wraparound would duplicate
-    /// mesh links).
-    pub fn torus2d(w: usize, h: usize, bandwidth: f64, latency: f64) -> Self {
-        assert!(w >= 3 && h >= 3, "torus needs both dimensions >= 3");
-        let mut t = Topology::mesh2d(w, h, bandwidth, latency);
-        let id = |x: usize, y: usize| NodeId(y * w + x);
-        for y in 0..h {
-            t.add_duplex(id(w - 1, y), id(0, y), bandwidth, latency);
-        }
-        for x in 0..w {
-            t.add_duplex(id(x, h - 1), id(x, 0), bandwidth, latency);
-        }
-        t
-    }
-
     /// A two-level fat tree: `hosts` end nodes in groups of
     /// `hosts_per_leaf` under leaf switches, all leaves under one spine.
     /// Host-to-leaf links run at `host_bandwidth`; leaf-to-spine uplinks
@@ -590,91 +531,6 @@ impl Topology {
         }
         for l in 0..leaves {
             t.add_duplex(leaf(l), spine, uplink, latency);
-        }
-        t
-    }
-
-    /// A three-level oversubscribed datacenter fabric: `pods` pods of
-    /// `leaves_per_pod` leaf switches with `hosts_per_leaf` hosts each,
-    /// one aggregation switch per pod, all pods under one core switch.
-    /// Each tier's uplink is oversubscribed by the same factor: leaf
-    /// uplinks run at `host_bandwidth * hosts_per_leaf /
-    /// oversubscription`, aggregation uplinks at `leaf_uplink *
-    /// leaves_per_pod / oversubscription`. Node ids: hosts first
-    /// (pod-major, then leaf, then host), then leaves (pod-major), then
-    /// one aggregation switch per pod, then the core.
-    ///
-    /// This is the topology where packet-level queueing visibly
-    /// diverges from the flow model: cross-pod collectives funnel into
-    /// progressively thinner uplinks at every tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any count is zero or `oversubscription < 1`.
-    pub fn oversubscribed_pods(
-        pods: usize,
-        leaves_per_pod: usize,
-        hosts_per_leaf: usize,
-        host_bandwidth: f64,
-        latency: f64,
-        oversubscription: f64,
-    ) -> Self {
-        assert!(
-            pods > 0 && leaves_per_pod > 0 && hosts_per_leaf > 0,
-            "every tier needs at least one node"
-        );
-        assert!(oversubscription >= 1.0, "oversubscription must be >= 1");
-        let hosts = pods * leaves_per_pod * hosts_per_leaf;
-        let leaves = pods * leaves_per_pod;
-        let mut t = Topology::new(hosts + leaves + pods + 1);
-        let leaf = |i: usize| NodeId(hosts + i);
-        let agg = |p: usize| NodeId(hosts + leaves + p);
-        let core = NodeId(hosts + leaves + pods);
-        let leaf_uplink = host_bandwidth * hosts_per_leaf as f64 / oversubscription;
-        let agg_uplink = leaf_uplink * leaves_per_pod as f64 / oversubscription;
-        for h in 0..hosts {
-            t.add_duplex(NodeId(h), leaf(h / hosts_per_leaf), host_bandwidth, latency);
-        }
-        for l in 0..leaves {
-            t.add_duplex(leaf(l), agg(l / leaves_per_pod), leaf_uplink, latency);
-        }
-        for p in 0..pods {
-            t.add_duplex(agg(p), core, agg_uplink, latency);
-        }
-        t
-    }
-
-    /// The Hop case study's ring-based graph: a bidirectional ring plus a
-    /// chord from each node to its most distant node.
-    pub fn hop_ring(n: usize, bandwidth: f64, latency: f64) -> Self {
-        let mut t = Topology::ring(n, bandwidth, latency);
-        for i in 0..n / 2 {
-            let far = (i + n / 2) % n;
-            t.add_duplex(NodeId(i), NodeId(far), bandwidth, latency);
-        }
-        t
-    }
-
-    /// The Hop case study's double-ring graph: two rings of `n/2` nodes
-    /// interconnected node-to-node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not even or less than 6.
-    pub fn double_ring(n: usize, bandwidth: f64, latency: f64) -> Self {
-        assert!(
-            n >= 6 && n.is_multiple_of(2),
-            "double ring needs an even n >= 6"
-        );
-        let half = n / 2;
-        let mut t = Topology::new(n);
-        for i in 0..half {
-            let j = (i + 1) % half;
-            // Ring A: nodes 0..half. Ring B: nodes half..n.
-            t.add_duplex(NodeId(i), NodeId(j), bandwidth, latency);
-            t.add_duplex(NodeId(half + i), NodeId(half + j), bandwidth, latency);
-            // Node-to-node interconnection.
-            t.add_duplex(NodeId(i), NodeId(half + i), bandwidth, latency);
         }
         t
     }
@@ -720,52 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn mesh_routes_are_manhattan() {
-        let t = Topology::mesh2d(4, 3, 1e9, 0.0);
-        // (0,0) -> (3,2): 3 + 2 = 5 hops.
-        let route = t.route(NodeId(0), NodeId(2 * 4 + 3)).unwrap();
-        assert_eq!(route.len(), 5);
-    }
-
-    #[test]
-    fn hypercube8_diameter_is_three() {
-        let t = Topology::hypercube8(1e9, 0.0);
-        assert_eq!(t.route(NodeId(0), NodeId(7)).unwrap().len(), 3);
-        assert_eq!(t.route(NodeId(0), NodeId(1)).unwrap().len(), 1);
-        // Dimension-0 links have doubled bandwidth.
-        let l01 = t.route(NodeId(0), NodeId(1)).unwrap()[0];
-        let l02 = t.route(NodeId(0), NodeId(2)).unwrap()[0];
-        assert_eq!(t.bandwidth(l01), 2.0 * t.bandwidth(l02));
-    }
-
-    #[test]
-    fn hop_ring_has_chords() {
-        let t = Topology::hop_ring(8, 1e9, 0.0);
-        // 0 -> 4 is a direct chord.
-        assert_eq!(t.route(NodeId(0), NodeId(4)).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn double_ring_connects_rings() {
-        let t = Topology::double_ring(8, 1e9, 0.0);
-        // Cross-ring neighbours are directly linked.
-        assert_eq!(t.route(NodeId(0), NodeId(4)).unwrap().len(), 1);
-        // Within ring A.
-        assert_eq!(t.route(NodeId(0), NodeId(2)).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn torus_wraps_both_dimensions() {
-        let t = Topology::torus2d(4, 4, 1e9, 0.0);
-        // (0,0) -> (3,0): 1 hop via wraparound (3 on the mesh).
-        assert_eq!(t.route(NodeId(0), NodeId(3)).unwrap().len(), 1);
-        // (0,0) -> (0,3): 1 hop via vertical wraparound.
-        assert_eq!(t.route(NodeId(0), NodeId(12)).unwrap().len(), 1);
-        // Opposite corner: 2 hops on the torus (6 on the mesh).
-        assert_eq!(t.route(NodeId(0), NodeId(15)).unwrap().len(), 2);
-    }
-
-    #[test]
     fn fat_tree_routes_and_oversubscribes() {
         let t = Topology::fat_tree(8, 4, 10e9, 1e-6, 2.0);
         // Same leaf: host -> leaf -> host, 2 hops.
@@ -776,25 +586,6 @@ mod tests {
         // Uplink bandwidth: 4 hosts x 10 / 2 oversubscription = 20 GB/s.
         let uplink = cross[1];
         assert!((t.bandwidth(uplink) - 20e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn oversubscribed_pods_thins_every_tier() {
-        // 2 pods x 2 leaves x 2 hosts = 8 hosts; leaves at 8..12, aggs
-        // at 12..14, core at 14.
-        let t = Topology::oversubscribed_pods(2, 2, 2, 10e9, 1e-6, 2.0);
-        assert_eq!(t.node_count(), 15);
-        // Same leaf: host -> leaf -> host.
-        assert_eq!(t.route(NodeId(0), NodeId(1)).unwrap().len(), 2);
-        // Same pod, cross leaf: host -> leaf -> agg -> leaf -> host.
-        assert_eq!(t.route(NodeId(0), NodeId(2)).unwrap().len(), 4);
-        // Cross pod: up to the core and back down, 6 hops.
-        let cross = t.route(NodeId(0), NodeId(7)).unwrap();
-        assert_eq!(cross.len(), 6);
-        // Leaf uplink: 2 hosts x 10 / 2 = 10 GB/s; agg uplink: 10 x 2
-        // leaves / 2 = 10 GB/s — each tier funnels 2:1.
-        assert!((t.bandwidth(cross[1]) - 10e9).abs() < 1.0);
-        assert!((t.bandwidth(cross[2]) - 10e9).abs() < 1.0);
     }
 
     #[test]

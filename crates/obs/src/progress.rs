@@ -18,7 +18,7 @@ const DEFAULT_THROTTLE: Duration = Duration::from_millis(200);
 /// A wall-clock-throttled progress reporter.
 ///
 /// The executor calls [`sample`](ProgressMonitor::sample) at every
-/// monitor tick; most calls return without printing. The final
+/// sample period; most calls return without printing. The final
 /// [`report_done`](ProgressMonitor::report_done) line always prints.
 pub struct ProgressMonitor {
     out: Box<dyn Write + Send>,

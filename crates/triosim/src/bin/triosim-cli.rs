@@ -400,6 +400,26 @@ fn parse_num(opts: &HashMap<String, String>, key: &str, default: u64) -> Result<
         .map(|v| v.unwrap_or(default))
 }
 
+/// A count option that must be at least 1: its value, `None` when the
+/// flag is absent, or an error naming the flag when it is zero.
+fn parse_count<T>(opts: &HashMap<String, String>, key: &str) -> Result<Option<T>, String>
+where
+    T: FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    match opts.get(key).map(|s| parse::<T>(s)).transpose()? {
+        Some(n) if n == T::default() => Err(format!("--{key} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// The machine's parallelism, the default for thread-count options.
+fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZero::get)
+        .unwrap_or(1)
+}
+
 /// Applies the simulation flags `simulate` and `analyze` share: global
 /// batch, iteration count, fidelity, and the fault plan.
 fn apply_sim_flags<'a>(
@@ -409,11 +429,7 @@ fn apply_sim_flags<'a>(
     if let Some(batch) = opts.get("batch") {
         builder = builder.global_batch(parse(batch)?);
     }
-    if let Some(iters) = opts.get("iterations") {
-        let iters: usize = parse(iters)?;
-        if iters == 0 {
-            return Err("--iterations must be at least 1".into());
-        }
+    if let Some(iters) = parse_count(opts, "iterations")? {
         builder = builder.iterations(iters);
     }
     match (opts.get("fidelity"), opts.contains_key("reference")) {
@@ -466,32 +482,13 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {
     )?;
 
     if let Some(path) = opts.get("checkpoint") {
-        let every: usize = match opts.get("checkpoint-every") {
-            Some(n) => parse(n)?,
-            None => 1,
-        };
-        if every == 0 {
-            return Err("--checkpoint-every must be at least 1".into());
-        }
+        let every = parse_count(opts, "checkpoint-every")?.unwrap_or(1);
         builder = builder.checkpoint(path, every);
     } else if opts.contains_key("checkpoint-every") {
         return Err("--checkpoint-every requires --checkpoint".into());
     }
     if let Some(path) = opts.get("restore") {
         builder = builder.restore(path);
-    }
-    // The run would reject these combinations too, but only after the
-    // sink files below exist; refuse them before anything is created.
-    let snapshots = opts.contains_key("checkpoint") || opts.contains_key("restore");
-    let observed = ["events", "trace-events", "metrics", "progress"]
-        .iter()
-        .any(|key| opts.contains_key(*key));
-    if snapshots && observed {
-        return Err(
-            "--events, --trace-events, --metrics and --progress do not compose \
-             with --checkpoint or --restore"
-                .into(),
-        );
     }
     if let Some(us) = opts.get("sample-period-us") {
         let us: f64 = parse(us)?;
@@ -523,7 +520,18 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {
     if opts.contains_key("progress") {
         builder = builder.progress(ProgressMonitor::new());
     }
-    let (report, profile) = run_builder(builder, opts)?;
+    // A failed run deletes the sink files it left empty, so a run
+    // rejected before it simulates leaves nothing behind; a run that
+    // failed midway keeps its flushed partial output.
+    let (report, profile) = run_builder(builder, opts).inspect_err(|_| {
+        for key in ["events", "trace-events", "metrics"] {
+            if let Some(path) = opts.get(key) {
+                if std::fs::metadata(path).is_ok_and(|m| m.len() == 0) {
+                    std::fs::remove_file(path).ok();
+                }
+            }
+        }
+    })?;
 
     if let Some(out) = opts.get("report") {
         let mut line = report.to_canonical_string();
@@ -753,6 +761,11 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
+    let threads = parse_count(opts, "threads")?.unwrap_or_else(available_threads);
+    if opts.contains_key("checkpoint-every") && !opts.contains_key("checkpoint-dir") {
+        return Err("--checkpoint-every requires --checkpoint-dir".into());
+    }
+    let checkpoint_every = parse_count(opts, "checkpoint-every")?.unwrap_or(1);
     if opts.contains_key("journal") && opts.contains_key("resume") {
         return Err("--journal and --resume are mutually exclusive \
                     (resume keeps appending to the journal it reads)"
@@ -776,31 +789,6 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
         (None, None) => return Err("missing --spec".into()),
     };
     let spec = triosim::SweepSpec::from_json(&text).map_err(|e| e.to_string())?;
-    let threads = match opts.get("threads") {
-        Some(n) => {
-            let n: usize = parse(n)?;
-            if n == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            n
-        }
-        None => std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(1),
-    };
-    let checkpoint_every: usize = match opts.get("checkpoint-every") {
-        Some(n) => {
-            if !opts.contains_key("checkpoint-dir") {
-                return Err("--checkpoint-every requires --checkpoint-dir".into());
-            }
-            let n: usize = parse(n)?;
-            if n == 0 {
-                return Err("--checkpoint-every must be at least 1".into());
-            }
-            n
-        }
-        None => 1,
-    };
     let config = triosim::SweepRunConfig {
         threads,
         progress: opts.contains_key("progress"),
@@ -952,21 +940,9 @@ fn install_shutdown_handler() {
 }
 
 fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
-    let job_threads = match opts.get("job-threads") {
-        Some(n) => {
-            let n: usize = parse(n)?;
-            if n == 0 {
-                return Err("--job-threads must be at least 1".into());
-            }
-            n
-        }
-        None => std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(1),
-    };
     let runner = triosim::SweepJobRunner {
-        threads: job_threads,
-        checkpoint_every: parse_num(opts, "checkpoint-every", 1)? as usize,
+        threads: parse_count(opts, "job-threads")?.unwrap_or_else(available_threads),
+        checkpoint_every: parse_count(opts, "checkpoint-every")?.unwrap_or(1),
         max_events: opts.get("max-events").map(|s| parse(s)).transpose()?,
         max_sim_time_us: opts.get("max-sim-time-us").map(|s| parse(s)).transpose()?,
         wall_timeout_ms: opts.get("wall-timeout-ms").map(|s| parse(s)).transpose()?,
@@ -976,13 +952,13 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
             .get("addr")
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:7077".into()),
-        workers: parse_num(opts, "workers", 1)?.max(1) as usize,
-        queue_cap: parse_num(opts, "queue-cap", 64)? as usize,
-        max_conns: parse_num(opts, "max-conns", 64)?.max(1) as usize,
+        workers: parse_count(opts, "workers")?.unwrap_or(1),
+        queue_cap: parse_count(opts, "queue-cap")?.unwrap_or(64),
+        max_conns: parse_count(opts, "max-conns")?.unwrap_or(64),
         read_timeout_ms: parse_num(opts, "read-timeout-ms", 5_000)?,
         write_timeout_ms: parse_num(opts, "write-timeout-ms", 5_000)?,
         retry: triosim_server::RetryPolicy {
-            max_attempts: parse_num(opts, "retry-max", 3)?.max(1) as u32,
+            max_attempts: parse_count(opts, "retry-max")?.unwrap_or(3),
             base_ms: parse_num(opts, "retry-base-ms", 100)?,
             cap_ms: parse_num(opts, "retry-cap-ms", 5_000)?,
             seed: parse_num(opts, "retry-seed", 0)?,

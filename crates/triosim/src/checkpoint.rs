@@ -2,17 +2,18 @@
 //!
 //! A snapshot captures the complete engine state at a *quiescent
 //! iteration boundary* — the instant between two training iterations
-//! when the event queue is drained, no flow is in flight, and any
-//! pending monitor-tick or fault-arming event has been cancelled (the
-//! same boundaries at which steady-state replay synthesizes iterations).
+//! when the event queue is drained and no flow is in flight (the same
+//! boundaries at which steady-state replay synthesizes iterations).
 //! At such a boundary the entire simulation reduces to accumulated
 //! counters and records: virtual clock, queue statistics, per-GPU busy
 //! time, communication intervals, attribution buckets, network link
 //! state, and the fault runtime's cursor and counters. Nothing
 //! event-shaped needs to be serialized, which is what makes
-//! byte-identical resumption possible: a restored run re-arms its
-//! monitor tick and next fault exactly the way an uninterrupted run
-//! re-arms them after the boundary cancellation in `run_once`.
+//! byte-identical resumption possible. Fault-timeline entries and
+//! observability samples fall due between events and are never queued,
+//! so a snapshot holds none of them: a restored run applies the entry at
+//! its cursor exactly when the uninterrupted run would, and a recorder or
+//! progress monitor changes no byte of a snapshot.
 //!
 //! Snapshot size stays proportional to the iteration count, not the
 //! event count: communication intervals are stored as their *merged
@@ -138,11 +139,9 @@ pub(crate) struct OutageState {
 
 /// Fault-runtime position at a quiescent boundary.
 ///
-/// At every boundary the pending fault-arming event has been cancelled
-/// (exactly as in an uninterrupted run), so the runtime reduces to the
-/// plan cursor plus fired-fault accounting. The restored run re-arms
-/// fault `cursor` at `max(at_s, boundary)` — the same instant the
-/// uninterrupted run re-arms it after its own boundary cancellation.
+/// The runtime reduces to the plan cursor plus fired-fault accounting:
+/// the restored run applies entry `cursor` before the first event at or
+/// after `max(at_s, boundary)`, as the uninterrupted run does.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub(crate) struct FaultState {
     /// Index of the first not-yet-fired timed fault in the sorted plan.
@@ -165,7 +164,8 @@ pub(crate) struct ExecutorState {
     pub now: VirtualTime,
     /// Event-queue statistics (scheduled/delivered/cancelled/...).
     pub queue: QueueStats,
-    /// Event-dispatch counters by kind (compute, flow, tick, fault).
+    /// Event-dispatch counters by kind: compute, flow, and two retired
+    /// slots (once monitor ticks and fault injections) written as zero.
     pub dispatches: Vec<u64>,
     /// Per-GPU accumulated busy time.
     pub gpu_busy: Vec<TimeSpan>,

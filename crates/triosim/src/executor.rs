@@ -35,32 +35,19 @@ use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
 #[derive(Debug)]
 enum Event {
-    ComputeDone {
-        gpu: usize,
-        task: TaskId,
-    },
-    FlowDelivered {
-        flow: FlowId,
-    },
-    /// Observability sampling tick — never affects simulation results.
-    MonitorTick,
-    /// Injection point of one timed fault from the session timeline.
-    Fault {
-        idx: usize,
-    },
+    ComputeDone { gpu: usize, task: TaskId },
+    FlowDelivered { flow: FlowId },
 }
 
 /// Observability options for one execution run.
 ///
-/// The default is fully off: no recorder, no progress reporting, and no
-/// monitor tick is scheduled. With a recorder attached, the executor
-/// emits per-operator and per-collective spans, per-event-kind dispatch
-/// counters, and sampled gauges (queue depth, in-flight flows, per-link
-/// utilization) taken by a monitor tick every `sample_period` of
-/// virtual time.
-/// Monitor ticks are carefully kept out of the simulation's critical
-/// path: they never extend the reported total time and are cancelled the
-/// moment no real event remains.
+/// The default is fully off: no recorder, no progress reporting, no
+/// samples. With a recorder attached, the executor emits per-operator and
+/// per-collective spans, per-event-kind dispatch counters, and gauges
+/// (queue depth, in-flight flows, per-link utilization) sampled every
+/// `sample_period` of virtual time. Samples are taken between events,
+/// never scheduled as events, so they cannot change the run's results
+/// or its canonical bytes; none is taken once no event remains.
 #[derive(Debug)]
 pub struct Observability {
     /// Receives spans and metrics. `None` (or a disabled recorder)
@@ -89,18 +76,6 @@ impl Observability {
         Self::default()
     }
 
-    /// Attaches a recorder.
-    pub fn with_recorder(mut self, recorder: Box<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Attaches a progress monitor.
-    pub fn with_progress(mut self, progress: ProgressMonitor) -> Self {
-        self.progress = Some(progress);
-        self
-    }
-
     /// Overrides the virtual-time sampling period.
     ///
     /// # Panics
@@ -110,11 +85,6 @@ impl Observability {
         assert!(period > TimeSpan::ZERO, "sample period must be positive");
         self.sample_period = period;
         self
-    }
-
-    /// True when any observability output is requested.
-    pub fn is_active(&self) -> bool {
-        self.progress.is_some() || self.recorder.as_ref().is_some_and(|r| r.enabled())
     }
 }
 
@@ -130,8 +100,7 @@ pub struct RunOptions<'a> {
     /// persists across them, which lets the photonic model amortize its
     /// circuit setup over a training run.
     pub iterations: usize,
-    /// Spans, metrics and live progress. Cannot be combined with
-    /// `checkpoint` or `restore`.
+    /// Spans, metrics and live progress.
     pub observability: Observability,
     /// Timed faults, compute slowdowns and jitter applied while the graph
     /// executes, deterministic in the plan and its seed. It is consumed
@@ -139,8 +108,7 @@ pub struct RunOptions<'a> {
     /// validates it against the platform first.
     pub faults: FaultPlan,
     /// Runaway guard over the whole multi-iteration run. Its event axis
-    /// counts only compute and flow events, never monitor ticks or fault
-    /// injections.
+    /// counts delivered compute and flow events.
     pub budget: RunBudget,
     /// Host self-profiler: wall time in the engine loop, and the network
     /// model's share of it, accumulates under an `engine_loop` span.
@@ -170,7 +138,7 @@ impl Default for RunOptions<'_> {
 /// Executes `graph` against `network` as `opts` describes, returning the
 /// run report.
 ///
-/// Deterministic: identical inputs give identical reports. Monitor ticks,
+/// Deterministic: identical inputs give identical reports. Observability,
 /// fault-free sessions, unlimited budgets, profiling and snapshots leave
 /// the report, including its canonical bytes, unchanged.
 ///
@@ -186,10 +154,7 @@ impl Default for RunOptions<'_> {
 /// - [`SimError::GpuLost`] when a GPU drop-out fires;
 /// - [`SimError::BudgetExceeded`] when the run blows an axis of its budget;
 /// - [`SimError::Checkpoint`] when a snapshot cannot be written, read or
-///   applied, and [`CheckpointError::Unsupported`], before anything runs,
-///   when observability is combined with `checkpoint` or `restore`:
-///   monitor ticks are queue events, which snapshots count but the spec
-///   hash does not cover.
+///   applied.
 ///
 /// # Panics
 ///
@@ -207,13 +172,6 @@ pub fn execute(
     let restore = opts.restore.take();
     if opts.checkpoint.is_none() && restore.is_none() {
         return Executor::new(graph, network, opts, 0).run(iterations);
-    }
-    if opts.observability.is_active() {
-        return Err(SimError::Checkpoint(CheckpointError::Unsupported(
-            "observability recorders and progress monitors do not compose with \
-             checkpoint/restore"
-                .to_string(),
-        )));
     }
     let hash = checkpoint::spec_hash(graph, network, &opts.faults, &opts.budget);
     let Some(path) = restore else {
@@ -287,13 +245,10 @@ struct GpuStream {
 /// byte-identical code paths to the plain executor.
 struct FaultRuntime {
     session: FaultSession,
-    /// Next timeline entry to arm.
+    /// Next timeline entry to apply. Entries apply between events, each
+    /// before the first event at or after its instant, so one due past
+    /// the last event never applies and cannot extend the run.
     cursor: usize,
-    /// The armed injection event. Like monitor ticks, fault events do not
-    /// count as real work: they are cancelled the moment no real event
-    /// remains, so a fault scheduled past the end of the workload can
-    /// never extend the reported total time.
-    fault_event: Option<EventId>,
     /// Faults that actually fired.
     injected: u64,
     /// Fired faults by kind: [degrade, fail, repair, gpu_drop].
@@ -309,7 +264,6 @@ impl FaultRuntime {
         FaultRuntime {
             session,
             cursor: 0,
-            fault_event: None,
             injected: 0,
             injected_by_kind: [0; 4],
             lost_compute: vec![0.0; gpus],
@@ -352,7 +306,7 @@ enum ReplayState {
 #[derive(PartialEq)]
 struct Counters {
     queue: QueueStats,
-    dispatches: [u64; 4],
+    dispatches: [u64; 2],
     gpu_busy: Vec<TimeSpan>,
     bytes: u64,
     budget_events: u64,
@@ -452,17 +406,17 @@ struct Executor<'a> {
     tl_mark: usize,
     completed: usize,
     bytes_transferred: u64,
-    // ------- observability (all inert unless `ticking`/`observing`) -------
+    // ------- observability (all inert unless `sampling`/`observing`) -------
     obs: Observability,
     /// True when a live, enabled recorder is attached.
     observing: bool,
-    /// True when monitor ticks should be scheduled at all.
-    ticking: bool,
-    tick_event: Option<EventId>,
-    /// Pending non-tick events; ticks stop when this reaches zero.
-    pending_real: usize,
-    /// Per-kind dispatch counts: [compute, flow, tick, fault].
-    dispatches: [u64; 4],
+    /// True when samples are due every `obs.sample_period`.
+    sampling: bool,
+    /// When the next sample is due. Restarts one period after each
+    /// simulated iteration begins.
+    next_sample: VirtualTime,
+    /// Per-kind dispatch counts: [compute, flow].
+    dispatches: [u64; 2],
     // ------- fault injection (both `None` on fault-free runs) -------
     faults: Option<FaultRuntime>,
     /// Set when the run must stop early with a structured error — an
@@ -472,9 +426,8 @@ struct Executor<'a> {
     // ------- runaway guard (`None` on unbudgeted runs) -------
     /// Per-run budget; `None` keeps the exact pre-budget code path.
     budget: Option<RunBudget>,
-    /// Real (compute/flow) events delivered across all iterations;
-    /// the budget's event axis counts these, never ticks or faults, so
-    /// tripping is independent of observability settings.
+    /// Events delivered across all iterations, counted for the budget's
+    /// event axis.
     budget_events: u64,
     /// Iteration currently executing (jitter coordinate).
     current_iter: usize,
@@ -489,6 +442,8 @@ struct Executor<'a> {
     replay: Result<Repeat, SerialReason>,
     /// Wall-clock seconds spent synthesizing iterations (profiled runs).
     replay_wall_s: f64,
+    /// Each link's busy time and the instant at the previous sample (or
+    /// at run start): the window a utilization gauge averages over.
     prev_link_busy: Vec<f64>,
     prev_sample_at: VirtualTime,
     collective_of_first: HashMap<TaskId, usize>,
@@ -529,9 +484,9 @@ impl<'a> Executor<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint cadence is zero, or if monitor ticks are
-    /// due (a recorder or progress monitor is attached) and the sample
-    /// period is zero: zero-period ticks would flood the queue.
+    /// Panics if the checkpoint cadence is zero, or if samples are due (a
+    /// recorder or progress monitor is attached) and the sample period is
+    /// zero: the next sample would never come later than the last.
     fn new(
         graph: &'a TaskGraph,
         network: &'a mut dyn NetworkModel,
@@ -577,12 +532,19 @@ impl<'a> Executor<'a> {
             .filter(|t| matches!(t.kind, TaskKind::Transfer { .. }))
             .count();
         let observing = obs.recorder.as_ref().is_some_and(|r| r.enabled());
-        let ticking = observing || obs.progress.is_some();
+        let sampling = observing || obs.progress.is_some();
         assert!(
-            !ticking || !obs.sample_period.is_zero(),
+            !sampling || !obs.sample_period.is_zero(),
             "sample period must be positive"
         );
         let collectives = if observing { graph.collectives() } else { &[] };
+        // A restored network carries its pre-restore busy time: the first
+        // utilization window starts from it, not from zero.
+        let prev_link_busy = if observing {
+            network.observe_links().iter().map(|l| l.busy_s).collect()
+        } else {
+            Vec::new()
+        };
         let session = FaultSession::new(&faults, gpus);
         Executor {
             graph,
@@ -610,10 +572,9 @@ impl<'a> Executor<'a> {
             bytes_transferred: 0,
             obs,
             observing,
-            ticking,
-            tick_event: None,
-            pending_real: 0,
-            dispatches: [0; 4],
+            sampling,
+            next_sample: VirtualTime::ZERO,
+            dispatches: [0; 2],
             faults: (!session.is_empty()).then(|| FaultRuntime::new(session, gpus)),
             stop_error: None,
             budget: (!budget.is_unlimited()).then_some(budget),
@@ -623,7 +584,7 @@ impl<'a> Executor<'a> {
             iter_ends: Vec::new(),
             replay: Err(SerialReason::FewIterations),
             replay_wall_s: 0.0,
-            prev_link_busy: Vec::new(),
+            prev_link_busy,
             prev_sample_at: VirtualTime::ZERO,
             collective_of_first: collectives
                 .iter()
@@ -696,12 +657,7 @@ impl<'a> Executor<'a> {
         for (gpu, busy) in self.gpus.iter_mut().zip(&st.gpu_busy) {
             gpu.busy_time = *busy;
         }
-        self.dispatches = [
-            st.dispatches[0],
-            st.dispatches[1],
-            st.dispatches[2],
-            st.dispatches[3],
-        ];
+        self.dispatches = [st.dispatches[0], st.dispatches[1]];
         // Snapshots store the merged union; further raw intervals simply
         // append and the report's final merge folds them in exactly.
         self.comm_intervals.clone_from(&st.comm_intervals);
@@ -776,9 +732,8 @@ impl<'a> Executor<'a> {
     /// crash-safely over the configured snapshot path.
     ///
     /// Called only at iteration boundaries, where `run_once` has drained
-    /// the queue and cancelled any pending tick or fault-arming event —
-    /// so the state reduces to accumulated counters and records, and the
-    /// armed-fault invariant (`fault_event == None`) holds.
+    /// the queue, so the state reduces to accumulated counters and
+    /// records.
     fn write_checkpoint(&mut self) -> Result<(), SimError> {
         // Compact the raw interval list into its union in place: the
         // report's `union_length` is invariant under this (union is
@@ -793,10 +748,6 @@ impl<'a> Executor<'a> {
             ))
         })?;
         let faults = self.faults.as_ref().map(|fr| {
-            debug_assert!(
-                fr.fault_event.is_none(),
-                "boundary invariant: fault events are cancelled when the queue drains"
-            );
             let mut outages: Vec<OutageState> = fr
                 .outage_since
                 .iter()
@@ -823,7 +774,9 @@ impl<'a> Executor<'a> {
             state: ExecutorState {
                 now: self.queue.now(),
                 queue: *self.queue.stats(),
-                dispatches: self.dispatches.to_vec(),
+                // Format v1 keeps two retired slots, once ticks and
+                // fault injections; they are always zero.
+                dispatches: vec![self.dispatches[0], self.dispatches[1], 0, 0],
                 gpu_busy: self.gpus.iter().map(|g| g.busy_time).collect(),
                 comm_intervals: self.comm_intervals.clone(),
                 timeline_count: self.tl_digest.0,
@@ -954,9 +907,8 @@ impl<'a> Executor<'a> {
                     };
                 }
             }
-            // The boundary is quiescent here: the queue is drained and
-            // tick/fault events were cancelled, so a snapshot reduces to
-            // accumulated counters and records.
+            // The boundary is quiescent here: the queue is drained, so a
+            // snapshot reduces to accumulated counters and records.
             let snapshot_due = self
                 .ckpt
                 .as_ref()
@@ -985,7 +937,7 @@ impl<'a> Executor<'a> {
             SerialReason::FewIterations
         } else if self.faults.is_some() {
             SerialReason::Faults
-        } else if self.ticking {
+        } else if self.sampling {
             SerialReason::Observed
         } else if self
             .budget
@@ -1228,21 +1180,16 @@ impl<'a> Executor<'a> {
             &[],
             stats.max_pending() as f64,
         );
-        for (kind, count) in [("compute", 0usize), ("flow", 1), ("tick", 2)] {
+        for (kind, count) in [("compute", dispatches[0]), ("flow", dispatches[1])] {
             r.counter_add(
                 "triosim_events_dispatched_total",
                 &[("kind", kind)],
-                dispatches[count] as f64,
+                count as f64,
             );
         }
         // Fault metrics exist only on fault-injected runs, so observed
         // fault-free output stays byte-identical to pre-fault builds.
         if let Some((by_kind, lost)) = &fault_stats {
-            r.counter_add(
-                "triosim_events_dispatched_total",
-                &[("kind", "fault")],
-                dispatches[3] as f64,
-            );
             for (kind, n) in [
                 ("link_degrade", by_kind[0]),
                 ("link_fail", by_kind[1]),
@@ -1367,6 +1314,9 @@ impl<'a> Executor<'a> {
     /// Seeds the graph's roots at the current virtual time and drains the
     /// event queue.
     fn run_once(&mut self) {
+        // Fault entries and samples fall due between events; only a run
+        // that has either looks at the next event before popping it.
+        let between = self.sampling || self.faults.is_some();
         self.iter_begin = self.queue.now();
         self.attr_start.fill(NOT_RUN);
         self.attr_end.fill(NOT_RUN);
@@ -1386,43 +1336,34 @@ impl<'a> Executor<'a> {
             }
         }
 
-        // Arm the first monitor tick only if real work is pending.
-        if self.ticking && self.pending_real > 0 && self.tick_event.is_none() {
-            let at = self.queue.now() + self.obs.sample_period;
-            self.tick_event = Some(self.queue.schedule(at, Event::MonitorTick));
-        }
-        // Likewise the next pending fault: armed only while real work
-        // remains, so it can never extend the run.
-        if self.pending_real > 0 {
-            self.arm_next_fault();
-        }
+        self.next_sample = self.queue.now() + self.obs.sample_period;
 
-        while let Some((now, event)) = self.queue.pop() {
+        loop {
+            let next = if between {
+                self.pop_after_due()
+            } else {
+                self.queue.pop()
+            };
+            let Some((now, event)) = next else {
+                return;
+            };
             debug_assert_ne!(
                 now, NOT_RUN,
                 "the checked clock reaches VirtualTime::MAX only by landing on it, \
                  and NOT_RUN marks an unset time"
             );
-            // Runaway guard: real events are counted and checked before
-            // they are processed, so with `max_events = N` exactly N
-            // events take effect. Ticks and fault injections are
-            // excluded so budget trips are independent of observability
-            // settings and fault-plan shape.
+            // Runaway guard: events are counted and checked before they
+            // are processed, so with `max_events = N` exactly N events
+            // take effect.
             if let Some(b) = &self.budget {
-                if matches!(
-                    event,
-                    Event::ComputeDone { .. } | Event::FlowDelivered { .. }
-                ) {
-                    self.budget_events += 1;
-                    if let Some((kind, limit)) = b.check(self.budget_events, now) {
-                        self.stop_error = Some(SimError::BudgetExceeded { kind, limit });
-                        return;
-                    }
+                self.budget_events += 1;
+                if let Some((kind, limit)) = b.check(self.budget_events, now) {
+                    self.stop_error = Some(SimError::BudgetExceeded { kind, limit });
+                    return;
                 }
             }
             match event {
                 Event::ComputeDone { gpu, task } => {
-                    self.pending_real -= 1;
                     self.dispatches[0] += 1;
                     self.gpus[gpu].busy = false;
                     let start = self.attr_start[task.0];
@@ -1444,7 +1385,6 @@ impl<'a> Executor<'a> {
                     self.try_start_gpu(gpu);
                 }
                 Event::FlowDelivered { flow } => {
-                    self.pending_real -= 1;
                     self.dispatches[1] += 1;
                     self.flow_event.remove(&flow);
                     let task = self
@@ -1472,76 +1412,54 @@ impl<'a> Executor<'a> {
                     self.apply(cmds);
                     self.complete(task);
                 }
-                Event::MonitorTick => {
-                    self.tick_event = None;
-                    self.dispatches[2] += 1;
-                    self.sample(now);
-                    if self.pending_real > 0 {
-                        let at = now + self.obs.sample_period;
-                        self.tick_event = Some(self.queue.schedule(at, Event::MonitorTick));
-                    }
-                    continue;
-                }
-                Event::Fault { idx } => {
-                    self.dispatches[3] += 1;
-                    if let Some(fr) = self.faults.as_mut() {
-                        fr.fault_event = None;
-                        fr.cursor = idx + 1;
-                    }
-                    self.apply_fault(now, idx);
-                    if self.stop_error.is_some() {
-                        return;
-                    }
-                    if self.pending_real > 0 {
-                        self.arm_next_fault();
-                    }
-                }
             }
             if self.stop_error.is_some() {
                 return;
             }
-            // A tick never outlives the real work: cancel the pending one
-            // as soon as the queue holds nothing else, so the trailing
-            // tick cannot inflate `queue.now()` past the last real event.
-            // The same goes for an armed fault.
-            if self.pending_real == 0 {
-                if let Some(id) = self.tick_event.take() {
-                    self.queue.cancel(id);
+        }
+    }
+
+    /// Applies every fault-timeline entry and takes every sample due no
+    /// later than the next event, in time order (a fault first at a shared
+    /// instant), then pops that event. `None` once the queue is drained or
+    /// a fault has stopped the run, so nothing falls due after the last
+    /// event.
+    fn pop_after_due(&mut self) -> Option<(VirtualTime, Event)> {
+        loop {
+            let next = self.queue.peek_time()?;
+            let fault = self.next_fault_at().filter(|&at| at <= next);
+            let sample = Some(self.next_sample).filter(|&at| self.sampling && at <= next);
+            match (fault, sample) {
+                (Some(f), Some(s)) if s < f => self.sample(s),
+                (Some(f), _) => {
+                    self.apply_fault(f);
+                    if self.stop_error.is_some() {
+                        return None;
+                    }
                 }
-                if let Some(id) = self.faults.as_mut().and_then(|fr| fr.fault_event.take()) {
-                    self.queue.cancel(id);
-                }
+                (None, Some(s)) => self.sample(s),
+                (None, None) => return self.queue.pop(),
             }
         }
     }
 
-    /// Schedules the next timeline fault (if any) at its injection time,
-    /// clamped forward to `now` — time never runs backwards, so a fault
-    /// whose nominal time already passed fires immediately.
-    fn arm_next_fault(&mut self) {
-        let now = self.queue.now();
-        let Some(fr) = self.faults.as_mut() else {
-            return;
-        };
-        if fr.fault_event.is_some() {
-            return;
-        }
-        let Some(tf) = fr.session.timeline().get(fr.cursor) else {
-            return;
-        };
-        let at = VirtualTime::from_seconds(tf.at_s).max(now);
-        let idx = fr.cursor;
-        fr.fault_event = Some(self.queue.schedule(at, Event::Fault { idx }));
+    /// When the next timeline entry falls due: its injection time, clamped
+    /// forward to the clock (time never runs backwards).
+    fn next_fault_at(&self) -> Option<VirtualTime> {
+        let fr = self.faults.as_ref()?;
+        let tf = fr.session.timeline().get(fr.cursor)?;
+        Some(VirtualTime::from_seconds(tf.at_s).max(self.queue.now()))
     }
 
-    /// Injects timeline entry `idx` into the network (or drops a GPU),
-    /// recording attribution counters and observability events.
-    fn apply_fault(&mut self, now: VirtualTime, idx: usize) {
+    /// Injects the next timeline entry at `now` into the network (or drops
+    /// a GPU), recording attribution counters and observability events.
+    fn apply_fault(&mut self, now: VirtualTime) {
         let kind = {
             let Some(fr) = self.faults.as_mut() else {
                 return;
             };
-            let kind = fr.session.timeline()[idx].kind;
+            let kind = fr.session.timeline()[fr.cursor].kind;
+            fr.cursor += 1;
             fr.injected += 1;
             match kind {
                 FaultKind::LinkDegrade { .. } => fr.injected_by_kind[0] += 1,
@@ -1678,10 +1596,11 @@ impl<'a> Executor<'a> {
         r.counter_add("triosim_tasks_executed_total", &[("kind", "transfer")], 1.0);
     }
 
-    /// One monitor-tick sample: queue depth, in-flight flows, per-link
+    /// The sample due at `now`: queue depth, in-flight flows, per-link
     /// utilization over the window since the previous sample, and the
-    /// live progress line.
+    /// live progress line. The next one falls due a period later.
     fn sample(&mut self, now: VirtualTime) {
+        self.next_sample = now + self.obs.sample_period;
         let net = self.network.observe();
         if self.observing {
             let depth = self.queue.len() as f64;
@@ -1696,13 +1615,10 @@ impl<'a> Executor<'a> {
                     net.in_flight as f64,
                 );
                 if dt > 0.0 {
-                    if self.prev_link_busy.len() != links.len() {
-                        self.prev_link_busy.resize(links.len(), 0.0);
-                    }
-                    for (i, l) in links.iter().enumerate() {
-                        let util = ((l.busy_s - self.prev_link_busy[i]) / dt).clamp(0.0, 1.0);
+                    for (l, prev) in links.iter().zip(&mut self.prev_link_busy) {
+                        let util = ((l.busy_s - *prev) / dt).clamp(0.0, 1.0);
                         r.gauge_set(now, "triosim_link_utilization", &[("link", &l.label)], util);
-                        self.prev_link_busy[i] = l.busy_s;
+                        *prev = l.busy_s;
                     }
                 }
             }
@@ -1863,7 +1779,6 @@ impl<'a> Executor<'a> {
         let now = self.queue.now();
         self.attr_start[task.0] = now;
         self.attr_gpu_pred[task.0] = self.last_done[gpu];
-        self.pending_real += 1;
         self.queue
             .schedule(now + duration, Event::ComputeDone { gpu, task });
     }
@@ -1891,19 +1806,14 @@ impl<'a> Executor<'a> {
             match cmd {
                 NetCommand::Schedule { flow, at } => {
                     if let Some(old) = self.flow_event.remove(&flow) {
-                        if self.queue.cancel(old) {
-                            self.pending_real -= 1;
-                        }
+                        self.queue.cancel(old);
                     }
-                    self.pending_real += 1;
                     let id = self.queue.schedule(at, Event::FlowDelivered { flow });
                     self.flow_event.insert(flow, id);
                 }
                 NetCommand::Cancel { flow } => {
                     if let Some(old) = self.flow_event.remove(&flow) {
-                        if self.queue.cancel(old) {
-                            self.pending_real -= 1;
-                        }
+                        self.queue.cancel(old);
                     }
                 }
             }
@@ -2131,41 +2041,41 @@ mod tests {
     fn jsonl_obs(buf: &SharedBuf) -> Observability {
         let mut rec = RunRecorder::new();
         rec.push(Box::new(JsonlSink::new(buf.clone())));
-        Observability::off()
-            .with_recorder(Box::new(rec))
-            .with_sample_period(TimeSpan::from_millis(1.0))
+        Observability {
+            recorder: Some(Box::new(rec)),
+            ..Observability::off()
+        }
     }
 
     #[test]
     fn monitor_ticks_never_change_simulation_results() {
         let g = overlap_graph();
-        let plain = execute(
-            &g,
-            &mut net2(),
-            RunOptions {
-                iterations: 3,
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
+        let run = |observability| {
+            let r = execute(
+                &g,
+                &mut net2(),
+                RunOptions {
+                    iterations: 3,
+                    observability,
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+            r.to_canonical_string()
+        };
+        let plain = run(Observability::off());
         let buf = SharedBuf::default();
-        let observed = execute(
-            &g,
-            &mut net2(),
-            RunOptions {
-                iterations: 3,
-                observability: jsonl_obs(&buf),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(plain.total_time(), observed.total_time());
-        assert_eq!(plain.bytes_transferred(), observed.bytes_transferred());
-        assert_eq!(plain.compute_time_s(), observed.compute_time_s());
-        assert_eq!(plain.timeline().len(), observed.timeline().len());
-        // The ticks really fired: gauges were sampled along the way.
+        assert_eq!(plain, run(jsonl_obs(&buf)));
+        // Samples were really taken: gauges along the way.
         let out = buf.take_string();
         assert!(out.contains("triosim_queue_depth"), "{out}");
+        // A period far shorter than any event gap samples many times
+        // between two events and still changes no byte.
+        let buf = SharedBuf::default();
+        let fine = jsonl_obs(&buf).with_sample_period(TimeSpan::from_micros(10.0));
+        assert_eq!(plain, run(fine));
+        let samples = buf.take_string().matches("triosim_queue_depth").count();
+        assert!(samples > 1000, "{samples} samples");
     }
 
     #[test]
@@ -2524,7 +2434,10 @@ mod tests {
         let buf = SharedBuf::default();
         let monitor = triosim_obs::ProgressMonitor::with_writer(Box::new(buf.clone()))
             .throttle(std::time::Duration::ZERO);
-        let obs = Observability::off().with_progress(monitor);
+        let obs = Observability {
+            progress: Some(monitor),
+            ..Observability::off()
+        };
         execute(
             &g,
             &mut net2(),
@@ -2539,13 +2452,14 @@ mod tests {
     }
 
     /// The field is public, so a zero period can bypass
-    /// `with_sample_period`'s check; ticking on it would never advance.
+    /// `with_sample_period`'s check; sampling on it would never advance.
     #[test]
     #[should_panic(expected = "sample period must be positive")]
     fn zero_sample_period_is_rejected_when_ticking() {
         let obs = Observability {
+            progress: Some(triosim_obs::ProgressMonitor::new()),
             sample_period: TimeSpan::ZERO,
-            ..Observability::off().with_progress(triosim_obs::ProgressMonitor::new())
+            ..Observability::off()
         };
         let _ = execute(
             &overlap_graph(),

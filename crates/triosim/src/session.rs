@@ -141,16 +141,13 @@ impl<'a> SimBuilder<'a> {
     /// Attaches an observability recorder (e.g. a
     /// [`RunRecorder`](triosim_obs::RunRecorder) fanning out to JSONL,
     /// Chrome-trace, and Prometheus sinks). The run emits spans and
-    /// metrics into it and calls `finish` when done. Cannot be combined
-    /// with [`checkpoint`](Self::checkpoint) or [`restore`](Self::restore).
+    /// metrics into it and calls `finish` when done.
     pub fn recorder(mut self, r: Box<dyn Recorder>) -> Self {
         self.run.observability.recorder = Some(r);
         self
     }
 
     /// Attaches a live progress monitor (wall-clock throttled, stderr).
-    /// Cannot be combined with [`checkpoint`](Self::checkpoint) or
-    /// [`restore`](Self::restore).
     pub fn progress(mut self, p: ProgressMonitor) -> Self {
         self.run.observability.progress = Some(p);
         self
@@ -200,11 +197,9 @@ impl<'a> SimBuilder<'a> {
     /// run restores with [`restore`](Self::restore) and produces
     /// canonical bytes identical to an uninterrupted run.
     ///
-    /// Self-profiling composes with checkpointing (host time is not part
-    /// of a snapshot). A [`recorder`](Self::recorder) or
-    /// [`progress`](Self::progress) monitor does not: the run returns
-    /// [`CheckpointError::Unsupported`](crate::CheckpointError::Unsupported)
-    /// before it simulates or writes anything.
+    /// Self-profiling, a [`recorder`](Self::recorder) and a
+    /// [`progress`](Self::progress) monitor compose with checkpointing:
+    /// none of them changes a snapshot's bytes.
     ///
     /// # Panics
     ///
@@ -332,9 +327,7 @@ impl<'a> SimBuilder<'a> {
     /// fault makes the remaining work impossible;
     /// [`SimError::BudgetExceeded`] when the run blows an axis of its
     /// [`budget`](Self::budget); [`SimError::Checkpoint`] when a snapshot
-    /// cannot be written, read or applied, or when a recorder or progress
-    /// monitor is combined with [`checkpoint`](Self::checkpoint) or
-    /// [`restore`](Self::restore).
+    /// cannot be written, read or applied.
     pub fn try_run(self) -> Result<SimReport, SimError> {
         self.try_run_inner(None)
     }

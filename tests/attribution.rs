@@ -22,8 +22,9 @@ use triosim::{
     FaultPlan, GpuSlowdown, Parallelism, Platform, SelfProfiler, SimBuilder, SimReport,
     SweepRunConfig, SweepSpec,
 };
+use triosim_des::TimeSpan;
 use triosim_modelzoo::ModelId;
-use triosim_obs::{ChromeTraceSink, JsonlSink, PrometheusSink, RunRecorder};
+use triosim_obs::{ChromeTraceSink, JsonlSink, ProgressMonitor, PrometheusSink, RunRecorder};
 use triosim_trace::{GpuModel, Trace, Tracer};
 
 fn golden_dir() -> PathBuf {
@@ -231,32 +232,34 @@ proptest! {
     }
 }
 
-/// Attaching sinks samples the run (extra queue events by design), but
-/// the simulation-determined core — totals, timeline records and the
-/// order-sensitive timeline hash, and the whole bottleneck section —
-/// must still be identical to the bare run.
+/// Attaching sinks, a progress monitor and a fine sample period never
+/// changes canonical bytes: samples are taken between events, not queued,
+/// so the observed run equals the bare run byte for byte (queue counters
+/// and bottleneck section included) under every quartet parallelism.
 #[test]
-fn sinks_change_only_sampler_queue_counters() {
+fn sinks_never_change_canonical_bytes() {
     let trace = quartet_trace();
     let platform = Platform::p2(2);
-    let bare = quartet_report(Parallelism::DataParallel { overlap: true });
-    let mut recorder = RunRecorder::new();
-    recorder.push(Box::new(JsonlSink::new(Vec::new())));
-    recorder.push(Box::new(ChromeTraceSink::new(Vec::new())));
-    recorder.push(Box::new(PrometheusSink::new(Vec::new())));
-    let mut prof = SelfProfiler::new();
-    let observed = SimBuilder::new(&trace, &platform)
-        .parallelism(Parallelism::DataParallel { overlap: true })
-        .recorder(Box::new(recorder))
-        .try_run_profiled(&mut prof)
-        .expect("observed run succeeds");
-    assert_eq!(bare.total_time_s(), observed.total_time_s());
-    assert_eq!(bare.timeline().len(), observed.timeline().len());
-    assert_eq!(
-        serde_json::to_string(&bare.bottleneck().to_value()).expect("finite"),
-        serde_json::to_string(&observed.bottleneck().to_value()).expect("finite"),
-        "sinks perturbed the bottleneck attribution"
-    );
+    for (name, parallelism) in quartet() {
+        let run = || {
+            SimBuilder::new(&trace, &platform)
+                .parallelism(parallelism)
+                .iterations(3)
+        };
+        let bare = run().run().to_canonical_string();
+        let mut recorder = RunRecorder::new();
+        recorder.push(Box::new(JsonlSink::new(Vec::new())));
+        recorder.push(Box::new(ChromeTraceSink::new(Vec::new())));
+        recorder.push(Box::new(PrometheusSink::new(Vec::new())));
+        let mut prof = SelfProfiler::new();
+        let observed = run()
+            .recorder(Box::new(recorder))
+            .progress(ProgressMonitor::with_writer(Box::new(std::io::sink())))
+            .sample_period(TimeSpan::from_micros(50.0))
+            .try_run_profiled(&mut prof)
+            .expect("observed run succeeds");
+        assert_eq!(bare, observed.to_canonical_string(), "{name}");
+    }
 }
 
 /// The canonical sweep aggregate must be byte-identical across profiling

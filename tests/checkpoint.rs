@@ -14,6 +14,7 @@
 mod common;
 
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use serde::Deserialize as _;
@@ -21,7 +22,7 @@ use triosim::{
     CheckpointError, FaultPlan, GpuSlowdown, Jitter, LinkDegradation, Parallelism, Platform,
     Replay, SelfProfiler, SimBuilder, SimError,
 };
-use triosim_des::RunBudget;
+use triosim_des::{RunBudget, TimeSpan};
 use triosim_modelzoo::ModelId;
 use triosim_obs::{JsonlSink, ProgressMonitor, RunRecorder};
 use triosim_trace::{GpuModel, Trace, Tracer};
@@ -128,50 +129,144 @@ fn profiled_checkpoint_and_restore_are_byte_identical() {
     assert!(has_engine_loop(&prof), "{}", prof.snapshot().render());
 }
 
-/// A recorder or progress monitor does not compose with snapshots:
-/// monitor ticks are queue events, which a snapshot counts and its spec
-/// hash does not cover. Either combination is a typed error before
-/// anything runs, so no snapshot is written.
+/// A writer that keeps everything written through it, readable after the
+/// run consumed the recorder that owns a clone.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("unpoisoned").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+fn quiet() -> ProgressMonitor {
+    ProgressMonitor::with_writer(Box::new(std::io::sink()))
+}
+
+/// Observability composes with snapshots: samples are taken between
+/// events, never queued, so a recorder or progress monitor changes no
+/// byte of a snapshot or of the report. A recorder with `checkpoint` and
+/// a progress monitor with `restore` both give the plain run's canonical
+/// bytes.
 #[test]
-fn observability_with_snapshots_is_a_typed_error() {
+fn observability_composes_with_snapshots() {
     let t = trace(ModelId::Vgg11, 8);
     let p = Platform::p2(2);
-    let unsupported = |r: Result<_, SimError>| {
-        matches!(
-            r,
-            Err(SimError::Checkpoint(CheckpointError::Unsupported(_)))
-        )
-    };
-    let path = temp_path("recorded");
+    let plain = SimBuilder::new(&t, &p)
+        .iterations(4)
+        .run()
+        .to_canonical_json();
+    let (bare, observed) = (temp_path("bare"), temp_path("recorded"));
+    SimBuilder::new(&t, &p)
+        .iterations(4)
+        .checkpoint(&bare, 2)
+        .try_run()
+        .expect("checkpointed run completes");
     let mut recorder = RunRecorder::new();
     recorder.push(Box::new(JsonlSink::new(std::io::sink())));
     let recorded = SimBuilder::new(&t, &p)
-        .iterations(2)
-        .checkpoint(&path, 1)
+        .iterations(4)
+        .checkpoint(&observed, 2)
         .recorder(Box::new(recorder))
-        .try_run();
-    assert!(unsupported(recorded));
-    assert!(!path.exists(), "no snapshot was written");
+        .progress(quiet())
+        .try_run()
+        .expect("recorded checkpointed run completes");
+    assert_eq!(plain, recorded.to_canonical_json());
+    let snapshot = |path: &PathBuf| std::fs::read(path).expect("snapshot written");
+    assert!(
+        snapshot(&bare) == snapshot(&observed),
+        "observability changed the snapshot"
+    );
     SimBuilder::new(&t, &p)
-        .iterations(1)
-        .checkpoint(&path, 1)
+        .iterations(2)
+        .checkpoint(&bare, 2)
         .try_run()
         .expect("prefix run completes");
     let progressed = SimBuilder::new(&t, &p)
-        .iterations(2)
-        .restore(&path)
-        .progress(ProgressMonitor::with_writer(Box::new(std::io::sink())))
-        .try_run();
-    std::fs::remove_file(&path).ok();
-    assert!(unsupported(progressed));
+        .iterations(4)
+        .restore(&bare)
+        .progress(quiet())
+        .try_run()
+        .expect("observed restore succeeds");
+    std::fs::remove_file(&bare).ok();
+    std::fs::remove_file(&observed).ok();
+    assert_eq!(plain, progressed.to_canonical_json());
 }
 
-/// `simulate` refuses the same combinations before it creates a sink
-/// file or a snapshot, so a rejected run leaves nothing behind.
+/// The sampled gauges of an observed run restored at a boundary equal the
+/// uninterrupted observed run's at every sample after the restored run's
+/// first. (The first differs in its utilization window: the uninterrupted
+/// run's opens at its previous sample, the restored run's at the
+/// boundary.)
 #[test]
-fn simulate_rejects_sinks_with_snapshots_before_creating_files() {
+fn restored_observed_run_samples_like_the_uninterrupted_one() {
+    let t = trace(ModelId::ResNet18, 16);
+    let p = Platform::p2(2);
+    let (n, k) = (4, 2);
+    let sampled = |b: SimBuilder<'_>| {
+        let buf = SharedBuf::default();
+        let mut recorder = RunRecorder::new();
+        recorder.push(Box::new(JsonlSink::new(buf.clone())));
+        b.recorder(Box::new(recorder))
+            .sample_period(TimeSpan::from_micros(200.0))
+            .try_run()
+            .expect("observed run completes");
+        let out = String::from_utf8(buf.0.lock().expect("unpoisoned").clone()).expect("utf-8");
+        out.lines()
+            .filter(|l| {
+                [
+                    "triosim_queue_depth",
+                    "triosim_net_flows_in_flight",
+                    "triosim_link_utilization",
+                ]
+                .iter()
+                .any(|name| l.contains(&format!(r#""name":"{name}""#)))
+            })
+            .map(|l| {
+                let at = &l[l.find(r#""t_fs":"#).expect("gauges carry a time") + 7..];
+                let at: u64 = at[..at.find(',').expect("more fields")]
+                    .parse()
+                    .expect("femtos");
+                (at, l.to_string())
+            })
+            .collect::<Vec<_>>()
+    };
+    let uninterrupted = sampled(SimBuilder::new(&t, &p).iterations(n));
+    let path = temp_path("sampled");
+    SimBuilder::new(&t, &p)
+        .iterations(k)
+        .checkpoint(&path, k)
+        .try_run()
+        .expect("prefix run completes");
+    let restored = sampled(SimBuilder::new(&t, &p).iterations(n).restore(&path));
+    std::fs::remove_file(&path).ok();
+    let first = restored.first().expect("the restored run samples").0;
+    let after = |samples: &[(u64, String)]| {
+        samples
+            .iter()
+            .filter(|(at, _)| *at > first)
+            .map(|(_, line)| line.clone())
+            .collect::<Vec<_>>()
+    };
+    assert!(after(&restored).len() > 100, "{} samples", restored.len());
+    assert_eq!(after(&restored), after(&uninterrupted));
+}
+
+/// When `simulate` fails it deletes each sink file it left empty, so a
+/// run rejected before it simulates leaves nothing behind, while a run
+/// that fails midway keeps its flushed partial output. Sinks compose with
+/// `--checkpoint` and `--restore`.
+#[test]
+fn simulate_deletes_the_empty_sinks_of_a_failed_run() {
     let bin = env!("CARGO_BIN_EXE_triosim-cli");
-    let trace = temp_path("cli-trace");
+    let dir = temp_path("cli").with_extension("d");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("trace.json");
     let out = std::process::Command::new(bin)
         .args(["trace", "--model", "vgg11", "--batch", "8", "--gpu", "A100"])
         .arg("-o")
@@ -179,29 +274,60 @@ fn simulate_rejects_sinks_with_snapshots_before_creating_files() {
         .output()
         .expect("trace subcommand runs");
     assert!(out.status.success(), "trace failed: {out:?}");
-    let snapshot = temp_path("cli-snapshot");
-    let events = temp_path("cli-events");
-    for (mode, sink) in [
-        ("--checkpoint", "--events"),
-        ("--checkpoint", "--trace-events"),
-        ("--checkpoint", "--metrics"),
-        ("--restore", "--events"),
-    ] {
+    // Runs `simulate` with `args` and every sink at `<stem>.<sink>`; returns
+    // its output and each sink file's length, `None` when it is absent.
+    let sinks = ["events", "trace-events", "metrics"];
+    let simulate = |stem: &str, args: &[&str]| {
         let out = std::process::Command::new(bin)
-            .args(["simulate", "--platform", "p2:2", "--iterations", "2"])
-            .arg("--trace")
+            .args(["simulate", "--platform", "p2:2", "--trace"])
             .arg(&trace)
-            .arg(mode)
-            .arg(&snapshot)
-            .arg(sink)
-            .arg(&events)
+            .args(args)
+            .args(
+                sinks
+                    .iter()
+                    .flat_map(|s| [format!("--{s}"), format!("{stem}.{s}")]),
+            )
+            .current_dir(&dir)
             .output()
             .expect("simulate subcommand runs");
-        assert_eq!(out.status.code(), Some(1), "{mode} {sink}: {out:?}");
-        assert!(!events.exists(), "{mode} {sink} created its sink file");
-        assert!(!snapshot.exists(), "{mode} {sink} wrote a snapshot");
+        let written = sinks.map(|s| std::fs::metadata(dir.join(format!("{stem}.{s}"))).ok());
+        (out, written.map(|m| m.map(|m| m.len())))
+    };
+    // Rejected before anything runs: a plan naming GPU 9 on a 2-GPU
+    // platform, and a restore from a snapshot that does not exist.
+    let plan = r#"{"gpu_slowdowns":[{"gpu":9,"factor":2.0}]}"#;
+    std::fs::write(dir.join("gpu9.json"), plan).expect("plan written");
+    for (stem, args) in [
+        ("plan", ["--faults", "gpu9.json"]),
+        ("missing", ["--restore", "missing.ckpt"]),
+    ] {
+        let (out, written) = simulate(stem, &args);
+        assert_eq!(out.status.code(), Some(1), "{stem}: {out:?}");
+        assert_eq!(written, [None; 3], "{stem} left sink files");
     }
-    std::fs::remove_file(&trace).ok();
+    // A GPU lost 1 ms in fails midway: its partial trace stays.
+    let plan = r#"{"gpu_dropouts":[{"gpu":1,"at_s":0.001}]}"#;
+    std::fs::write(dir.join("drop.json"), plan).expect("plan written");
+    let (out, written) = simulate("drop", &["--faults", "drop.json"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        written.iter().all(|w| w.is_some_and(|n| n > 0)),
+        "{written:?}"
+    );
+    // Sinks with snapshots: every sink written, and the snapshot too.
+    for (stem, mode, iterations) in [
+        ("checkpointed", "--checkpoint", "2"),
+        ("restored", "--restore", "3"),
+    ] {
+        let (out, written) = simulate(stem, &["--iterations", iterations, mode, "run.ckpt"]);
+        assert!(out.status.success(), "{mode}: {out:?}");
+        assert!(
+            written.iter().all(|w| w.is_some_and(|n| n > 0)),
+            "{mode}: {written:?}"
+        );
+        assert!(dir.join("run.ckpt").exists(), "{mode}: no snapshot");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The report's timeline view yields as many records as its `len()`

@@ -303,6 +303,48 @@ fn empty_plan_is_bit_identical_to_baseline() {
     assert_eq!(format!("{baseline:?}"), format!("{with_empty_plan:?}"));
 }
 
+/// A plan whose only fault falls due after the last event never applies
+/// it and leaves no trace in the run: the canonical report is the plain
+/// run's, queue counters included, plus the `faults` section.
+#[test]
+fn fault_past_the_end_adds_only_the_faults_section() {
+    let platform = ring();
+    let run = |plan| {
+        SimBuilder::new(trace(), &platform)
+            .parallelism(Parallelism::DataParallel { overlap: true })
+            .global_batch(8 * GPUS as u64)
+            .iterations(4)
+            .faults(plan)
+            .try_run()
+            .expect("a fault past the end cannot fail the run")
+    };
+    let plain = run(FaultPlan::default()).to_canonical_string();
+    let (src, dst) = ring_link(0);
+    let faulted = run(FaultPlan {
+        link_failures: vec![LinkFailure {
+            src,
+            dst,
+            at_s: 999.0,
+            repair_s: None,
+        }],
+        ..FaultPlan::default()
+    });
+    assert_eq!(
+        faulted
+            .fault_stats()
+            .expect("plan attached")
+            .faults_injected,
+        0
+    );
+    let faulted = faulted.to_canonical_string();
+    let (body, faults) = faulted.split_at(plain.len() - 1);
+    assert_eq!(body, &plain[..plain.len() - 1]);
+    assert!(
+        faults.starts_with(r#","faults":{"faults_injected":0,"#),
+        "{faults}"
+    );
+}
+
 /// Two invocations with the same non-trivial plan and seed produce
 /// identical reports even when jitter is active (the stochastic path).
 #[test]

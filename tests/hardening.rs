@@ -10,9 +10,14 @@
 //! *mutated valid corpus document* — truncations and byte edits of real
 //! output from the matching serializer, which reach much deeper than
 //! random noise.
+//!
+//! The CLI's count options are external input too: each refuses zero
+//! with a one-line error before anything starts.
 
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use triosim::sweep::journal::read_journal;
@@ -227,4 +232,73 @@ fn corpus_documents_are_valid() {
     std::fs::write(&path, corpus_snapshot()).unwrap();
     validate_snapshot_file(&path).unwrap();
     std::fs::remove_file(&path).ok();
+}
+
+/// Every count option refuses zero with `--<flag> must be at least 1`
+/// (exit 1) before anything starts: no snapshot, no sweep, and no server
+/// binding `127.0.0.1:0` or creating its data directory.
+#[test]
+fn count_flags_refuse_zero_before_anything_starts() {
+    let bin = env!("CARGO_BIN_EXE_triosim-cli");
+    let dir = temp_file("counts", 0);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp dir").to_string();
+    std::fs::write(path("trace.json"), corpus_trace()).unwrap();
+    std::fs::write(path("spec.json"), corpus_spec()).unwrap();
+    let (trace, spec) = (path("trace.json"), path("spec.json"));
+    let (snapshot, snapshots, jobs) = (path("run.ckpt"), path("ckpts"), path("jobs"));
+    let simulate = ["simulate", "--trace", &trace];
+    let sweep = ["sweep", "--spec", &spec];
+    let serve = ["serve", "--addr", "127.0.0.1:0", "--data-dir", &jobs];
+    let cases: Vec<(&str, Vec<&str>)> = vec![
+        ("iterations", simulate.to_vec()),
+        (
+            "checkpoint-every",
+            [&simulate[..], &["--checkpoint", &snapshot]].concat(),
+        ),
+        ("threads", sweep.to_vec()),
+        (
+            "checkpoint-every",
+            [&sweep[..], &["--checkpoint-dir", &snapshots]].concat(),
+        ),
+        ("job-threads", serve.to_vec()),
+        ("workers", serve.to_vec()),
+        ("max-conns", serve.to_vec()),
+        ("retry-max", serve.to_vec()),
+        ("checkpoint-every", serve.to_vec()),
+        ("queue-cap", serve.to_vec()),
+    ];
+    for (flag, args) in cases {
+        let mut child = Command::new(bin)
+            .args(&args)
+            .arg(format!("--{flag}"))
+            .arg("0")
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the CLI starts");
+        // A zero that slipped through would start a server that never
+        // exits on its own.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while child.try_wait().expect("child status").is_none() {
+            if Instant::now() > deadline {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("{args:?} --{flag} 0 is still running");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().expect("child output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} --{flag} 0: {stderr}");
+        assert_eq!(
+            stderr.trim(),
+            format!("error: --{flag} must be at least 1"),
+            "{args:?}"
+        );
+    }
+    for started in [&snapshot, &snapshots, &jobs] {
+        assert!(!PathBuf::from(started).exists(), "{started} was created");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -316,8 +316,8 @@ fn snapshots_at_synthesized_boundaries_match_the_oracle() {
 }
 
 /// `simulate` prints the decision, and `--metrics` (a recorder, so the
-/// serial path) writes the same `--report` bytes but for the queue
-/// counters, which also count the recorder's sampling ticks.
+/// serial path) writes the same `--report` bytes, queue counters
+/// included: samples are taken between events, not queued.
 #[test]
 fn simulate_prints_the_replay_decision() {
     let bin = env!("CARGO_BIN_EXE_triosim-cli");
@@ -356,12 +356,7 @@ fn simulate_prints_the_replay_decision() {
         stdout.contains("replay        : every iteration simulated (a recorder"),
         "{stdout}"
     );
-    let without_queue = |path: &PathBuf| {
-        let report = std::fs::read_to_string(path).expect("report written");
-        let start = report.find(r#""queue":{"#).expect("queue counters");
-        let end = start + report[start..].find('}').expect("flat object") + 1;
-        format!("{}{}", &report[..start], &report[end..])
-    };
-    assert_eq!(without_queue(&plain), without_queue(&observed));
+    let report = |path: &PathBuf| std::fs::read_to_string(path).expect("report written");
+    assert_eq!(report(&plain), report(&observed));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -103,22 +103,45 @@ fn removed_reallocation_mode_is_a_parse_error() {
 
 /// `ReallocationMode::Full` is the oracle the incremental fast path is
 /// held to: run end to end on an allreduce-heavy DDP ring, the two modes
-/// must produce byte-identical canonical reports.
+/// must produce byte-identical canonical reports. Segmented ring
+/// collectives never share a link there; halving-doubling ones do, so
+/// rates move and the max-min arithmetic on shared links is compared too.
 #[test]
 fn full_and_incremental_reallocation_give_identical_reports() {
     let spec = SweepSpec::from_json(
         r#"{ "defaults": { "model": "resnet50", "trace_batch": 128, "gpu": "A100",
                            "platform": "ring:A100:8", "parallelism": "ddp",
                            "global_batch": 1024 },
-             "grid": { "realloc": ["full", "incremental"] } }"#,
+             "grid": { "realloc": ["full", "incremental"],
+                       "collective": ["segmented", "halving-doubling"] } }"#,
     )
     .unwrap();
     let outcome = run_sweep(&spec, 1, false).unwrap();
-    let [full, incremental] = [0, 1].map(|i| {
-        let report = outcome.results[i].outcome.as_ref().unwrap();
-        serde_json::to_string(report).unwrap()
-    });
-    assert_eq!(full, incremental);
+    for collective in ["segmented", "halving-doubling"] {
+        let [full, incremental] = ["full", "incremental"].map(|realloc| {
+            let i = outcome
+                .scenarios
+                .iter()
+                .position(|s| s.collective == collective && s.realloc == realloc)
+                .expect("the grid holds every pair");
+            outcome.results[i].outcome.as_ref().unwrap().clone()
+        });
+        if collective == "halving-doubling" {
+            for report in [&full, &incremental] {
+                let network = report.get("network").expect("network counters");
+                let reschedules = network.get("reschedules");
+                assert!(
+                    matches!(reschedules, Some(serde::Value::UInt(n)) if *n > 0),
+                    "{network:?}"
+                );
+            }
+        }
+        assert_eq!(
+            serde_json::to_string(&full).unwrap(),
+            serde_json::to_string(&incremental).unwrap(),
+            "{collective}"
+        );
+    }
 }
 
 fn temp_path(tag: &str) -> PathBuf {
