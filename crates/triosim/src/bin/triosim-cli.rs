@@ -454,6 +454,38 @@ fn apply_sim_flags<'a>(
     Ok(builder)
 }
 
+/// Attaches a recorder with one deterministic output file per
+/// `--events`/`--trace-events`/`--metrics` flag, pushing onto `created`
+/// each path that did not exist before.
+fn attach_sinks<'a, 'o>(
+    mut builder: SimBuilder<'a>,
+    opts: &'o HashMap<String, String>,
+    created: &mut Vec<&'o String>,
+) -> Result<SimBuilder<'a>, String> {
+    let mut recorder = RunRecorder::new();
+    for key in ["events", "trace-events", "metrics"] {
+        let Some(path) = opts.get(key) else {
+            continue;
+        };
+        let new = std::fs::symlink_metadata(path).is_err();
+        let file = std::fs::File::create(path)
+            .map(std::io::BufWriter::new)
+            .map_err(|e| format!("{path}: {e}"))?;
+        if new {
+            created.push(path);
+        }
+        recorder.push(match key {
+            "events" => Box::new(JsonlSink::new(file)),
+            "trace-events" => Box::new(ChromeTraceSink::new(file)),
+            _ => Box::new(PrometheusSink::new(file)),
+        });
+    }
+    if !recorder.is_empty() {
+        builder = builder.recorder(Box::new(recorder));
+    }
+    Ok(builder)
+}
+
 /// Runs the configured builder, routing through the profiled session
 /// path when `--profile` was given. Profiling never changes the report.
 fn run_builder(
@@ -498,40 +530,23 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {
         builder = builder.sample_period(TimeSpan::from_micros(us));
     }
 
-    // Observability sinks: each flag adds one deterministic output file.
-    let create = |path: &String| -> Result<std::io::BufWriter<std::fs::File>, String> {
-        std::fs::File::create(path)
-            .map(std::io::BufWriter::new)
-            .map_err(|e| format!("{path}: {e}"))
-    };
-    let mut recorder = RunRecorder::new();
-    if let Some(path) = opts.get("events") {
-        recorder.push(Box::new(JsonlSink::new(create(path)?)));
-    }
-    if let Some(path) = opts.get("trace-events") {
-        recorder.push(Box::new(ChromeTraceSink::new(create(path)?)));
-    }
-    if let Some(path) = opts.get("metrics") {
-        recorder.push(Box::new(PrometheusSink::new(create(path)?)));
-    }
-    if !recorder.is_empty() {
-        builder = builder.recorder(Box::new(recorder));
-    }
     if opts.contains_key("progress") {
         builder = builder.progress(ProgressMonitor::new());
     }
-    // A failed run deletes the sink files it left empty, so a run
-    // rejected before it simulates leaves nothing behind; a run that
-    // failed midway keeps its flushed partial output.
-    let (report, profile) = run_builder(builder, opts).inspect_err(|_| {
-        for key in ["events", "trace-events", "metrics"] {
-            if let Some(path) = opts.get(key) {
-                if std::fs::metadata(path).is_ok_and(|m| m.len() == 0) {
+    // A failed run deletes the sink files it created that are still
+    // empty, so a run rejected before it simulates leaves nothing behind;
+    // a run that failed midway keeps its flushed partial output. Paths
+    // that existed before the run (a device, a symlink) are never removed.
+    let mut created = Vec::new();
+    let (report, profile) = attach_sinks(builder, opts, &mut created)
+        .and_then(|builder| run_builder(builder, opts))
+        .inspect_err(|_| {
+            for path in &created {
+                if std::fs::symlink_metadata(path).is_ok_and(|m| m.is_file() && m.len() == 0) {
                     std::fs::remove_file(path).ok();
                 }
             }
-        }
-    })?;
+        })?;
 
     if let Some(out) = opts.get("report") {
         let mut line = report.to_canonical_string();

@@ -637,6 +637,14 @@ impl<'a> Executor<'a> {
                 st.dispatches.len()
             )));
         }
+        // Builds that queued monitor ticks and fault injections counted
+        // them here, and in the queue counters this build cannot restore.
+        if st.dispatches[2..] != [0, 0] {
+            return Err(corrupt(format!(
+                "retired dispatch slots hold {:?}: written by a build that queued ticks and faults",
+                &st.dispatches[2..]
+            )));
+        }
         if st.gpu_busy.len() != self.gpus.len() {
             return Err(corrupt(format!(
                 "snapshot has {} GPUs, scenario has {}",
@@ -1314,9 +1322,6 @@ impl<'a> Executor<'a> {
     /// Seeds the graph's roots at the current virtual time and drains the
     /// event queue.
     fn run_once(&mut self) {
-        // Fault entries and samples fall due between events; only a run
-        // that has either looks at the next event before popping it.
-        let between = self.sampling || self.faults.is_some();
         self.iter_begin = self.queue.now();
         self.attr_start.fill(NOT_RUN);
         self.attr_end.fill(NOT_RUN);
@@ -1339,12 +1344,7 @@ impl<'a> Executor<'a> {
         self.next_sample = self.queue.now() + self.obs.sample_period;
 
         loop {
-            let next = if between {
-                self.pop_after_due()
-            } else {
-                self.queue.pop()
-            };
-            let Some((now, event)) = next else {
+            let Some((now, event)) = self.pop_after_due() else {
                 return;
             };
             debug_assert_ne!(
@@ -1423,22 +1423,23 @@ impl<'a> Executor<'a> {
     /// later than the next event, in time order (a fault first at a shared
     /// instant), then pops that event. `None` once the queue is drained or
     /// a fault has stopped the run, so nothing falls due after the last
-    /// event.
+    /// event. A run with no fault plan and no sampler never peeks.
     fn pop_after_due(&mut self) -> Option<(VirtualTime, Event)> {
         loop {
-            let next = self.queue.peek_time()?;
-            let fault = self.next_fault_at().filter(|&at| at <= next);
-            let sample = Some(self.next_sample).filter(|&at| self.sampling && at <= next);
-            match (fault, sample) {
-                (Some(f), Some(s)) if s < f => self.sample(s),
-                (Some(f), _) => {
-                    self.apply_fault(f);
-                    if self.stop_error.is_some() {
-                        return None;
+            let fault = self.next_fault_at();
+            let sample = self.sampling.then_some(self.next_sample);
+            match fault.into_iter().chain(sample).min() {
+                Some(at) if at <= self.queue.peek_time()? => {
+                    if fault == Some(at) {
+                        self.apply_fault(at);
+                        if self.stop_error.is_some() {
+                            return None;
+                        }
+                    } else {
+                        self.sample(at);
                     }
                 }
-                (None, Some(s)) => self.sample(s),
-                (None, None) => return self.queue.pop(),
+                _ => return self.queue.pop(),
             }
         }
     }
@@ -2066,9 +2067,14 @@ mod tests {
         let plain = run(Observability::off());
         let buf = SharedBuf::default();
         assert_eq!(plain, run(jsonl_obs(&buf)));
-        // Samples were really taken: gauges along the way.
+        // Samples were really taken: gauges along the way, the link's
+        // utilization among them.
         let out = buf.take_string();
         assert!(out.contains("triosim_queue_depth"), "{out}");
+        assert!(
+            out.contains(r#""name":"triosim_link_utilization""#),
+            "{out}"
+        );
         // A period far shorter than any event gap samples many times
         // between two events and still changes no byte.
         let buf = SharedBuf::default();

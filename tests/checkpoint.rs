@@ -198,69 +198,147 @@ fn observability_composes_with_snapshots() {
     assert_eq!(plain, progressed.to_canonical_json());
 }
 
+/// One sampled gauge of a JSONL recording: its time in femtoseconds, its
+/// link label (empty for unlabelled gauges), its value, and the line.
+struct Gauge {
+    at: u64,
+    link: String,
+    value: f64,
+    line: String,
+}
+
+/// The gauges named `names` in a JSONL recording, in recorded order.
+fn gauges(jsonl: &str, names: &[&str]) -> Vec<Gauge> {
+    jsonl
+        .lines()
+        .filter_map(|line| {
+            let v: serde::Value = serde_json::from_str(line).expect("a JSONL line");
+            let text = |key: &str| match v.get(key) {
+                Some(serde::Value::Str(s)) => s.clone(),
+                _ => String::new(),
+            };
+            if text("ev") != "gauge" || !names.contains(&text("name").as_str()) {
+                return None;
+            }
+            let field = |key| v.get(key).expect("gauges carry a time and a value");
+            Some(Gauge {
+                at: u64::from_value(field("t_fs")).expect("femtos"),
+                link: match v.get("labels").and_then(|l| l.get("link")) {
+                    Some(serde::Value::Str(s)) => s.clone(),
+                    _ => String::new(),
+                },
+                value: f64::from_value(field("value")).expect("a number"),
+                line: line.to_string(),
+            })
+        })
+        .collect()
+}
+
 /// The sampled gauges of an observed run restored at a boundary equal the
 /// uninterrupted observed run's at every sample after the restored run's
-/// first. (The first differs in its utilization window: the uninterrupted
-/// run's opens at its previous sample, the restored run's at the
-/// boundary.)
+/// first, and every sample covers every link. The first differs in its
+/// utilization window: the uninterrupted run's opens at its previous
+/// sample, the restored run's at the boundary, from the busy time each
+/// link had there.
 #[test]
 fn restored_observed_run_samples_like_the_uninterrupted_one() {
     let t = trace(ModelId::ResNet18, 16);
     let p = Platform::p2(2);
     let (n, k) = (4, 2);
-    let sampled = |b: SimBuilder<'_>| {
+    // The first window after the boundary holds the input copy's delivery.
+    let period_us = 500.0;
+    let recorded = |b: SimBuilder<'_>, period_us: f64| {
         let buf = SharedBuf::default();
         let mut recorder = RunRecorder::new();
         recorder.push(Box::new(JsonlSink::new(buf.clone())));
         b.recorder(Box::new(recorder))
-            .sample_period(TimeSpan::from_micros(200.0))
+            .sample_period(TimeSpan::from_micros(period_us))
             .try_run()
             .expect("observed run completes");
         let out = String::from_utf8(buf.0.lock().expect("unpoisoned").clone()).expect("utf-8");
-        out.lines()
-            .filter(|l| {
-                [
-                    "triosim_queue_depth",
-                    "triosim_net_flows_in_flight",
-                    "triosim_link_utilization",
-                ]
-                .iter()
-                .any(|name| l.contains(&format!(r#""name":"{name}""#)))
-            })
-            .map(|l| {
-                let at = &l[l.find(r#""t_fs":"#).expect("gauges carry a time") + 7..];
-                let at: u64 = at[..at.find(',').expect("more fields")]
-                    .parse()
-                    .expect("femtos");
-                (at, l.to_string())
-            })
-            .collect::<Vec<_>>()
+        out
     };
-    let uninterrupted = sampled(SimBuilder::new(&t, &p).iterations(n));
+    let sampled = [
+        "triosim_queue_depth",
+        "triosim_net_flows_in_flight",
+        "triosim_link_utilization",
+    ];
+    let whole = recorded(SimBuilder::new(&t, &p).iterations(n), period_us);
+    let uninterrupted = gauges(&whole, &sampled);
+    // Every link, as the end-of-run busy-time counters name them.
+    let links: std::collections::BTreeSet<String> = whole
+        .lines()
+        .filter(|l| l.contains(r#""name":"triosim_link_busy_seconds_total""#))
+        .map(|l| {
+            let v: serde::Value = serde_json::from_str(l).expect("a JSONL line");
+            match v.get("labels").and_then(|l| l.get("link")) {
+                Some(serde::Value::Str(s)) => s.clone(),
+                other => panic!("no link label: {other:?}"),
+            }
+        })
+        .collect();
+    assert!(links.len() > 1, "{links:?}");
     let path = temp_path("sampled");
     SimBuilder::new(&t, &p)
         .iterations(k)
         .checkpoint(&path, k)
         .try_run()
         .expect("prefix run completes");
-    let restored = sampled(SimBuilder::new(&t, &p).iterations(n).restore(&path));
+    let restore = || SimBuilder::new(&t, &p).iterations(n).restore(&path);
+    let restored = gauges(&recorded(restore(), period_us), &sampled);
+    let coarse = gauges(&recorded(restore(), 2.0 * period_us), &sampled);
     std::fs::remove_file(&path).ok();
-    let first = restored.first().expect("the restored run samples").0;
-    let after = |samples: &[(u64, String)]| {
+    let first = restored.first().expect("the restored run samples").at;
+    let after = |samples: &[Gauge]| {
         samples
             .iter()
-            .filter(|(at, _)| *at > first)
-            .map(|(_, line)| line.clone())
+            .filter(|g| g.at > first)
+            .map(|g| g.line.clone())
             .collect::<Vec<_>>()
     };
     assert!(after(&restored).len() > 100, "{} samples", restored.len());
     assert_eq!(after(&restored), after(&uninterrupted));
+    // Every sample of the restored run gauges every link's utilization.
+    let utilization = |samples: &[Gauge], at: u64| {
+        samples
+            .iter()
+            .filter(|g| g.at == at && g.line.contains("triosim_link_utilization"))
+            .map(|g| (g.link.clone(), g.value))
+            .collect::<std::collections::BTreeMap<_, _>>()
+    };
+    let mut times: Vec<u64> = restored.iter().map(|g| g.at).collect();
+    times.dedup();
+    for &at in &times {
+        let gauged: Vec<_> = utilization(&restored, at).into_keys().collect();
+        assert!(gauged.iter().eq(&links), "at {at} fs: {gauged:?}");
+    }
+    // The first window opens at the boundary: its busy time and the second
+    // window's add up to that of a window twice as long opened there.
+    let second = times[1];
+    assert_eq!(second - first, (period_us * 1e9) as u64);
+    assert_eq!(coarse.first().expect("the coarse run samples").at, second);
+    let (u1, u2) = (
+        utilization(&restored, first),
+        utilization(&restored, second),
+    );
+    let w = utilization(&coarse, second);
+    for link in &links {
+        let (u1, u2, w) = (u1[link], u2[link], w[link]);
+        assert!(
+            (u1 + u2 - 2.0 * w).abs() < 1e-9,
+            "{link}: {u1} + {u2} != 2 x {w}"
+        );
+    }
+    assert!(
+        links.iter().any(|l| u2[l] < 1.0) && links.iter().any(|l| u1[l] > 0.0),
+        "the windows show no partial traffic: {u1:?} {u2:?}"
+    );
 }
 
-/// When `simulate` fails it deletes each sink file it left empty, so a
-/// run rejected before it simulates leaves nothing behind, while a run
-/// that fails midway keeps its flushed partial output. Sinks compose with
-/// `--checkpoint` and `--restore`.
+/// When `simulate` fails it deletes each sink file it created and left
+/// empty, so a run rejected before it simulates leaves nothing behind,
+/// while a run that fails midway keeps its flushed partial output. Sinks
+/// compose with `--checkpoint` and `--restore`.
 #[test]
 fn simulate_deletes_the_empty_sinks_of_a_failed_run() {
     let bin = env!("CARGO_BIN_EXE_triosim-cli");
@@ -305,6 +383,31 @@ fn simulate_deletes_the_empty_sinks_of_a_failed_run() {
         assert_eq!(out.status.code(), Some(1), "{stem}: {out:?}");
         assert_eq!(written, [None; 3], "{stem} left sink files");
     }
+    // A sink path that existed before the run is never deleted, though it
+    // reads as empty: here a symlink to /dev/null.
+    #[cfg(unix)]
+    {
+        let null = dir.join("null.events");
+        std::os::unix::fs::symlink("/dev/null", &null).expect("symlink made");
+        let (out, written) = simulate("null", &["--faults", "gpu9.json"]);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        assert_eq!(written, [Some(0), None, None]);
+        assert!(
+            std::fs::symlink_metadata(&null).is_ok_and(|m| m.file_type().is_symlink()),
+            "the symlink was deleted"
+        );
+    }
+    // A sink that cannot be created fails the run before it starts, and
+    // the sink created before it is deleted.
+    let out = std::process::Command::new(bin)
+        .args(["simulate", "--platform", "p2:2", "--trace"])
+        .arg(&trace)
+        .args(["--events", "first.events", "--metrics", "no/such/dir.prom"])
+        .current_dir(&dir)
+        .output()
+        .expect("simulate subcommand runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(!dir.join("first.events").exists(), "the first sink stayed");
     // A GPU lost 1 ms in fails midway: its partial trace stays.
     let plan = r#"{"gpu_dropouts":[{"gpu":1,"at_s":0.001}]}"#;
     std::fs::write(dir.join("drop.json"), plan).expect("plan written");
@@ -624,6 +727,38 @@ fn snapshot_with_more_iterations_than_requested_is_corrupt() {
         SimError::Checkpoint(CheckpointError::Corrupt(_))
     ));
     std::fs::remove_file(&path).ok();
+}
+
+/// Builds that queued monitor ticks and fault injections counted them in
+/// a snapshot's last two dispatch slots, and in queue counters this build
+/// cannot reproduce: such a snapshot is corrupt, so its scenario reruns
+/// from the start.
+#[test]
+fn snapshot_with_retired_dispatch_counts_is_corrupt() {
+    let t = trace(ModelId::Vgg11, 8);
+    let p = Platform::p2(2);
+    let path = temp_path("retired");
+    SimBuilder::new(&t, &p)
+        .iterations(2)
+        .checkpoint(&path, 2)
+        .try_run()
+        .expect("run completes");
+    let text = std::fs::read_to_string(&path).expect("snapshot readable");
+    let at = text.find(r#""dispatches":["#).expect("dispatch counters");
+    let end = at + text[at..].find(']').expect("a closed list");
+    assert!(text[..end].ends_with(",0,0"), "{}", &text[at..=end]);
+    let edited = format!("{},0,3{}", &text[..end - 4], &text[end..]);
+    std::fs::write(&path, edited).expect("write scratch file");
+    let err = SimBuilder::new(&t, &p)
+        .iterations(4)
+        .restore(&path)
+        .try_run()
+        .expect_err("three injections in a retired slot must fail");
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(err, SimError::Checkpoint(CheckpointError::Corrupt(_))),
+        "{err:?}"
+    );
 }
 
 proptest! {
