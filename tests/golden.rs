@@ -17,10 +17,13 @@
 mod common;
 
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 use serde::Value;
 use triosim::{Parallelism, Platform, Replay, SimBuilder};
+use triosim_des::{fnv1a, TimeSpan, FNV_OFFSET};
 use triosim_modelzoo::ModelId;
+use triosim_obs::{ChromeTraceSink, JsonlSink, PrometheusSink, RunRecorder};
 use triosim_trace::{GpuModel, Tracer};
 
 fn golden_dir() -> PathBuf {
@@ -106,10 +109,7 @@ fn golden_hp() {
 /// FNV-1a over `bytes`, as 16 hex digits: keeps a large export's
 /// snapshot small.
 fn fnv_hex(bytes: &[u8]) -> String {
-    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    format!("{digest:016x}")
+    format!("{:016x}", fnv1a(FNV_OFFSET, bytes))
 }
 
 /// The exported timeline of a replayed run. The canonical form digests
@@ -152,6 +152,87 @@ fn golden_timeline_export() {
     ]);
     let actual = serde_json::to_string(&export).expect("export digest JSON is finite");
     check_snapshot("export_ddp", &actual);
+}
+
+/// A writer that keeps everything written through it, readable after the
+/// run consumed the recorder that owns a clone.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("unpoisoned").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The three sink outputs of one observed run, as `simulate` writes them
+/// to `--events` (JSONL), `--trace-events` (Chrome) and `--metrics`
+/// (Prometheus): the golden DDP scenario for one iteration, sampled every
+/// 1 ms, so the files hold spans, samples with link traffic and the
+/// end-of-run metrics. Each sink is pinned by its byte length, line count
+/// and FNV-1a digest; a mismatch names the sinks whose bytes moved.
+#[test]
+fn golden_sinks() {
+    let trace = Tracer::new(GpuModel::A40).trace(&ModelId::Vgg11.build(8));
+    let platform = Platform::p2(2);
+    let sinks = ["events", "trace_events", "metrics"].map(|name| (name, SharedBuf::default()));
+    let mut recorder = RunRecorder::new();
+    recorder.push(Box::new(JsonlSink::new(sinks[0].1.clone())));
+    recorder.push(Box::new(ChromeTraceSink::new(sinks[1].1.clone())));
+    recorder.push(Box::new(PrometheusSink::new(sinks[2].1.clone())));
+    SimBuilder::new(&trace, &platform)
+        .parallelism(Parallelism::DataParallel { overlap: true })
+        .recorder(Box::new(recorder))
+        .sample_period(TimeSpan::from_millis(1.0))
+        .try_run()
+        .expect("observed run completes");
+    let digest = |buf: &SharedBuf| {
+        let bytes = buf.0.lock().expect("unpoisoned");
+        let lines = bytes.iter().filter(|&&b| b == b'\n').count();
+        Value::Object(vec![
+            ("bytes".to_string(), Value::UInt(bytes.len() as u64)),
+            ("lines".to_string(), Value::UInt(lines as u64)),
+            ("fnv".to_string(), Value::Str(fnv_hex(&bytes))),
+        ])
+    };
+    let actual = Value::Object(
+        sinks
+            .iter()
+            .map(|(name, buf)| (name.to_string(), digest(buf)))
+            .collect(),
+    );
+    let path = golden_dir().join("sinks_ddp.json");
+    let text = serde_json::to_string(&actual).expect("sink digests are finite");
+    if bless_mode() {
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
+        return;
+    }
+    let expected: Value = std::fs::read_to_string(&path)
+        .ok()
+        .and_then(|s| serde_json::from_str(&s).ok())
+        .unwrap_or_else(|| {
+            panic!(
+                "missing or unreadable golden {}; run `TRIOSIM_BLESS=1 cargo test --test golden` \
+                 and commit the result",
+                path.display()
+            )
+        });
+    let moved: Vec<&str> = sinks
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|name| actual.get(name) != expected.get(name))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "\nthe {moved:?} sink output drifted from `sinks_ddp`.\n\
+         If this change is intentional, re-bless with \
+         `TRIOSIM_BLESS=1 cargo test --test golden` and commit the diff.\n\
+         actual  : {text}\n"
+    );
 }
 
 /// The golden quartet under steady-state replay: a 1-iteration run
