@@ -9,9 +9,11 @@
 //! * [`ring_all_reduce`] — the ring algorithm the paper describes in §2
 //!   (reduce-scatter phase + all-gather phase, `2(n-1)` steps of `B/n`
 //!   bytes per rank).
-//! * [`ring_reduce_scatter`], [`ring_all_gather`], [`ring_broadcast`],
-//!   [`all_to_all`], [`point_to_point`] — the reduce/scatter/gather
-//!   process primitives §4.3 lists.
+//! * [`tree_all_reduce`], [`halving_doubling_all_reduce`] and
+//!   [`ring_all_reduce_unsegmented`] — the alternative AllReduce
+//!   algorithms a run can select instead of the ring.
+//! * [`ring_all_gather`] — the all-gather half of the ring, which tensor
+//!   parallelism emits.
 //! * [`GradientBucketizer`] — PyTorch-DDP-style gradient bucketing, which
 //!   drives the paper's distributed-data-parallel overlap of AllReduce
 //!   with backward propagation.
@@ -43,7 +45,6 @@ mod schedule;
 
 pub use bucket::{Bucket, GradientBucketizer};
 pub use schedule::{
-    all_to_all, halving_doubling_all_reduce, point_to_point, ring_all_gather, ring_all_reduce,
-    ring_all_reduce_unsegmented, ring_broadcast, ring_reduce_scatter, tree_all_reduce,
-    CollectiveKind, CollectiveSchedule, CommTask, Rank,
+    halving_doubling_all_reduce, ring_all_gather, ring_all_reduce, ring_all_reduce_unsegmented,
+    tree_all_reduce, CollectiveKind, CollectiveSchedule, CommTask, Rank,
 };

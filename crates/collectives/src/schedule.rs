@@ -35,16 +35,8 @@ pub struct CommTask {
 pub enum CollectiveKind {
     /// Reduce + broadcast of the reduction: every rank ends with the sum.
     AllReduce,
-    /// Each rank ends with one reduced shard.
-    ReduceScatter,
     /// Each rank ends with every rank's shard.
     AllGather,
-    /// One root's buffer propagates to all ranks.
-    Broadcast,
-    /// Every rank sends a distinct shard to every other rank.
-    AllToAll,
-    /// A single point-to-point transfer.
-    PointToPoint,
 }
 
 impl CollectiveKind {
@@ -53,11 +45,7 @@ impl CollectiveKind {
     pub fn name(&self) -> &'static str {
         match self {
             CollectiveKind::AllReduce => "allreduce",
-            CollectiveKind::ReduceScatter => "reduce_scatter",
             CollectiveKind::AllGather => "allgather",
-            CollectiveKind::Broadcast => "broadcast",
-            CollectiveKind::AllToAll => "alltoall",
-            CollectiveKind::PointToPoint => "p2p",
         }
     }
 }
@@ -295,29 +283,6 @@ pub fn halving_doubling_all_reduce(ranks: usize, bytes: u64) -> CollectiveSchedu
     CollectiveSchedule::new(CollectiveKind::AllReduce, ranks, bytes, steps)
 }
 
-/// Ring reduce-scatter: the first half of ring AllReduce (`n-1` steps).
-///
-/// # Panics
-///
-/// Panics if `ranks < 2` or `bytes == 0`.
-pub fn ring_reduce_scatter(ranks: usize, bytes: u64) -> CollectiveSchedule {
-    check_group(ranks);
-    assert!(bytes > 0, "empty ReduceScatter payload");
-    let chunk = shard(bytes, ranks);
-    let steps = (0..ranks - 1)
-        .map(|_| {
-            (0..ranks)
-                .map(|i| CommTask {
-                    src: Rank(i),
-                    dst: Rank((i + 1) % ranks),
-                    bytes: chunk,
-                })
-                .collect()
-        })
-        .collect();
-    CollectiveSchedule::new(CollectiveKind::ReduceScatter, ranks, bytes, steps)
-}
-
 /// Ring all-gather: the second half of ring AllReduce (`n-1` steps).
 ///
 /// # Panics
@@ -341,69 +306,6 @@ pub fn ring_all_gather(ranks: usize, bytes: u64) -> CollectiveSchedule {
     CollectiveSchedule::new(CollectiveKind::AllGather, ranks, bytes, steps)
 }
 
-/// Pipelined ring broadcast from `root`: the payload travels around the
-/// ring in `n-1` steps.
-///
-/// # Panics
-///
-/// Panics if `ranks < 2`, `bytes == 0`, or `root` is out of range.
-pub fn ring_broadcast(ranks: usize, bytes: u64, root: Rank) -> CollectiveSchedule {
-    check_group(ranks);
-    assert!(bytes > 0, "empty Broadcast payload");
-    assert!(root.0 < ranks, "broadcast root out of range");
-    let steps = (0..ranks - 1)
-        .map(|s| {
-            let src = (root.0 + s) % ranks;
-            vec![CommTask {
-                src: Rank(src),
-                dst: Rank((src + 1) % ranks),
-                bytes,
-            }]
-        })
-        .collect();
-    CollectiveSchedule::new(CollectiveKind::Broadcast, ranks, bytes, steps)
-}
-
-/// AllToAll: every rank sends a distinct `B/n` shard to every other rank,
-/// all concurrently (one step).
-///
-/// # Panics
-///
-/// Panics if `ranks < 2` or `bytes == 0`.
-pub fn all_to_all(ranks: usize, bytes: u64) -> CollectiveSchedule {
-    check_group(ranks);
-    assert!(bytes > 0, "empty AllToAll payload");
-    let chunk = shard(bytes, ranks);
-    let tasks = (0..ranks)
-        .flat_map(|i| {
-            (0..ranks).filter(move |&j| j != i).map(move |j| CommTask {
-                src: Rank(i),
-                dst: Rank(j),
-                bytes: chunk,
-            })
-        })
-        .collect();
-    CollectiveSchedule::new(CollectiveKind::AllToAll, ranks, bytes, vec![tasks])
-}
-
-/// A single point-to-point transfer, as a one-step schedule (pipeline
-/// parallelism's stage-to-stage activation sends).
-///
-/// # Panics
-///
-/// Panics if `src == dst` or `bytes == 0`.
-pub fn point_to_point(src: Rank, dst: Rank, bytes: u64) -> CollectiveSchedule {
-    assert!(src != dst, "point-to-point needs distinct ranks");
-    assert!(bytes > 0, "empty transfer");
-    let ranks = src.0.max(dst.0) + 1;
-    CollectiveSchedule::new(
-        CollectiveKind::PointToPoint,
-        ranks,
-        bytes,
-        vec![vec![CommTask { src, dst, bytes }]],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,14 +325,14 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_plus_all_gather_equals_allreduce() {
+    fn all_gather_is_half_an_allreduce() {
         let n = 4;
         let b = 4_000_000;
-        let rs = ring_reduce_scatter(n, b);
         let ag = ring_all_gather(n, b);
         let ar = ring_all_reduce(n, b);
-        assert_eq!(rs.total_bytes() + ag.total_bytes(), ar.total_bytes());
-        assert_eq!(rs.step_count() + ag.step_count(), ar.step_count());
+        assert_eq!(ag.step_count(), n - 1);
+        assert_eq!(2 * ag.total_bytes(), ar.total_bytes());
+        assert_eq!(ag.kind(), CollectiveKind::AllGather);
     }
 
     #[test]
@@ -445,35 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_travels_the_ring() {
-        let s = ring_broadcast(4, 100, Rank(2));
-        assert_eq!(s.step_count(), 3);
-        let path: Vec<(usize, usize)> = s
-            .steps()
-            .iter()
-            .map(|st| (st[0].src.0, st[0].dst.0))
-            .collect();
-        assert_eq!(path, vec![(2, 3), (3, 0), (0, 1)]);
-    }
-
-    #[test]
-    fn all_to_all_is_one_dense_step() {
-        let s = all_to_all(4, 4000);
-        assert_eq!(s.step_count(), 1);
-        assert_eq!(s.steps()[0].len(), 12); // 4 * 3
-        assert_eq!(s.total_bytes(), 12 * 1000);
-    }
-
-    #[test]
-    fn p2p_single_task() {
-        let s = point_to_point(Rank(1), Rank(3), 42);
-        assert_eq!(s.step_count(), 1);
-        assert_eq!(s.bytes_sent_by(Rank(1)), 42);
-        assert_eq!(s.bytes_sent_by(Rank(3)), 0);
-        assert_eq!(s.kind(), CollectiveKind::PointToPoint);
-    }
-
-    #[test]
     fn shard_rounds_up() {
         // 10 bytes over 4 ranks: 3-byte shards (ceil), nothing lost.
         let s = ring_all_reduce(4, 10);
@@ -484,12 +357,6 @@ mod tests {
     #[should_panic(expected = "at least two ranks")]
     fn single_rank_rejected() {
         let _ = ring_all_reduce(1, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "root out of range")]
-    fn broadcast_root_checked() {
-        let _ = ring_broadcast(4, 100, Rank(4));
     }
 
     #[test]
@@ -554,7 +421,6 @@ mod tests {
     #[test]
     fn kind_names_are_stable_labels() {
         assert_eq!(CollectiveKind::AllReduce.name(), "allreduce");
-        assert_eq!(CollectiveKind::ReduceScatter.name(), "reduce_scatter");
-        assert_eq!(format!("{}", CollectiveKind::AllToAll), "alltoall");
+        assert_eq!(format!("{}", CollectiveKind::AllGather), "allgather");
     }
 }

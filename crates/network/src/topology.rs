@@ -71,11 +71,6 @@ pub enum TopologyError {
         /// The rejected latency value.
         latency: f64,
     },
-    /// A node cannot reach the rest of the topology.
-    Disconnected {
-        /// The unreachable node.
-        node: NodeId,
-    },
 }
 
 impl fmt::Display for TopologyError {
@@ -98,9 +93,6 @@ impl fmt::Display for TopologyError {
                 f,
                 "link {src}->{dst}: latency {latency} must be finite and non-negative"
             ),
-            TopologyError::Disconnected { node } => {
-                write!(f, "topology is not connected: {node} is unreachable")
-            }
         }
     }
 }
@@ -307,32 +299,6 @@ impl Topology {
     /// Whether a link is currently up (links start up).
     pub fn is_link_up(&self, link: LinkId) -> bool {
         self.links[link.0].is_up()
-    }
-
-    /// Checks that every node can be reached from node 0 by following
-    /// *up* links (ignoring transit restrictions — this is graph
-    /// connectivity, not routability).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::Disconnected`] naming the first
-    /// unreachable node.
-    pub fn validate_connected(&self) -> Result<(), TopologyError> {
-        let mut visited = vec![false; self.nodes];
-        visited[0] = true;
-        let mut queue = VecDeque::from([NodeId(0)]);
-        while let Some(node) = queue.pop_front() {
-            for &(next, link) in &self.adjacency[node.0] {
-                if self.links[link.0].is_up() && !visited[next.0] {
-                    visited[next.0] = true;
-                    queue.push_back(next);
-                }
-            }
-        }
-        match visited.iter().position(|&v| !v) {
-            None => Ok(()),
-            Some(n) => Err(TopologyError::Disconnected { node: NodeId(n) }),
-        }
     }
 
     /// Shortest path (fewest hops; deterministic tie-break by insertion
@@ -690,22 +656,5 @@ mod tests {
         // Repair restores the direct route.
         t.set_link_up(direct[0], true);
         assert_eq!(t.route(NodeId(0), NodeId(1)).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn connectivity_validation_names_the_node() {
-        let t = Topology::ring(4, 1e9, 0.0);
-        assert!(t.validate_connected().is_ok());
-        let mut chain = Topology::chain(3, 1e9, 0.0);
-        // Cut both directions of the 1<->2 hop: node 2 becomes an island.
-        let l12 = chain.route(NodeId(1), NodeId(2)).unwrap()[0];
-        let l21 = chain.route(NodeId(2), NodeId(1)).unwrap()[0];
-        chain.set_link_up(l12, false);
-        chain.set_link_up(l21, false);
-        let err = chain.validate_connected().unwrap_err();
-        assert_eq!(err, TopologyError::Disconnected { node: NodeId(2) });
-        assert!(err.to_string().contains("n2"), "got: {err}");
-        let isolated = Topology::new(2);
-        assert!(isolated.validate_connected().is_err());
     }
 }

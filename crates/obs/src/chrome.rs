@@ -13,14 +13,7 @@ use std::io::{self, Write};
 use serde::Value;
 use triosim_des::VirtualTime;
 
-use crate::{micros, Attr, Label, Recorder, SpanId};
-
-struct OpenSpan {
-    begin: VirtualTime,
-    tid: usize,
-    name: String,
-    args: Value,
-}
+use crate::{micros, Attr, Label, Recorder};
 
 /// A streaming Chrome trace-event sink over any [`Write`] target.
 ///
@@ -39,7 +32,6 @@ struct OpenSpan {
 pub struct ChromeTraceSink<W: Write> {
     out: W,
     tracks: Vec<String>,
-    open: Vec<Option<OpenSpan>>,
     any_written: bool,
     error: Option<io::Error>,
 }
@@ -50,7 +42,6 @@ impl<W: Write> ChromeTraceSink<W> {
         ChromeTraceSink {
             out,
             tracks: Vec::new(),
-            open: Vec::new(),
             any_written: false,
             error: None,
         }
@@ -123,42 +114,6 @@ fn counter_name(name: &str, labels: &[Label<'_>]) -> String {
 }
 
 impl<W: Write> Recorder for ChromeTraceSink<W> {
-    fn span_begin(
-        &mut self,
-        now: VirtualTime,
-        track: &str,
-        name: &str,
-        attrs: &[Attr<'_>],
-    ) -> SpanId {
-        let tid = self.tid(track);
-        let id = SpanId(self.open.len() as u64);
-        self.open.push(Some(OpenSpan {
-            begin: now,
-            tid,
-            name: name.to_string(),
-            args: args_obj(attrs),
-        }));
-        id
-    }
-
-    fn span_end(&mut self, now: VirtualTime, span: SpanId) {
-        let Some(slot) = self.open.get_mut(span.0 as usize) else {
-            return;
-        };
-        let Some(open) = slot.take() else {
-            return;
-        };
-        self.emit(obj(vec![
-            ("name", Value::Str(open.name)),
-            ("ph", Value::Str("X".into())),
-            ("ts", Value::Float(micros(open.begin))),
-            ("dur", Value::Float(micros(now) - micros(open.begin))),
-            ("pid", Value::UInt(0)),
-            ("tid", Value::UInt(open.tid as u64)),
-            ("args", open.args),
-        ]));
-    }
-
     fn span(
         &mut self,
         track: &str,
@@ -329,17 +284,5 @@ mod tests {
         let (text, parsed) = render(|_| {});
         assert_eq!(text.trim(), "[]");
         assert_eq!(parsed.as_array().unwrap().len(), 0);
-    }
-
-    #[test]
-    fn begin_end_pairs_emit_on_end() {
-        let (_, parsed) = render(|s| {
-            let id = s.span_begin(VirtualTime::ZERO, "gpu0", "op", &[]);
-            s.span_end(VirtualTime::from_micros(4.0), id);
-        });
-        let events = parsed.as_array().unwrap();
-        let span = events.last().unwrap();
-        assert_eq!(span.get("ph"), Some(&Value::Str("X".into())));
-        assert_eq!(span.get("dur"), Some(&Value::Float(4.0)));
     }
 }

@@ -9,7 +9,7 @@ use std::io::{self, Write};
 use serde::Value;
 use triosim_des::VirtualTime;
 
-use crate::{Attr, Label, Recorder, SpanId};
+use crate::{Attr, Label, Recorder};
 
 /// A streaming JSONL sink over any [`Write`] target.
 ///
@@ -27,18 +27,13 @@ use crate::{Attr, Label, Recorder, SpanId};
 /// ```
 pub struct JsonlSink<W: Write> {
     out: W,
-    next_span: u64,
     error: Option<io::Error>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Creates a sink writing JSONL records to `out`.
     pub fn new(out: W) -> Self {
-        JsonlSink {
-            out,
-            next_span: 0,
-            error: None,
-        }
+        JsonlSink { out, error: None }
     }
 
     /// Consumes the sink and returns the underlying writer.
@@ -85,34 +80,6 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 }
 
 impl<W: Write> Recorder for JsonlSink<W> {
-    fn span_begin(
-        &mut self,
-        now: VirtualTime,
-        track: &str,
-        name: &str,
-        attrs: &[Attr<'_>],
-    ) -> SpanId {
-        let id = SpanId(self.next_span);
-        self.next_span += 1;
-        self.emit(obj(vec![
-            ("ev", Value::Str("span_begin".into())),
-            ("t_fs", Value::UInt(now.as_femtos())),
-            ("track", Value::Str(track.into())),
-            ("name", Value::Str(name.into())),
-            ("id", Value::UInt(id.0)),
-            ("attrs", attr_obj(attrs)),
-        ]));
-        id
-    }
-
-    fn span_end(&mut self, now: VirtualTime, span: SpanId) {
-        self.emit(obj(vec![
-            ("ev", Value::Str("span_end".into())),
-            ("t_fs", Value::UInt(now.as_femtos())),
-            ("id", Value::UInt(span.0)),
-        ]));
-    }
-
     fn span(
         &mut self,
         track: &str,
@@ -180,7 +147,6 @@ impl<W: Write> Recorder for JsonlSink<W> {
 impl<W: Write> fmt::Debug for JsonlSink<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JsonlSink")
-            .field("next_span", &self.next_span)
             .field("errored", &self.error.is_some())
             .finish()
     }
@@ -224,15 +190,5 @@ mod tests {
         assert_eq!(records[2].get("ev"), Some(&Value::Str("counter".into())));
         let labels = records[2].get("labels").unwrap();
         assert_eq!(labels.get("kind"), Some(&Value::Str("compute".into())));
-    }
-
-    #[test]
-    fn begin_end_pairs_share_an_id() {
-        let mut sink = JsonlSink::new(Vec::new());
-        let id = sink.span_begin(VirtualTime::ZERO, "net", "flow", &[]);
-        sink.span_end(VirtualTime::from_micros(5.0), id);
-        sink.finish().unwrap();
-        let records = lines(sink);
-        assert_eq!(records[0].get("id"), records[1].get("id"));
     }
 }

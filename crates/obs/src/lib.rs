@@ -20,9 +20,9 @@
 //! [`ProgressMonitor`], which writes human-oriented lines to stderr and is
 //! never part of a deterministic artifact.
 //!
-//! The default is [`NoopRecorder`]: every method is an empty inline body
-//! and [`Recorder::enabled`] returns `false`, so instrumented code can
-//! skip even the argument construction when nobody is listening.
+//! A [`RunRecorder`] with no sinks reports [`Recorder::enabled`] as
+//! `false`, so instrumented code can skip even the argument construction
+//! when nobody is listening.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -49,16 +49,11 @@ pub use progress::ProgressMonitor;
 pub use prometheus::PrometheusSink;
 pub use selfprof::{ProfSpan, SelfProfile, SelfProfiler};
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io;
 
 use serde::Value;
 use triosim_des::VirtualTime;
-
-/// Identifies one open span within a [`Recorder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct SpanId(pub u64);
 
 /// A typed attribute value attached to spans and instant events.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,10 +62,6 @@ pub enum AttrValue<'a> {
     Str(&'a str),
     /// An unsigned integer attribute.
     U64(u64),
-    /// A signed integer attribute.
-    I64(i64),
-    /// A floating-point attribute.
-    F64(f64),
 }
 
 impl AttrValue<'_> {
@@ -79,8 +70,6 @@ impl AttrValue<'_> {
         match *self {
             AttrValue::Str(s) => Value::Str(s.to_string()),
             AttrValue::U64(v) => Value::UInt(v),
-            AttrValue::I64(v) => Value::Int(v),
-            AttrValue::F64(v) => Value::Float(v),
         }
     }
 }
@@ -103,19 +92,7 @@ pub trait Recorder: fmt::Debug {
         true
     }
 
-    /// Opens a span named `name` on `track` at virtual time `now`.
-    fn span_begin(
-        &mut self,
-        now: VirtualTime,
-        track: &str,
-        name: &str,
-        attrs: &[Attr<'_>],
-    ) -> SpanId;
-
-    /// Closes a previously opened span at virtual time `now`.
-    fn span_end(&mut self, now: VirtualTime, span: SpanId);
-
-    /// Records a complete span in one call (begin and end both known).
+    /// Records a span named `name` on `track` from `begin` to `end`.
     fn span(
         &mut self,
         track: &str,
@@ -123,10 +100,7 @@ pub trait Recorder: fmt::Debug {
         begin: VirtualTime,
         end: VirtualTime,
         attrs: &[Attr<'_>],
-    ) {
-        let id = self.span_begin(begin, track, name, attrs);
-        self.span_end(end, id);
-    }
+    );
 
     /// Records a zero-duration event on `track` at `now`.
     fn instant(&mut self, now: VirtualTime, track: &str, name: &str, attrs: &[Attr<'_>]);
@@ -151,42 +125,6 @@ pub trait Recorder: fmt::Debug {
     fn finish(&mut self) -> io::Result<()>;
 }
 
-/// The zero-overhead default recorder: does nothing, reports disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn span_begin(&mut self, _: VirtualTime, _: &str, _: &str, _: &[Attr<'_>]) -> SpanId {
-        SpanId(0)
-    }
-
-    #[inline]
-    fn span_end(&mut self, _: VirtualTime, _: SpanId) {}
-
-    #[inline]
-    fn instant(&mut self, _: VirtualTime, _: &str, _: &str, _: &[Attr<'_>]) {}
-
-    #[inline]
-    fn counter_add(&mut self, _: &str, _: &[Label<'_>], _: f64) {}
-
-    #[inline]
-    fn gauge_set(&mut self, _: VirtualTime, _: &str, _: &[Label<'_>], _: f64) {}
-
-    #[inline]
-    fn histogram_record(&mut self, _: &str, _: &[Label<'_>], _: f64) {}
-
-    #[inline]
-    fn finish(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Fans every recording call out to a set of sinks.
 ///
 /// This is the handle a run holds: build one, [`push`](RunRecorder::push)
@@ -195,8 +133,6 @@ impl Recorder for NoopRecorder {
 #[derive(Debug, Default)]
 pub struct RunRecorder {
     sinks: Vec<Box<dyn Recorder>>,
-    next_span: u64,
-    open: HashMap<u64, Vec<SpanId>>,
 }
 
 impl RunRecorder {
@@ -224,32 +160,6 @@ impl RunRecorder {
 impl Recorder for RunRecorder {
     fn enabled(&self) -> bool {
         !self.sinks.is_empty()
-    }
-
-    fn span_begin(
-        &mut self,
-        now: VirtualTime,
-        track: &str,
-        name: &str,
-        attrs: &[Attr<'_>],
-    ) -> SpanId {
-        let id = SpanId(self.next_span);
-        self.next_span += 1;
-        let children: Vec<SpanId> = self
-            .sinks
-            .iter_mut()
-            .map(|s| s.span_begin(now, track, name, attrs))
-            .collect();
-        self.open.insert(id.0, children);
-        id
-    }
-
-    fn span_end(&mut self, now: VirtualTime, span: SpanId) {
-        if let Some(children) = self.open.remove(&span.0) {
-            for (sink, child) in self.sinks.iter_mut().zip(children) {
-                sink.span_end(now, child);
-            }
-        }
     }
 
     fn span(
@@ -311,16 +221,6 @@ pub(crate) fn micros(t: VirtualTime) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_is_disabled_and_inert() {
-        let mut r = NoopRecorder;
-        assert!(!r.enabled());
-        let id = r.span_begin(VirtualTime::ZERO, "t", "n", &[]);
-        r.span_end(VirtualTime::ZERO, id);
-        r.counter_add("c", &[], 1.0);
-        assert!(r.finish().is_ok());
-    }
 
     #[test]
     fn empty_run_recorder_is_disabled() {

@@ -11,7 +11,7 @@ use std::io::{self, Write};
 
 use triosim_des::VirtualTime;
 
-use crate::{Attr, Label, Recorder, SpanId};
+use crate::{Attr, Label, Recorder};
 
 /// Histogram bucket upper bounds, in the metric's native unit (the
 /// simulator records durations in seconds).
@@ -115,11 +115,7 @@ fn with_extra(labels: &str, extra: &str) -> String {
 }
 
 impl<W: Write> Recorder for PrometheusSink<W> {
-    fn span_begin(&mut self, _: VirtualTime, _: &str, _: &str, _: &[Attr<'_>]) -> SpanId {
-        SpanId(0)
-    }
-
-    fn span_end(&mut self, _: VirtualTime, _: SpanId) {}
+    fn span(&mut self, _: &str, _: &str, _: VirtualTime, _: VirtualTime, _: &[Attr<'_>]) {}
 
     fn instant(&mut self, _: VirtualTime, _: &str, _: &str, _: &[Attr<'_>]) {}
 

@@ -316,30 +316,6 @@ impl Platform {
     pub fn host_node(&self) -> NodeId {
         NodeId(0)
     }
-
-    /// Returns a copy whose GPU-fabric link bandwidths are scaled by the
-    /// per-link factors produced by `factor` (called once per directed
-    /// link between GPU nodes). Used by the Hop case study to inject
-    /// heterogeneous slowdowns.
-    pub fn with_scaled_gpu_links(&self, mut factor: impl FnMut(NodeId, NodeId) -> f64) -> Self {
-        let mut topo = self.topology.clone();
-        let links: Vec<_> = (0..topo.link_count())
-            .map(triosim_network::LinkId)
-            .collect();
-        for l in links {
-            let (a, b) = topo.endpoints(l);
-            if a != self.host_node() && b != self.host_node() {
-                let f = factor(a, b);
-                topo.scale_bandwidth(l, f);
-            }
-        }
-        Platform {
-            name: format!("{}-hetero", self.name),
-            gpu: self.gpu,
-            gpu_count: self.gpu_count,
-            topology: topo,
-        }
-    }
 }
 
 impl std::str::FromStr for Platform {
@@ -443,31 +419,6 @@ mod tests {
         assert_eq!(r.len(), 1, "ring neighbours");
         let r = p.topology().route(p.gpu_node(0), p.gpu_node(4)).unwrap();
         assert_eq!(r.len(), 4, "across the ring");
-    }
-
-    #[test]
-    fn scaled_links_spare_host_uplinks() {
-        let p = Platform::p2(2);
-        let slowed = p.with_scaled_gpu_links(|_, _| 0.1);
-        // GPU-GPU link slowed 10x.
-        let r = slowed
-            .topology()
-            .route(slowed.gpu_node(0), slowed.gpu_node(1))
-            .unwrap();
-        let orig = p.topology().route(p.gpu_node(0), p.gpu_node(1)).unwrap();
-        assert!(
-            (slowed.topology().bandwidth(r[0]) - 0.1 * p.topology().bandwidth(orig[0])).abs() < 1.0
-        );
-        // Host uplink untouched.
-        let hr = slowed
-            .topology()
-            .route(slowed.host_node(), slowed.gpu_node(0))
-            .unwrap();
-        let ho = p.topology().route(p.host_node(), p.gpu_node(0)).unwrap();
-        assert_eq!(
-            slowed.topology().bandwidth(hr[0]),
-            p.topology().bandwidth(ho[0])
-        );
     }
 
     #[test]
