@@ -1019,6 +1019,7 @@ impl NetworkModel for FlowNetwork {
                     bandwidth: self.topo.bandwidth(link),
                     bytes: self.link_stats[i].bytes as f64,
                     busy_s: self.link_stats[i].busy.as_seconds(),
+                    busy_through: Some(self.last_progress),
                     active_flows: self.link_flows[i].len(),
                 }
             })
@@ -1330,6 +1331,22 @@ mod tests {
         assert_eq!(net.link_stats(back[0]).bytes, 0);
         let hottest = net.hottest_links(1);
         assert_eq!(hottest[0].0, route[0]);
+    }
+
+    #[test]
+    fn busy_time_is_observed_through_the_instant_asked() {
+        let mut net = one_link_net(1e9, 0.0);
+        let (f, cmds) = net.send(VirtualTime::ZERO, NodeId(0), NodeId(1), 2_000_000);
+        let busy_at = |net: &FlowNetwork, ms: f64| {
+            net.observe_links()[0].busy_s_at(VirtualTime::from_millis(ms))
+        };
+        // Accounted only at events: nothing yet, but the link has been
+        // draining since the send.
+        assert_eq!(net.observe_links()[0].busy_s, 0.0);
+        assert!((busy_at(&net, 1.0) - 1e-3).abs() < 1e-12);
+        net.deliver(f, sched_time(&cmds, f));
+        // Idle after the delivery: the accounted time is all there is.
+        assert!((busy_at(&net, 5.0) - 2e-3).abs() < 1e-12);
     }
 
     #[test]

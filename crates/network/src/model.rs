@@ -157,8 +157,30 @@ pub struct LinkObservation {
     pub bytes: f64,
     /// Seconds during which at least one flow was draining through it.
     pub busy_s: f64,
+    /// The instant through which `busy_s` is accounted, for a model that
+    /// credits busy time at its own events (the flow tier: its last
+    /// event); `None` when `busy_s` already counts every flow in flight
+    /// (the packet tier).
+    pub busy_through: Option<VirtualTime>,
     /// Flows currently routed through the link.
     pub active_flows: usize,
+}
+
+impl LinkObservation {
+    /// Busy seconds through `now`, an instant between the model's last
+    /// event and its next: `busy_s`, plus the time since `busy_through`
+    /// while a flow is routed through the link. No flow ends and no rate
+    /// changes between two events, so the next event credits that time
+    /// too, unless it comes before any of those flows has waited out its
+    /// route latency and begun to drain: then it credits none of it.
+    pub fn busy_s_at(&self, now: VirtualTime) -> f64 {
+        match self.busy_through {
+            Some(through) if self.active_flows > 0 && through < now => {
+                self.busy_s + (now - through).as_seconds()
+            }
+            _ => self.busy_s,
+        }
+    }
 }
 
 /// An exact, mergeable snapshot of a model's cumulative statistics.

@@ -939,6 +939,9 @@ impl NetworkModel for PacketNetwork {
                     bandwidth: self.topo.bandwidth(link),
                     bytes: bytes as f64,
                     busy_s: busy.as_seconds(),
+                    // Open components count their whole replayed busy
+                    // time, ahead of the instant observed.
+                    busy_through: None,
                     active_flows: self
                         .live
                         .values()

@@ -1617,9 +1617,10 @@ impl<'a> Executor<'a> {
                 );
                 if dt > 0.0 {
                     for (l, prev) in links.iter().zip(&mut self.prev_link_busy) {
-                        let util = ((l.busy_s - *prev) / dt).clamp(0.0, 1.0);
+                        let busy = l.busy_s_at(now);
+                        let util = ((busy - *prev) / dt).clamp(0.0, 1.0);
                         r.gauge_set(now, "triosim_link_utilization", &[("link", &l.label)], util);
-                        *prev = l.busy_s;
+                        *prev = busy;
                     }
                 }
             }

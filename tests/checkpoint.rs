@@ -335,6 +335,76 @@ fn restored_observed_run_samples_like_the_uninterrupted_one() {
     );
 }
 
+/// Each link's utilization windows add up to its busy time. ResNet-18
+/// DDP on `p2:2`, sampled every 200 µs, leaves every link idle after its
+/// last sample, so utilization × window, summed over a link's samples,
+/// equals its end-of-run `triosim_link_busy_seconds_total` to 1e-9 s, and
+/// no window reads above 1. The flow tier accounts busy time at its own
+/// events; a window must count the time a link has been draining up to
+/// the sample, not wait for the event that ends the drain.
+#[test]
+fn utilization_windows_sum_to_link_busy_time() {
+    let t = trace(ModelId::ResNet18, 16);
+    let p = Platform::p2(2);
+    let buf = SharedBuf::default();
+    let mut recorder = RunRecorder::new();
+    recorder.push(Box::new(JsonlSink::new(buf.clone())));
+    SimBuilder::new(&t, &p)
+        .parallelism(Parallelism::DataParallel { overlap: true })
+        .recorder(Box::new(recorder))
+        .sample_period(TimeSpan::from_micros(200.0))
+        .try_run()
+        .expect("observed run completes");
+    let out = String::from_utf8(buf.0.lock().expect("unpoisoned").clone()).expect("utf-8");
+    let records: Vec<serde::Value> = out
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("a JSONL line"))
+        .collect();
+    let field = |v: &serde::Value, key: &str| match v.get(key) {
+        Some(serde::Value::Str(s)) => s.clone(),
+        _ => String::new(),
+    };
+    let link = |v: &serde::Value| match v.get("labels").and_then(|l| l.get("link")) {
+        Some(serde::Value::Str(s)) => s.clone(),
+        other => panic!("no link label: {other:?}"),
+    };
+    let samples = gauges(&out, &["triosim_link_utilization"]);
+    let last = samples.last().expect("the run samples").at;
+    let last_flow_end = records
+        .iter()
+        .filter(|v| field(v, "ev") == "span" && field(v, "track") == "network")
+        .map(|v| u64::from_value(v.get("end_fs").expect("spans end")).expect("femtos"))
+        .max()
+        .expect("the run moves data");
+    assert!(last_flow_end <= last, "a flow ends after the last sample");
+    let mut credited = std::collections::BTreeMap::<String, f64>::new();
+    let (mut opened, mut at) = (0, 0);
+    for g in &samples {
+        assert!(g.value <= 1.0, "{}", g.line);
+        if g.at != at {
+            (opened, at) = (at, g.at);
+        }
+        *credited.entry(g.link.clone()).or_default() += g.value * (at - opened) as f64 * 1e-15;
+    }
+    let busy: Vec<(String, f64)> = records
+        .iter()
+        .filter(|v| field(v, "name") == "triosim_link_busy_seconds_total")
+        .map(|v| {
+            let delta = f64::from_value(v.get("delta").expect("counters carry a delta"));
+            (link(v), delta.expect("a number"))
+        })
+        .collect();
+    assert_eq!(busy.len(), credited.len(), "{busy:?}");
+    assert!(busy.iter().any(|(_, s)| *s > 0.0), "{busy:?}");
+    for (link, busy_s) in &busy {
+        let windows_s = credited[link];
+        assert!(
+            (windows_s - busy_s).abs() < 1e-9,
+            "{link}: windows credit {windows_s} s of {busy_s} s busy"
+        );
+    }
+}
+
 /// When `simulate` fails it deletes each sink file it created and left
 /// empty, so a run rejected before it simulates leaves nothing behind,
 /// while a run that fails midway keeps its flushed partial output. Sinks
