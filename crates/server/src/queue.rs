@@ -32,11 +32,12 @@ pub enum Admission {
 }
 
 impl JobQueue {
-    /// A queue refusing submissions beyond `cap` pending jobs (`cap` is
-    /// clamped to at least 1).
+    /// A queue refusing submissions beyond `cap` pending jobs. A `cap` of
+    /// 0 refuses every one; [`Server::start`](crate::Server::start)
+    /// refuses that configuration.
     pub fn new(cap: usize) -> Self {
         JobQueue {
-            cap: cap.max(1),
+            cap,
             inner: Mutex::new(VecDeque::new()),
             nonempty: Condvar::new(),
         }

@@ -13,7 +13,7 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per job, the first execution included. `1` means
-    /// no retries; `0` is clamped to `1`.
+    /// no retries; [`Server::start`](crate::Server::start) refuses `0`.
     pub max_attempts: u32,
     /// Backoff before the first retry, milliseconds (doubles per retry).
     pub base_ms: u64,
@@ -70,7 +70,7 @@ impl RetryPolicy {
     /// The whole retry schedule for one job: the delays before retries
     /// `1..max_attempts` (empty when retries are disabled).
     pub fn schedule_ms(&self, job_key: u64) -> Vec<u64> {
-        (1..self.max_attempts.max(1))
+        (1..self.max_attempts)
             .map(|attempt| self.backoff_ms(job_key, attempt))
             .collect()
     }

@@ -50,7 +50,7 @@ const RESULT_HOLD: Duration = Duration::from_secs(1);
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Job-worker threads (clamped to at least 1).
+    /// Job-worker threads.
     pub workers: usize,
     /// Pending-job queue capacity; submissions beyond it are shed.
     pub queue_cap: usize,
@@ -78,6 +78,23 @@ impl Default for ServerConfig {
             retry: RetryPolicy::default(),
             data_dir: PathBuf::from("triosim-data"),
         }
+    }
+}
+
+impl ServerConfig {
+    /// The first count that is zero, by field name: [`Server::start`]
+    /// refuses a configuration with one.
+    fn zero_count(&self) -> Option<&'static str> {
+        [
+            ("workers", self.workers as u64),
+            ("queue_cap", self.queue_cap as u64),
+            ("max_conns", self.max_conns as u64),
+            ("read_timeout_ms", self.read_timeout_ms),
+            ("write_timeout_ms", self.write_timeout_ms),
+            ("retry.max_attempts", u64::from(self.retry.max_attempts)),
+        ]
+        .into_iter()
+        .find_map(|(field, n)| (n == 0).then_some(field))
     }
 }
 
@@ -208,8 +225,17 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind and job-store failures.
+    /// [`io::ErrorKind::InvalidInput`], naming the field, when a count in
+    /// `config` (the workers, the queue and connection caps, either
+    /// deadline, the retry attempts) is zero; nothing is bound then.
+    /// Otherwise propagates bind and job-store failures.
     pub fn start(config: ServerConfig, runner: Box<dyn JobRunner>) -> io::Result<Server> {
+        if let Some(field) = config.zero_count() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("ServerConfig::{field} must be at least 1"),
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let store = JobStore::open(&config.data_dir)?;
@@ -237,7 +263,7 @@ impl Server {
             let inner = inner.clone();
             threads.push(std::thread::spawn(move || accept_loop(&inner, &listener)));
         }
-        for _ in 0..inner.config.workers.max(1) {
+        for _ in 0..inner.config.workers {
             let inner = inner.clone();
             threads.push(std::thread::spawn(move || worker_loop(&inner)));
         }
@@ -350,9 +376,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
 /// cannot apologize to.
 fn refuse_overloaded(mut stream: TcpStream, inner: &Inner) {
     stream
-        .set_write_timeout(Some(Duration::from_millis(
-            inner.config.write_timeout_ms.max(1),
-        )))
+        .set_write_timeout(Some(Duration::from_millis(inner.config.write_timeout_ms)))
         .ok();
     Response::text(503, "connection limit reached\n")
         .with_header("Retry-After", "1")
@@ -362,8 +386,8 @@ fn refuse_overloaded(mut stream: TcpStream, inner: &Inner) {
 
 /// Serves exactly one request on `stream` (Connection: close semantics).
 fn handle_connection(inner: &Inner, mut stream: TcpStream) {
-    let read_to = Duration::from_millis(inner.config.read_timeout_ms.max(1));
-    let write_to = Duration::from_millis(inner.config.write_timeout_ms.max(1));
+    let read_to = Duration::from_millis(inner.config.read_timeout_ms);
+    let write_to = Duration::from_millis(inner.config.write_timeout_ms);
     stream.set_read_timeout(Some(read_to)).ok();
     stream.set_write_timeout(Some(write_to)).ok();
     let response = match read_request(&mut stream) {
@@ -645,7 +669,7 @@ fn run_job(inner: &Inner, id: &str) {
             return;
         }
     };
-    let max_attempts = inner.config.retry.max_attempts.max(1);
+    let max_attempts = inner.config.retry.max_attempts;
     let job_key = crate::job::fnv1a(id.as_bytes());
     for attempt in 1..=max_attempts {
         inner.set_state(id, JobState::Running { attempt });

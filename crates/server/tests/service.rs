@@ -439,3 +439,76 @@ fn job_state_survives_across_lives_on_disk_alone() {
     server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A zero count is refused with `InvalidInput`, naming its field, before
+/// the server binds or opens its store: the address is taken, so a bind
+/// would fail differently, and the data dir is never created.
+#[test]
+fn zero_counts_are_refused_before_binding() {
+    let dir = std::env::temp_dir().join(format!("triosim-server-zero-{}", std::process::id()));
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let base = ServerConfig {
+        addr: taken.local_addr().unwrap().to_string(),
+        ..config(&dir)
+    };
+    let zeroes = [
+        (
+            "workers",
+            ServerConfig {
+                workers: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "queue_cap",
+            ServerConfig {
+                queue_cap: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "max_conns",
+            ServerConfig {
+                max_conns: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "read_timeout_ms",
+            ServerConfig {
+                read_timeout_ms: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "write_timeout_ms",
+            ServerConfig {
+                write_timeout_ms: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "retry.max_attempts",
+            ServerConfig {
+                retry: RetryPolicy {
+                    max_attempts: 0,
+                    ..base.retry.clone()
+                },
+                ..base.clone()
+            },
+        ),
+    ];
+    for (field, config) in zeroes {
+        let err = Server::start(config, Box::new(Stub::new())).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{field}: {err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("ServerConfig::{field} must be at least 1")
+        );
+    }
+    assert!(!dir.exists(), "{} was created", dir.display());
+}

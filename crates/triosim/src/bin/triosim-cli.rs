@@ -970,8 +970,8 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         workers: parse_count(opts, "workers")?.unwrap_or(1),
         queue_cap: parse_count(opts, "queue-cap")?.unwrap_or(64),
         max_conns: parse_count(opts, "max-conns")?.unwrap_or(64),
-        read_timeout_ms: parse_num(opts, "read-timeout-ms", 5_000)?,
-        write_timeout_ms: parse_num(opts, "write-timeout-ms", 5_000)?,
+        read_timeout_ms: parse_count(opts, "read-timeout-ms")?.unwrap_or(5_000),
+        write_timeout_ms: parse_count(opts, "write-timeout-ms")?.unwrap_or(5_000),
         retry: triosim_server::RetryPolicy {
             max_attempts: parse_count(opts, "retry-max")?.unwrap_or(3),
             base_ms: parse_num(opts, "retry-base-ms", 100)?,
@@ -1010,6 +1010,7 @@ fn json_str_field(body: &str, key: &str) -> Option<String> {
 }
 
 fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), String> {
+    let poll = std::time::Duration::from_millis(parse_count(opts, "poll-ms")?.unwrap_or(500));
     let spec_path = opts.get("spec").ok_or("missing --spec")?;
     let body = std::fs::read(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
     let addr = opts
@@ -1043,7 +1044,6 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), String> {
         println!("poll with: triosim-cli submit --wait, or GET http://{addr}/jobs/{id}");
         return Ok(());
     }
-    let poll = std::time::Duration::from_millis(parse_num(opts, "poll-ms", 500)?.max(10));
     loop {
         let r =
             triosim_server::request(&addr, "GET", &format!("/jobs/{id}/result"), None, timeout)?;

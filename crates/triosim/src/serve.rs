@@ -36,11 +36,12 @@ use crate::sweep::{run_sweep_with, SweepError, SweepRunConfig, SweepSpec};
 /// checkpointed inside each job's directory.
 #[derive(Debug, Clone)]
 pub struct SweepJobRunner {
-    /// Worker threads per sweep (clamped to at least 1 downstream).
+    /// Worker threads per sweep, at least 1: a job run with 0 fails
+    /// permanently.
     pub threads: usize,
-    /// Iteration boundaries between scenario checkpoints (`0` = every
-    /// boundary). A scenario whose only checkpoint would land at its
-    /// final boundary writes none.
+    /// Iteration boundaries between scenario checkpoints, at least 1
+    /// (`1` = every boundary). A scenario whose only checkpoint would
+    /// land at its final boundary writes none.
     pub checkpoint_every: usize,
     /// Default per-scenario event budget injected into specs that do not
     /// set one (canonical: changes simulation output deterministically).
@@ -120,7 +121,7 @@ impl SweepJobRunner {
         let journal_path = paths.journal();
         let resume = !fresh && journal_path.exists();
         let config = SweepRunConfig {
-            threads: self.threads.max(1),
+            threads: self.threads,
             progress: false,
             journal: (!resume).then(|| journal_path.clone()),
             resume: resume.then(|| journal_path.clone()),
@@ -177,31 +178,30 @@ impl JobRunner for SweepJobRunner {
         let spec =
             SweepSpec::from_json(&injected).map_err(|e| RunError::Permanent(e.to_string()))?;
         let had_journal = paths.journal().exists();
-        match self.run_once(&spec, &injected, paths, attempt, cancel, false) {
-            Ok(result) => Ok(result),
-            Err(SweepError::Cancelled { .. }) => Err(RunError::Interrupted),
-            Err(e @ (SweepError::Spec(_) | SweepError::Scenario { .. })) => {
-                Err(RunError::Permanent(e.to_string()))
-            }
+        let outcome = match self.run_once(&spec, &injected, paths, attempt, cancel, false) {
             Err(SweepError::Journal(first)) if had_journal => {
                 // The journal we tried to resume is corrupt, locked by a
                 // dead writer, or hash-incompatible. Completed-scenario
                 // progress is lost but the job is not: discard it and
                 // rerun from scratch, once.
                 Self::discard_progress(paths);
-                match self.run_once(&spec, &injected, paths, attempt, cancel, true) {
-                    Ok(result) => Ok(result),
-                    Err(SweepError::Cancelled { .. }) => Err(RunError::Interrupted),
-                    Err(e @ (SweepError::Spec(_) | SweepError::Scenario { .. })) => {
-                        Err(RunError::Permanent(e.to_string()))
-                    }
-                    Err(SweepError::Journal(second)) => Err(RunError::Transient(format!(
-                        "resume failed ({first}); fresh rerun also failed: {second}"
-                    ))),
-                }
+                self.run_once(&spec, &injected, paths, attempt, cancel, true)
+                    .map_err(|e| match e {
+                        SweepError::Journal(second) => SweepError::Journal(format!(
+                            "resume failed ({first}); fresh rerun also failed: {second}"
+                        )),
+                        e => e,
+                    })
             }
-            Err(SweepError::Journal(e)) => Err(RunError::Transient(e)),
-        }
+            outcome => outcome,
+        };
+        outcome.map_err(|e| match e {
+            SweepError::Cancelled { .. } => RunError::Interrupted,
+            SweepError::Journal(e) => RunError::Transient(e),
+            e @ (SweepError::Spec(_) | SweepError::Scenario { .. } | SweepError::Config(_)) => {
+                RunError::Permanent(e.to_string())
+            }
+        })
     }
 }
 
@@ -239,6 +239,22 @@ mod tests {
             max_sim_time_us: None,
             wall_timeout_ms: None,
         }
+    }
+
+    #[test]
+    fn an_invalid_run_config_fails_permanently() {
+        let (store, dir) = temp_store("config");
+        let paths = store.paths("job1");
+        let r = SweepJobRunner {
+            threads: 0,
+            ..runner()
+        };
+        let cancel = Arc::new(AtomicBool::new(false));
+        match r.run(&tiny_spec(), &paths, 1, &cancel) {
+            Err(RunError::Permanent(msg)) => assert_eq!(msg, "threads must be at least 1"),
+            other => panic!("not permanent: {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -90,6 +90,9 @@ pub enum SweepError {
         /// What failed to parse.
         error: String,
     },
+    /// The run configuration is invalid: a zero `threads` or
+    /// `checkpoint_every`, or both `journal` and `resume` set.
+    Config(String),
     /// The journal could not be created, read, or replayed — including a
     /// stale journal whose spec hash no longer matches the spec.
     Journal(String),
@@ -114,7 +117,7 @@ impl std::fmt::Display for SweepError {
                 label,
                 error,
             } => write!(f, "scenario {index} ({label}): {error}"),
-            SweepError::Journal(e) => write!(f, "{e}"),
+            SweepError::Config(e) | SweepError::Journal(e) => write!(f, "{e}"),
             SweepError::Cancelled { completed, total } => write!(
                 f,
                 "sweep cancelled after {completed} of {total} scenarios \
@@ -592,10 +595,11 @@ fn from_entry(entry: JournalEntry) -> (usize, ScenarioResult) {
     )
 }
 
-/// Crash-safety and execution options for [`run_sweep_with`].
-#[derive(Debug, Default)]
+/// Crash-safety and execution options for [`run_sweep_with`]. The
+/// default runs on one thread, without a journal or snapshots.
+#[derive(Debug)]
 pub struct SweepRunConfig {
-    /// Worker threads for the pool (clamped to at least 1).
+    /// Worker threads for the pool, at least 1.
     pub threads: usize,
     /// Live progress reporting on stderr.
     pub progress: bool,
@@ -624,8 +628,8 @@ pub struct SweepRunConfig {
     /// to a warning plus a from-scratch rerun. A scenario whose only
     /// snapshot would land at its final boundary writes none.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Iteration boundaries between snapshots (`0` means every
-    /// boundary). Only meaningful with `checkpoint_dir`.
+    /// Iteration boundaries between snapshots, at least 1 (`1` means
+    /// every boundary). Only meaningful with `checkpoint_dir`.
     pub checkpoint_every: usize,
     /// Cooperative cancellation (the server's graceful drain). When the
     /// flag flips to `true`, in-flight scenarios run to completion (and
@@ -640,6 +644,24 @@ pub struct SweepRunConfig {
     /// The re-run's entry is appended to the same journal and wins by
     /// last-write-wins dedupe.
     pub rerun_panicked: bool,
+}
+
+impl Default for SweepRunConfig {
+    fn default() -> Self {
+        SweepRunConfig {
+            threads: 1,
+            progress: false,
+            journal: None,
+            resume: None,
+            fail_fast: false,
+            spec_text: None,
+            profile: false,
+            checkpoint_dir: None,
+            checkpoint_every: 1,
+            cancel: None,
+            rerun_panicked: false,
+        }
+    }
 }
 
 /// Expands `spec` and runs every scenario on `threads` worker threads,
@@ -678,15 +700,24 @@ pub fn run_sweep(
 ///
 /// # Errors
 ///
-/// Everything [`run_sweep`] reports, plus [`SweepError::Journal`] when
-/// the journal cannot be created or read, is stale (spec hash mismatch),
-/// or both `journal` and `resume` are set.
+/// Everything [`run_sweep`] reports, plus [`SweepError::Config`] when
+/// `threads` or `checkpoint_every` is 0 or both `journal` and `resume`
+/// are set, and [`SweepError::Journal`] when the journal cannot be
+/// created or read or is stale (spec hash mismatch).
 pub fn run_sweep_with(
     spec: &SweepSpec,
     config: &SweepRunConfig,
 ) -> Result<SweepOutcome, SweepError> {
+    for (name, n) in [
+        ("threads", config.threads),
+        ("checkpoint_every", config.checkpoint_every),
+    ] {
+        if n == 0 {
+            return Err(SweepError::Config(format!("{name} must be at least 1")));
+        }
+    }
     if config.journal.is_some() && config.resume.is_some() {
-        return Err(SweepError::Journal(
+        return Err(SweepError::Config(
             "--journal and --resume are mutually exclusive (resume keeps \
              appending to the journal it reads)"
                 .into(),
@@ -791,7 +822,7 @@ pub fn run_sweep_with(
         let ckpt = config
             .checkpoint_dir
             .as_deref()
-            .map(|dir| (dir, config.checkpoint_every.max(1)));
+            .map(|dir| (dir, config.checkpoint_every));
         let outcome = execute_one(r, index, config.fail_fast, &mut sprof, ckpt);
         let wall_s = t0.elapsed().as_secs_f64();
         if let Some(w) = &writer {
@@ -845,7 +876,7 @@ pub fn run_sweep_with(
         name: spec.name.clone(),
         scenarios: resolved.into_iter().map(|r| r.scenario).collect(),
         results,
-        threads: config.threads.max(1),
+        threads: config.threads,
         elapsed_s,
         replayed,
         profile,
@@ -1320,6 +1351,6 @@ mod tests {
             ..SweepRunConfig::default()
         };
         let err = run_sweep_with(&tiny_spec(), &config).unwrap_err();
-        assert!(matches!(err, SweepError::Journal(_)));
+        assert!(matches!(err, SweepError::Config(_)));
     }
 }

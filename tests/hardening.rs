@@ -250,6 +250,9 @@ fn count_flags_refuse_zero_before_anything_starts() {
     let simulate = ["simulate", "--trace", &trace];
     let sweep = ["sweep", "--spec", &spec];
     let serve = ["serve", "--addr", "127.0.0.1:0", "--data-dir", &jobs];
+    // Port 9 (discard) on loopback: a zero that slipped through would
+    // submit and fail there, not with the count error.
+    let submit = ["submit", "--spec", &spec, "--addr", "127.0.0.1:9", "--wait"];
     let cases: Vec<(&str, Vec<&str>)> = vec![
         ("iterations", simulate.to_vec()),
         (
@@ -267,6 +270,9 @@ fn count_flags_refuse_zero_before_anything_starts() {
         ("retry-max", serve.to_vec()),
         ("checkpoint-every", serve.to_vec()),
         ("queue-cap", serve.to_vec()),
+        ("read-timeout-ms", serve.to_vec()),
+        ("write-timeout-ms", serve.to_vec()),
+        ("poll-ms", submit.to_vec()),
     ];
     for (flag, args) in cases {
         let mut child = Command::new(bin)

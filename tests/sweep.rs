@@ -260,6 +260,53 @@ fn journal_with_legacy_shards_field_resumes() {
     std::fs::remove_file(&out_path).ok();
 }
 
+/// A zero `threads` or `checkpoint_every`, or a journal and a resume
+/// together, is a `SweepError::Config` before any scenario runs or any
+/// file is created, and the default configuration is a valid one.
+#[test]
+fn invalid_run_configs_are_refused_before_anything_runs() {
+    let spec = SweepSpec::from_json(MIXED_SPEC).unwrap();
+    let (journal, snapshots) = (temp_path("config"), temp_path("config-ckpts"));
+    let base = || SweepRunConfig {
+        journal: Some(journal.clone()),
+        checkpoint_dir: Some(snapshots.clone()),
+        ..SweepRunConfig::default()
+    };
+    let cases = [
+        (
+            "threads must be at least 1",
+            SweepRunConfig {
+                threads: 0,
+                ..base()
+            },
+        ),
+        (
+            "checkpoint_every must be at least 1",
+            SweepRunConfig {
+                checkpoint_every: 0,
+                ..base()
+            },
+        ),
+        (
+            "mutually exclusive",
+            SweepRunConfig {
+                resume: Some(journal.clone()),
+                ..base()
+            },
+        ),
+    ];
+    for (expected, config) in cases {
+        match run_sweep_with(&spec, &config) {
+            Err(SweepError::Config(msg)) => assert!(msg.contains(expected), "{msg}"),
+            Err(other) => panic!("{expected}: wrong error: {other}"),
+            Ok(_) => panic!("{expected}: the sweep ran"),
+        }
+        assert!(!journal.exists() && !snapshots.exists(), "{expected}");
+    }
+    let outcome = run_sweep_with(&spec, &SweepRunConfig::default()).unwrap();
+    assert_eq!(outcome.threads, 1);
+}
+
 /// A journal written for one spec must not silently resume a different
 /// one: the header's spec hash catches edits to any canonical field.
 #[test]
