@@ -49,38 +49,41 @@ pub const JOURNAL_MAGIC: &str = "triosim-sweep";
 /// The journal format version this crate reads and writes.
 pub const JOURNAL_VERSION: u64 = 1;
 
-/// Classifies a journaled error entry, so resumed outcomes rebuild the
-/// same structured error a live run would have produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorKind {
-    /// A structured simulation error (fault-induced termination,
-    /// invalid configuration, unparseable scenario field).
-    Sim,
-    /// The scenario's worker panicked and was isolated.
-    Panic,
-    /// The scenario blew an axis of its run budget.
-    Budget,
+/// How one scenario failed. Every variant renders deterministically, so
+/// error entries are part of the canonical (byte-identical) sweep output,
+/// and a journaled error replays as the same value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScenarioError {
+    /// A structured simulation error: fault-induced termination or an
+    /// invalid configuration. Holds the simulator's error rendering
+    /// verbatim.
+    Sim(String),
+    /// The scenario blew an axis of its run budget. Holds the budget
+    /// error's rendering verbatim (which names only the configured limit,
+    /// never a measured value).
+    Budget(String),
+    /// The scenario's worker panicked; the panic was isolated instead of
+    /// aborting the sweep.
+    Panicked {
+        /// The scenario's index in expansion order.
+        index: usize,
+        /// The panic payload's message (when it was a string).
+        message: String,
+    },
 }
 
-impl ErrorKind {
-    /// The stable string form used in journal lines.
-    pub fn as_str(self) -> &'static str {
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ErrorKind::Sim => "sim",
-            ErrorKind::Panic => "panic",
-            ErrorKind::Budget => "budget",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "sim" => Some(ErrorKind::Sim),
-            "panic" => Some(ErrorKind::Panic),
-            "budget" => Some(ErrorKind::Budget),
-            _ => None,
+            ScenarioError::Sim(msg) | ScenarioError::Budget(msg) => f.write_str(msg),
+            ScenarioError::Panicked { index, message } => {
+                write!(f, "scenario {index} panicked: {message}")
+            }
         }
     }
 }
+
+impl std::error::Error for ScenarioError {}
 
 /// Line 1 of every journal: identifies the sweep the entries belong to.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,21 +172,6 @@ impl JournalHeader {
     }
 }
 
-/// How one journaled scenario ended.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EntryOutcome {
-    /// The scenario completed; its canonical report is stored verbatim.
-    Report(Value),
-    /// The scenario failed deterministically; the message is stored so a
-    /// resumed outcome renders the identical error.
-    Error {
-        /// What class of failure this was.
-        kind: ErrorKind,
-        /// The error's display string.
-        message: String,
-    },
-}
-
 /// One completed scenario, as recorded in the journal.
 ///
 /// Entries land in **completion** order (whichever worker finishes
@@ -195,8 +183,9 @@ pub struct JournalEntry {
     pub index: usize,
     /// The scenario's label (for humans reading the journal).
     pub label: String,
-    /// The result being made durable.
-    pub outcome: EntryOutcome,
+    /// The result being made durable: the scenario's canonical report,
+    /// stored verbatim, or how it failed.
+    pub outcome: Result<Value, ScenarioError>,
 }
 
 impl JournalEntry {
@@ -206,10 +195,17 @@ impl JournalEntry {
             ("label".into(), self.label.to_value()),
         ];
         match &self.outcome {
-            EntryOutcome::Report(report) => fields.push(("report".into(), report.clone())),
-            EntryOutcome::Error { kind, message } => {
+            Ok(report) => fields.push(("report".into(), report.clone())),
+            Err(e) => {
+                // A panic stores its raw payload message: the entry's own
+                // index rebuilds the rendering.
+                let (kind, message) = match e {
+                    ScenarioError::Sim(m) => ("sim", m),
+                    ScenarioError::Budget(m) => ("budget", m),
+                    ScenarioError::Panicked { message, .. } => ("panic", message),
+                };
                 fields.push(("error".into(), message.to_value()));
-                fields.push(("error_kind".into(), kind.as_str().to_value()));
+                fields.push(("error_kind".into(), kind.to_value()));
             }
         }
         serde_json::to_string(&Value::Object(fields)).expect("journal entries are plain JSON")
@@ -219,14 +215,18 @@ impl JournalEntry {
         let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
         let index: usize = de_field(&v, "index")?;
         let label: String = de_field(&v, "label")?;
-        let outcome = if let Some(report) = v.get("report") {
-            EntryOutcome::Report(report.clone())
-        } else {
-            let message: String = de_field(&v, "error")?;
-            let kind_str: String = de_field(&v, "error_kind")?;
-            let kind = ErrorKind::parse(&kind_str)
-                .ok_or_else(|| format!("unknown error_kind `{kind_str}`"))?;
-            EntryOutcome::Error { kind, message }
+        let outcome = match v.get("report") {
+            Some(report) => Ok(report.clone()),
+            None => {
+                let message: String = de_field(&v, "error")?;
+                let kind: String = de_field(&v, "error_kind")?;
+                Err(match kind.as_str() {
+                    "sim" => ScenarioError::Sim(message),
+                    "budget" => ScenarioError::Budget(message),
+                    "panic" => ScenarioError::Panicked { index, message },
+                    other => return Err(format!("unknown error_kind `{other}`")),
+                })
+            }
         };
         Ok(JournalEntry {
             index,
@@ -620,7 +620,7 @@ mod tests {
         JournalEntry {
             index,
             label: format!("s{index}"),
-            outcome: EntryOutcome::Report(Value::Object(vec![(
+            outcome: Ok(Value::Object(vec![(
                 "total_time_s".into(),
                 Value::Float(1.5),
             )])),
@@ -635,10 +635,10 @@ mod tests {
         w.record(&JournalEntry {
             index: 0,
             label: "s0".into(),
-            outcome: EntryOutcome::Error {
-                kind: ErrorKind::Panic,
-                message: "scenario 0 panicked: boom".into(),
-            },
+            outcome: Err(ScenarioError::Panicked {
+                index: 0,
+                message: "boom".into(),
+            }),
         })
         .unwrap();
         let (h, entries) = read_journal(&path).unwrap();
@@ -648,7 +648,7 @@ mod tests {
         assert_eq!(entries[0].index, 0);
         assert!(matches!(
             &entries[0].outcome,
-            EntryOutcome::Error { kind: ErrorKind::Panic, message } if message.contains("boom")
+            Err(ScenarioError::Panicked { index: 0, message }) if message == "boom"
         ));
         assert_eq!(entries[1], report_entry(1));
         std::fs::remove_file(&path).ok();
@@ -804,13 +804,13 @@ mod tests {
         w.record(&JournalEntry {
             index: 0,
             label: "first".into(),
-            outcome: EntryOutcome::Report(Value::Null),
+            outcome: Ok(Value::Null),
         })
         .unwrap();
         w.record(&JournalEntry {
             index: 0,
             label: "second".into(),
-            outcome: EntryOutcome::Report(Value::Null),
+            outcome: Ok(Value::Null),
         })
         .unwrap();
         drop(w);

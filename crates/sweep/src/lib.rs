@@ -40,8 +40,8 @@ mod progress;
 mod spec;
 
 pub use journal::{
-    read_journal, spec_hash, EntryOutcome, ErrorKind, JournalEntry, JournalError, JournalHeader,
-    JournalLock, JournalWriter,
+    read_journal, spec_hash, JournalEntry, JournalError, JournalHeader, JournalLock, JournalWriter,
+    ScenarioError,
 };
 pub use progress::SweepProgress;
 pub use spec::{Scenario, ScenarioPatch, SpecError, SweepSpec, MAX_SCENARIOS};

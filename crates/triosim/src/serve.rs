@@ -30,7 +30,7 @@ use std::sync::Arc;
 use serde::Value;
 use triosim_server::{JobPaths, JobRunner, RunError};
 
-use crate::sweep::{run_sweep_with, SweepError, SweepRunConfig, SweepSpec};
+use crate::sweep::{panic_message, run_sweep_with, SweepError, SweepRunConfig, SweepSpec};
 
 /// Runs submitted sweep specs via [`run_sweep_with`], journaled and
 /// checkpointed inside each job's directory.
@@ -137,11 +137,7 @@ impl SweepJobRunner {
         };
         catch_unwind(AssertUnwindSafe(|| run_sweep_with(spec, &config)))
             .unwrap_or_else(|payload| {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let msg = panic_message(payload.as_ref());
                 Err(SweepError::Journal(format!("sweep runner panicked: {msg}")))
             })
             .map(|outcome| outcome.to_canonical_string())

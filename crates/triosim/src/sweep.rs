@@ -62,7 +62,7 @@ use triosim_trace::{GpuModel, Trace, Tracer};
 
 pub use triosim_sweep::journal;
 pub use triosim_sweep::{
-    pool::run_ordered, Scenario, ScenarioPatch, SpecError, SweepProgress, SweepSpec,
+    pool::run_ordered, Scenario, ScenarioError, ScenarioPatch, SpecError, SweepProgress, SweepSpec,
 };
 
 use crate::compute::{ComputeModel, Fidelity};
@@ -70,9 +70,7 @@ use crate::error::SimError;
 use crate::parallelism::{CollectiveStyle, Parallelism};
 use crate::platform::Platform;
 use crate::session::SimBuilder;
-use journal::{
-    read_journal, spec_hash, EntryOutcome, ErrorKind, JournalEntry, JournalHeader, JournalWriter,
-};
+use journal::{read_journal, spec_hash, JournalEntry, JournalHeader, JournalWriter};
 use triosim_faults::FaultPlan;
 use triosim_modelzoo::ModelId;
 
@@ -134,41 +132,6 @@ impl From<SpecError> for SweepError {
         SweepError::Spec(e)
     }
 }
-
-/// How one scenario failed. Every variant renders deterministically, so
-/// error entries are part of the canonical (byte-identical) sweep output.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScenarioError {
-    /// A structured simulation error: fault-induced termination
-    /// (`Partitioned` / `GpuLost`) or an invalid configuration. Holds
-    /// the `SimError` rendering verbatim.
-    Sim(String),
-    /// The scenario blew an axis of its run budget. Holds the
-    /// `SimError::BudgetExceeded` rendering verbatim (which names only
-    /// the configured limit, never a measured value).
-    Budget(String),
-    /// The scenario's worker panicked; the panic was isolated instead of
-    /// aborting the sweep.
-    Panicked {
-        /// The scenario's index in expansion order.
-        index: usize,
-        /// The panic payload's message (when it was a string).
-        message: String,
-    },
-}
-
-impl std::fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScenarioError::Sim(msg) | ScenarioError::Budget(msg) => f.write_str(msg),
-            ScenarioError::Panicked { index, message } => {
-                write!(f, "scenario {index} panicked: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ScenarioError {}
 
 /// One scenario's fully-parsed, ready-to-run configuration. `exec` is
 /// `None` for scenarios whose result was replayed from a journal — their
@@ -536,7 +499,7 @@ fn execute_one(
 }
 
 /// Extracts the human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -544,55 +507,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Lowers one fresh result into its journal entry.
-fn to_entry(index: usize, label: &str, outcome: &Result<Value, ScenarioError>) -> JournalEntry {
-    let outcome = match outcome {
-        Ok(report) => EntryOutcome::Report(report.clone()),
-        Err(ScenarioError::Sim(m)) => EntryOutcome::Error {
-            kind: ErrorKind::Sim,
-            message: m.clone(),
-        },
-        Err(ScenarioError::Budget(m)) => EntryOutcome::Error {
-            kind: ErrorKind::Budget,
-            message: m.clone(),
-        },
-        // Panic entries store the raw payload message; the index lives in
-        // the entry itself, so replay rebuilds the identical rendering.
-        Err(ScenarioError::Panicked { message, .. }) => EntryOutcome::Error {
-            kind: ErrorKind::Panic,
-            message: message.clone(),
-        },
-    };
-    JournalEntry {
-        index,
-        label: label.to_string(),
-        outcome,
-    }
-}
-
-/// Raises one journal entry back into the result a live run would have
-/// produced (wall time excepted — replay is free).
-fn from_entry(entry: JournalEntry) -> (usize, ScenarioResult) {
-    let index = entry.index;
-    let outcome = match entry.outcome {
-        EntryOutcome::Report(report) => Ok(report),
-        EntryOutcome::Error { kind, message } => Err(match kind {
-            ErrorKind::Sim => ScenarioError::Sim(message),
-            ErrorKind::Budget => ScenarioError::Budget(message),
-            ErrorKind::Panic => ScenarioError::Panicked { index, message },
-        }),
-    };
-    (
-        index,
-        ScenarioResult {
-            label: entry.label,
-            outcome,
-            wall_s: 0.0,
-            profile: None,
-        },
-    )
 }
 
 /// Crash-safety and execution options for [`run_sweep_with`]. The
@@ -750,11 +664,16 @@ pub fn run_sweep_with(
             .check_compatible(&spec.name, hash, total)
             .map_err(journal_err)?;
         for entry in entries {
-            let (index, result) = from_entry(entry);
-            if slots[index].is_none() {
+            if slots[entry.index].is_none() {
                 replayed += 1;
             }
-            slots[index] = Some(result);
+            // Replay is free: a replayed result has no wall time.
+            slots[entry.index] = Some(ScenarioResult {
+                label: entry.label,
+                outcome: entry.outcome,
+                wall_s: 0.0,
+                profile: None,
+            });
         }
         if config.rerun_panicked {
             // Clear panic entries *after* replay so last-write-wins dedupe
@@ -826,7 +745,11 @@ pub fn run_sweep_with(
         let outcome = execute_one(r, index, config.fail_fast, &mut sprof, ckpt);
         let wall_s = t0.elapsed().as_secs_f64();
         if let Some(w) = &writer {
-            let entry = to_entry(index, &r.scenario.label, &outcome);
+            let entry = JournalEntry {
+                index,
+                label: r.scenario.label.clone(),
+                outcome: outcome.clone(),
+            };
             let jt = sprof.is_enabled().then(Instant::now);
             let written = w.record(&entry);
             if let Some(jt) = jt {
