@@ -21,8 +21,7 @@
 //! the only difference, and the recorded overhead is not negative.
 //!
 //! Results land in `results/BENCH_checkpoint.json`, which CI uploads as
-//! an artifact. Set `TRIOSIM_CKPT_GATE=0` to record without enforcing
-//! the overhead gate (useful on heavily-shared runners).
+//! an artifact.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -162,18 +161,13 @@ fn main() {
          -> {:+.1}% (budget {budget_s:.3} s)",
         100.0 * overhead_frac
     );
-    let gate = std::env::var("TRIOSIM_CKPT_GATE").map_or(true, |v| v != "0");
-    if gate {
-        assert!(
-            overhead_s <= budget_s,
-            "checkpoint overhead {overhead_s:.3} s exceeds budget {budget_s:.3} s \
-             ({:+.1}% vs {:.0}% allowed)",
-            100.0 * overhead_frac,
-            100.0 * MAX_OVERHEAD_FRAC
-        );
-    } else {
-        println!("overhead gate disabled (TRIOSIM_CKPT_GATE=0)");
-    }
+    assert!(
+        overhead_s <= budget_s,
+        "checkpoint overhead {overhead_s:.3} s exceeds budget {budget_s:.3} s \
+         ({:+.1}% vs {:.0}% allowed)",
+        100.0 * overhead_frac,
+        100.0 * MAX_OVERHEAD_FRAC
+    );
 
     let mut summary = Summary::new("BENCH_checkpoint");
     summary.int("iterations", ITERATIONS as u64);
@@ -188,7 +182,6 @@ fn main() {
     summary.num("restore_wall_s", restore_wall_s);
     summary.put("canonical_identical", Value::Bool(true));
     summary.put("restore_identical", Value::Bool(true));
-    summary.put("gate_enforced", Value::Bool(gate));
     summary.put(
         "overhead_per_snapshot_s",
         json_num(overhead_s.max(0.0) / ((REPS * snapshots_per_run).max(1) as f64)),
