@@ -75,6 +75,7 @@
 //! slowdown the flow model cannot see.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
@@ -164,19 +165,19 @@ struct Component {
     replay: Replay,
 }
 
-/// One packet in flight inside a replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// One packet in flight inside a replay. Its size follows from its flow
+/// and sequence number ([`SimFlow::pkt_bytes`]).
+#[derive(Debug, Clone, Copy)]
 struct Pkt {
     flow: u32,
     seq: u64,
-    bytes: u64,
     hop: u32,
     marked: bool,
 }
 
-/// Replay events, ordered by `(time, insertion id)` — the id breaks ties
-/// deterministically, so the variant order below never decides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Replay events, taken in `(time, insertion id)` order: the id breaks
+/// ties deterministically.
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     /// A flow's arrival: inject its initial window.
     Start { flow: u32 },
@@ -188,6 +189,62 @@ enum Ev {
     Ack { flow: u32, marked: bool },
     /// A tail-dropped packet's RTO fired; re-inject at the source.
     Retx { flow: u32, seq: u64 },
+}
+
+/// A replay's pending events.
+trait Pending {
+    /// Pending events for `streams` sources.
+    fn new(streams: usize) -> Self;
+    /// Adds `ev`, due at `t`, from source `stream` with insertion id `id`.
+    fn push(&mut self, stream: usize, t: VirtualTime, id: u64, ev: Ev);
+    /// Takes the pending event least by `(time, insertion id)`.
+    fn pop(&mut self) -> Option<(VirtualTime, Ev)>;
+}
+
+/// Pending events in one FIFO per source, plus a heap of the sources'
+/// heads. No source's times decrease (see [`Replayer::stream`]) and ids
+/// follow insertion order, so each FIFO is sorted by `(time, id)` and
+/// the least head is the least pending event.
+struct Streams {
+    streams: Vec<VecDeque<(VirtualTime, u64, Ev)>>,
+    /// `(time, id, stream)` of every non-empty stream's first event.
+    heads: BinaryHeap<Reverse<(VirtualTime, u64, usize)>>,
+}
+
+impl Pending for Streams {
+    fn new(streams: usize) -> Self {
+        Streams {
+            streams: vec![VecDeque::new(); streams],
+            heads: BinaryHeap::new(),
+        }
+    }
+
+    fn push(&mut self, stream: usize, t: VirtualTime, id: u64, ev: Ev) {
+        let fifo = &mut self.streams[stream];
+        match fifo.back() {
+            Some(&(last, ..)) => debug_assert!(
+                last <= t,
+                "stream {stream} went back in time: {t:?} after {last:?}"
+            ),
+            None => self.heads.push(Reverse((t, id, stream))),
+        }
+        fifo.push_back((t, id, ev));
+    }
+
+    fn pop(&mut self) -> Option<(VirtualTime, Ev)> {
+        let mut head = self.heads.peek_mut()?;
+        let Reverse((t, _, stream)) = *head;
+        let fifo = &mut self.streams[stream];
+        let (_, _, ev) = fifo.pop_front().expect("a stream with a head is non-empty");
+        match fifo.front() {
+            // The stream's next event replaces its head in place.
+            Some(&(next, id, _)) => *head = Reverse((next, id, stream)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+        Some((t, ev))
+    }
 }
 
 /// Per-flow replay state.
@@ -210,19 +267,32 @@ struct SimFlow {
     done: Option<VirtualTime>,
 }
 
+impl SimFlow {
+    /// The size of packet `seq`: a full MTU but for the last.
+    fn pkt_bytes(&self, seq: u64, mtu_bytes: u64) -> u64 {
+        if seq + 1 == self.total {
+            self.last_bytes
+        } else {
+            mtu_bytes
+        }
+    }
+}
+
 /// Per-link replay state.
 #[derive(Debug, Clone)]
 struct SimLink {
     queue: VecDeque<Pkt>,
     busy: bool,
     bandwidth: f64,
+    /// Serialization time of a full MTU packet.
+    mtu_ser: TimeSpan,
     latency: TimeSpan,
     bytes: u64,
     busy_time: TimeSpan,
 }
 
 /// The outcome of one replay.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Replay {
     /// Completion time per replayed arrival, in member order.
     completion: Vec<VirtualTime>,
@@ -283,28 +353,42 @@ impl ReplayMemo {
     }
 }
 
-struct Replayer {
+struct Replayer<Q> {
     cfg: PacketConfig,
     rto: TimeSpan,
     flows: Vec<SimFlow>,
     links: Vec<SimLink>,
-    heap: BinaryHeap<Reverse<(VirtualTime, u64, Ev)>>,
+    pending: Q,
     eid: u64,
     stats: PacketObservation,
 }
 
-impl Replayer {
+impl<Q: Pending> Replayer<Q> {
     fn at(&mut self, t: VirtualTime, ev: Ev) {
-        self.heap.push(Reverse((t, self.eid, ev)));
+        self.pending.push(self.stream(&ev), t, self.eid, ev);
         self.eid += 1;
     }
 
-    fn pkt_bytes(&self, flow: u32, seq: u64) -> u64 {
-        let f = &self.flows[flow as usize];
-        if seq + 1 == f.total {
-            f.last_bytes
-        } else {
-            self.cfg.mtu_bytes
+    /// The source `ev` comes from, one of `flows + 2 * links + 1`. The
+    /// clock never runs backwards, and no source's times decrease:
+    /// - flow `k` (stream `k`): its Start, at its arrival, then its ACKs,
+    ///   each the route latency after a delivery of the flow;
+    /// - link `l`'s `LinkFree` (stream `flows + 2l`): at most one
+    ///   pending, since a link serializes one packet at a time;
+    /// - link `l`'s Arrives (stream `flows + 2l + 1`): a packet lands
+    ///   its serialization plus the link latency after it starts, and
+    ///   starts no earlier than the previous one's serialization ended;
+    /// - every flow's Retx (the last stream): each an RTO after a drop.
+    fn stream(&self, ev: &Ev) -> usize {
+        let flows = self.flows.len();
+        match *ev {
+            Ev::Start { flow } | Ev::Ack { flow, .. } => flow as usize,
+            Ev::LinkFree { link } => flows + 2 * link as usize,
+            Ev::Arrive { pkt } => {
+                let link = self.flows[pkt.flow as usize].route[pkt.hop as usize];
+                flows + 2 * link as usize + 1
+            }
+            Ev::Retx { .. } => flows + 2 * self.links.len(),
         }
     }
 
@@ -317,11 +401,9 @@ impl Replayer {
             if f.next_seq >= f.total || f.outstanding >= window {
                 return;
             }
-            let seq = f.next_seq;
             let pkt = Pkt {
                 flow,
-                seq,
-                bytes: self.pkt_bytes(flow, seq),
+                seq: f.next_seq,
                 hop: 0,
                 marked: false,
             };
@@ -379,8 +461,13 @@ impl Replayer {
             return;
         };
         l.busy = true;
-        let ser = TimeSpan::from_seconds(pkt.bytes as f64 / l.bandwidth);
-        l.bytes += pkt.bytes;
+        let bytes = self.flows[pkt.flow as usize].pkt_bytes(pkt.seq, self.cfg.mtu_bytes);
+        let ser = if bytes == self.cfg.mtu_bytes {
+            l.mtu_ser
+        } else {
+            TimeSpan::from_seconds(bytes as f64 / l.bandwidth)
+        };
+        l.bytes += bytes;
         l.busy_time += ser;
         let latency = l.latency;
         self.at(t + ser, Ev::LinkFree { link });
@@ -454,7 +541,6 @@ impl Replayer {
         let pkt = Pkt {
             flow,
             seq,
-            bytes: self.pkt_bytes(flow, seq),
             hop: 0,
             marked: false,
         };
@@ -697,7 +783,7 @@ impl PacketNetwork {
                     .collect(),
             };
         }
-        let replay = self.simulate(members, links, routes);
+        let replay = self.simulate::<Streams>(members, links, routes);
         self.memo.insert(key, base, &replay);
         replay
     }
@@ -707,7 +793,7 @@ impl PacketNetwork {
     #[cfg(test)]
     fn replay(&self, members: &[usize]) -> Replay {
         let (links, routes) = self.localize(members);
-        self.simulate(members, links, routes)
+        self.simulate::<Streams>(members, links, routes)
     }
 
     /// Deterministically simulates the listed arrivals of the open period
@@ -716,7 +802,12 @@ impl PacketNetwork {
     /// completions, packet statistics and link usage. Over one component
     /// this equals the whole-period replay restricted to it; over every
     /// arrival it *is* the whole-period replay.
-    fn simulate(&self, members: &[usize], ids: Vec<LinkId>, routes: Vec<Vec<u32>>) -> Replay {
+    fn simulate<Q: Pending>(
+        &self,
+        members: &[usize],
+        ids: Vec<LinkId>,
+        routes: Vec<Vec<u32>>,
+    ) -> Replay {
         let cfg = self.config;
         let mut flows = Vec::with_capacity(members.len());
         for (&i, route) in members.iter().zip(routes) {
@@ -740,23 +831,27 @@ impl PacketNetwork {
                 done: None,
             });
         }
-        let links = ids
+        let links: Vec<SimLink> = ids
             .iter()
-            .map(|&l| SimLink {
-                queue: VecDeque::new(),
-                busy: false,
-                bandwidth: self.topo.bandwidth(l),
-                latency: TimeSpan::from_seconds(self.topo.latency(l)),
-                bytes: 0,
-                busy_time: TimeSpan::ZERO,
+            .map(|&l| {
+                let bandwidth = self.topo.bandwidth(l);
+                SimLink {
+                    queue: VecDeque::new(),
+                    busy: false,
+                    bandwidth,
+                    mtu_ser: TimeSpan::from_seconds(cfg.mtu_bytes as f64 / bandwidth),
+                    latency: TimeSpan::from_seconds(self.topo.latency(l)),
+                    bytes: 0,
+                    busy_time: TimeSpan::ZERO,
+                }
             })
             .collect();
         let mut r = Replayer {
             cfg,
             rto: TimeSpan::from_seconds(cfg.rto_s),
+            pending: Q::new(flows.len() + 2 * links.len() + 1),
             flows,
             links,
-            heap: BinaryHeap::new(),
             eid: 0,
             stats: PacketObservation::default(),
         };
@@ -764,7 +859,7 @@ impl PacketNetwork {
             r.at(self.arrivals[i].at, Ev::Start { flow: k as u32 });
         }
         let mut spent = 0u64;
-        while let Some(Reverse((t, _, ev))) = r.heap.pop() {
+        while let Some((t, ev)) = r.pending.pop() {
             spent += 1;
             assert!(
                 spent <= REPLAY_EVENT_BUDGET,
@@ -1001,6 +1096,30 @@ mod tests {
 
     use super::*;
 
+    /// The order oracle: every pending event in one map keyed `(time,
+    /// insertion id)`, with no streams.
+    struct OneQueue(BTreeMap<(VirtualTime, u64), Ev>);
+
+    impl Pending for OneQueue {
+        fn new(_streams: usize) -> Self {
+            OneQueue(BTreeMap::new())
+        }
+
+        fn push(&mut self, _stream: usize, t: VirtualTime, id: u64, ev: Ev) {
+            self.0.insert((t, id), ev);
+        }
+
+        fn pop(&mut self) -> Option<(VirtualTime, Ev)> {
+            self.0.pop_first().map(|((t, _), ev)| (t, ev))
+        }
+    }
+
+    /// `members` replayed in the order oracle's event order.
+    fn reference(net: &PacketNetwork, members: &[usize]) -> Replay {
+        let (links, routes) = net.localize(members);
+        net.simulate::<OneQueue>(members, links, routes)
+    }
+
     fn at_of(cmds: &[NetCommand]) -> VirtualTime {
         match cmds.last().expect("at least one command") {
             NetCommand::Schedule { at, .. } => *at,
@@ -1197,7 +1316,10 @@ mod tests {
     /// commands are the ones re-simulating all of the period's arrivals
     /// would emit, every live flow is armed at that replay's completion,
     /// and the packet and link observations equal closed periods plus
-    /// that replay. After every step the memo is within its budget.
+    /// that replay. Both the replay of the component a send joins (memo
+    /// hits included) and the whole-period replay must equal the order
+    /// oracle's replay of the same arrivals. After every step the memo
+    /// is within its budget.
     fn drive(
         net: &mut PacketNetwork,
         sends: &[Send],
@@ -1227,8 +1349,21 @@ mod tests {
                         tally.hits += 1;
                     }
                     if oracle {
+                        let joined = net.components.last().expect("a send adds its component");
+                        prop_assert_eq!(
+                            &joined.replay,
+                            &reference(net, &joined.members),
+                            "event order of the component {:?} joined",
+                            flow
+                        );
                         let all: Vec<usize> = (0..net.arrivals.len()).collect();
                         whole = net.replay(&all);
+                        prop_assert_eq!(
+                            &whole,
+                            &reference(net, &all),
+                            "event order of the period after {:?}",
+                            flow
+                        );
                         let expected: Vec<NetCommand> = net
                             .arrivals
                             .iter()
@@ -1295,7 +1430,9 @@ mod tests {
     }
 
     /// A PCIe host tree, an oversubscribed fat tree, or disconnected
-    /// islands (where a wrongly scoped component would show first).
+    /// islands (where a wrongly scoped component would show first). Every
+    /// other island's link has no latency, so each packet's `LinkFree`,
+    /// Arrive and ACK there fall due at one instant.
     fn oracle_topology(kind: u8, n: usize) -> Topology {
         match kind % 3 {
             0 => Topology::pcie_host_tree(n, 16e9, 1e-6),
@@ -1303,34 +1440,39 @@ mod tests {
             _ => {
                 let mut t = Topology::new(n);
                 for i in (0..n - 1).step_by(2) {
-                    t.add_duplex(NodeId(i), NodeId(i + 1), 16e9, 1e-6);
+                    let latency = if i % 4 == 0 { 0.0 } else { 1e-6 };
+                    t.add_duplex(NodeId(i), NodeId(i + 1), 16e9, latency);
                 }
                 t
             }
         }
     }
 
-    /// Component replay against the whole-period oracle, over random
-    /// topologies, both configurations, and scripts of simultaneous and
-    /// staggered sends (same-node ones included) sized just below, at and
-    /// just above multiples of the MTU. The scripts are drawn from the
-    /// vendored proptest's deterministic stream in one loop, so the tally
-    /// can show the oracle was not vacuous: sends did merge components,
-    /// and periods did close mid-script. Every third script runs again
-    /// once it has drained, shifted by a random Δ; each of the repeat's
-    /// sends must hit the memo, and still match the oracle.
+    /// Component replay against the whole-period oracle, and both against
+    /// the order oracle, over random topologies, three configurations
+    /// (the two named ones, and the shallow one with a 4-packet initial
+    /// window, so that ACKs pace injection and their order matters), and
+    /// scripts of simultaneous and staggered sends (same-node ones
+    /// included) of zero bytes or sized just below, at and just above
+    /// multiples of the MTU. A zero-byte packet serializes in no time, so
+    /// its link frees at the instant it starts. The scripts are drawn
+    /// from the vendored proptest's deterministic stream in one loop, so
+    /// the tally can show the oracle was not vacuous: sends did merge
+    /// components, and periods did close mid-script. Every third script
+    /// runs again once it has drained, shifted by a random Δ; each of the
+    /// repeat's sends must hit the memo, and still match the oracle.
     #[test]
     fn component_replay_matches_whole_period_oracle() {
         const SCRIPTS: usize = 300;
         let mut rng = TestRng::from_name("component_replay_matches_whole_period_oracle");
         let mut shifts = TestRng::from_name("component_replay_matches_whole_period_oracle/shift");
         let case = (
-            (any::<u8>(), 4usize..9, any::<bool>()),
+            (any::<u8>(), 4usize..9, 0u8..3),
             prop::collection::vec(
                 (
                     (0u8..4, 0u64..300_000),
                     (0usize..64, 0usize..64),
-                    (1u64..40, 0u64..3),
+                    (0u64..40, 0u64..3),
                 ),
                 1..16,
             ),
@@ -1338,12 +1480,15 @@ mod tests {
         let mut tally = Tally::default();
         let mut shifted_sends = 0;
         for script in 0..SCRIPTS {
-            let ((kind, n, shallow), steps) = case.generate(&mut rng);
+            let ((kind, n, config), steps) = case.generate(&mut rng);
             let topo = oracle_topology(kind, n);
-            let cfg = if shallow {
-                PacketConfig::shallow()
-            } else {
-                PacketConfig::datacenter()
+            let cfg = match config {
+                0 => PacketConfig::datacenter(),
+                1 => PacketConfig::shallow(),
+                _ => PacketConfig {
+                    initial_cwnd: 4.0,
+                    ..PacketConfig::shallow()
+                },
             };
             let nodes = topo.node_count();
             let mut now = VirtualTime::ZERO;
@@ -1362,7 +1507,11 @@ mod tests {
                         now,
                         NodeId(a % nodes),
                         NodeId(b % nodes),
-                        mtus * cfg.mtu_bytes + adj - 1,
+                        if mtus == 0 {
+                            0
+                        } else {
+                            mtus * cfg.mtu_bytes + adj - 1
+                        },
                     )
                 })
                 .filter(|&(_, src, dst, _)| src == dst || topo.route(src, dst).is_ok())
