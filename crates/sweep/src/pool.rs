@@ -10,14 +10,16 @@
 //! therefore any serialization of it) is a pure function of the input,
 //! never of completion order or thread count.
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `worker(i)` for every `i in 0..count` on `threads` OS threads and
 /// returns the results in index order.
 ///
-/// `threads` is clamped to `1..=count`; with one thread (or one item) the
-/// pool degenerates to a plain serial loop on the calling thread — no
-/// threads are spawned, so `--threads 1` is a true serial baseline.
+/// The pool spawns at most `count` threads, since a thread with no index
+/// to claim would only exit; with one thread (or one item) it degenerates
+/// to a plain serial loop on the calling thread — no threads are spawned,
+/// so `--threads 1` is a true serial baseline.
 ///
 /// # Panics
 ///
@@ -38,12 +40,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// discarded with the unwind. Callers that must not lose results on a
 /// panic (the sweep engine's default mode) wrap `worker` in
 /// `catch_unwind` so the closure itself never panics.
-pub fn run_ordered<R, F>(count: usize, threads: usize, worker: F) -> Vec<R>
+pub fn run_ordered<R, F>(count: usize, threads: NonZeroUsize, worker: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = threads.max(1).min(count.max(1));
+    let threads = threads.get().min(count);
     if threads <= 1 {
         return (0..count).map(&worker).collect();
     }
@@ -84,10 +86,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    fn n(threads: usize) -> NonZeroUsize {
+        NonZeroUsize::new(threads).expect("a test pool has threads")
+    }
+
     #[test]
     fn results_are_index_ordered_regardless_of_threads() {
         for threads in [1, 2, 3, 8, 64] {
-            let out = run_ordered(37, threads, |i| i * i);
+            let out = run_ordered(37, n(threads), |i| i * i);
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -95,7 +101,7 @@ mod tests {
     #[test]
     fn every_item_runs_exactly_once() {
         let runs = AtomicUsize::new(0);
-        let out = run_ordered(100, 8, |i| {
+        let out = run_ordered(100, n(8), |i| {
             runs.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -105,7 +111,7 @@ mod tests {
 
     #[test]
     fn zero_items_is_fine() {
-        let out: Vec<usize> = run_ordered(0, 4, |i| i);
+        let out: Vec<usize> = run_ordered(0, n(4), |i| i);
         assert!(out.is_empty());
     }
 
@@ -122,7 +128,7 @@ mod tests {
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_ordered(COUNT, 4, |i| {
+            run_ordered(COUNT, n(4), |i| {
                 if i == POISONED {
                     panic!("poisoned scenario");
                 }
@@ -143,7 +149,7 @@ mod tests {
 
     #[test]
     fn uneven_work_still_collects_in_order() {
-        let out = run_ordered(16, 4, |i| {
+        let out = run_ordered(16, n(4), |i| {
             // Early indices sleep longest, so completion order inverts
             // index order under any parallel schedule.
             std::thread::sleep(std::time::Duration::from_millis((16 - i) as u64));

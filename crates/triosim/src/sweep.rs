@@ -45,6 +45,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -622,14 +623,11 @@ pub fn run_sweep_with(
     spec: &SweepSpec,
     config: &SweepRunConfig,
 ) -> Result<SweepOutcome, SweepError> {
-    for (name, n) in [
-        ("threads", config.threads),
-        ("checkpoint_every", config.checkpoint_every),
-    ] {
-        if n == 0 {
-            return Err(SweepError::Config(format!("{name} must be at least 1")));
-        }
-    }
+    let at_least_one = |name: &str, n: usize| {
+        NonZeroUsize::new(n).ok_or_else(|| SweepError::Config(format!("{name} must be at least 1")))
+    };
+    let threads = at_least_one("threads", config.threads)?;
+    at_least_one("checkpoint_every", config.checkpoint_every)?;
     if config.journal.is_some() && config.resume.is_some() {
         return Err(SweepError::Config(
             "--journal and --resume are mutually exclusive (resume keeps \
@@ -716,7 +714,7 @@ pub fn run_sweep_with(
     let tracker = SweepProgress::with_replayed(total, replayed, config.progress);
     let started = Instant::now();
     let execute_span = prof.begin("execute");
-    let fresh = run_ordered(pending.len(), config.threads, |j| {
+    let fresh = run_ordered(pending.len(), threads, |j| {
         // Graceful drain: once the flag flips, claimed-but-unstarted
         // scenarios are skipped (never journaled), while scenarios that
         // already began keep running to completion below.
