@@ -4,9 +4,21 @@
 //! path* (see `DESIGN.md` §5, "Network fast path"): per-source route
 //! caching, slab-indexed flow storage with a per-link membership index,
 //! max-min reallocation scoped to the connected component of links the
-//! triggering flow touches, and delta-rescheduling that re-arms only the
-//! flows whose rate actually changed.
+//! triggering flow touches (a flow alone on its links takes its route's
+//! least bandwidth without a fill), and delta-rescheduling that re-arms
+//! only the flows whose rate actually changed.
+//!
+//! No network call walks every flow in flight. A queue of pending drain
+//! starts and a per-link count of draining flows keep each link's busy
+//! period. A flow's remaining bytes are settled only when its rate
+//! changes, by replaying the per-window drain over a log of the call
+//! instants since it last settled, so they round exactly as draining at
+//! every call would. Debug builds keep that eager walk as a shadow and
+//! check every link's busy time and every settled flow's remaining bytes
+//! against it after each call.
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use triosim_des::{fnv1a, IdMap, TimeSpan, VirtualTime, FNV_OFFSET};
@@ -111,13 +123,162 @@ struct ActiveFlow {
     dst: NodeId,
     bytes: u64,
     route: Arc<[LinkId]>,
-    /// Bytes (including ramp) still to drain.
+    /// Bytes (including ramp) still to drain, as of instant `settled`.
     remaining: f64,
     /// Currently allocated rate in bytes/s.
     rate: f64,
     /// Draining starts only after the latency + protocol overhead phase.
     drain_start: VirtualTime,
-    last_update: VirtualTime,
+    /// Whether the flow has passed its drain start and counts toward its
+    /// links' busy periods.
+    draining: bool,
+    /// Index in the instant log of the call `remaining` is settled to.
+    settled: u64,
+}
+
+/// The distinct network-call instants that a live flow may still have to
+/// settle over, each with the number of live flows settled to it.
+///
+/// Between two calls a flow drains `min(rate·dt, remaining)` bytes in
+/// floating point. Settling replays exactly those windows, one by one, so
+/// a flow settled late holds the bits it would hold had it drained at
+/// every call.
+#[derive(Debug)]
+struct Instants {
+    /// Log index of `log[0]`.
+    base: u64,
+    log: VecDeque<(VirtualTime, u32)>,
+}
+
+impl Instants {
+    fn new() -> Self {
+        Instants {
+            base: 0,
+            log: VecDeque::from([(VirtualTime::ZERO, 0)]),
+        }
+    }
+
+    /// Log index of the newest instant.
+    fn newest(&self) -> u64 {
+        self.base + self.log.len() as u64 - 1
+    }
+
+    /// Appends a call instant, dropping the oldest instants no live flow
+    /// is settled to.
+    fn push(&mut self, now: VirtualTime) {
+        self.log.push_back((now, 0));
+        while self.log.len() > 1 && self.log[0].1 == 0 {
+            self.log.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Counts one more flow settled to the newest instant; returns its
+    /// index.
+    fn hold(&mut self) -> u64 {
+        let (_, holders) = self
+            .log
+            .back_mut()
+            .expect("the log keeps its newest instant");
+        *holders += 1;
+        self.newest()
+    }
+
+    fn release(&mut self, at: u64) {
+        self.log[(at - self.base) as usize].1 -= 1;
+    }
+
+    /// `f`'s remaining bytes at the newest instant, at its current rate.
+    fn drained(&self, f: &ActiveFlow) -> f64 {
+        let first = (f.settled - self.base) as usize;
+        let mut remaining = f.remaining;
+        let mut prev = self.log[first].0;
+        for &(now, _) in self.log.range(first + 1..) {
+            let from = prev.max(f.drain_start);
+            if now > from && f.rate > 0.0 {
+                let dt = (now - from).as_seconds();
+                remaining -= (f.rate * dt).min(remaining);
+            }
+            prev = now;
+        }
+        remaining
+    }
+
+    /// Brings `f.remaining` to the newest instant.
+    fn settle(&mut self, f: &mut ActiveFlow) {
+        f.remaining = self.drained(f);
+        self.release(f.settled);
+        f.settled = self.hold();
+    }
+}
+
+/// Flows still in their latency phase, as `(drain start, flow id, slot)`.
+///
+/// A drain start is its send instant plus a route latency, so drain
+/// starts mostly arrive in order: those queue in a deque at O(1), and one
+/// earlier than the deque's back goes to a heap at O(log n).
+#[derive(Debug, Default)]
+struct DrainStarts {
+    in_order: VecDeque<(VirtualTime, u64, u32)>,
+    out_of_order: BinaryHeap<Reverse<(VirtualTime, u64, u32)>>,
+}
+
+impl DrainStarts {
+    fn push(&mut self, entry: (VirtualTime, u64, u32)) {
+        match self.in_order.back() {
+            Some(back) if back.0 > entry.0 => self.out_of_order.push(Reverse(entry)),
+            _ => self.in_order.push_back(entry),
+        }
+    }
+
+    /// Takes an entry whose drain start lies before `now`, if any is left.
+    /// Entries come out in no particular order: a call takes them all.
+    fn pop_before(&mut self, now: VirtualTime) -> Option<(VirtualTime, u64, u32)> {
+        if self.in_order.front().is_some_and(|e| e.0 < now) {
+            return self.in_order.pop_front();
+        }
+        if self.out_of_order.peek().is_some_and(|e| e.0 .0 < now) {
+            return self.out_of_order.pop().map(|Reverse(e)| e);
+        }
+        None
+    }
+}
+
+/// A link's current busy period: the draining flows routed through it
+/// and the instant the period opened.
+#[derive(Debug, Clone, Copy, Default)]
+struct BusyPeriod {
+    draining: u32,
+    since: VirtualTime,
+}
+
+impl BusyPeriod {
+    fn open(&mut self, at: VirtualTime) {
+        if self.draining == 0 {
+            self.since = at;
+        }
+        self.draining += 1;
+    }
+
+    /// Drops one draining flow; returns the period's length if that
+    /// closed it.
+    fn close(&mut self, at: VirtualTime) -> TimeSpan {
+        self.draining -= 1;
+        if self.draining == 0 {
+            at - self.since
+        } else {
+            TimeSpan::ZERO
+        }
+    }
+
+    /// Busy time of the open period through `at`, if one is open.
+    fn open_through(&self, at: VirtualTime) -> TimeSpan {
+        if self.draining > 0 {
+            at - self.since
+        } else {
+            TimeSpan::ZERO
+        }
+    }
 }
 
 /// One `(src, dst)` entry of the per-source route cache.
@@ -133,7 +294,9 @@ struct CachedRoute {
 /// can be absorbed exactly: integer sums are associative, which is what
 /// keeps replayed runs byte-identical to serial ones.
 /// Payload bytes are credited when a flow *delivers* (one full payload
-/// per route link), busy time accrues per progress window.
+/// per route link); busy time is counted per busy period, from the call
+/// before the first of the link's flows passed its drain start to the
+/// call at which the last of them left the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkStats {
     /// Payload bytes of delivered flows that crossed this link.
@@ -142,10 +305,10 @@ pub struct LinkStats {
     pub busy: TimeSpan,
 }
 
-/// Reusable, epoch-stamped working memory for reallocation and progress
-/// accounting. Buffers are sized once (per link / per flow slot) and
-/// validity is tracked by comparing stamps, so no buffer is ever cleared
-/// or reallocated on the per-event hot path.
+/// Reusable, epoch-stamped working memory for reallocation. Buffers are
+/// sized once (per link / per flow slot) and validity is tracked by
+/// comparing stamps, so no buffer is ever cleared or reallocated on the
+/// per-event hot path.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Component-gather generation; buffers stamped with an older value
@@ -181,12 +344,6 @@ struct Scratch {
     seeds: Vec<u32>,
     /// Flow slots whose schedule commands this reallocation may emit.
     emit: Vec<u32>,
-    /// Per-link stamp: link was busy in the current progress window.
-    busy: Vec<u64>,
-    /// Progress-window generation backing `busy`.
-    busy_epoch: u64,
-    /// The links stamped in the current progress window, once each.
-    busy_links: Vec<LinkId>,
 }
 
 impl Scratch {
@@ -196,7 +353,6 @@ impl Scratch {
             self.cap.resize(links, 0.0);
             self.count.resize(links, 0);
             self.sat.resize(links, 0);
-            self.busy.resize(links, 0);
         }
     }
 
@@ -205,6 +361,82 @@ impl Scratch {
             self.flow_epoch.resize(slots, 0);
             self.visit.resize(slots, 0);
             self.rates.resize(slots, 0.0);
+        }
+    }
+}
+
+/// Debug-build oracle: the eager progress walk. At every call it drains
+/// each flow's remaining bytes over the window since the previous call
+/// and credits the window to every link that a flow drained through.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct Shadow {
+    /// Per slot: remaining bytes, drained at every call.
+    remaining: Vec<f64>,
+    /// Per slot: the call `remaining` was last drained at.
+    last_update: Vec<VirtualTime>,
+    /// Per link: busy time, credited window by window.
+    busy: Vec<TimeSpan>,
+    last_progress: VirtualTime,
+    /// Per-link stamp: link was busy in the current progress window.
+    stamp: Vec<u64>,
+    /// Progress-window generation backing `stamp`.
+    epoch: u64,
+    /// The links stamped in the current progress window, once each.
+    marked: Vec<LinkId>,
+}
+
+#[cfg(debug_assertions)]
+impl Shadow {
+    fn new(links: usize) -> Self {
+        let mut shadow = Shadow::default();
+        shadow.ensure_links(links);
+        shadow
+    }
+
+    fn ensure_links(&mut self, links: usize) {
+        if self.busy.len() < links {
+            self.busy.resize(links, TimeSpan::ZERO);
+            self.stamp.resize(links, 0);
+        }
+    }
+
+    fn start(&mut self, slot: u32, remaining: f64, now: VirtualTime) {
+        let s = slot as usize;
+        if self.remaining.len() <= s {
+            self.remaining.resize(s + 1, 0.0);
+            self.last_update.resize(s + 1, VirtualTime::ZERO);
+        }
+        self.remaining[s] = remaining;
+        self.last_update[s] = now;
+    }
+
+    fn walk(&mut self, now: VirtualTime, slots: &[Option<ActiveFlow>]) {
+        self.epoch += 1;
+        let e = self.epoch;
+        self.marked.clear();
+        for (s, slot) in slots.iter().enumerate() {
+            let Some(f) = slot else { continue };
+            let from = self.last_update[s].max(f.drain_start);
+            if now > from && f.rate > 0.0 {
+                let dt = (now - from).as_seconds();
+                let remaining = &mut self.remaining[s];
+                *remaining -= (f.rate * dt).min(*remaining);
+                for &l in f.route.iter() {
+                    if self.stamp[l.0] != e {
+                        self.stamp[l.0] = e;
+                        self.marked.push(l);
+                    }
+                }
+            }
+            self.last_update[s] = now;
+        }
+        if now > self.last_progress {
+            let dt = now - self.last_progress;
+            for &l in &self.marked {
+                self.busy[l.0] += dt;
+            }
+            self.last_progress = now;
         }
     }
 }
@@ -271,9 +503,23 @@ pub struct FlowNetwork {
     link_faults: u64,
     reroutes: u64,
     added_hops: u64,
+    /// Per link: delivered bytes, and busy time of closed busy periods.
     link_stats: Vec<LinkStats>,
+    /// Per link: the busy period open through `last_progress`, if any.
+    periods: Vec<BusyPeriod>,
+    /// Flows still in their latency phase. An entry whose slot no longer
+    /// holds that flow is stale and skipped.
+    pending: DrainStarts,
+    instants: Instants,
+    /// The latest network call's instant.
     last_progress: VirtualTime,
+    /// Flow slots read by progress accounting and incremental
+    /// reallocation: drain-start pops, members of touched components (a
+    /// lone flow counts one) and membership-index entries scanned.
+    visits: u64,
     scratch: Scratch,
+    #[cfg(debug_assertions)]
+    shadow: Shadow,
 }
 
 impl FlowNetwork {
@@ -309,8 +555,14 @@ impl FlowNetwork {
             reroutes: 0,
             added_hops: 0,
             link_stats: vec![LinkStats::default(); links],
+            periods: vec![BusyPeriod::default(); links],
+            pending: DrainStarts::default(),
+            instants: Instants::new(),
             last_progress: VirtualTime::ZERO,
+            visits: 0,
             scratch,
+            #[cfg(debug_assertions)]
+            shadow: Shadow::new(links),
         }
     }
 
@@ -421,9 +673,12 @@ impl FlowNetwork {
         let links = self.topo.link_count();
         if self.link_stats.len() != links {
             self.link_stats.resize(links, LinkStats::default());
+            self.periods.resize(links, BusyPeriod::default());
             self.link_flows.resize(links, Vec::new());
         }
         self.scratch.ensure_links(links);
+        #[cfg(debug_assertions)]
+        self.shadow.ensure_links(links);
     }
 
     /// The cached route and latency for `(src, dst)`; one BFS per source,
@@ -462,53 +717,68 @@ impl FlowNetwork {
             .ok_or(PartitionedError { src, dst })
     }
 
-    /// Advances every flow's drained-bytes accounting to `now`, marking
-    /// per-link busy time along the way. (Payload bytes are credited at
-    /// delivery — see [`deliver`](NetworkModel::deliver) — so the byte
-    /// counter stays an exact integer.)
+    /// Advances progress accounting to `now`, the instant of a network
+    /// call. Each flow whose drain start lies before `now` starts counting
+    /// toward its links, and a link it turns busy is credited from the
+    /// previous call on: the window in which the flow started draining.
+    /// Remaining bytes wait for [`Instants::settle`], and payload bytes
+    /// are credited at [`deliver`](NetworkModel::deliver), so the byte
+    /// counter stays an exact integer.
     fn update_progress(&mut self, now: VirtualTime) {
-        let sc = &mut self.scratch;
-        let stats = &mut self.link_stats;
-        sc.busy_epoch += 1;
-        let be = sc.busy_epoch;
-        sc.busy_links.clear();
-        for slot in self.slots.iter_mut() {
-            let Some(f) = slot else { continue };
-            let from = f.last_update.max(f.drain_start);
-            if now > from && f.rate > 0.0 {
-                let dt = (now - from).as_seconds();
-                let drained = (f.rate * dt).min(f.remaining);
-                f.remaining -= drained;
-                for &l in f.route.iter() {
-                    if sc.busy[l.0] != be {
-                        sc.busy[l.0] = be;
-                        sc.busy_links.push(l);
-                    }
-                }
-            }
-            f.last_update = now;
+        #[cfg(debug_assertions)]
+        self.shadow.walk(now, &self.slots);
+        if now <= self.last_progress {
+            return;
         }
-        if now > self.last_progress {
-            let dt = now - self.last_progress;
-            for &l in &sc.busy_links {
-                stats[l.0].busy += dt;
+        while let Some((_, id, slot)) = self.pending.pop_before(now) {
+            self.visits += 1;
+            // A flow delivered at its drain start never drained.
+            let Some(f) = self.slots[slot as usize].as_mut().filter(|f| f.id.0 == id) else {
+                continue;
+            };
+            f.draining = true;
+            for &l in f.route.iter() {
+                self.periods[l.0].open(self.last_progress);
             }
-            self.last_progress = now;
+        }
+        self.last_progress = now;
+        self.instants.push(now);
+    }
+
+    /// Removes `slot` from the membership index of every link of `route`.
+    fn leave_links(&mut self, slot: u32, route: &[LinkId]) {
+        for &l in route {
+            let members = &mut self.link_flows[l.0];
+            let pos = members
+                .iter()
+                .position(|&s| s == slot)
+                .expect("membership index tracks every routed flow");
+            self.visits += pos as u64 + 1;
+            members.swap_remove(pos);
+        }
+    }
+
+    /// Takes a draining flow off `route`, closing each busy period it was
+    /// the last to keep open at the current call.
+    fn stop_draining(&mut self, route: &[LinkId]) {
+        for &l in route {
+            self.link_stats[l.0].busy += self.periods[l.0].close(self.last_progress);
         }
     }
 
     /// Cumulative activity counters for one link.
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
-        self.link_stats[link.0]
+        let LinkStats { bytes, busy } = self.link_stats[link.0];
+        LinkStats {
+            bytes,
+            busy: busy + self.periods[link.0].open_through(self.last_progress),
+        }
     }
 
     /// The `k` busiest links by bytes carried, descending.
     pub fn hottest_links(&self, k: usize) -> Vec<(LinkId, LinkStats)> {
-        let mut v: Vec<(LinkId, LinkStats)> = self
-            .link_stats
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (LinkId(i), s))
+        let mut v: Vec<(LinkId, LinkStats)> = (0..self.link_stats.len())
+            .map(|i| (LinkId(i), self.link_stats(LinkId(i))))
             .collect();
         v.sort_by_key(|&(_, s)| std::cmp::Reverse(s.bytes));
         v.truncate(k);
@@ -671,6 +941,35 @@ impl FlowNetwork {
         }
     }
 
+    /// Debug oracle: after a network call, progress accounting agrees with
+    /// the eager walk on every link's busy ticks and on the bits of every
+    /// flow settled to this call.
+    #[cfg(debug_assertions)]
+    fn assert_progress_matches_walk(&self) {
+        for (i, &want) in self.shadow.busy.iter().enumerate() {
+            let got = self.link_stats(LinkId(i)).busy;
+            assert!(
+                got == want,
+                "link {i} busy for {got}, the eager walk says {want}"
+            );
+        }
+        let newest = self.instants.newest();
+        for (s, slot) in self.slots.iter().enumerate() {
+            if let Some(f) = slot.as_ref().filter(|f| f.settled == newest) {
+                self.assert_remaining_matches_walk(s, f.remaining);
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    fn assert_remaining_matches_walk(&self, slot: usize, got: f64) {
+        let want = self.shadow.remaining[slot];
+        assert!(
+            got.to_bits() == want.to_bits(),
+            "slot {slot} has {got} bytes left, the eager walk says {want}"
+        );
+    }
+
     /// Recomputes the fair rates affected by a flow start (`new_slot`) or
     /// completion (`seed_route` = the finished flow's links) and returns
     /// `Schedule` commands for the flows whose delivery time moved.
@@ -688,15 +987,37 @@ impl FlowNetwork {
                 self.scratch.sweep += 1;
                 let sweep = self.scratch.sweep;
                 if let Some(s) = new_slot {
-                    // A starting flow connects everything it touches into
-                    // one component.
-                    self.gather_component(s);
-                    for i in 0..self.scratch.comp_flows.len() {
-                        let m = self.scratch.comp_flows[i];
-                        self.scratch.visit[m as usize] = sweep;
+                    let route = &self.slots[s as usize]
+                        .as_ref()
+                        .expect("new slot live")
+                        .route;
+                    if route.iter().all(|l| self.link_flows[l.0].len() == 1) {
+                        // A flow alone on its links is a one-flow component,
+                        // which progressive filling gives `0.0 + min_l
+                        // bw_l / 1`: its route's least bandwidth.
+                        self.scratch.rates[s as usize] = if route.is_empty() {
+                            0.0
+                        } else {
+                            route
+                                .iter()
+                                .map(|&l| self.topo.bandwidth(l))
+                                .fold(f64::INFINITY, f64::min)
+                        };
+                        self.scratch.visit[s as usize] = sweep;
+                        self.visits += 1;
+                        emit.push(s);
+                    } else {
+                        // A starting flow connects everything it touches
+                        // into one component.
+                        self.gather_component(s);
+                        for i in 0..self.scratch.comp_flows.len() {
+                            let m = self.scratch.comp_flows[i];
+                            self.scratch.visit[m as usize] = sweep;
+                        }
+                        self.visits += self.scratch.comp_flows.len() as u64;
+                        emit.extend_from_slice(&self.scratch.comp_flows);
+                        self.fill_component();
                     }
-                    emit.extend_from_slice(&self.scratch.comp_flows);
-                    self.fill_component();
                 } else {
                     // A finishing flow may have been the bridge holding
                     // its component together: the survivors on its links
@@ -719,6 +1040,7 @@ impl FlowNetwork {
                             let m = self.scratch.comp_flows[j];
                             self.scratch.visit[m as usize] = sweep;
                         }
+                        self.visits += self.scratch.comp_flows.len() as u64;
                         emit.extend_from_slice(&self.scratch.comp_flows);
                         self.fill_component();
                     }
@@ -755,12 +1077,17 @@ impl FlowNetwork {
             let new_rate = sc.rates[s as usize];
             let is_new = new_slot == Some(s);
             let changed = new_rate.to_bits() != f.rate.to_bits();
-            f.rate = new_rate;
             if !(is_new || changed) {
                 // Delta-rescheduling: an unchanged rate means the armed
                 // delivery event is still exact — leave it alone.
                 continue;
             }
+            if !is_new {
+                // Drain at the old rate up to now; a new flow is settled
+                // to now by construction.
+                self.instants.settle(f);
+            }
+            f.rate = new_rate;
             let base = now.max(f.drain_start);
             let at = if f.remaining <= 0.0 {
                 base
@@ -777,6 +1104,8 @@ impl FlowNetwork {
             }
         }
         self.reschedules += reschedules;
+        #[cfg(debug_assertions)]
+        self.assert_progress_matches_walk();
         cmds
     }
 
@@ -815,22 +1144,24 @@ impl FlowNetwork {
         // Deterministic processing order regardless of membership layout.
         moved.sort_unstable();
         for &s in &moved {
-            let (src, dst, old_route) = {
+            let (src, dst, old_route, draining) = {
                 let f = self.slots[s as usize].as_ref().expect("rerouted slot live");
-                (f.src, f.dst, f.route.clone())
+                (f.src, f.dst, f.route.clone(), f.draining)
             };
             let new_route = self
                 .topo
                 .route(src, dst)
                 .map_err(|_| PartitionedError { src, dst })?;
-            for &l in old_route.iter() {
-                let members = &mut self.link_flows[l.0];
-                if let Some(pos) = members.iter().position(|&x| x == s) {
-                    members.swap_remove(pos);
-                }
-            }
+            self.leave_links(s, &old_route);
             for &l in &new_route {
                 self.link_flows[l.0].push(s);
+            }
+            if draining {
+                // The old links' busy time stops here, the detour's starts.
+                self.stop_draining(&old_route);
+                for &l in &new_route {
+                    self.periods[l.0].open(self.last_progress);
+                }
             }
             self.reroutes += 1;
             self.added_hops += new_route.len().saturating_sub(old_route.len()) as u64;
@@ -874,6 +1205,7 @@ impl NetworkModel for FlowNetwork {
             bytes as f64 + self.config.bandwidth_ramp_bytes
         };
         self.update_progress(now);
+        let drain_start = now + TimeSpan::from_seconds(latency);
         let flow = ActiveFlow {
             id,
             src,
@@ -882,8 +1214,9 @@ impl NetworkModel for FlowNetwork {
             route: cached.route,
             remaining,
             rate: 0.0,
-            drain_start: now + TimeSpan::from_seconds(latency),
-            last_update: now,
+            drain_start,
+            draining: false,
+            settled: self.instants.hold(),
         };
         let slot = match self.free_slots.pop() {
             Some(s) => {
@@ -896,12 +1229,16 @@ impl NetworkModel for FlowNetwork {
             }
         };
         self.scratch.ensure_slots(self.slots.len());
+        #[cfg(debug_assertions)]
+        self.shadow.start(slot, remaining, now);
         self.slot_of.insert(id.0, slot);
-        let route = self.slots[slot as usize]
+        let route = &self.slots[slot as usize]
             .as_ref()
             .expect("just inserted")
-            .route
-            .clone();
+            .route;
+        if !route.is_empty() {
+            self.pending.push((drain_start, id.0, slot));
+        }
         for &l in route.iter() {
             self.link_flows[l.0].push(slot);
         }
@@ -925,6 +1262,8 @@ impl NetworkModel for FlowNetwork {
                 (s == a && d == b) || (s == b && d == a)
             })
             .collect();
+        #[cfg(debug_assertions)]
+        self.assert_progress_matches_walk();
         if affected.is_empty() {
             // No direct link between the endpoints; a validated plan never
             // gets here, and an unmatched fault is a no-op by design.
@@ -967,19 +1306,20 @@ impl NetworkModel for FlowNetwork {
             .remove(&flow.0)
             .expect("delivered flow must be in flight");
         let f = self.slots[slot as usize].take().expect("slot occupied");
-        debug_assert!(
-            f.remaining <= 1.0,
-            "flow {flow} delivered with {} bytes left",
-            f.remaining
-        );
-        for &l in f.route.iter() {
-            let members = &mut self.link_flows[l.0];
-            let pos = members
-                .iter()
-                .position(|&s| s == slot)
-                .expect("membership index tracks every routed flow");
-            members.swap_remove(pos);
+        #[cfg(debug_assertions)]
+        {
+            let remaining = self.instants.drained(&f);
+            self.assert_remaining_matches_walk(slot as usize, remaining);
+            assert!(
+                remaining <= 1.0,
+                "flow {flow} delivered with {remaining} bytes left"
+            );
         }
+        self.instants.release(f.settled);
+        if f.draining {
+            self.stop_draining(&f.route);
+        }
+        self.leave_links(slot, &f.route);
         self.free_slots.push(slot);
         // Credit the full payload to every link on the route now that the
         // flow has finished: an exact integer per link, independent of how
@@ -1014,11 +1354,12 @@ impl NetworkModel for FlowNetwork {
             .map(|i| {
                 let link = LinkId(i);
                 let (src, dst) = self.topo.endpoints(link);
+                let stats = self.link_stats(link);
                 LinkObservation {
                     label: format!("n{}->n{}", src.0, dst.0),
                     bandwidth: self.topo.bandwidth(link),
-                    bytes: self.link_stats[i].bytes as f64,
-                    busy_s: self.link_stats[i].busy.as_seconds(),
+                    bytes: stats.bytes as f64,
+                    busy_s: stats.busy.as_seconds(),
                     busy_through: Some(self.last_progress),
                     active_flows: self.link_flows[i].len(),
                 }
@@ -1043,7 +1384,12 @@ impl NetworkModel for FlowNetwork {
     fn stats_snapshot(&self) -> Option<NetStatsSnapshot> {
         Some(NetStatsSnapshot {
             observation: self.observe(),
-            links: self.link_stats.iter().map(|s| (s.bytes, s.busy)).collect(),
+            links: (0..self.link_stats.len())
+                .map(|i| {
+                    let s = self.link_stats(LinkId(i));
+                    (s.bytes, s.busy)
+                })
+                .collect(),
         })
     }
 
@@ -1064,6 +1410,10 @@ impl NetworkModel for FlowNetwork {
         for (stat, &(bytes, busy)) in self.link_stats.iter_mut().zip(&snapshot.links) {
             stat.bytes += bytes;
             stat.busy += busy;
+        }
+        #[cfg(debug_assertions)]
+        for (want, &(_, busy)) in self.shadow.busy.iter_mut().zip(&snapshot.links) {
+            *want += busy;
         }
     }
 
@@ -1108,11 +1458,12 @@ impl NetworkModel for FlowNetwork {
             links: (0..self.link_stats.len())
                 .map(|i| {
                     let l = LinkId(i);
+                    let stats = self.link_stats(l);
                     LinkCheckpoint {
                         bandwidth_bits: self.topo.bandwidth(l).to_bits(),
                         up: self.topo.is_link_up(l),
-                        bytes: self.link_stats[i].bytes,
-                        busy: self.link_stats[i].busy,
+                        bytes: stats.bytes,
+                        busy: stats.busy,
                     }
                 })
                 .collect(),
@@ -1153,6 +1504,10 @@ impl NetworkModel for FlowNetwork {
                 bytes: lc.bytes,
                 busy: lc.busy,
             };
+            #[cfg(debug_assertions)]
+            {
+                self.shadow.busy[i] = lc.busy;
+            }
         }
         // Routes are recomputed on demand from the restored topology —
         // the snapshot is route-cache-free by design.
@@ -1675,6 +2030,117 @@ mod tests {
         let (fb, cmds) = net.send(t0, NodeId(1), NodeId(0), 1_000_000);
         assert!((sched_time(&cmds, fb).as_seconds() - 1e-3).abs() < 1e-9);
         assert_eq!(net.link_faults(), 2);
+    }
+
+    #[test]
+    fn busy_time_follows_a_rerouted_flow() {
+        // Ring of 4 at 1 GB/s: a 4 MB flow 0->1 drains from 0 and is
+        // due at 4 ms. Failing 0<->1 at 1 ms moves it to 0->3->2->1.
+        let mut net = FlowNetwork::new(Topology::ring(4, 1e9, 0.0));
+        let link = |net: &FlowNetwork, a: usize, b: usize| {
+            net.topology().route(NodeId(a), NodeId(b)).unwrap()[0]
+        };
+        let (direct, detour) = (
+            link(&net, 0, 1),
+            [link(&net, 0, 3), link(&net, 3, 2), link(&net, 2, 1)],
+        );
+        let (f, cmds) = net.send(VirtualTime::ZERO, NodeId(0), NodeId(1), 4_000_000);
+        let due = sched_time(&cmds, f);
+        assert!((due.as_seconds() - 4e-3).abs() < 1e-12);
+        let fault = VirtualTime::from_millis(1.0);
+        let cmds = net
+            .apply_link_fault(fault, NodeId(0), NodeId(1), LinkFault::Fail)
+            .unwrap();
+        assert!(cmds.is_empty(), "same bandwidth on the detour: no re-arm");
+        let busy = |net: &FlowNetwork, l: LinkId| net.link_stats(l).busy;
+        // The failed link was busy from the send to the fault; the detour
+        // has not been busy yet.
+        assert_eq!(busy(&net, direct), fault - VirtualTime::ZERO);
+        for &l in &detour {
+            assert_eq!(busy(&net, l), TimeSpan::ZERO);
+        }
+        // A call at 2 ms shows the detour's open periods; a lone flow on
+        // the unused 2->3 link changes nothing else.
+        let two = VirtualTime::from_millis(2.0);
+        let (g, cmds) = net.send(two, NodeId(2), NodeId(3), 1_000_000);
+        let g_due = sched_time(&cmds, g);
+        assert_eq!(busy(&net, direct), fault - VirtualTime::ZERO);
+        for &l in &detour {
+            assert_eq!(busy(&net, l), two - fault);
+        }
+        net.deliver(g, g_due);
+        net.deliver(f, due);
+        assert_eq!(busy(&net, direct), fault - VirtualTime::ZERO);
+        for &l in &detour {
+            assert_eq!(busy(&net, l), due - fault, "detour busy from the fault on");
+        }
+        assert_eq!(busy(&net, link(&net, 2, 3)), g_due - two);
+        let idle = [link(&net, 1, 0), link(&net, 3, 0), link(&net, 1, 2)];
+        for l in idle {
+            assert_eq!(busy(&net, l), TimeSpan::ZERO);
+        }
+    }
+
+    #[test]
+    fn cost_per_call_does_not_grow_with_the_flows_in_flight() {
+        use std::collections::BTreeMap;
+        // A ring all-reduce's traffic on a 128-node switch: at each step
+        // node i sends to i + 1, once its previous send has been delivered
+        // and it has received the previous step, so about 128 flows are in
+        // flight at every call. Sizes differ per sender, so the calls fall
+        // at many distinct instants.
+        const N: usize = 128;
+        const STEPS: usize = 4;
+        type Armed = BTreeMap<(VirtualTime, FlowId), (usize, usize)>;
+        fn send(net: &mut FlowNetwork, armed: &mut Armed, src: usize, now: VirtualTime) -> u64 {
+            let dst = (src + 1) % N;
+            let bytes = 1_000_000 + 1_000 * src as u64;
+            let (f, cmds) = net.send(now, NodeId(src), NodeId(dst), bytes);
+            assert_eq!(cmds.len(), 1, "a lone flow re-arms no other flow");
+            armed.insert((sched_time(&cmds, f), f), (src, dst));
+            // The route, plus the component the send touches: itself.
+            net.topology()
+                .route(NodeId(src), NodeId(dst))
+                .unwrap()
+                .len() as u64
+                + 1
+        }
+        let mut net = FlowNetwork::new(Topology::switch(N, 1e9, 1e-6));
+        let mut armed = Armed::new();
+        let (mut sent, mut done, mut got) = ([1; N], [0; N], [0; N]);
+        let mut bound = 0;
+        for src in 0..N {
+            bound += send(&mut net, &mut armed, src, VirtualTime::ZERO);
+        }
+        while let Some(((at, f), (src, dst))) = armed.pop_first() {
+            assert!(net.deliver(f, at).is_empty(), "nothing left to refill");
+            // The route; the delivery touches no component.
+            bound += net
+                .topology()
+                .route(NodeId(src), NodeId(dst))
+                .unwrap()
+                .len() as u64;
+            done[src] += 1;
+            got[dst] += 1;
+            for node in [src, dst] {
+                if sent[node] < STEPS && done[node] == sent[node] && got[node] == sent[node] {
+                    bound += send(&mut net, &mut armed, node, at);
+                    sent[node] += 1;
+                }
+            }
+        }
+        let flows = (N * STEPS) as u64;
+        // One drain-start pop per flow.
+        bound += flows;
+        assert_eq!(net.flows_completed(), flows);
+        assert_eq!(net.reallocations(), 2 * flows);
+        assert_eq!(net.reschedules(), 0);
+        assert!(
+            net.visits <= bound,
+            "{} slot visits over {} calls, bound {bound}",
+            net.visits,
+            2 * flows
+        );
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl std::error::Error for TopologyError {}
 pub struct Topology {
     nodes: usize,
     links: Vec<Link>,
-    /// adjacency[src] = list of (dst, link index) — deterministic order.
+    /// `adjacency[src]` = list of (dst, link index) — deterministic order.
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
     /// Whether a node may appear in the *interior* of a route. Endpoint
     /// nodes (the host CPU on NVLink systems) carry their own traffic but
