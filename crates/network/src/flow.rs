@@ -214,9 +214,14 @@ impl Instants {
 
 /// Flows still in their latency phase, as `(drain start, flow id, slot)`.
 ///
-/// A drain start is its send instant plus a route latency, so drain
-/// starts mostly arrive in order: those queue in a deque at O(1), and one
-/// earlier than the deque's back goes to a heap at O(log n).
+/// A drain start is the send instant plus the route's latency and the
+/// message overhead. Calls come in time order, so drain starts arrive in
+/// order wherever that sum is the same for every send, as between the
+/// GPUs of `p2` at the default fidelity: those queue in a deque at O(1).
+/// One earlier than the deque's back goes to a heap at O(log n); that
+/// happens between routes of different latency, and under
+/// [`FlowNetworkConfig::reference`], whose per-chunk overhead grows with
+/// the message size.
 #[derive(Debug, Default)]
 struct DrainStarts {
     in_order: VecDeque<(VirtualTime, u64, u32)>,
@@ -514,8 +519,9 @@ pub struct FlowNetwork {
     /// The latest network call's instant.
     last_progress: VirtualTime,
     /// Flow slots read by progress accounting and incremental
-    /// reallocation: drain-start pops, members of touched components (a
-    /// lone flow counts one) and membership-index entries scanned.
+    /// reallocation: drain-start pops, membership-index entries read
+    /// (by component gathers, the deliver path's seed collection and
+    /// membership removal), and one for a lone flow's send.
     visits: u64,
     scratch: Scratch,
     #[cfg(debug_assertions)]
@@ -786,8 +792,9 @@ impl FlowNetwork {
     }
 
     /// Collects into `scratch.comp_flows`/`comp_links` the connected
-    /// component of the flow-interference graph containing `seed`.
-    fn gather_component(&mut self, seed: u32) {
+    /// component of the flow-interference graph containing `seed`;
+    /// returns the number of membership-index entries it read.
+    fn gather_component(&mut self, seed: u32) -> u64 {
         let sc = &mut self.scratch;
         let slots = &self.slots;
         let link_flows = &self.link_flows;
@@ -799,12 +806,14 @@ impl FlowNetwork {
         sc.flow_epoch[seed as usize] = e;
         sc.comp_flows.push(seed);
         sc.stack.push(seed);
+        let mut read = 0;
         while let Some(s) = sc.stack.pop() {
             let f = slots[s as usize].as_ref().expect("component slot live");
             for &l in f.route.iter() {
                 if sc.link_epoch[l.0] != e {
                     sc.link_epoch[l.0] = e;
                     sc.comp_links.push(l);
+                    read += link_flows[l.0].len() as u64;
                     for &s2 in &link_flows[l.0] {
                         if sc.flow_epoch[s2 as usize] != e {
                             sc.flow_epoch[s2 as usize] = e;
@@ -815,6 +824,7 @@ impl FlowNetwork {
                 }
             }
         }
+        read
     }
 
     /// Progressive filling over the gathered component, writing the new
@@ -904,6 +914,8 @@ impl FlowNetwork {
             if self.slots[s as usize].is_none() || self.scratch.visit[s as usize] == sweep {
                 continue;
             }
+            // Not counted in `visits`: debug builds run a full refill
+            // after every incremental one, as its oracle.
             self.gather_component(s);
             for i in 0..self.scratch.comp_flows.len() {
                 let m = self.scratch.comp_flows[i];
@@ -1009,12 +1021,11 @@ impl FlowNetwork {
                     } else {
                         // A starting flow connects everything it touches
                         // into one component.
-                        self.gather_component(s);
+                        self.visits += self.gather_component(s);
                         for i in 0..self.scratch.comp_flows.len() {
                             let m = self.scratch.comp_flows[i];
                             self.scratch.visit[m as usize] = sweep;
                         }
-                        self.visits += self.scratch.comp_flows.len() as u64;
                         emit.extend_from_slice(&self.scratch.comp_flows);
                         self.fill_component();
                     }
@@ -1031,16 +1042,16 @@ impl FlowNetwork {
                     for &l in seed_route {
                         seeds.extend_from_slice(&self.link_flows[l.0]);
                     }
+                    self.visits += seeds.len() as u64;
                     for &s in &seeds {
                         if self.scratch.visit[s as usize] == sweep {
                             continue;
                         }
-                        self.gather_component(s);
+                        self.visits += self.gather_component(s);
                         for j in 0..self.scratch.comp_flows.len() {
                             let m = self.scratch.comp_flows[j];
                             self.scratch.visit[m as usize] = sweep;
                         }
-                        self.visits += self.scratch.comp_flows.len() as u64;
                         emit.extend_from_slice(&self.scratch.comp_flows);
                         self.fill_component();
                     }
@@ -2085,62 +2096,122 @@ mod tests {
     fn cost_per_call_does_not_grow_with_the_flows_in_flight() {
         use std::collections::BTreeMap;
         // A ring all-reduce's traffic on a 128-node switch: at each step
-        // node i sends to i + 1, once its previous send has been delivered
-        // and it has received the previous step, so about 128 flows are in
-        // flight at every call. Sizes differ per sender, so the calls fall
-        // at many distinct instants.
+        // node i sends `per_step` flows to i + 1, once its previous flows
+        // have been delivered and it has received the previous step's, so
+        // about 128 x `per_step` flows are in flight at every call. Sizes
+        // differ per sender, so the calls fall at many distinct instants.
+        // With two flows per step the pair shares its one link: the second
+        // flow, twice the first's size, halves the first's rate, and takes
+        // the whole link when the first is delivered, so flows re-arm and
+        // settle.
         const N: usize = 128;
-        const STEPS: usize = 4;
-        type Armed = BTreeMap<(VirtualTime, FlowId), (usize, usize)>;
-        fn send(net: &mut FlowNetwork, armed: &mut Armed, src: usize, now: VirtualTime) -> u64 {
-            let dst = (src + 1) % N;
-            let bytes = 1_000_000 + 1_000 * src as u64;
-            let (f, cmds) = net.send(now, NodeId(src), NodeId(dst), bytes);
-            assert_eq!(cmds.len(), 1, "a lone flow re-arms no other flow");
-            armed.insert((sched_time(&cmds, f), f), (src, dst));
-            // The route, plus the component the send touches: itself.
-            net.topology()
-                .route(NodeId(src), NodeId(dst))
-                .unwrap()
-                .len() as u64
-                + 1
-        }
-        let mut net = FlowNetwork::new(Topology::switch(N, 1e9, 1e-6));
-        let mut armed = Armed::new();
-        let (mut sent, mut done, mut got) = ([1; N], [0; N], [0; N]);
-        let mut bound = 0;
-        for src in 0..N {
-            bound += send(&mut net, &mut armed, src, VirtualTime::ZERO);
-        }
-        while let Some(((at, f), (src, dst))) = armed.pop_first() {
-            assert!(net.deliver(f, at).is_empty(), "nothing left to refill");
-            // The route; the delivery touches no component.
-            bound += net
-                .topology()
-                .route(NodeId(src), NodeId(dst))
-                .unwrap()
-                .len() as u64;
-            done[src] += 1;
-            got[dst] += 1;
-            for node in [src, dst] {
-                if sent[node] < STEPS && done[node] == sent[node] && got[node] == sent[node] {
-                    bound += send(&mut net, &mut armed, node, at);
-                    sent[node] += 1;
+        const STEPS: u64 = 4;
+        type Armed = BTreeMap<(VirtualTime, FlowId), usize>;
+        type Due = BTreeMap<FlowId, VirtualTime>;
+        // Re-arms the deliveries in `cmds`, all of flows sent by `src`.
+        fn arm(armed: &mut Armed, due: &mut Due, cmds: &[NetCommand], src: usize) {
+            for cmd in cmds {
+                let NetCommand::Schedule { flow, at } = *cmd else {
+                    panic!("the flow tier never cancels")
+                };
+                if let Some(old) = due.insert(flow, at) {
+                    armed.remove(&(old, flow));
                 }
+                armed.insert((at, flow), src);
             }
         }
-        let flows = (N * STEPS) as u64;
-        // One drain-start pop per flow.
-        bound += flows;
-        assert_eq!(net.flows_completed(), flows);
-        assert_eq!(net.reallocations(), 2 * flows);
-        assert_eq!(net.reschedules(), 0);
-        assert!(
-            net.visits <= bound,
-            "{} slot visits over {} calls, bound {bound}",
-            net.visits,
-            2 * flows
-        );
+        struct Ring {
+            net: FlowNetwork,
+            armed: Armed,
+            due: Due,
+            /// Per sender: its flows in flight, which are exactly the
+            /// flows on its route's one link.
+            live: [u64; N],
+            per_step: u64,
+        }
+        impl Ring {
+            /// Sends one step from `src`; returns the step's bound.
+            fn send_step(&mut self, src: usize, now: VirtualTime) -> u64 {
+                let mut bound = 0;
+                for k in 1..=self.per_step {
+                    let bytes = (1_000_000 + 1_000 * src as u64) * k;
+                    let dst = NodeId((src + 1) % N);
+                    let (_, cmds) = self.net.send(now, NodeId(src), dst, bytes);
+                    self.live[src] += 1;
+                    assert_eq!(
+                        cmds.len() as u64,
+                        self.live[src],
+                        "each flow on the link re-arms"
+                    );
+                    arm(&mut self.armed, &mut self.due, &cmds, src);
+                    // The route, plus the touched component's membership
+                    // entries (a lone flow reads one).
+                    bound += 1 + self.live[src];
+                }
+                bound
+            }
+        }
+        for per_step in [1, 2] {
+            let mut ring = Ring {
+                net: FlowNetwork::new(Topology::switch(N, 1e9, 1e-6)),
+                armed: Armed::new(),
+                due: Due::new(),
+                live: [0; N],
+                per_step,
+            };
+            assert_eq!(
+                ring.net
+                    .topology()
+                    .route(NodeId(0), NodeId(1))
+                    .unwrap()
+                    .len(),
+                1
+            );
+            let (mut sent, mut done, mut got) = ([1; N], [0; N], [0; N]);
+            let mut bound = 0;
+            for src in 0..N {
+                bound += ring.send_step(src, VirtualTime::ZERO);
+            }
+            while let Some(((at, f), src)) = ring.armed.pop_first() {
+                ring.due.remove(&f);
+                let k = ring.live[src];
+                let cmds = ring.net.deliver(f, at);
+                ring.live[src] -= 1;
+                assert_eq!(cmds.len() as u64, ring.live[src], "each flow left re-arms");
+                arm(&mut ring.armed, &mut ring.due, &cmds, src);
+                // Leaving the link reads at most its k entries; seeding the
+                // refill and gathering its component read the k - 1 left.
+                bound += k + 2 * (k - 1);
+                let dst = (src + 1) % N;
+                done[src] += 1;
+                got[dst] += 1;
+                for node in [src, dst] {
+                    let step = sent[node] * per_step;
+                    if sent[node] < STEPS && done[node] == step && got[node] == step {
+                        bound += ring.send_step(node, at);
+                        sent[node] += 1;
+                    }
+                }
+            }
+            let net = &ring.net;
+            let flows = N as u64 * STEPS * per_step;
+            // One drain-start pop per flow.
+            bound += flows;
+            assert_eq!(net.flows_completed(), flows);
+            assert_eq!(net.reallocations(), 2 * flows);
+            // Each flow re-arms once per flow sent after it in its step and
+            // once per flow delivered before it.
+            assert_eq!(
+                net.reschedules(),
+                N as u64 * STEPS * per_step * (per_step - 1)
+            );
+            assert!(
+                net.visits <= bound,
+                "{per_step} flows per step: {} slot visits over {} calls, bound {bound}",
+                net.visits,
+                2 * flows
+            );
+        }
     }
 
     #[test]
