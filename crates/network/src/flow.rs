@@ -8,9 +8,9 @@
 //! least bandwidth without a fill), and delta-rescheduling that re-arms
 //! only the flows whose rate actually changed.
 //!
-//! No network call walks every flow in flight. A queue of pending drain
-//! starts and a per-link count of draining flows keep each link's busy
-//! period. A flow's remaining bytes are settled only when its rate
+//! No network call walks every flow in flight. A min-heap of pending
+//! drain starts and a per-link count of draining flows keep each link's
+//! busy period. A flow's remaining bytes are settled only when its rate
 //! changes, by replaying the per-window drain over a log of the call
 //! instants since it last settled, so they round exactly as draining at
 //! every call would. Debug builds keep that eager walk as a shadow and
@@ -209,43 +209,6 @@ impl Instants {
         f.remaining = self.drained(f);
         self.release(f.settled);
         f.settled = self.hold();
-    }
-}
-
-/// Flows still in their latency phase, as `(drain start, flow id, slot)`.
-///
-/// A drain start is the send instant plus the route's latency and the
-/// message overhead. Calls come in time order, so drain starts arrive in
-/// order wherever that sum is the same for every send, as between the
-/// GPUs of `p2` at the default fidelity: those queue in a deque at O(1).
-/// One earlier than the deque's back goes to a heap at O(log n); that
-/// happens between routes of different latency, and under
-/// [`FlowNetworkConfig::reference`], whose per-chunk overhead grows with
-/// the message size.
-#[derive(Debug, Default)]
-struct DrainStarts {
-    in_order: VecDeque<(VirtualTime, u64, u32)>,
-    out_of_order: BinaryHeap<Reverse<(VirtualTime, u64, u32)>>,
-}
-
-impl DrainStarts {
-    fn push(&mut self, entry: (VirtualTime, u64, u32)) {
-        match self.in_order.back() {
-            Some(back) if back.0 > entry.0 => self.out_of_order.push(Reverse(entry)),
-            _ => self.in_order.push_back(entry),
-        }
-    }
-
-    /// Takes an entry whose drain start lies before `now`, if any is left.
-    /// Entries come out in no particular order: a call takes them all.
-    fn pop_before(&mut self, now: VirtualTime) -> Option<(VirtualTime, u64, u32)> {
-        if self.in_order.front().is_some_and(|e| e.0 < now) {
-            return self.in_order.pop_front();
-        }
-        if self.out_of_order.peek().is_some_and(|e| e.0 .0 < now) {
-            return self.out_of_order.pop().map(|Reverse(e)| e);
-        }
-        None
     }
 }
 
@@ -512,9 +475,10 @@ pub struct FlowNetwork {
     link_stats: Vec<LinkStats>,
     /// Per link: the busy period open through `last_progress`, if any.
     periods: Vec<BusyPeriod>,
-    /// Flows still in their latency phase. An entry whose slot no longer
-    /// holds that flow is stale and skipped.
-    pending: DrainStarts,
+    /// Flows still in their latency phase, as a min-heap of `(drain
+    /// start, flow id, slot)`. An entry whose slot no longer holds that
+    /// flow is stale and skipped.
+    pending: BinaryHeap<Reverse<(VirtualTime, u64, u32)>>,
     instants: Instants,
     /// The latest network call's instant.
     last_progress: VirtualTime,
@@ -562,7 +526,7 @@ impl FlowNetwork {
             added_hops: 0,
             link_stats: vec![LinkStats::default(); links],
             periods: vec![BusyPeriod::default(); links],
-            pending: DrainStarts::default(),
+            pending: BinaryHeap::new(),
             instants: Instants::new(),
             last_progress: VirtualTime::ZERO,
             visits: 0,
@@ -736,7 +700,11 @@ impl FlowNetwork {
         if now <= self.last_progress {
             return;
         }
-        while let Some((_, id, slot)) = self.pending.pop_before(now) {
+        while let Some(&Reverse((drain_start, id, slot))) = self.pending.peek() {
+            if drain_start >= now {
+                break;
+            }
+            self.pending.pop();
             self.visits += 1;
             // A flow delivered at its drain start never drained.
             let Some(f) = self.slots[slot as usize].as_mut().filter(|f| f.id.0 == id) else {
@@ -1248,7 +1216,7 @@ impl NetworkModel for FlowNetwork {
             .expect("just inserted")
             .route;
         if !route.is_empty() {
-            self.pending.push((drain_start, id.0, slot));
+            self.pending.push(Reverse((drain_start, id.0, slot)));
         }
         for &l in route.iter() {
             self.link_flows[l.0].push(slot);
