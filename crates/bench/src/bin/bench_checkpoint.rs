@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use serde::Value;
 use triosim::{Platform, SimBuilder, SimReport};
-use triosim_bench::{json_num, Summary};
+use triosim_bench::{num, Summary};
 use triosim_modelzoo::ModelId;
 use triosim_trace::{GpuModel, Trace, Tracer};
 
@@ -184,7 +184,7 @@ fn main() {
     summary.put("restore_identical", Value::Bool(true));
     summary.put(
         "overhead_per_snapshot_s",
-        json_num(overhead_s.max(0.0) / ((REPS * snapshots_per_run).max(1) as f64)),
+        num(overhead_s.max(0.0) / ((REPS * snapshots_per_run).max(1) as f64)),
     );
     summary.finish();
 }

@@ -20,7 +20,7 @@
 
 use serde::Value;
 use triosim::{run_sweep_with, ScenarioPatch, SelfProfile, SweepRunConfig, SweepSpec};
-use triosim_bench::{json_num, json_obj, sweep_threads, Summary};
+use triosim_bench::{json_obj, num, Summary};
 
 /// Profiled wall time may exceed unprofiled by at most this fraction...
 const MAX_OVERHEAD_FRAC: f64 = 0.05;
@@ -87,9 +87,25 @@ fn span_s(profile: &SelfProfile, path: &[&str]) -> f64 {
     profile.total(path).unwrap_or(0.0)
 }
 
+/// `--threads <n>` (at least 1), or the host's available parallelism.
+fn threads() -> Result<usize, String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => Ok(std::thread::available_parallelism().map_or(1, std::num::NonZero::get)),
+        [flag, n] if flag == "--threads" => match n.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("--threads must be at least 1, not `{n}`")),
+        },
+        _ => Err("usage: bench_profile [--threads <n>]".to_string()),
+    }
+}
+
 fn main() {
+    let threads = threads().unwrap_or_else(|e| {
+        eprintln!("bench_profile: {e}");
+        std::process::exit(1)
+    });
     let spec = spec();
-    let threads = sweep_threads();
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!(
         "self-profiler bench: {} scenarios, {threads} threads, best of {RUNS}, host cores \
@@ -178,7 +194,7 @@ fn main() {
                 .map(|(path, seconds, calls)| {
                     json_obj(vec![
                         ("span", Value::Str(path)),
-                        ("wall_s", json_num(seconds)),
+                        ("wall_s", num(seconds)),
                         ("calls", Value::UInt(calls)),
                     ])
                 })

@@ -1,94 +1,378 @@
-//! Shared harness for regenerating every table and figure of the TrioSim
-//! paper.
+//! Regenerates every table and figure of the TrioSim paper.
 //!
-//! Each `fig*` binary in `src/bin/` reproduces one figure: it builds the
-//! paper's workloads, runs the TrioSim prediction *and* the reference
-//! ground-truth simulation (the hardware stand-in — see `DESIGN.md` §2),
-//! and prints the same rows the paper plots, including the per-model and
-//! average errors. The `bench_checkpoint` and `bench_profile` binaries
-//! gate the wall-clock overhead of snapshots and of the self-profiler.
+//! [`FIGURES`] is the whole reproduction: one entry per table, figure and
+//! ablation, each with its name, its title, what the paper reports, and
+//! one function that measures it. The function returns a [`Measured`]:
+//! tables of named columns, named scalars, and the figure's shape claims,
+//! each with whether it holds. The `repro` binary runs entries by name,
+//! prints them with [`Figure::print`] and writes `results/<name>.json`
+//! with [`Figure::json`]; the golden test (`tests/golden.rs`) compares the
+//! same JSON with `tests/golden/<name>.json`.
 //!
-//! Everything is seeded and deterministic; binaries accept
-//! `--seed <n>` where randomness is involved (Figure 16).
+//! The validation figures (6–10) are rows of one spec, [`VALIDATION`]:
+//! each row runs the TrioSim prediction and the reference ground-truth
+//! simulation (the hardware stand-in, see `DESIGN.md` §2) for every model
+//! of its set, directly through `SimBuilder`.
+//!
+//! Everything is deterministic. Only Figure 16 takes a seed: `repro
+//! --seed <n>` draws its slowdown scenarios (default [`DEFAULT_SEED`]). The
+//! `bench_checkpoint` and `bench_profile` binaries gate the wall-clock
+//! overhead of snapshots and of the self-profiler, and write a
+//! [`Summary`] to `results/BENCH_*.json`.
+
+mod figures;
+mod validation;
 
 use std::path::PathBuf;
-use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::Value;
-use triosim::{
-    Fidelity, HopConfig, HopGraph, HopSimulator, Parallelism, Platform, SimBuilder, SimReport,
-};
+use triosim::{Fidelity, Parallelism, Platform, SimBuilder, SimReport};
 use triosim_modelzoo::ModelId;
-use triosim_trace::{GpuModel, Phase, Trace, Tracer};
+use triosim_trace::{GpuModel, Trace, Tracer};
 
-/// One row of a validation figure: predicted vs ground truth.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Row label (usually the model's figure label).
-    pub label: String,
-    /// Ground-truth time in seconds (reference simulation).
-    pub truth_s: f64,
-    /// TrioSim-predicted time in seconds.
-    pub pred_s: f64,
+pub use validation::{GlobalBatch, Validation, VALIDATION};
+
+/// Figure 16's seed when `repro` is given no `--seed`.
+pub const DEFAULT_SEED: u64 = 42;
+
+/// One table, figure or ablation of the reproduction.
+#[derive(Debug)]
+pub struct Figure {
+    /// Its name on the `repro` command line and in `results/<name>.json`.
+    pub name: &'static str,
+    /// What it shows.
+    pub title: &'static str,
+    /// What the paper reports. The validation figures' average errors
+    /// are in [`VALIDATION`], one per table.
+    pub paper: &'static str,
+    /// Measures the figure; the argument is the seed (Figure 16 only).
+    pub measure: fn(u64) -> Measured,
 }
 
-impl Row {
-    /// Relative error |pred - truth| / truth, as a percentage.
-    pub fn error_pct(&self) -> f64 {
-        if self.truth_s == 0.0 {
-            0.0
-        } else {
-            100.0 * (self.pred_s - self.truth_s).abs() / self.truth_s
+/// Every table, figure and ablation, in the paper's order.
+pub const FIGURES: [Figure; 15] = [
+    Figure {
+        name: "table01",
+        title: "feature comparison with similar performance modeling tools",
+        paper: "qualitative; reprinted from the paper",
+        measure: figures::table01,
+    },
+    Figure {
+        name: "fig06",
+        title: "single-GPU validation, traced at batch 128, predicted at 256",
+        paper: "models out of memory at batch 256 on real hardware are left out",
+        measure: figures::fig06,
+    },
+    Figure {
+        name: "fig07",
+        title: "standard DataParallel on P1 (2x A40, PCIe)",
+        paper: "the AllReduce waits for the whole backward pass; \
+                Python dispatch makes DP the least accurate",
+        measure: figures::fig07,
+    },
+    Figure {
+        name: "fig08",
+        title: "DistributedDataParallel on P1 and P2",
+        paper: "bucketed AllReduce overlaps the backward pass",
+        measure: |_| validation::measure("fig08"),
+    },
+    Figure {
+        name: "fig09",
+        title: "tensor parallelism on P1 and P2",
+        paper: "P2's error is larger: more ranks, smaller shards",
+        measure: figures::fig09,
+    },
+    Figure {
+        name: "fig10",
+        title: "GPipe on 2 and 4 A100s with 1, 2 and 4 chunks",
+        paper: "the 4-chunk error is the largest on 2 GPUs",
+        measure: figures::fig10,
+    },
+    Figure {
+        name: "fig11",
+        title: "new-GPU prediction on P3 (8x H100) at batch 256",
+        paper: "case 1 (A40/A100 traces at batch 128): DDP 9.09%, TP 9.07%, \
+                PP 5.65% (1 chunk) / 16.28% (2 chunks); case 2 (H100 trace): \
+                6.69% / 9.09% / 4.20% / 13.76%",
+        measure: figures::fig11,
+    },
+    Figure {
+        name: "fig12",
+        title: "DP vs TP vs PP on P2 (4x A100), total batch 128",
+        paper: "TrioSim ranks the strategies as the hardware does; \
+                DP is always the most efficient at constant total workload",
+        measure: figures::fig12,
+    },
+    Figure {
+        name: "fig13",
+        title: "communication/computation breakdown, TP and DDP on P1",
+        paper: "TP's communication share is higher than DP's on P1",
+        measure: figures::fig13,
+    },
+    Figure {
+        name: "fig14",
+        title: "simulator wall-clock time, DDP on P2 (4x A100)",
+        paper: "TrioSim completes simulations within seconds",
+        measure: figures::fig14,
+    },
+    Figure {
+        name: "fig15",
+        title: "wafer-scale 84 GPUs (12x7), DP, electrical mesh vs photonic",
+        paper: "communication dominates on the electrical mesh (VGG-19: 92.21%); \
+                the photonic network cuts communication time roughly in half",
+        measure: figures::fig15,
+    },
+    Figure {
+        name: "fig16",
+        title: "Hop with 1 backup worker, 8x A100, VGG-11 at batch 128",
+        paper: "the backup worker's effect varies greatly with the slowdown scenario",
+        measure: figures::fig16,
+    },
+    Figure {
+        name: "ablation_allreduce",
+        title: "AllReduce algorithm x topology x payload",
+        paper: "beyond the paper: tree wins small payloads, ring wins large ones on rings, \
+                halving-doubling wins large ones on switches",
+        measure: figures::ablation_allreduce,
+    },
+    Figure {
+        name: "ablation_compute",
+        title: "Li's Model linear features vs NeuSight-style sublinear ones (H100)",
+        paper: "beyond the paper (§8.2): sublinear features track the utilization ramp; \
+                end-to-end TP error is dominated by framework dispatch overhead",
+        measure: figures::ablation_compute,
+    },
+    Figure {
+        name: "ablation_hybrid",
+        title: "hybrid DP x PP vs the pure strategies on NVLink rings",
+        paper: "beyond the paper: hybrid trades DDP's global AllReduce for PP's bubble; \
+                DDP and HP rows process dp_groups x batch, PP one batch",
+        measure: figures::ablation_hybrid,
+    },
+];
+
+/// The entry of [`FIGURES`] named `name`.
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
+
+/// One table of a figure.
+#[derive(Debug)]
+pub(crate) struct Table {
+    /// Its name, unique within the figure.
+    pub name: String,
+    /// Column names. `*_pct` columns print as percentages, and `*wall_s`
+    /// columns are host wall-clock readings.
+    pub columns: Vec<&'static str>,
+    /// One cell per column in every row.
+    pub rows: Vec<Vec<Value>>,
+}
+
+/// What a figure measured.
+#[derive(Debug, Default)]
+pub struct Measured {
+    /// Tables of named columns.
+    pub(crate) tables: Vec<Table>,
+    /// Named single values, named like columns.
+    pub(crate) scalars: Vec<(String, Value)>,
+    /// The figure's shape claims, each with whether it holds.
+    pub claims: Vec<(String, bool)>,
+}
+
+impl Measured {
+    /// Adds a table; `columns` names its columns, separated by `", "`.
+    pub(crate) fn table(
+        &mut self,
+        name: impl Into<String>,
+        columns: &'static str,
+        rows: Vec<Vec<Value>>,
+    ) {
+        let columns: Vec<&'static str> = columns.split(", ").collect();
+        debug_assert!(rows.iter().all(|row| row.len() == columns.len()));
+        let name = name.into();
+        self.tables.push(Table {
+            name,
+            columns,
+            rows,
+        });
+    }
+
+    /// Adds a scalar.
+    pub(crate) fn scalar(&mut self, name: impl Into<String>, value: Value) {
+        self.scalars.push((name.into(), value));
+    }
+
+    /// Adds a shape claim and whether it holds.
+    pub(crate) fn claim(&mut self, claim: impl Into<String>, holds: bool) {
+        self.claims.push((claim.into(), holds));
+    }
+
+    /// The number held by scalar `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no such scalar or it is not a float.
+    pub(crate) fn number(&self, name: &str) -> f64 {
+        match self.scalars.iter().find(|(n, _)| n == name) {
+            Some((_, Value::Float(v))) => *v,
+            other => panic!("no number scalar `{name}` (found {other:?})"),
         }
     }
 }
 
-/// Prints a validation table in the paper's style and returns the average
-/// error percentage.
-pub fn print_table(title: &str, rows: &[Row]) -> f64 {
-    println!("\n== {title} ==");
-    println!(
-        "{:<12} {:>14} {:>14} {:>9}",
-        "model", "hardware(s)*", "predicted(s)", "error%"
-    );
-    for r in rows {
+impl Figure {
+    /// The figure as JSON text: its name, title and paper result, then
+    /// its tables, scalars and claims. With `host_times` false, columns
+    /// and scalars named `*wall_s` are left out, so that the text is the
+    /// same on every host.
+    pub fn json(&self, m: &Measured, host_times: bool) -> String {
+        let keep = |name: &str| host_times || !name.ends_with("wall_s");
+        let tables = m.tables.iter().map(|t| {
+            let kept: Vec<usize> = (0..t.columns.len())
+                .filter(|&i| keep(t.columns[i]))
+                .collect();
+            let pick =
+                |row: &Vec<Value>| Value::Array(kept.iter().map(|&i| row[i].clone()).collect());
+            let table = json_obj(vec![
+                (
+                    "columns",
+                    pick(&t.columns.iter().map(|c| text(c)).collect()),
+                ),
+                ("rows", Value::Array(t.rows.iter().map(pick).collect())),
+            ]);
+            (t.name.clone(), table)
+        });
+        let scalars = m.scalars.iter().filter(|(n, _)| keep(n)).cloned();
+        let claims = m
+            .claims
+            .iter()
+            .map(|(c, holds)| (c.clone(), Value::Bool(*holds)));
+        let value = json_obj(vec![
+            ("figure", text(self.name)),
+            ("title", text(self.title)),
+            ("paper", text(self.paper)),
+            ("tables", Value::Object(tables.collect())),
+            ("scalars", Value::Object(scalars.collect())),
+            ("claims", Value::Object(claims.collect())),
+        ]);
+        let mut out = String::new();
+        pretty(&value, 0, &mut out);
+        out.push('\n');
+        out
+    }
+
+    /// Prints the figure: its tables, its scalars, then each claim marked
+    /// ✓ or ✗.
+    pub fn print(&self, m: &Measured) {
         println!(
-            "{:<12} {:>14.4} {:>14.4} {:>8.2}%",
-            r.label,
-            r.truth_s,
-            r.pred_s,
-            r.error_pct()
+            "\n== {}: {} ==\npaper: {}",
+            self.name, self.title, self.paper
         );
+        for t in &m.tables {
+            let cells: Vec<Vec<String>> = (t.rows.iter())
+                .map(|row| t.columns.iter().zip(row).map(|(c, v)| cell(c, v)).collect())
+                .collect();
+            let width = |i: usize| {
+                cells
+                    .iter()
+                    .map(|r| r[i].chars().count())
+                    .fold(t.columns[i].len(), usize::max)
+            };
+            let line = |row: Vec<&str>| {
+                let padded: Vec<String> = (row.iter().enumerate())
+                    .map(|(i, s)| match t.rows.first().map(|r| &r[i]) {
+                        Some(Value::Str(_)) => format!("{s:<w$}", w = width(i)),
+                        _ => format!("{s:>w$}", w = width(i)),
+                    })
+                    .collect();
+                println!("{}", padded.join("  ").trim_end());
+            };
+            println!("\n-- {} --", t.name);
+            line(t.columns.clone());
+            for row in &cells {
+                line(row.iter().map(String::as_str).collect());
+            }
+        }
+        println!();
+        for (name, v) in &m.scalars {
+            println!("{name}: {}", cell(name, v));
+        }
+        for (claim, holds) in &m.claims {
+            println!("{} {claim}", if *holds { '✓' } else { '✗' });
+        }
     }
-    let avg = average_error_pct(rows);
-    println!("{:<12} {:>14} {:>14} {:>8.2}%", "average", "", "", avg);
-    println!("(*hardware = high-fidelity reference simulation; see DESIGN.md)");
-    avg
 }
 
-/// Builds a JSON object from `(key, value)` pairs, preserving field order.
-pub fn json_obj<K: Into<String>>(fields: Vec<(K, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+/// A cell as printed: `*_pct` floats to 2 places with `%`, other floats
+/// to 4 places.
+fn cell(column: &str, v: &Value) -> String {
+    match v {
+        Value::Float(x) if column.ends_with("_pct") => format!("{x:.2}%"),
+        Value::Float(x) => format!("{x:.4}"),
+        Value::Str(s) => s.clone(),
+        Value::Array(items) => items
+            .iter()
+            .map(|v| cell(column, v))
+            .collect::<Vec<_>>()
+            .join(", "),
+        other => serde_json::to_string(other).unwrap_or_default(),
+    }
 }
 
-/// A JSON number, with non-finite floats downgraded to `null` (JSON has
-/// no NaN/infinity and the serializer rejects them).
-pub fn json_num(v: f64) -> Value {
-    if v.is_finite() {
-        Value::Float(v)
+/// Writes `v` as JSON with each object field on a line of its own, and
+/// each entry of an array that holds arrays or objects, so that a table
+/// row is one line.
+fn pretty(v: &Value, indent: usize, out: &mut String) {
+    let container = |v: &Value| matches!(v, Value::Array(_) | Value::Object(_));
+    let entries: Vec<(Option<&str>, &Value)> = match v {
+        Value::Object(fields) if !fields.is_empty() => {
+            fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect()
+        }
+        Value::Array(items) if items.iter().any(container) => {
+            items.iter().map(|item| (None, item)).collect()
+        }
+        _ => {
+            return out
+                .push_str(&serde_json::to_string(v).expect("figure values are finite or null"))
+        }
+    };
+    let (open, close) = if matches!(v, Value::Array(_)) {
+        ('[', ']')
     } else {
-        Value::Null
+        ('{', '}')
+    };
+    out.push(open);
+    for (i, (key, item)) in entries.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&" ".repeat(indent + 2));
+        if let Some(key) = key {
+            out.push_str(&serde_json::to_string(&text(key)).expect("strings serialize"));
+            out.push_str(": ");
+        }
+        pretty(item, indent + 2, out);
     }
+    out.push('\n');
+    out.push_str(&" ".repeat(indent));
+    out.push(close);
 }
 
-/// Machine-readable companion to a figure binary's printed output.
+/// Writes `contents` to `results/<name>.json`, creating `results/` if
+/// needed, and returns the path.
 ///
-/// Accumulates the same numbers the binary prints — validation tables,
-/// average errors, case-study totals — and writes them as
-/// `results/<name>.json` so downstream tooling (plot scripts, regression
-/// diffs) can consume runs without scraping stdout.
+/// # Errors
+///
+/// Propagates filesystem errors from creating the directory or writing
+/// the file.
+pub fn write_result(name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    let dir = PathBuf::from("results");
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("{name}.json"));
+    std::fs::write(&path, contents)?;
+    Ok(path)
+}
+
+/// The JSON summary of an overhead bench, written to
+/// `results/<name>.json` as one compact object.
 #[derive(Debug)]
 pub struct Summary {
     name: String,
@@ -96,22 +380,22 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Starts a summary named after the binary (e.g. `"fig06"`).
+    /// Starts a summary named after the bench (e.g. `"BENCH_profile"`).
     pub fn new(name: &str) -> Self {
         Summary {
             name: name.to_string(),
-            fields: vec![("figure".to_string(), Value::Str(name.to_string()))],
+            fields: vec![("figure".to_string(), text(name))],
         }
     }
 
-    /// Records an arbitrary JSON value under `key`.
+    /// Records a JSON value under `key`.
     pub fn put(&mut self, key: &str, value: Value) {
         self.fields.push((key.to_string(), value));
     }
 
-    /// Records a floating-point number (non-finite becomes `null`).
+    /// Records a float (non-finite becomes `null`).
     pub fn num(&mut self, key: &str, v: f64) {
-        self.put(key, json_num(v));
+        self.put(key, num(v));
     }
 
     /// Records an integer.
@@ -119,376 +403,95 @@ impl Summary {
         self.put(key, Value::UInt(v));
     }
 
-    /// Records a string.
-    pub fn text(&mut self, key: &str, v: &str) {
-        self.put(key, Value::Str(v.to_string()));
-    }
-
-    /// Records a validation table as
-    /// `{rows: [{label, truth_s, pred_s, error_pct}], avg_error_pct}` —
-    /// the JSON twin of [`print_table`].
-    pub fn table(&mut self, key: &str, rows: &[Row]) {
-        let json_rows = rows
-            .iter()
-            .map(|r| {
-                json_obj(vec![
-                    ("label", Value::Str(r.label.clone())),
-                    ("truth_s", json_num(r.truth_s)),
-                    ("pred_s", json_num(r.pred_s)),
-                    ("error_pct", json_num(r.error_pct())),
-                ])
-            })
-            .collect();
-        self.put(
-            key,
-            json_obj(vec![
-                ("rows", Value::Array(json_rows)),
-                ("avg_error_pct", json_num(average_error_pct(rows))),
-            ]),
-        );
-    }
-
-    /// The summary as a compact JSON string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(&Value::Object(self.fields.clone()))
-            .expect("summary values are pre-sanitized to finite numbers")
-    }
-
-    /// Writes `results/<name>.json` (creating `results/` if needed) and
-    /// returns the path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from creating the directory or
-    /// writing the file.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        self.write_to(&PathBuf::from("results"))
-    }
-
-    /// Writes `<dir>/<name>.json` (creating `dir` if needed) and returns
-    /// the path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from creating the directory or
-    /// writing the file.
-    pub fn write_to(&self, dir: &std::path::Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.name));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-
     /// Writes the summary and prints its path; a filesystem refusal is a
-    /// warning, not a failure (the printed table is the primary output).
+    /// warning, as the bench's gate has already passed.
     pub fn finish(self) {
-        match self.write() {
+        let json =
+            serde_json::to_string(&Value::Object(self.fields)).expect("fields are finite or null");
+        match write_result(&self.name, &json) {
             Ok(path) => println!("\nsummary: {}", path.display()),
             Err(e) => eprintln!("warning: could not write summary for {}: {e}", self.name),
         }
     }
 }
 
-/// Average error percentage across rows.
-pub fn average_error_pct(rows: &[Row]) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
+/// Builds a JSON object from `(key, value)` pairs, preserving their order.
+pub fn json_obj<K: Into<String>>(fields: Vec<(K, Value)>) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// A JSON number; a non-finite float becomes `null`, as JSON has no NaN
+/// or infinity.
+pub fn num(v: f64) -> Value {
+    if v.is_finite() {
+        Value::Float(v)
+    } else {
+        Value::Null
     }
-    rows.iter().map(Row::error_pct).sum::<f64>() / rows.len() as f64
+}
+
+/// A JSON string.
+pub(crate) fn text(s: &str) -> Value {
+    Value::Str(s.to_string())
+}
+
+/// Relative error `|pred - truth| / truth`, as a percentage.
+fn error_pct(pred: f64, truth: f64) -> f64 {
+    100.0 * (pred - truth).abs() / truth
 }
 
 /// The per-GPU batch size the paper traces at for a model (128, except
 /// Llama at 16 to avoid out-of-memory on real hardware).
-pub fn trace_batch(model: ModelId) -> u64 {
+fn trace_batch(model: ModelId) -> u64 {
     match model {
         ModelId::Llama32_1B => 16,
         _ => 128,
     }
 }
 
-/// Collects the single-GPU trace of `model` on `gpu` at the paper's
-/// batch size.
-pub fn paper_trace(model: ModelId, gpu: GpuModel) -> Trace {
+/// The single-GPU trace of `model` on `gpu` at the paper's batch size.
+fn paper_trace(model: ModelId, gpu: GpuModel) -> Trace {
     Tracer::new(gpu).trace(&model.build(trace_batch(model)))
 }
 
-/// Runs the TrioSim prediction and the reference ground truth for the
+/// Runs the TrioSim prediction and the reference ground truth of the
 /// same configuration, returning `(prediction, truth)`.
-pub fn predict_and_truth(
+fn predict_and_truth(
     trace: &Trace,
     platform: &Platform,
     parallelism: Parallelism,
     global_batch: u64,
 ) -> (SimReport, SimReport) {
-    let pred = SimBuilder::new(trace, platform)
-        .parallelism(parallelism)
-        .global_batch(global_batch)
-        .run();
-    let truth = SimBuilder::new(trace, platform)
-        .parallelism(parallelism)
-        .global_batch(global_batch)
-        .fidelity(Fidelity::Reference)
-        .run();
-    (pred, truth)
-}
-
-/// Convenience: a validation row for one model under one configuration.
-pub fn validation_row(
-    model: ModelId,
-    gpu: GpuModel,
-    platform: &Platform,
-    parallelism: Parallelism,
-    global_batch: u64,
-) -> Row {
-    let trace = paper_trace(model, gpu);
-    let (pred, truth) = predict_and_truth(&trace, platform, parallelism, global_batch);
-    Row {
-        label: model.figure_label().to_string(),
-        truth_s: truth.total_time_s(),
-        pred_s: pred.total_time_s(),
-    }
-}
-
-/// Workers in Figure 16's Hop case study.
-pub const HOP_WORKERS: usize = 8;
-
-/// Figure 16's Hop case study for one scenario family. [`HOP_WORKERS`]
-/// A100s train VGG-11 @128 with decentralized gossip; in each of 8
-/// groups, seeded from `seed`, every directed link is slowed by a factor
-/// drawn uniformly from [1, 10]. Returns, per group, the speedup one
-/// backup worker achieves over none on the ring-based and on the
-/// double-ring graph.
-pub fn hop_speedups(seed: u64) -> Vec<(f64, f64)> {
-    // Compute time from the single-GPU trace, update volume = the model's
-    // parameters (as in the Hop paper's setup).
-    let trace = paper_trace(ModelId::Vgg11, GpuModel::A100);
-    let compute_time_s = trace.phase_time_s(Phase::Forward) + trace.phase_time_s(Phase::Backward);
-    let update_bytes = trace.gradient_bytes();
-    let config = |backup: usize| HopConfig {
-        backup_workers: backup,
-        bounded_staleness: 2,
-        iterations: 20,
-        compute_time_s,
-        update_bytes,
-        // Hop targets decentralized clusters on commodity interconnects
-        // (Ethernet/IB class), where update exchange is comparable to
-        // compute — the regime in which backup workers matter.
-        link_bandwidth: 10.0e9,
-        link_latency_s: 5.0e-6,
-        skip_lag: None,
+    let run = |fidelity| {
+        SimBuilder::new(trace, platform)
+            .parallelism(parallelism)
+            .global_batch(global_batch)
+            .fidelity(fidelity)
+            .run()
     };
-    (0..8u64)
-        .map(|group| {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1000) + group);
-            let mut factors = vec![vec![1.0f64; HOP_WORKERS]; HOP_WORKERS];
-            for f in factors.iter_mut().flatten() {
-                *f = rng.gen_range(1.0..10.0);
-            }
-            let slowdown = |from: usize, to: usize| factors[from][to];
-            let speedup = |graph: HopGraph| {
-                let base = HopSimulator::new(graph.clone(), config(0)).run(&slowdown);
-                let backup = HopSimulator::new(graph, config(1)).run(&slowdown);
-                base.total_time_s / backup.total_time_s
-            };
-            (
-                speedup(HopGraph::ring_based(HOP_WORKERS)),
-                speedup(HopGraph::double_ring(HOP_WORKERS)),
-            )
-        })
-        .collect()
-}
-
-/// Parses `--<name> <value>` from argv, with a default.
-pub fn arg_u64(name: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == format!("--{name}") {
-            if let Some(v) = args.next() {
-                return v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid value for --{name}: {v}; using {default}");
-                    default
-                });
-            }
-        }
-    }
-    default
-}
-
-/// Walks `path` through nested canonical-report JSON objects, panicking
-/// with the full dotted path on a miss — bench binaries treat a missing
-/// field as a harness bug, not a recoverable condition.
-fn canonical_field<'a>(v: &'a Value, path: &[&str]) -> &'a Value {
-    let mut cur = v;
-    for key in path {
-        cur = cur
-            .get(key)
-            .unwrap_or_else(|| panic!("canonical report lacks field `{}`", path.join(".")));
-    }
-    cur
-}
-
-/// Reads a float at `path` inside a canonical report, accepting any
-/// numeric JSON variant (the serializer emits counters as unsigned).
-pub fn field_f64(v: &Value, path: &[&str]) -> f64 {
-    match canonical_field(v, path) {
-        Value::Float(f) => *f,
-        Value::UInt(u) => *u as f64,
-        Value::Int(i) => *i as f64,
-        other => panic!("field `{}` is not numeric: {other:?}", path.join(".")),
-    }
-}
-
-/// Worker-thread count for sweep-backed binaries: `--threads <n>` when
-/// given, otherwise the host's available parallelism. Thread count never
-/// changes results (the sweep aggregate is canonical), only wall time.
-pub fn sweep_threads() -> usize {
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    (arg_u64("threads", host as u64).max(1)) as usize
-}
-
-/// Wall-clock measurement helper (Figure 14).
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
-
-/// The subset of models a figure uses, by name, so binaries stay
-/// consistent with the paper's sets.
-pub fn figure_models(set: &str) -> Vec<ModelId> {
-    match set {
-        "image" => ModelId::IMAGE_CLASSIFICATION.to_vec(),
-        "transformer" => ModelId::TRANSFORMERS.to_vec(),
-        "all" => ModelId::ALL.to_vec(),
-        // Pipeline figures: the models the paper could run through
-        // torch.distributed pipelining without code changes.
-        "pipeline" => vec![
-            ModelId::ResNet18,
-            ModelId::ResNet34,
-            ModelId::ResNet50,
-            ModelId::ResNet101,
-            ModelId::ResNet152,
-            ModelId::DenseNet121,
-            ModelId::DenseNet161,
-            ModelId::DenseNet169,
-            ModelId::DenseNet201,
-            ModelId::Vgg16,
-            ModelId::Gpt2,
-            ModelId::BertBase,
-        ],
-        // Wafer-scale case study: a representative cross-section.
-        "wafer" => vec![
-            ModelId::ResNet50,
-            ModelId::DenseNet169,
-            ModelId::Vgg19,
-            ModelId::Gpt2,
-            ModelId::BertBase,
-            ModelId::Llama32_1B,
-        ],
-        other => panic!("unknown figure model set `{other}`"),
-    }
+    (run(Fidelity::TrioSim), run(Fidelity::Reference))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Figure 16 at its default seed, to 1e-3: a change to the vendored
-    /// `rand` stream, or to the Hop simulator, moves these speedups.
-    #[test]
-    fn hop_speedups_at_seed_42_are_pinned() {
-        const EXPECTED: [(f64, f64); 8] = [
-            (1.3327, 1.3255),
-            (1.2900, 1.2548),
-            (1.1932, 1.2021),
-            (1.3016, 1.2118),
-            (1.2621, 1.2524),
-            (1.2628, 1.2617),
-            (1.1362, 1.1366),
-            (1.2451, 1.2427),
-        ];
-        let got = hop_speedups(42);
-        assert_eq!(got.len(), EXPECTED.len());
-        for (group, (&(ring, double), &(r, d))) in (1..).zip(got.iter().zip(&EXPECTED)) {
-            assert!(
-                (ring - r).abs() <= 1e-3 && (double - d).abs() <= 1e-3,
-                "group {group}: speedups ({ring}, {double}), pinned ({r}, {d})"
-            );
-        }
-    }
-
-    #[test]
-    fn row_error() {
-        let r = Row {
-            label: "x".into(),
-            truth_s: 2.0,
-            pred_s: 2.2,
-        };
-        assert!((r.error_pct() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn average_error_over_rows() {
-        let rows = vec![
-            Row {
-                label: "a".into(),
-                truth_s: 1.0,
-                pred_s: 1.1,
-            },
-            Row {
-                label: "b".into(),
-                truth_s: 1.0,
-                pred_s: 0.7,
-            },
-        ];
-        assert!((average_error_pct(&rows) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_serializes_tables_and_scalars() {
-        let mut s = Summary::new("figtest");
-        s.table(
-            "p1",
-            &[Row {
-                label: "resnet18".into(),
-                truth_s: 2.0,
-                pred_s: 2.2,
-            }],
-        );
-        s.num("paper_avg_error_pct", 7.39);
-        s.int("gpus", 4);
-        s.text("platform", "p2");
-        let json = s.to_json();
-        assert!(json.starts_with(r#"{"figure":"figtest""#));
-        assert!(json.contains(r#""label":"resnet18""#));
-        assert!(json.contains(r#""avg_error_pct":"#));
-        assert!(json.contains(r#""gpus":4"#));
-        // Round-trips through the parser.
-        let v: Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(v.get("platform"), Some(&Value::Str("p2".into())));
-    }
-
+    /// JSON has no NaN or infinity: figure cells and bench summaries
+    /// write `null` for them.
     #[test]
     fn summary_downgrades_non_finite_to_null() {
         let mut s = Summary::new("nan");
         s.num("bad", f64::NAN);
         s.num("worse", f64::INFINITY);
-        let json = s.to_json();
-        assert!(json.contains(r#""bad":null"#));
-        assert!(json.contains(r#""worse":null"#));
+        s.num("fine", 1.5);
+        let values: Vec<&Value> = s.fields.iter().skip(1).map(|(_, v)| v).collect();
+        assert_eq!(values, [&Value::Null, &Value::Null, &Value::Float(1.5)]);
     }
 
     #[test]
-    fn summary_writes_into_results_dir() {
-        let dir = std::env::temp_dir().join("triosim-summary-test/results");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut s = Summary::new("smoke");
-        s.int("x", 1);
-        let path = s.write_to(&dir).unwrap();
-        assert_eq!(path, dir.join("smoke.json"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains(r#""x":1"#));
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+    fn row_error() {
+        assert!((error_pct(2.2, 2.0) - 10.0).abs() < 1e-9);
+        assert!((error_pct(0.7, 1.0) - 30.0).abs() < 1e-9);
     }
 
     #[test]
@@ -497,25 +500,45 @@ mod tests {
         assert_eq!(trace_batch(ModelId::ResNet50), 128);
     }
 
+    /// A figure's JSON parses back with every table, scalar and claim,
+    /// puts each table row on a line of its own, and leaves host
+    /// wall-clock columns and scalars out when asked.
     #[test]
-    fn figure_sets_resolve() {
-        assert_eq!(figure_models("image").len(), 13);
-        assert_eq!(figure_models("all").len(), 18);
-        assert!(!figure_models("pipeline").is_empty());
-        assert!(!figure_models("wafer").is_empty());
-    }
-
-    #[test]
-    fn validation_row_end_to_end_small() {
-        // Smoke: one small model on P1.
-        let row = validation_row(
-            ModelId::ResNet18,
-            GpuModel::A40,
-            &Platform::p1(),
-            Parallelism::DataParallel { overlap: true },
-            2 * trace_batch(ModelId::ResNet18),
+    fn summary_serializes_tables_and_scalars() {
+        let mut m = Measured::default();
+        let rows = (0..8)
+            .map(|i| vec![text("RN-18"), num(f64::from(i)), num(0.25)])
+            .collect();
+        m.table("runs", "label, time_s, sim_wall_s", rows);
+        m.scalar("total_wall_s", num(2.0));
+        m.scalar("models", Value::UInt(1));
+        m.claim("time grows", true);
+        let fig = &FIGURES[0];
+        let full: Value = serde_json::from_str(&fig.json(&m, true)).unwrap();
+        let runs = full.get("tables").and_then(|t| t.get("runs")).unwrap();
+        assert_eq!(
+            runs.get("rows")
+                .and_then(Value::as_array)
+                .map(<[Value]>::len),
+            Some(8)
         );
-        assert!(row.truth_s > 0.0 && row.pred_s > 0.0);
-        assert!(row.error_pct() < 30.0, "error {}", row.error_pct());
+        assert_eq!(
+            full.get("scalars").and_then(|s| s.get("total_wall_s")),
+            Some(&num(2.0))
+        );
+        assert_eq!(
+            full.get("claims").and_then(|c| c.get("time grows")),
+            Some(&Value::Bool(true))
+        );
+        let stable = fig.json(&m, false);
+        assert!(
+            stable.lines().any(|l| l.trim() == r#"["RN-18",7.0]"#),
+            "{stable}"
+        );
+        assert!(!stable.contains("wall_s"), "{stable}");
+        assert!(
+            stable.lines().any(|l| l.trim() == r#""models": 1"#),
+            "{stable}"
+        );
     }
 }

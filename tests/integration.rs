@@ -3,7 +3,7 @@
 //! closed-form expectations on degenerate configurations and paper-shaped
 //! behaviour on realistic ones.
 
-use triosim::{estimate_memory, Fidelity, Parallelism, Platform, SimBuilder};
+use triosim::{Fidelity, Parallelism, Platform, SimBuilder};
 use triosim_modelzoo::ModelId;
 use triosim_trace::{GpuModel, Trace, Tracer};
 
@@ -228,9 +228,10 @@ fn validation_errors_within_paper_bands() {
 /// over the paper's 18 models, DDP on P2 with 4 A100s, each traced at the
 /// paper's batch (Llama at 16) and trained at 4x that batch. The errors
 /// are summed in model-name order, as the repository benchmark sums its
-/// `error_pct`, so the value is bit-exact; any change to Li's Model, the
-/// extrapolator, the executor or the network model that moves a
-/// prediction moves it.
+/// `error_pct`, so the value is bit-exact; any change to the extrapolator,
+/// the executor or the network model that moves a prediction moves it.
+/// The per-GPU batch is the traced one, so Li's Model is never asked; the
+/// Fig 6 and Fig 11 goldens of `triosim-bench` hold it.
 #[test]
 fn fig14_mean_error_is_pinned() {
     let platform = Platform::p2(4);
@@ -257,55 +258,6 @@ fn fig14_mean_error_is_pinned() {
     }
     let mean = sum / models.len() as f64;
     assert_eq!(mean.to_string(), "1.473151526476929", "mean error {mean}%");
-}
-
-/// Fig 6's accuracy, pinned: a single A40 and a single A100, each model
-/// traced at the paper's batch (Llama at 16) and predicted at batch 256,
-/// over the models whose batch-256 footprint fits the GPU (the figure's
-/// out-of-memory filter). The per-GPU batch differs from the traced one,
-/// so every TrioSim operator time comes from Li's Model: a non-uniform
-/// change to its coefficients moves the means, which Fig 14's pin cannot
-/// see. Errors are summed in `ModelId::ALL` order, so the means are
-/// bit-exact.
-#[test]
-fn fig06_mean_error_is_pinned() {
-    let dp = Parallelism::DataParallel { overlap: false };
-    let mut means = Vec::new();
-    for gpu in [GpuModel::A40, GpuModel::A100] {
-        let platform = Platform::pcie(gpu, 1, "single");
-        let (mut sum, mut count) = (0.0, 0);
-        for model in ModelId::ALL {
-            let batch = if model == ModelId::Llama32_1B {
-                16
-            } else {
-                128
-            };
-            let trace = trace_of(model, batch, gpu);
-            if !estimate_memory(&trace, dp, 1, 256).fits(gpu.spec().mem_capacity) {
-                continue;
-            }
-            let total = |fidelity| {
-                SimBuilder::new(&trace, &platform)
-                    .parallelism(dp)
-                    .global_batch(256)
-                    .fidelity(fidelity)
-                    .run()
-                    .total_time_s()
-            };
-            let (pred, truth) = (total(Fidelity::TrioSim), total(Fidelity::Reference));
-            sum += 100.0 * (pred - truth).abs() / truth;
-            count += 1;
-        }
-        means.push((count, (sum / f64::from(count)).to_string()));
-    }
-    assert_eq!(
-        means,
-        [
-            (10, "1.3907128154632602".to_string()),
-            (13, "1.8432818971842517".to_string())
-        ],
-        "(models, mean error %) for A40 and A100"
-    );
 }
 
 /// The cross-GPU path (trace on A40, simulate H100) predicts a speedup in
