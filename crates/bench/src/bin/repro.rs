@@ -8,6 +8,7 @@
 //! written to `results/<name>.json`. `--seed` seeds Figure 16. Exits 1 on
 //! a refused argument, and after the run if any shape claim fails.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use triosim_bench::{figure, Figure, DEFAULT_SEED, FIGURES};
@@ -54,7 +55,11 @@ fn main() -> ExitCode {
         let measured = (fig.measure)(seed);
         fig.print(&measured);
         failed += measured.claims.iter().filter(|(_, holds)| !holds).count();
-        match triosim_bench::write_result(fig.name, &fig.json(&measured, true)) {
+        match triosim_bench::write_result(
+            Path::new("results"),
+            fig.name,
+            &fig.json(&measured, true),
+        ) {
             Ok(path) => println!("written: {}", path.display()),
             Err(e) => {
                 eprintln!("repro: cannot write results/{}.json: {e}", fig.name);

@@ -23,7 +23,7 @@
 mod figures;
 mod validation;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde::Value;
 use triosim::{Fidelity, Parallelism, Platform, SimBuilder, SimReport};
@@ -356,16 +356,15 @@ fn pretty(v: &Value, indent: usize, out: &mut String) {
     out.push(close);
 }
 
-/// Writes `contents` to `results/<name>.json`, creating `results/` if
-/// needed, and returns the path.
+/// Writes `contents` to `<dir>/<name>.json`, creating `dir` if needed,
+/// and returns the path. The binaries write into `results/`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from creating the directory or writing
 /// the file.
-pub fn write_result(name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir)?;
+pub fn write_result(dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, contents)?;
     Ok(path)
@@ -403,12 +402,16 @@ impl Summary {
         self.put(key, Value::UInt(v));
     }
 
-    /// Writes the summary and prints its path; a filesystem refusal is a
-    /// warning, as the bench's gate has already passed.
+    /// The summary as one compact JSON object.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(&Value::Object(self.fields.clone()))
+            .expect("fields are finite or null")
+    }
+
+    /// Writes the summary to `results/` and prints its path; a filesystem
+    /// refusal is a warning, as the bench's gate has already passed.
     pub fn finish(self) {
-        let json =
-            serde_json::to_string(&Value::Object(self.fields)).expect("fields are finite or null");
-        match write_result(&self.name, &json) {
+        match write_result(Path::new("results"), &self.name, &self.to_json()) {
             Ok(path) => println!("\nsummary: {}", path.display()),
             Err(e) => eprintln!("warning: could not write summary for {}: {e}", self.name),
         }
@@ -540,5 +543,124 @@ mod tests {
             stable.lines().any(|l| l.trim() == r#""models": 1"#),
             "{stable}"
         );
+    }
+
+    fn float(v: &Value) -> f64 {
+        match v {
+            Value::Float(x) => *x,
+            other => panic!("not a float: {other:?}"),
+        }
+    }
+
+    fn scalar<'a>(m: &'a Measured, name: &str) -> Option<&'a Value> {
+        m.scalars.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// A validation table's average error is the mean of its rows'
+    /// `|pred - truth| / truth`, over the models it keeps: a model out of
+    /// memory at the global batch is listed, not averaged.
+    #[test]
+    fn average_error_over_rows() {
+        let row = Validation {
+            figure: "fig06",
+            table: "a40",
+            models: &[ModelId::ResNet18, ModelId::ResNet34, ModelId::ResNet101],
+            gpu: GpuModel::A40,
+            platform: "pcie:A40:1",
+            parallelism: Parallelism::DataParallel { overlap: false },
+            batch: GlobalBatch::Fixed(256),
+            drop_oom: true,
+            paper_pct: 1.10,
+        };
+        let mut m = Measured::default();
+        validation::measure_row(&row, &mut m);
+        assert_eq!(
+            scalar(&m, "a40_oom_excluded"),
+            Some(&Value::Array(vec![text("RN-101")]))
+        );
+        let errors: Vec<f64> = (m.tables[0].rows.iter())
+            .map(|cells| {
+                let (truth, pred, error) = (float(&cells[1]), float(&cells[2]), float(&cells[3]));
+                assert_eq!(error, error_pct(pred, truth));
+                error
+            })
+            .collect();
+        assert_eq!(errors.len(), 2);
+        assert_eq!(m.number("a40_avg_error_pct"), (errors[0] + errors[1]) / 2.0);
+    }
+
+    /// Smoke: one small model through a validation row, DDP on P1 at the
+    /// traced batch on each of its 2 GPUs.
+    #[test]
+    fn validation_row_end_to_end_small() {
+        let row = Validation {
+            figure: "fig08",
+            table: "P1",
+            models: &[ModelId::ResNet18],
+            gpu: GpuModel::A40,
+            platform: "p1",
+            parallelism: Parallelism::DataParallel { overlap: true },
+            batch: GlobalBatch::PerGpu,
+            drop_oom: false,
+            paper_pct: 2.91,
+        };
+        let mut m = Measured::default();
+        validation::measure_row(&row, &mut m);
+        assert_eq!(scalar(&m, "P1_gpus"), Some(&Value::UInt(2)));
+        assert_eq!(scalar(&m, "P1_paper_avg_error_pct"), Some(&num(2.91)));
+        assert_eq!(scalar(&m, "P1_oom_excluded"), None);
+        let cells = &m.tables[0].rows[0];
+        assert_eq!(cells[0], text("RN-18"));
+        assert!(float(&cells[1]) > 0.0 && float(&cells[2]) > 0.0);
+        let error = m.number("P1_avg_error_pct");
+        assert!(error < 30.0, "error {error}");
+    }
+
+    /// Every entry of [`FIGURES`] resolves by its own name and no other
+    /// name does. Every validation row belongs to one of Figures 6–10,
+    /// names a platform that parses to the GPU it traces on, is the only
+    /// row of its table name in its figure, and runs the paper's model
+    /// set: all 18 models, or the 12 pipeline models in Figure 10.
+    #[test]
+    fn figure_sets_resolve() {
+        for fig in &FIGURES {
+            assert_eq!(FIGURES.iter().filter(|f| f.name == fig.name).count(), 1);
+            assert_eq!(figure(fig.name).map(|f| f.title), Some(fig.title));
+        }
+        assert!(figure("fig05").is_none() && figure("all").is_none());
+        for row in &VALIDATION {
+            let name = format!("{}/{}", row.figure, row.table);
+            assert!(
+                ["fig06", "fig07", "fig08", "fig09", "fig10"].contains(&row.figure),
+                "{name}"
+            );
+            let platform: Platform = row.platform.parse().expect("validation platforms parse");
+            assert_eq!(platform.gpu(), row.gpu, "{name}");
+            let same_table = VALIDATION
+                .iter()
+                .filter(|r| r.figure == row.figure && r.table == row.table);
+            assert_eq!(same_table.count(), 1, "{name}");
+            let set = if row.figure == "fig10" { 12 } else { 18 };
+            assert_eq!(row.models.len(), set, "{name}");
+            for (i, model) in row.models.iter().enumerate() {
+                assert!(!row.models[..i].contains(model), "{name}: {model:?} twice");
+            }
+        }
+    }
+
+    /// A summary is written as `<dir>/<name>.json`, creating the
+    /// directory if it is missing.
+    #[test]
+    fn summary_writes_into_results_dir() {
+        let root = std::env::temp_dir().join(format!("triosim-summary-{}", std::process::id()));
+        let dir = root.join("results");
+        let _ = std::fs::remove_dir_all(&root);
+        let mut s = Summary::new("smoke");
+        s.int("x", 1);
+        let path = write_result(&dir, &s.name, &s.to_json()).unwrap();
+        assert_eq!(path, dir.join("smoke.json"));
+        let written = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(written, r#"{"figure":"smoke","x":1}"#);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -137,7 +137,8 @@ pub(crate) fn measure(figure: &str) -> Measured {
     m
 }
 
-fn measure_row(row: &Validation, m: &mut Measured) {
+/// Measures one row into `m`, as [`measure`] does for each row of a figure.
+pub(crate) fn measure_row(row: &Validation, m: &mut Measured) {
     let platform: Platform = row.platform.parse().expect("validation platforms parse");
     let gpus = platform.gpu_count();
     let (mut rows, mut excluded, mut sum) = (Vec::new(), Vec::new(), 0.0);
