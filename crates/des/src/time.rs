@@ -313,6 +313,15 @@ impl Mul<f64> for TimeSpan {
     }
 }
 
+impl Mul<u64> for TimeSpan {
+    type Output = TimeSpan;
+
+    /// The span repeated `rhs` times, exactly.
+    fn mul(self, rhs: u64) -> TimeSpan {
+        TimeSpan(self.0.checked_mul(rhs).expect("time span overflow"))
+    }
+}
+
 impl Div<f64> for TimeSpan {
     type Output = TimeSpan;
 
@@ -364,6 +373,8 @@ mod tests {
         let d = TimeSpan::from_seconds(2.0);
         assert_eq!((d * 0.5).as_seconds(), 1.0);
         assert_eq!((d / 4.0).as_seconds(), 0.5);
+        let odd = TimeSpan::from_femtos(3);
+        assert_eq!(odd * 1_000_000u64, TimeSpan::from_femtos(3_000_000));
     }
 
     #[test]

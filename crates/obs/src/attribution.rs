@@ -301,37 +301,43 @@ impl AttributionAccumulator {
         self.bucket_gpu_time(it, &class);
     }
 
-    /// Folds another accumulator's totals into this one *exactly*.
+    /// Folds `times` repeats of another accumulator's totals into this
+    /// one *exactly*.
     ///
     /// Every running total here is an integer (ticks or counts), so the
     /// sums are associative: absorbing accumulators that each recorded
     /// some iterations, in iteration order, yields byte-for-byte the
-    /// state recording them all here would have reached. Steady-state
-    /// replay absorbs one verified iteration's accumulator per iteration
-    /// it synthesizes. `other` must have recorded iterations of the same
-    /// task graph, chronologically after this one's — its `last_path`
-    /// becomes the merged "most recent" path when it recorded any.
-    pub fn absorb(&mut self, other: &AttributionAccumulator) {
+    /// state recording them all here would have reached, and `times`
+    /// repeats scale each total by `times`. Steady-state replay absorbs
+    /// the verified iteration's accumulator once per stretch of
+    /// iterations it synthesizes. `other` must have recorded iterations
+    /// of the same task graph, chronologically after this one's — its
+    /// `last_path`, which the caller places at the last repeat, becomes
+    /// the merged "most recent" path when it recorded any.
+    pub fn absorb(&mut self, other: &AttributionAccumulator, times: u64) {
         assert_eq!(
             self.tasks, other.tasks,
             "absorbed accumulator must cover the same task graph"
         );
+        if times == 0 {
+            return;
+        }
         for (&t, &(ticks, count)) in &other.on_path {
             let mine = self.on_path.entry(t).or_default();
-            mine.0 += ticks;
-            mine.1 += count;
+            mine.0 += ticks * times;
+            mine.1 += count * times;
         }
         for (mine, theirs) in self.per_gpu.iter_mut().zip(&other.per_gpu) {
-            mine.compute += theirs.compute;
-            mine.overlapped += theirs.overlapped;
-            mine.exposed += theirs.exposed;
-            mine.idle += theirs.idle;
-            mine.total += theirs.total;
+            mine.compute += theirs.compute * times;
+            mine.overlapped += theirs.overlapped * times;
+            mine.exposed += theirs.exposed * times;
+            mine.idle += theirs.idle * times;
+            mine.total += theirs.total * times;
         }
-        self.path_total += other.path_total;
-        self.path_compute += other.path_compute;
-        self.path_comm += other.path_comm;
-        self.iterations += other.iterations;
+        self.path_total += other.path_total * times;
+        self.path_compute += other.path_compute * times;
+        self.path_comm += other.path_comm * times;
+        self.iterations += other.iterations * times;
         if other.iterations > 0 {
             self.last_path.clear();
             self.last_path.extend_from_slice(&other.last_path);
@@ -1073,7 +1079,7 @@ mod tests {
         record_chain(&g, &mut first);
         let mut second = g.accumulator(2);
         record_chain(&g, &mut second);
-        first.absorb(&second);
+        first.absorb(&second, 1);
 
         assert_eq!(first.iterations(), serial.iterations());
         assert_eq!(first.last_path(), serial.last_path());
@@ -1086,10 +1092,19 @@ mod tests {
         };
         assert_eq!(stringify(&first), stringify(&serial));
 
-        // Absorbing an empty accumulator changes nothing.
+        // Absorbing an empty accumulator, or no repeats, changes nothing.
         let snapshot = stringify(&first);
-        first.absorb(&g.accumulator(2));
+        first.absorb(&g.accumulator(2), 1);
+        first.absorb(&second, 0);
         assert_eq!(stringify(&first), snapshot);
+
+        // Three repeats at once are three iterations recorded serially.
+        record_chain(&g, &mut serial);
+        record_chain(&g, &mut serial);
+        record_chain(&g, &mut serial);
+        first.absorb(&second, 3);
+        assert_eq!(first.iterations(), 5);
+        assert_eq!(first, serial);
 
         // Shifting moves the path and nothing else.
         let before = second.snapshot();

@@ -28,8 +28,8 @@ use crate::checkpoint::{
 };
 use crate::error::SimError;
 use crate::report::{
-    timeline_fnv, union_length, FaultStats, Repeat, SerialReason, SimReport, TimelineEntry,
-    TimelineTrack,
+    timeline_fnv, union_length, FaultStats, Repeat, ReplayFold, SerialReason, SimReport,
+    TimelineEntry, TimelineTrack,
 };
 use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
@@ -298,7 +298,19 @@ enum ReplayState {
     /// The next iteration is simulated and verified against this one.
     Verifying(IterationDelta),
     /// Verified: every remaining iteration repeats this one.
-    Steady(IterationDelta),
+    Steady(Synthesis),
+}
+
+/// What synthesizing repeats of a verified iteration carries.
+struct Synthesis {
+    /// The verified iteration.
+    delta: IterationDelta,
+    /// Its records' digest fold, built once.
+    fold: ReplayFold,
+    /// Repeats synthesized since the accumulator last absorbed the
+    /// verified iteration's attribution: a snapshot or the report reads
+    /// the accumulator only after [`Executor::absorb_pending`].
+    pending: u64,
 }
 
 /// The run's additive counters at an iteration boundary, or what one
@@ -829,16 +841,18 @@ impl<'a> Executor<'a> {
     /// verified as the first shifted by its length, the rest are
     /// synthesized; any mismatch just keeps simulating. Synthesized and
     /// simulated iterations end at the same boundary, so snapshots and
-    /// wall-clock probes run unchanged. On error the loop stops with the
-    /// structured error; completed-iteration state (`iter_ends`,
-    /// attribution) remains valid for inspection.
+    /// wall-clock probes run unchanged. Synthesized iterations' attribution
+    /// is absorbed in bulk before each snapshot, on error and at the end.
+    /// On error the loop stops with the structured error; completed-iteration
+    /// state (`iter_ends`, attribution) remains valid for inspection.
     fn run_iterations(&mut self, iterations: usize) -> Result<(), SimError> {
         let mut replay = self.replay_plan(iterations);
         for iter in 0..iterations {
             self.current_iter = self.iter_offset + iter;
-            if let ReplayState::Steady(delta) = &mut replay {
-                self.synthesize(delta);
+            if let ReplayState::Steady(s) = &mut replay {
+                self.synthesize(s);
                 if let Some((kind, limit)) = self.budget.as_ref().and_then(RunBudget::check_wall) {
+                    self.absorb_pending(s);
                     return Err(SimError::BudgetExceeded { kind, limit });
                 }
             } else {
@@ -887,7 +901,7 @@ impl<'a> Executor<'a> {
                     attr
                 });
                 match &alone {
-                    Some(attr) => self.attr.absorb(attr),
+                    Some(attr) => self.attr.absorb(attr, 1),
                     None => self.attr.record_iteration(&it, class),
                 }
                 if self.observing {
@@ -906,7 +920,12 @@ impl<'a> Executor<'a> {
                     replay = match replay {
                         ReplayState::Verifying(mut prev) => {
                             if delta.repeats(&mut prev, &self.timeline) {
-                                ReplayState::Steady(delta)
+                                let records = &self.timeline[delta.records.clone()];
+                                ReplayState::Steady(Synthesis {
+                                    fold: ReplayFold::new(records, self.graph.labels()),
+                                    delta,
+                                    pending: 0,
+                                })
                             } else {
                                 ReplayState::Off(SerialReason::Rejected)
                             }
@@ -922,15 +941,21 @@ impl<'a> Executor<'a> {
                 .as_ref()
                 .is_some_and(|ck| (self.current_iter + 1).is_multiple_of(ck.every));
             if snapshot_due {
+                if let ReplayState::Steady(s) = &mut replay {
+                    self.absorb_pending(s);
+                }
                 self.write_checkpoint()?;
             }
         }
         self.replay = match replay {
-            ReplayState::Steady(delta) => Ok(Repeat {
-                segment: delta.records.len(),
-                period: delta.period,
-                count: iterations - 2,
-            }),
+            ReplayState::Steady(mut s) => {
+                self.absorb_pending(&mut s);
+                Ok(Repeat {
+                    segment: s.delta.records.len(),
+                    period: s.delta.period,
+                    count: iterations - 2,
+                })
+            }
             ReplayState::Off(reason) => Err(reason),
             // Unreachable: replay plans need at least three iterations.
             ReplayState::Candidate | ReplayState::Verifying(_) => Err(SerialReason::FewIterations),
@@ -1002,13 +1027,14 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Adds one iteration that repeats the verified `d`, without
+    /// Adds one iteration that repeats the verified one, without
     /// simulating it: the clock and every accumulated counter advance by
-    /// `d`'s deltas, the transfer intervals and critical path repeat
-    /// shifted, and `d`'s records, shifted, fold into the timeline
-    /// digest without being built.
-    fn synthesize(&mut self, d: &mut IterationDelta) {
+    /// its deltas, the transfer intervals repeat shifted, its records,
+    /// shifted, fold into the timeline digest without being built, and
+    /// its attribution waits in `s.pending`.
+    fn synthesize(&mut self, s: &mut Synthesis) {
         let t0 = self.profiling.then(Instant::now);
+        let d = &s.delta;
         let begin = self.queue.now();
         let shift = begin - d.begin;
         let c = &d.counters;
@@ -1024,17 +1050,30 @@ impl<'a> Executor<'a> {
         self.network.absorb_stats(&c.net);
         self.comm_intervals
             .extend(d.comm.iter().map(|&(s, e)| (s + shift, e + shift)));
-        d.attr.shift_last_path(d.period);
-        self.attr.absorb(&d.attr);
+        s.pending += 1;
         self.iter_ends.push(self.queue.now());
         let records = &self.timeline[d.records.clone()];
-        self.tl_digest = (
-            self.tl_digest.0 + records.len() as u64,
-            timeline_fnv(self.tl_digest.1, records, self.graph.labels(), shift),
+        let labels = self.graph.labels();
+        let h = s.fold.fold(self.tl_digest.1, records, labels, shift);
+        debug_assert_eq!(
+            h,
+            timeline_fnv(self.tl_digest.1, records, labels, shift),
+            "the replay fold disagrees with timeline_fnv"
         );
+        self.tl_digest = (self.tl_digest.0 + records.len() as u64, h);
         if let Some(t0) = t0 {
             self.replay_wall_s += t0.elapsed().as_secs_f64();
         }
+    }
+
+    /// Absorbs the attribution of the repeats synthesized since the last
+    /// call in one scaled pass, the verified iteration's critical path
+    /// moved on to the last of them.
+    fn absorb_pending(&mut self, s: &mut Synthesis) {
+        let d = &mut s.delta;
+        d.attr.shift_last_path(d.period * s.pending);
+        self.attr.absorb(&d.attr, s.pending);
+        s.pending = 0;
     }
 
     fn run(mut self, iterations: usize) -> Result<SimReport, SimError> {

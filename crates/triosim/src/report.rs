@@ -681,11 +681,15 @@ const FF_WORD: [u64; 256] = {
 /// FNV-1a over `w`'s 8 little-endian bytes, a word at a time: XOR with a
 /// zero byte is the identity, so the zero high bytes fold as one multiply
 /// by a power of the prime, and `u64::MAX` folds through [`FF_WORD`].
+/// A word with no zero high byte (a time's bits) takes 8 plain steps.
 fn fold_word(h: u64, w: u64) -> u64 {
     if w == u64::MAX {
         return (h & !0xff)
             .wrapping_mul(PRIME_POW[8])
             .wrapping_add(FF_WORD[(h & 0xff) as usize]);
+    }
+    if w >> 56 != 0 {
+        return fnv1a(h, &w.to_le_bytes());
     }
     let len = 8 - w.leading_zeros() as usize / 8;
     fnv1a(h, &w.to_le_bytes()[..len]).wrapping_mul(PRIME_POW[8 - len])
@@ -698,6 +702,20 @@ fn code_word(code: u32) -> u64 {
     } else {
         u64::from(code)
     }
+}
+
+/// Folds a record's head: its label, a `0xff` separator and its track.
+fn fold_head(h: u64, label: &str, track: u32) -> u64 {
+    let h = fnv1a(fnv1a(h, label.as_bytes()), &[0xff]);
+    fold_word(h, code_word(track))
+}
+
+/// Folds the 24 bytes after a record's head: its start and end moved
+/// `shift` later, and its layer.
+fn fold_tail(h: u64, e: &TimelineEntry, shift: TimeSpan) -> u64 {
+    let h = fold_word(h, (e.start + shift).as_seconds().to_bits());
+    let h = fold_word(h, (e.end + shift).as_seconds().to_bits());
+    fold_word(h, code_word(e.layer))
 }
 
 /// Folds timeline entries (in the order given, which must be the
@@ -713,8 +731,9 @@ fn code_word(code: u32) -> u64 {
 /// whole run at once. That is what lets checkpoints carry a fixed-size
 /// digest instead of the records themselves, and lets replay fold a
 /// synthesized iteration as the verified one shifted, without building
-/// its records. The words fold a word at a time ([`fold_word`]); the
-/// state equals a byte-by-byte fold.
+/// its records ([`ReplayFold`] gives the same state for those). The
+/// words fold a word at a time ([`fold_word`]); the state equals a
+/// byte-by-byte fold.
 pub(crate) fn timeline_fnv(
     seed: u64,
     entries: &[TimelineEntry],
@@ -723,14 +742,140 @@ pub(crate) fn timeline_fnv(
 ) -> u64 {
     let mut h = seed;
     for e in entries {
-        h = fnv1a(h, labels.get(e.task as usize).as_bytes());
-        h = fnv1a(h, &[0xff]);
-        h = fold_word(h, code_word(e.track));
-        h = fold_word(h, (e.start + shift).as_seconds().to_bits());
-        h = fold_word(h, (e.end + shift).as_seconds().to_bits());
-        h = fold_word(h, code_word(e.layer));
+        h = fold_tail(fold_head(h, labels.get(e.task as usize), e.track), e, shift);
     }
     h
+}
+
+/// `FNV_PRIME^24`: the factor a record's 24 tail bytes put on the
+/// state's high part.
+const PRIME_POW_24: u64 = PRIME_POW[8]
+    .wrapping_mul(PRIME_POW[8])
+    .wrapping_mul(PRIME_POW[8]);
+
+/// The low byte FNV-1a over a fixed byte string (a record's head)
+/// leaves, as a function of the low byte it starts from, in 32 bytes,
+/// and the factor the head and its record's tail put on the high part.
+///
+/// A step XORs a byte into the state's low byte and multiplies by the
+/// odd prime, so bit `k` of the state after it depends only on bits
+/// `0..=k` before it, and flipping bit `k` before flips bit `k` after
+/// (carries run upward). Over the whole string, then, the low byte `l`
+/// becomes `l ^ d(l)`, where bit `k` of `d` depends only on `l mod 2^k`:
+/// a table of `2^k` bits for each `k`, 255 bits in all. They are kept
+/// heap-wise in 256 bits: bit `k` of `d(l)` sits at `2^k + l mod 2^k`.
+#[derive(Clone, Copy)]
+struct HeadFold {
+    /// `d`, bit `k` of `d(l)` at bit `2^k + l mod 2^k`.
+    bits: [u64; 4],
+    /// `FNV_PRIME^(|head| + 24)`.
+    pow: u64,
+}
+
+impl HeadFold {
+    /// The fold of `head`: `d` is read off one lane per entry byte, each
+    /// stepped through every byte of `head` by the prime's low byte. A
+    /// product's low byte depends only on its factors' low bytes, so the
+    /// lanes are `u16`, which SSE2 multiplies natively, read as `u8`. Bit
+    /// 7 of the entry byte flips only bit 7 of every later low byte, so
+    /// entry bytes below 128 determine `d`; debug builds step all 256 and
+    /// check the map against each.
+    fn new(head: impl IntoIterator<Item = u8>) -> Self {
+        let stepped = if cfg!(debug_assertions) { 256 } else { 128 };
+        let mut lanes: [u16; 256] = std::array::from_fn(|l| l as u16);
+        let mut len = 0u32;
+        for b in head {
+            for lane in &mut lanes[..stepped] {
+                *lane = (*lane ^ u16::from(b)).wrapping_mul(FNV_PRIME as u16);
+            }
+            len += 1;
+        }
+        let mut bits = [0u64; 4];
+        for k in 0..8 {
+            for (l, &lane) in lanes.iter().enumerate().take(1 << k) {
+                let at = 1 << k | l;
+                bits[at / 64] |= u64::from((lane as u8 ^ l as u8) >> k & 1) << (at % 64);
+            }
+        }
+        let fold = HeadFold {
+            bits,
+            pow: FNV_PRIME.wrapping_pow(len + 24),
+        };
+        debug_assert!(
+            (0..256).all(|l| fold.low_byte(l as u8) == lanes[l] as u8),
+            "a bit of the low byte depends on a higher bit"
+        );
+        fold
+    }
+
+    /// The low byte after the head, from entry low byte `l`.
+    #[inline]
+    fn low_byte(&self, l: u8) -> u8 {
+        let d = (0..8).fold(0, |d, k| {
+            let at = 1 << k | usize::from(l) & ((1 << k) - 1);
+            d | ((self.bits[at / 64] >> (at % 64)) as u8 & 1) << k
+        });
+        l ^ d
+    }
+}
+
+/// [`timeline_fnv`] for repeats of one verified iteration, whose records
+/// change between repeats only in their 16 time bytes.
+///
+/// FNV-1a from `h` over bytes `S` is `(h & !0xff) * FNV_PRIME^|S|` plus
+/// the fold of `S` from `h`'s low byte alone, since each step XORs into
+/// the low byte only. So the state splits into a high part and a low
+/// byte, and only the low byte feeds the next step's input: per record,
+/// it steps through the head's [`HeadFold`] map and the 24 tail bytes
+/// (giving `y`), while the head's full contribution `g` is folded from
+/// the record's entry low byte off that chain and joined into the high
+/// part: `hi * pow + (g & !0xff) * FNV_PRIME^24 + (y & !0xff)`.
+pub(crate) struct ReplayFold {
+    heads: Vec<HeadFold>,
+}
+
+impl ReplayFold {
+    /// The fold of the (sorted) `entries` of a verified iteration.
+    pub(crate) fn new(entries: &[TimelineEntry], labels: &Labels) -> Self {
+        let heads = entries
+            .iter()
+            .map(|e| {
+                let label = labels.get(e.task as usize).bytes();
+                let track = code_word(e.track).to_le_bytes();
+                HeadFold::new(label.chain([0xff]).chain(track))
+            })
+            .collect();
+        ReplayFold { heads }
+    }
+
+    /// `timeline_fnv(seed, entries, labels, shift)`, where `entries` are
+    /// the records this fold was built from.
+    pub(crate) fn fold(
+        &self,
+        seed: u64,
+        entries: &[TimelineEntry],
+        labels: &Labels,
+        shift: TimeSpan,
+    ) -> u64 {
+        assert_eq!(
+            self.heads.len(),
+            entries.len(),
+            "a replay fold covers the records it was built from"
+        );
+        let (mut hi, mut low) = (seed & !0xff, seed as u8);
+        for (head, e) in self.heads.iter().zip(entries) {
+            // The chain first, so that a mispredicted label length in the
+            // refold below discards none of it.
+            let y = fold_tail(u64::from(head.low_byte(low)), e, shift);
+            let g = fold_head(u64::from(low), labels.get(e.task as usize), e.track);
+            hi = hi
+                .wrapping_mul(head.pow)
+                .wrapping_add((g & !0xff).wrapping_mul(PRIME_POW_24))
+                .wrapping_add(y & !0xff);
+            low = y as u8;
+        }
+        hi | u64::from(low)
+    }
 }
 
 /// Merges possibly-overlapping intervals in place and returns their
@@ -826,6 +971,11 @@ mod tests {
     #[test]
     fn entries_are_32_bytes() {
         assert_eq!(std::mem::size_of::<TimelineEntry>(), 32);
+    }
+
+    #[test]
+    fn replay_folds_cost_40_bytes_a_record() {
+        assert_eq!(std::mem::size_of::<HeadFold>(), 40);
     }
 
     #[test]
@@ -944,6 +1094,53 @@ mod tests {
         h
     }
 
+    /// SplitMix64: a dependency-free, seeded stream.
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// The labels [`draw_entries`] names its tasks by: empty, ASCII and
+    /// multi-byte UTF-8.
+    fn fold_labels() -> Labels {
+        let mut labels = Labels::default();
+        for name in ["", "conv1@g0", "ddp.bucket3.s2.rank1->rank2", "Grüße→τ"] {
+            labels.push(name);
+        }
+        labels
+    }
+
+    /// 1 to 12 entries over [`fold_labels`], drawn from `next`.
+    /// Their codes fold through the table (`None`, the network), as one
+    /// byte, as three, and as four; their times' seconds' bits are all
+    /// zero (0), end in zero bytes (1 s, 0.5 s) or are arbitrary.
+    fn draw_entries(next: &mut impl FnMut() -> u64) -> Vec<TimelineEntry> {
+        let codes = [None, Some(0), Some(7), Some(255), Some(256), Some(1 << 24)];
+        let code = |r: u64| codes[r as usize % codes.len()].map(|c: u32| c + (r >> 60) as u32);
+        let time = |r: u64| match r % 4 {
+            0 => VirtualTime::ZERO,
+            1 => t(1.0),
+            2 => t(0.5),
+            _ => VirtualTime::from_femtos(r >> 8),
+        };
+        (0..1 + next() % 12)
+            .map(|_| {
+                let (a, b) = (time(next()), time(next()));
+                let track = match code(next()) {
+                    None => TimelineTrack::Network,
+                    Some(gpu) => TimelineTrack::Gpu(gpu as usize),
+                };
+                let task = TaskId(next() as usize % 4);
+                TimelineEntry::new(task, track, code(next()), a.min(b), a.max(b))
+            })
+            .collect()
+    }
+
     #[test]
     fn word_fold_equals_the_byte_fold() {
         // Every low byte of the state, through the all-ones word.
@@ -955,43 +1152,10 @@ mod tests {
                 "state low byte {low}"
             );
         }
-        // SplitMix64: a dependency-free, seeded stream.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let names = ["", "conv1@g0", "ddp.bucket3.s2.rank1->rank2", "Grüße→τ"];
-        let mut labels = Labels::default();
-        for name in names {
-            labels.push(name);
-        }
-        // Codes that fold through the table (`None`, the network), as one
-        // byte, as three, and as four; times whose seconds' bits are all
-        // zero (0), end in zero bytes (1 s, 0.5 s) or are arbitrary.
-        let codes = [None, Some(0), Some(7), Some(255), Some(256), Some(1 << 24)];
-        let code = |r: u64| codes[r as usize % codes.len()].map(|c: u32| c + (r >> 60) as u32);
-        let time = |r: u64| match r % 4 {
-            0 => VirtualTime::ZERO,
-            1 => t(1.0),
-            2 => t(0.5),
-            _ => VirtualTime::from_femtos(r >> 8),
-        };
+        let mut next = splitmix(0x9e37_79b9_7f4a_7c15);
+        let labels = fold_labels();
         for case in 0..200 {
-            let entries: Vec<TimelineEntry> = (0..1 + next() % 12)
-                .map(|_| {
-                    let (a, b) = (time(next()), time(next()));
-                    let track = match code(next()) {
-                        None => TimelineTrack::Network,
-                        Some(gpu) => TimelineTrack::Gpu(gpu as usize),
-                    };
-                    let task = TaskId(next() as usize % names.len());
-                    TimelineEntry::new(task, track, code(next()), a.min(b), a.max(b))
-                })
-                .collect();
+            let entries = draw_entries(&mut next);
             let shift = TimeSpan::from_femtos(if case % 2 == 0 { 0 } else { next() >> 12 });
             let seed = if case % 3 == 0 { FNV_OFFSET } else { next() };
             assert_eq!(
@@ -999,6 +1163,46 @@ mod tests {
                 timeline_fnv_by_bytes(seed, &entries, &labels, shift),
                 "case {case}"
             );
+        }
+    }
+
+    #[test]
+    fn replay_fold_equals_the_byte_fold() {
+        let mut next = splitmix(0x2545_f491_4f6c_dd1d);
+        let labels = fold_labels();
+        // A seed with each low byte, so every record's map is entered
+        // from varied low bytes.
+        for low in 0..256u64 {
+            let entries = draw_entries(&mut next);
+            let fold = ReplayFold::new(&entries, &labels);
+            let shift = TimeSpan::from_femtos(if low % 2 == 0 { 0 } else { next() >> 12 });
+            let seed = next() & !0xff | low;
+            assert_eq!(
+                fold.fold(seed, &entries, &labels, shift),
+                timeline_fnv_by_bytes(seed, &entries, &labels, shift),
+                "seed low byte {low}"
+            );
+        }
+    }
+
+    #[test]
+    fn head_fold_maps_every_entry_byte() {
+        let mut next = splitmix(0x0123_4567_89ab_cdef);
+        for case in 0..300 {
+            let bytes: Vec<u8> = (0..next() % 65).map(|_| next() as u8).collect();
+            let fold = HeadFold::new(bytes.iter().copied());
+            for l in 0..=255u8 {
+                let by_bytes = bytes.iter().fold(u64::from(l), |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+                assert_eq!(
+                    fold.low_byte(l),
+                    by_bytes as u8,
+                    "case {case}, entry byte {l}"
+                );
+            }
+            let pow = (0..bytes.len() + 24).fold(1u64, |p, _| p.wrapping_mul(FNV_PRIME));
+            assert_eq!(fold.pow, pow, "case {case}");
         }
     }
 }

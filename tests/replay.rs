@@ -315,6 +315,51 @@ fn snapshots_at_synthesized_boundaries_match_the_oracle() {
     }
 }
 
+/// A run that snapshots every 3 or every 7 of 20 iterations writes each
+/// snapshot after a stretch of synthesized iterations, whose attribution
+/// the executor absorbs in one pass before the write. Its last snapshot
+/// equals the oracle's, its report the uninterrupted run's, and
+/// restoring from that snapshot reproduces the report too.
+#[test]
+fn snapshots_after_synthesized_stretches_match_the_oracle() {
+    let t = trace(ModelId::ResNet18, 8);
+    let p = Platform::p2(2);
+    let n = 20;
+    let b = || SimBuilder::new(&t, &p).iterations(n);
+    let uninterrupted = canonical(&oracle(b(), &p).run());
+    for every in [3, 7] {
+        let run = |oracle_net: bool| {
+            let path = temp_path("cadence");
+            let mut run = b().checkpoint(&path, every);
+            if oracle_net {
+                run = oracle(run, &p);
+            }
+            let report = run.try_run().expect("checkpointed run completes");
+            (path, report)
+        };
+        let ((ours, replayed), (theirs, _)) = (run(false), run(true));
+        assert_eq!(
+            replayed.replay(),
+            Replay::Synthesized(n - 2),
+            "every {every}"
+        );
+        assert_eq!(canonical(&replayed), uninterrupted, "every {every}");
+        assert_eq!(
+            std::fs::read(&ours).expect("snapshot written"),
+            std::fs::read(&theirs).expect("snapshot written"),
+            "last snapshot at cadence {every} differs from the oracle's"
+        );
+        let resumed = b().restore(&ours).try_run().expect("restore succeeds");
+        assert_eq!(
+            canonical(&resumed),
+            uninterrupted,
+            "restore at cadence {every}"
+        );
+        std::fs::remove_file(&ours).ok();
+        std::fs::remove_file(&theirs).ok();
+    }
+}
+
 /// `simulate` prints the decision, and `--metrics` (a recorder, so the
 /// serial path) writes the same `--report` bytes, queue counters
 /// included: samples are taken between events, not queued.
