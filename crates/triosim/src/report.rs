@@ -790,11 +790,18 @@ impl HeadFold {
             }
             len += 1;
         }
+        let d: [u8; 128] = std::array::from_fn(|l| lanes[l] as u8 ^ l as u8);
         let mut bits = [0u64; 4];
         for k in 0..8 {
-            for (l, &lane) in lanes.iter().enumerate().take(1 << k) {
-                let at = 1 << k | l;
-                bits[at / 64] |= u64::from((lane as u8 ^ l as u8) >> k & 1) << (at % 64);
+            let n = 1usize << k;
+            for (j, eight) in d.chunks_exact(8).take(n.div_ceil(8)).enumerate() {
+                // Bit `k` of eight entry bytes' `d` at once: the multiply
+                // moves byte `i`'s bit to bit `56 + i`, carry-free.
+                let word = u64::from_le_bytes(eight.try_into().expect("chunks of 8"));
+                let gathered =
+                    ((word >> k) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+                let at = n + 8 * j;
+                bits[at / 64] |= (gathered & ((1 << n.min(8)) - 1)) << (at % 64);
             }
         }
         let fold = HeadFold {
@@ -818,6 +825,14 @@ impl HeadFold {
         l ^ d
     }
 }
+
+/// The fewest repeats a [`ReplayFold`] is built for. Building a record's
+/// map costs what the fold then saves on about 10 repeats of it on an idle
+/// 2-core host, and on up to 45 while the core's other hardware thread is
+/// busy (resnet50, VGG-11 and GPT-2 iterations of 194 to 4,472 records);
+/// shorter replays keep [`timeline_fnv`], so a short run never pays for
+/// maps it cannot use.
+pub(crate) const REPLAY_FOLD_MIN_REPEATS: usize = 32;
 
 /// [`timeline_fnv`] for repeats of one verified iteration, whose records
 /// change between repeats only in their 16 time bytes.
