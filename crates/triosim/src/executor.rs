@@ -29,7 +29,7 @@ use crate::checkpoint::{
 use crate::error::SimError;
 use crate::report::{
     timeline_fnv, union_length, FaultStats, Repeat, ReplayFold, SerialReason, SimReport,
-    TimelineEntry, TimelineTrack, REPLAY_FOLD_MIN_REPEATS,
+    TimelineEntry, TimelineTrack,
 };
 use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
@@ -305,9 +305,8 @@ enum ReplayState {
 struct Synthesis {
     /// The verified iteration.
     delta: IterationDelta,
-    /// Its records' digest fold, built once when enough repeats remain
-    /// to pay for it.
-    fold: Option<ReplayFold>,
+    /// Its records' digest fold, built once.
+    fold: ReplayFold,
     /// Repeats synthesized since the accumulator last absorbed the
     /// verified iteration's attribution: a snapshot or the report reads
     /// the accumulator only after [`Executor::absorb_pending`].
@@ -922,11 +921,8 @@ impl<'a> Executor<'a> {
                         ReplayState::Verifying(mut prev) => {
                             if delta.repeats(&mut prev, &self.timeline) {
                                 let records = &self.timeline[delta.records.clone()];
-                                let repeats = iterations - iter - 1;
-                                let fold = (repeats >= REPLAY_FOLD_MIN_REPEATS)
-                                    .then(|| ReplayFold::new(records, self.graph.labels()));
                                 ReplayState::Steady(Synthesis {
-                                    fold,
+                                    fold: ReplayFold::new(records, self.graph.labels()),
                                     delta,
                                     pending: 0,
                                 })
@@ -1058,18 +1054,12 @@ impl<'a> Executor<'a> {
         self.iter_ends.push(self.queue.now());
         let records = &self.timeline[d.records.clone()];
         let (seed, labels) = (self.tl_digest.1, self.graph.labels());
-        let h = match &s.fold {
-            Some(fold) => {
-                let h = fold.fold(seed, records, labels, shift);
-                debug_assert_eq!(
-                    h,
-                    timeline_fnv(seed, records, labels, shift),
-                    "the replay fold disagrees with timeline_fnv"
-                );
-                h
-            }
-            None => timeline_fnv(seed, records, labels, shift),
-        };
+        let h = s.fold.fold(seed, records, labels, shift);
+        debug_assert_eq!(
+            h,
+            timeline_fnv(seed, records, labels, shift),
+            "the replay fold disagrees with timeline_fnv"
+        );
         self.tl_digest = (self.tl_digest.0 + records.len() as u64, h);
         if let Some(t0) = t0 {
             self.replay_wall_s += t0.elapsed().as_secs_f64();

@@ -681,15 +681,11 @@ const FF_WORD: [u64; 256] = {
 /// FNV-1a over `w`'s 8 little-endian bytes, a word at a time: XOR with a
 /// zero byte is the identity, so the zero high bytes fold as one multiply
 /// by a power of the prime, and `u64::MAX` folds through [`FF_WORD`].
-/// A word with no zero high byte (a time's bits) takes 8 plain steps.
 fn fold_word(h: u64, w: u64) -> u64 {
     if w == u64::MAX {
         return (h & !0xff)
             .wrapping_mul(PRIME_POW[8])
             .wrapping_add(FF_WORD[(h & 0xff) as usize]);
-    }
-    if w >> 56 != 0 {
-        return fnv1a(h, &w.to_le_bytes());
     }
     let len = 8 - w.leading_zeros() as usize / 8;
     fnv1a(h, &w.to_le_bytes()[..len]).wrapping_mul(PRIME_POW[8 - len])
@@ -825,14 +821,6 @@ impl HeadFold {
         l ^ d
     }
 }
-
-/// The fewest repeats a [`ReplayFold`] is built for. Building a record's
-/// map costs what the fold then saves on about 10 repeats of it on an idle
-/// 2-core host, and on up to 45 while the core's other hardware thread is
-/// busy (resnet50, VGG-11 and GPT-2 iterations of 194 to 4,472 records);
-/// shorter replays keep [`timeline_fnv`], so a short run never pays for
-/// maps it cannot use.
-pub(crate) const REPLAY_FOLD_MIN_REPEATS: usize = 32;
 
 /// [`timeline_fnv`] for repeats of one verified iteration, whose records
 /// change between repeats only in their 16 time bytes.

@@ -315,17 +315,16 @@ fn snapshots_at_synthesized_boundaries_match_the_oracle() {
     }
 }
 
-/// A run that snapshots every 3 or every 7 of 40 iterations writes each
+/// A run that snapshots every 3 or every 7 of 20 iterations writes each
 /// snapshot after a stretch of synthesized iterations, whose attribution
 /// the executor absorbs in one pass before the write. Its last snapshot
 /// equals the oracle's, its report the uninterrupted run's, and
-/// restoring from that snapshot reproduces the report too. 38 repeats are
-/// enough for the replay fold, so its debug-build shadow runs here.
+/// restoring from that snapshot reproduces the report too.
 #[test]
 fn snapshots_after_synthesized_stretches_match_the_oracle() {
     let t = trace(ModelId::ResNet18, 8);
     let p = Platform::p2(2);
-    let n = 40;
+    let n = 20;
     let b = || SimBuilder::new(&t, &p).iterations(n);
     let uninterrupted = canonical(&oracle(b(), &p).run());
     for every in [3, 7] {
