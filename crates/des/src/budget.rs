@@ -29,8 +29,6 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::time::VirtualTime;
 
@@ -164,20 +162,6 @@ impl RunBudget {
         let (deadline, ms) = self.deadline?;
         (Instant::now() > deadline).then_some((BudgetKind::WallClock, ms))
     }
-}
-
-/// Serializable progress along a [`RunBudget`]'s deterministic axes.
-///
-/// The event counter is the only budget state a resumed run needs:
-/// sim-time enforcement reads the restored clock directly, and the
-/// wall-clock deadline is re-armed fresh on restore (an `Instant` is
-/// meaningless across processes). Checkpoints embed this so the resumed
-/// run's [`check`](RunBudget::check) calls continue from the exact event
-/// count the interrupted run reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct BudgetProgress {
-    /// Real (budget-counted) events delivered so far.
-    pub events: u64,
 }
 
 #[cfg(test)]

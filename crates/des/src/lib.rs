@@ -59,7 +59,7 @@ mod queue;
 mod stats;
 mod time;
 
-pub use budget::{BudgetKind, BudgetProgress, RunBudget};
+pub use budget::{BudgetKind, RunBudget};
 pub use fnv::{fnv1a, FNV_OFFSET, FNV_PRIME};
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use queue::{EventId, EventQueue};

@@ -108,20 +108,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// [`starting_at`](Self::starting_at) with the cumulative statistics
-    /// counters pre-seeded.
-    ///
-    /// Checkpoint restore uses this to resume a run at a quiescent
-    /// boundary: a fresh queue advanced to the boundary time whose
-    /// counters continue from the interrupted run's, so the final
-    /// [`QueueStats`] match an uninterrupted run exactly (all counters
-    /// are additive; `max_pending` is a running maximum).
-    pub fn starting_at_with_stats(origin: VirtualTime, stats: QueueStats) -> Self {
-        let mut q = Self::starting_at(origin);
-        q.stats = stats;
-        q
-    }
-
     /// The current virtual time: the timestamp of the most recently popped
     /// event (or zero before any pop).
     pub fn now(&self) -> VirtualTime {

@@ -95,11 +95,6 @@ impl VirtualTime {
         self.0 as f64 / FS_PER_SEC
     }
 
-    /// Milliseconds since simulation start.
-    pub fn as_millis(self) -> f64 {
-        self.as_seconds() * 1e3
-    }
-
     /// The later of two instants.
     pub fn max(self, other: Self) -> Self {
         if self >= other {
@@ -211,11 +206,6 @@ impl TimeSpan {
     /// The span in seconds.
     pub fn as_seconds(self) -> f64 {
         self.0 as f64 / FS_PER_SEC
-    }
-
-    /// The span in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.as_seconds() * 1e3
     }
 
     /// True if this span is zero.

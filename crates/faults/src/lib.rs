@@ -609,11 +609,6 @@ impl FaultSession {
         self.compute.get(gpu).copied().unwrap_or(1.0)
     }
 
-    /// True when the plan carries operator-time jitter.
-    pub fn has_jitter(&self) -> bool {
-        self.jitter_amplitude > 0.0
-    }
-
     /// The jitter dilation factor for one compute op, in
     /// `[1, 1 + amplitude)`.
     ///

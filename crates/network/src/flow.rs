@@ -541,11 +541,6 @@ impl FlowNetwork {
         self.mode = mode;
     }
 
-    /// The active reallocation mode.
-    pub fn reallocation_mode(&self) -> ReallocationMode {
-        self.mode
-    }
-
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topo

@@ -173,7 +173,7 @@ impl IterationObservation<'_> {
 
 /// Integer-tick bucket totals for one GPU (exact; converted to seconds
 /// only at report time).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct BucketTicks {
     compute: TimeSpan,
     overlapped: TimeSpan,
@@ -182,50 +182,27 @@ struct BucketTicks {
     total: TimeSpan,
 }
 
-/// One GPU's serialized bucket totals inside an [`AttributionState`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct GpuBucketState {
-    /// GPU-busy (compute) ticks.
-    pub compute: TimeSpan,
-    /// Comm-in-flight-while-computing ticks (informational overlay).
-    pub overlapped: TimeSpan,
-    /// Comm-in-flight-while-idle ticks.
-    pub exposed: TimeSpan,
-    /// Neither-compute-nor-comm ticks.
-    pub idle: TimeSpan,
-    /// Total ticks bucketed for this GPU.
-    pub total: TimeSpan,
-}
-
-/// One `(task, start, finish)` segment of a serialized critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PathSegmentState {
-    /// Task index.
-    pub task: u32,
-    /// Segment start time.
-    pub start: VirtualTime,
-    /// Segment finish time.
-    pub finish: VirtualTime,
-}
-
-/// The complete accumulated state of an [`AttributionAccumulator`], in a
-/// serializable form for mid-run checkpoints.
+/// The accumulated totals of an [`AttributionAccumulator`], in the form
+/// the accumulator keeps them and a mid-run checkpoint stores them.
 ///
 /// Only *accumulated* totals appear here: the static task structure
 /// (classes, dependencies) is the graph's, which the accumulator only
 /// borrows. All quantities are integer ticks or counts, so a restored
-/// accumulator continues to byte-identical final reports. The on-path
-/// totals are one entry per task here, zero for tasks never on a path,
-/// though the accumulator keeps only the others.
+/// accumulator continues to byte-identical final reports.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AttributionState {
-    on_path: Vec<(TimeSpan, u64)>,
-    per_gpu: Vec<GpuBucketState>,
+    /// Accumulated on-critical-path duration and hit count of each task
+    /// that has been on a path, by task: a path holds a small share of
+    /// the tasks, so this stays far smaller than a per-task table.
+    on_path: BTreeMap<u32, (TimeSpan, u64)>,
+    per_gpu: Vec<BucketTicks>,
     path_total: TimeSpan,
     path_compute: TimeSpan,
     path_comm: TimeSpan,
     iterations: u64,
-    last_path: Vec<PathSegmentState>,
+    /// The most recent iteration's critical path, as `(task, start,
+    /// finish)` segments in chronological order.
+    last_path: Vec<(u32, VirtualTime, VirtualTime)>,
 }
 
 /// Accumulates per-iteration attribution state across a run.
@@ -239,16 +216,7 @@ pub struct AttributionState {
 pub struct AttributionAccumulator {
     /// Tasks in the graph.
     tasks: usize,
-    /// Accumulated on-critical-path duration and hit count of each task
-    /// that has been on a path, by task: a path holds a small share of
-    /// the tasks, so this stays far smaller than a per-task table.
-    on_path: BTreeMap<u32, (TimeSpan, u64)>,
-    per_gpu: Vec<BucketTicks>,
-    path_total: TimeSpan,
-    path_compute: TimeSpan,
-    path_comm: TimeSpan,
-    iterations: u64,
-    last_path: Vec<(u32, VirtualTime, VirtualTime)>,
+    totals: AttributionState,
 }
 
 impl AttributionAccumulator {
@@ -256,25 +224,22 @@ impl AttributionAccumulator {
     pub fn new(gpus: usize, tasks: usize) -> Self {
         AttributionAccumulator {
             tasks,
-            on_path: BTreeMap::new(),
-            per_gpu: vec![BucketTicks::default(); gpus],
-            path_total: TimeSpan::ZERO,
-            path_compute: TimeSpan::ZERO,
-            path_comm: TimeSpan::ZERO,
-            iterations: 0,
-            last_path: Vec::new(),
+            totals: AttributionState {
+                per_gpu: vec![BucketTicks::default(); gpus],
+                ..AttributionState::default()
+            },
         }
     }
 
     /// Number of iterations recorded so far.
     pub fn iterations(&self) -> u64 {
-        self.iterations
+        self.totals.iterations
     }
 
     /// The most recently recorded iteration's critical path, as
     /// `(task, start, finish)` segments in chronological order.
     pub fn last_path(&self) -> &[(u32, VirtualTime, VirtualTime)] {
-        &self.last_path
+        &self.totals.last_path
     }
 
     /// Folds one completed iteration into the running totals; `class(t)`
@@ -296,7 +261,7 @@ impl AttributionAccumulator {
                 && it.gpu_pred.len() == n,
             "observation must cover the accumulator's {n} tasks"
         );
-        self.iterations += 1;
+        self.totals.iterations += 1;
         self.walk_critical_path(it, &class);
         self.bucket_gpu_time(it, &class);
     }
@@ -322,25 +287,25 @@ impl AttributionAccumulator {
         if times == 0 {
             return;
         }
-        for (&t, &(ticks, count)) in &other.on_path {
-            let mine = self.on_path.entry(t).or_default();
-            mine.0 += ticks * times;
-            mine.1 += count * times;
+        let (mine, theirs) = (&mut self.totals, &other.totals);
+        for (&t, &(ticks, count)) in &theirs.on_path {
+            let on_path = mine.on_path.entry(t).or_default();
+            on_path.0 += ticks * times;
+            on_path.1 += count * times;
         }
-        for (mine, theirs) in self.per_gpu.iter_mut().zip(&other.per_gpu) {
-            mine.compute += theirs.compute * times;
-            mine.overlapped += theirs.overlapped * times;
-            mine.exposed += theirs.exposed * times;
-            mine.idle += theirs.idle * times;
-            mine.total += theirs.total * times;
+        for (m, t) in mine.per_gpu.iter_mut().zip(&theirs.per_gpu) {
+            m.compute += t.compute * times;
+            m.overlapped += t.overlapped * times;
+            m.exposed += t.exposed * times;
+            m.idle += t.idle * times;
+            m.total += t.total * times;
         }
-        self.path_total += other.path_total * times;
-        self.path_compute += other.path_compute * times;
-        self.path_comm += other.path_comm * times;
-        self.iterations += other.iterations * times;
-        if other.iterations > 0 {
-            self.last_path.clear();
-            self.last_path.extend_from_slice(&other.last_path);
+        mine.path_total += theirs.path_total * times;
+        mine.path_compute += theirs.path_compute * times;
+        mine.path_comm += theirs.path_comm * times;
+        mine.iterations += theirs.iterations * times;
+        if theirs.iterations > 0 {
+            mine.last_path.clone_from(&theirs.last_path);
         }
     }
 
@@ -348,47 +313,15 @@ impl AttributionAccumulator {
     /// leaving every total untouched: the path of an iteration that
     /// repeats the recorded one `by` later.
     pub fn shift_last_path(&mut self, by: TimeSpan) {
-        for (_, start, finish) in &mut self.last_path {
+        for (_, start, finish) in &mut self.totals.last_path {
             *start += by;
             *finish += by;
         }
     }
 
-    /// The accumulated totals as a serializable [`AttributionState`]
-    /// (checkpoint support; see the state type's docs for what is — and
-    /// deliberately is not — captured).
+    /// The accumulated totals, for a mid-run checkpoint.
     pub fn snapshot(&self) -> AttributionState {
-        let mut on_path = vec![(TimeSpan::ZERO, 0); self.tasks];
-        for (&t, &totals) in &self.on_path {
-            on_path[t as usize] = totals;
-        }
-        AttributionState {
-            on_path,
-            per_gpu: self
-                .per_gpu
-                .iter()
-                .map(|b| GpuBucketState {
-                    compute: b.compute,
-                    overlapped: b.overlapped,
-                    exposed: b.exposed,
-                    idle: b.idle,
-                    total: b.total,
-                })
-                .collect(),
-            path_total: self.path_total,
-            path_compute: self.path_compute,
-            path_comm: self.path_comm,
-            iterations: self.iterations,
-            last_path: self
-                .last_path
-                .iter()
-                .map(|&(task, start, finish)| PathSegmentState {
-                    task,
-                    start,
-                    finish,
-                })
-                .collect(),
-        }
+        self.totals.clone()
     }
 
     /// Replaces the accumulated totals with `state` (checkpoint restore
@@ -396,61 +329,27 @@ impl AttributionAccumulator {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the mismatched dimension when `state`
-    /// does not fit this accumulator's task count or GPU count — a
-    /// corrupt or mismatched snapshot must degrade to a typed error, not
-    /// an out-of-bounds panic later.
-    pub fn restore(&mut self, state: &AttributionState) -> Result<(), String> {
-        if state.on_path.len() != self.tasks {
-            return Err(format!(
-                "attribution state covers {} tasks but the graph has {}",
-                state.on_path.len(),
-                self.tasks
-            ));
-        }
-        if state.per_gpu.len() != self.per_gpu.len() {
+    /// Returns a message naming the mismatch when `state` does not fit
+    /// this accumulator's GPU count or names a task past its task count —
+    /// a corrupt or mismatched snapshot must degrade to a typed error,
+    /// not an out-of-bounds panic later.
+    pub fn restore(&mut self, state: AttributionState) -> Result<(), String> {
+        if state.per_gpu.len() != self.totals.per_gpu.len() {
             return Err(format!(
                 "attribution state covers {} GPUs but the platform has {}",
                 state.per_gpu.len(),
-                self.per_gpu.len()
+                self.totals.per_gpu.len()
             ));
         }
-        if let Some(seg) = state
-            .last_path
-            .iter()
-            .find(|seg| seg.task as usize >= self.tasks)
-        {
+        let on_path = state.on_path.keys().copied();
+        let path = state.last_path.iter().map(|&(task, _, _)| task);
+        if let Some(task) = on_path.chain(path).find(|&t| t as usize >= self.tasks) {
             return Err(format!(
-                "attribution state path references task {} but the graph has {}",
-                seg.task, self.tasks
+                "attribution state references task {task} but the graph has {}",
+                self.tasks
             ));
         }
-        let zero = (TimeSpan::ZERO, 0);
-        self.on_path = (0u32..)
-            .zip(&state.on_path)
-            .filter(|&(_, &totals)| totals != zero)
-            .map(|(t, &totals)| (t, totals))
-            .collect();
-        for (mine, theirs) in self.per_gpu.iter_mut().zip(&state.per_gpu) {
-            *mine = BucketTicks {
-                compute: theirs.compute,
-                overlapped: theirs.overlapped,
-                exposed: theirs.exposed,
-                idle: theirs.idle,
-                total: theirs.total,
-            };
-        }
-        self.path_total = state.path_total;
-        self.path_compute = state.path_compute;
-        self.path_comm = state.path_comm;
-        self.iterations = state.iterations;
-        self.last_path.clear();
-        self.last_path.extend(
-            state
-                .last_path
-                .iter()
-                .map(|seg| (seg.task, seg.start, seg.finish)),
-        );
+        self.totals = state;
         Ok(())
     }
 
@@ -470,18 +369,19 @@ impl AttributionAccumulator {
             return; // Empty graph: nothing ran, nothing to attribute.
         };
 
-        self.last_path.clear();
+        let t = &mut self.totals;
+        t.last_path.clear();
         let mut cur = sink;
         while let Some((s, f)) = it.span(cur) {
-            self.last_path.push((cur as u32, s, f));
+            t.last_path.push((cur as u32, s, f));
             let seg = f - s;
-            let totals = self.on_path.entry(cur as u32).or_default();
-            totals.0 += seg;
-            totals.1 += 1;
-            self.path_total += seg;
+            let on_path = t.on_path.entry(cur as u32).or_default();
+            on_path.0 += seg;
+            on_path.1 += 1;
+            t.path_total += seg;
             match class(cur) {
-                TaskClass::Compute { .. } => self.path_compute += seg,
-                TaskClass::Comm { .. } => self.path_comm += seg,
+                TaskClass::Compute { .. } => t.path_compute += seg,
+                TaskClass::Comm { .. } => t.path_comm += seg,
                 TaskClass::Sync => {}
             }
             if s <= it.begin {
@@ -508,9 +408,9 @@ impl AttributionAccumulator {
                 None => break,
             }
         }
-        self.last_path.reverse();
+        t.last_path.reverse();
         debug_assert_eq!(
-            self.last_path.first().map(|&(_, s, _)| s),
+            t.last_path.first().map(|&(_, s, _)| s),
             Some(it.begin),
             "critical-path walk must reach the iteration start"
         );
@@ -524,14 +424,14 @@ impl AttributionAccumulator {
         let span = it.end - it.begin;
         // Each GPU's compute (list 0) and comm (list 1) intervals, in
         // buffers counted to their exact size first and freed on return.
-        let mut counts = vec![[0usize; 2]; self.per_gpu.len()];
+        let mut counts = vec![[0usize; 2]; self.totals.per_gpu.len()];
         gpu_intervals(it, class, |g, list, _| counts[g][list] += 1);
         let mut lists: Vec<[Vec<(VirtualTime, VirtualTime)>; 2]> = counts
             .iter()
             .map(|&[compute, comm]| [Vec::with_capacity(compute), Vec::with_capacity(comm)])
             .collect();
         gpu_intervals(it, class, |g, list, iv| lists[g][list].push(iv));
-        for (b, [compute, comm]) in self.per_gpu.iter_mut().zip(&mut lists) {
+        for (b, [compute, comm]) in self.totals.per_gpu.iter_mut().zip(&mut lists) {
             merge_intervals(compute);
             merge_intervals(comm);
             let compute_len = total_len(compute);
@@ -560,8 +460,8 @@ impl AttributionAccumulator {
         mut links: Vec<HotLink>,
         lost_compute_s: Option<&[f64]>,
     ) -> BottleneckReport {
-        let path_total_s = self.path_total.as_seconds();
-        let top_ops = top_ops(&self.on_path, label, class)
+        let path_total_s = self.totals.path_total.as_seconds();
+        let top_ops = top_ops(&self.totals.on_path, label, class)
             .into_iter()
             .map(|op| CriticalOp {
                 label: op.label.to_string(),
@@ -577,6 +477,7 @@ impl AttributionAccumulator {
             .collect();
 
         let per_gpu: Vec<GpuBuckets> = self
+            .totals
             .per_gpu
             .iter()
             .map(|b| GpuBuckets {
@@ -621,12 +522,12 @@ impl AttributionAccumulator {
         links.truncate(DEFAULT_TOP_K);
 
         BottleneckReport {
-            iterations: self.iterations,
+            iterations: self.totals.iterations,
             critical_path_s: path_total_s,
-            path_compute_s: self.path_compute.as_seconds(),
-            path_comm_s: self.path_comm.as_seconds(),
+            path_compute_s: self.totals.path_compute.as_seconds(),
+            path_comm_s: self.totals.path_comm.as_seconds(),
             exposed_comm_fraction: if path_total_s > 0.0 {
-                self.path_comm.as_seconds() / path_total_s
+                self.totals.path_comm.as_seconds() / path_total_s
             } else {
                 0.0
             },
@@ -1136,18 +1037,49 @@ mod tests {
         let mut acc = g.accumulator(2);
         record(&mut acc);
         let state = acc.snapshot();
-        let zero = (TimeSpan::ZERO, 0);
-        assert_eq!(state.on_path.len(), 2, "dense: one entry per task");
-        assert_eq!(state.on_path[1], zero, "the transfer was never on the path");
-        assert_ne!(state.on_path[0], zero);
+        assert_eq!(
+            state.on_path.keys().collect::<Vec<_>>(),
+            [&0],
+            "sparse: the transfer was never on the path"
+        );
         let mut restored = g.accumulator(2);
-        restored.restore(&state).expect("same graph");
+        restored.restore(state.clone()).expect("same graph");
         assert_eq!(restored, acc);
         assert_eq!(restored.snapshot(), state);
+        // A state naming a task the graph lacks, or another GPU count,
+        // is refused.
+        let err = AttributionAccumulator::new(2, 0)
+            .restore(state.clone())
+            .expect_err("task 0 is past an empty graph");
+        assert!(err.contains("task 0"), "{err}");
+        assert!(AttributionAccumulator::new(3, 2).restore(state).is_err());
         // Both go on identically.
         record(&mut acc);
         record(&mut restored);
         assert_eq!(restored, acc);
+    }
+
+    #[test]
+    fn union_of_disjoint_intervals() {
+        let mut v = vec![(t(2.0), t(3.0)), (t(0.0), t(1.0))];
+        merge_intervals(&mut v);
+        assert_eq!(v, [(t(0.0), t(1.0)), (t(2.0), t(3.0))]);
+        assert_eq!(total_len(&v), TimeSpan::from_seconds(2.0));
+    }
+
+    #[test]
+    fn union_of_overlapping_intervals() {
+        let mut v = vec![(t(0.0), t(2.0)), (t(1.0), t(3.0)), (t(2.5), t(2.8))];
+        merge_intervals(&mut v);
+        assert_eq!(v, [(t(0.0), t(3.0))]);
+        assert_eq!(total_len(&v), TimeSpan::from_seconds(3.0));
+    }
+
+    #[test]
+    fn union_of_nothing_is_zero() {
+        let mut v = Vec::new();
+        merge_intervals(&mut v);
+        assert_eq!(total_len(&v), TimeSpan::ZERO);
     }
 
     #[test]

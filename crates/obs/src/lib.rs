@@ -40,8 +40,8 @@ pub mod selfprof;
 
 pub use attribution::{
     merge_intervals, total_len, AttributionAccumulator, AttributionState, BottleneckReport,
-    CriticalOp, DepTable, GpuBucketState, GpuBuckets, HotLink, IterationObservation,
-    PathSegmentState, Straggler, TaskClass, TaskId, NOT_RUN, NO_TASK,
+    CriticalOp, DepTable, GpuBuckets, HotLink, IterationObservation, Straggler, TaskClass, TaskId,
+    NOT_RUN, NO_TASK,
 };
 pub use chrome::ChromeTraceSink;
 pub use jsonl::JsonlSink;

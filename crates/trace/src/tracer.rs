@@ -40,12 +40,6 @@ impl Tracer {
         }
     }
 
-    /// Creates a tracer backed by a custom oracle (e.g. jitter-free for
-    /// calibration sweeps).
-    pub fn with_oracle(oracle: OracleGpu) -> Self {
-        Tracer { oracle }
-    }
-
     /// The oracle stamping execution times.
     pub fn oracle(&self) -> &OracleGpu {
         &self.oracle

@@ -171,6 +171,9 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if command != "serve" {
+        restore_default_sigpipe();
+    }
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
@@ -933,16 +936,39 @@ fn cmd_memory(opts: &HashMap<String, String>) -> Result<(), String> {
 /// polls it.
 static SHUTDOWN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
+// Hand-rolled because the workspace is vendored-only — no
+// signal-handling crate to lean on.
+#[cfg(unix)]
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
+}
+
+/// Gives SIGPIPE back its default action, which the Rust runtime sets to
+/// "ignore": a command whose stdout closes early (`simulate ... | head
+/// -1`) then ends quietly, as other command-line tools do, instead of
+/// panicking in `println!`. `serve` keeps the runtime's setting, so its
+/// writes see `EPIPE` as an error.
+#[cfg(unix)]
+fn restore_default_sigpipe() {
+    // SIGPIPE = 13, SIG_DFL = 0 (POSIX).
+    // SAFETY: `signal` is the C library's; SIG_DFL is a valid action for
+    // SIGPIPE, and `main` sets it before it starts any thread.
+    unsafe {
+        signal(13, 0);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_default_sigpipe() {}
+
 #[cfg(unix)]
 fn install_shutdown_handler() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
     extern "C" fn on_signal(_sig: i32) {
         SHUTDOWN.store(true, std::sync::atomic::Ordering::SeqCst);
     }
-    // SIGINT = 2, SIGTERM = 15 (POSIX). Hand-rolled because the
-    // workspace is vendored-only — no signal-handling crate to lean on.
+    // SIGINT = 2, SIGTERM = 15 (POSIX).
+    // SAFETY: `signal` is the C library's, and `on_signal` only stores to
+    // an atomic, which is async-signal-safe.
     unsafe {
         signal(2, on_signal as extern "C" fn(i32) as usize);
         signal(15, on_signal as extern "C" fn(i32) as usize);

@@ -5,37 +5,42 @@
 //! when the event queue is drained and no flow is in flight (the same
 //! boundaries at which steady-state replay synthesizes iterations).
 //! At such a boundary the entire simulation reduces to accumulated
-//! counters and records: virtual clock, queue statistics, per-GPU busy
-//! time, communication intervals, attribution buckets, network link
-//! state, and the fault runtime's cursor and counters. Nothing
-//! event-shaped needs to be serialized, which is what makes
-//! byte-identical resumption possible. Fault-timeline entries and
-//! observability samples fall due between events and are never queued,
-//! so a snapshot holds none of them: a restored run applies the entry at
-//! its cursor exactly when the uninterrupted run would, and a recorder or
-//! progress monitor changes no byte of a snapshot.
+//! counters: virtual clock, the run's additive totals ([`RunTotals`]:
+//! queue statistics, dispatch counts, per-GPU busy time, bytes and comm
+//! busy time), attribution totals, network link state, and the fault
+//! runtime's cursor and counters. Nothing event-shaped needs to be
+//! serialized, which is what makes byte-identical resumption possible.
+//! Fault-timeline entries and observability samples fall due between
+//! events and are never queued, so a snapshot holds none of them: a
+//! restored run applies the entry at its cursor exactly when the
+//! uninterrupted run would, and a recorder or progress monitor changes
+//! no byte of a snapshot.
 //!
-//! Snapshot size stays proportional to the iteration count, not the
-//! event count: communication intervals are stored as their *merged
-//! union* (interval union is associative and idempotent, so the final
-//! `comm_time_s` is bit-identical), and the per-event timeline is
-//! carried as a fixed-size running digest — record count plus the
-//! FNV-1a state of the canonical sorted fold — rather than as records.
-//! Iterations occupy disjoint, ordered spans of virtual time, so the
-//! canonical `(start, end)` sort of the whole run is the concatenation
-//! of each iteration's sorted segment, and the sequential fold resumes
-//! from the stored state to reproduce `timeline_hash` exactly. The one
-//! observable consequence: a *restored* run's timeline *export* (e.g.
-//! the Chrome trace) covers only post-restore iterations.
+//! Nothing in a snapshot grows with the iteration count. Comm busy time
+//! is one tick count: the executor counts transfers in flight, and at a
+//! boundary none is. The per-event timeline is carried as a fixed-size
+//! running digest — record count plus the FNV-1a state of the canonical
+//! sorted fold — rather than as records. Iterations occupy disjoint,
+//! ordered spans of virtual time, so the canonical `(start, end)` sort
+//! of the whole run is the concatenation of each iteration's sorted
+//! segment, and the sequential fold resumes from the stored state to
+//! reproduce `timeline_hash` exactly. The one observable consequence: a
+//! *restored* run's timeline *export* (e.g. the Chrome trace) covers only
+//! post-restore iterations.
 //!
 //! # File format
 //!
 //! One line of JSON, self-describing and versioned:
 //!
 //! ```json
-//! {"checkpoint":"triosim-sim","version":1,"spec_hash":"<hex016>",
+//! {"checkpoint":"triosim-sim","version":2,"spec_hash":"<hex016>",
 //!  "completed":K,"state":{...}}
 //! ```
+//!
+//! Version 1 also stored the comm intervals' merged union, every
+//! iteration's end time and two retired dispatch slots; this build
+//! refuses it with [`CheckpointError::UnsupportedVersion`], and the sweep
+//! layer reruns its scenario.
 //!
 //! `spec_hash` is an FNV-1a fingerprint of everything that determines
 //! the engine's trajectory — task graph content, network model
@@ -50,7 +55,7 @@
 //! Snapshots are written to a `.tmp` sibling, flushed, fsynced, and
 //! atomically renamed over the target — a reader never observes a torn
 //! snapshot, only the previous complete one or the new complete one.
-//! Restoring against a mismatched spec hash, a future format version,
+//! Restoring against a mismatched spec hash, another format version,
 //! or malformed bytes is a typed [`CheckpointError`], never undefined
 //! behavior.
 
@@ -60,9 +65,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize, Value};
-use triosim_des::{
-    fnv1a, BudgetProgress, QueueStats, RunBudget, TimeSpan, VirtualTime, FNV_OFFSET,
-};
+use triosim_des::{fnv1a, QueueStats, RunBudget, TimeSpan, VirtualTime, FNV_OFFSET};
 use triosim_faults::FaultPlan;
 use triosim_network::{NetCheckpoint, NetworkModel};
 use triosim_obs::AttributionState;
@@ -73,7 +76,7 @@ use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 pub(crate) const SNAPSHOT_MAGIC: &str = "triosim-sim";
 /// Current snapshot format version. Readers reject anything else with
 /// [`CheckpointError::UnsupportedVersion`].
-pub(crate) const SNAPSHOT_VERSION: u64 = 1;
+pub(crate) const SNAPSHOT_VERSION: u64 = 2;
 
 /// Why a checkpoint could not be written, read, or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,34 +160,55 @@ pub(crate) struct FaultState {
     pub outages: Vec<OutageState>,
 }
 
-/// Accumulated engine state at a quiescent iteration boundary.
+/// The run's additive totals: what a snapshot resumes from, and what
+/// replay measures one iteration adding and adds for each repeat. All
+/// integers, so adding is exact.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct RunTotals {
+    /// Event-queue statistics (scheduled/delivered/cancelled/...).
+    pub queue: QueueStats,
+    /// Event-dispatch counts by kind: compute, flow.
+    pub dispatches: [u64; 2],
+    /// Per-GPU accumulated busy time.
+    pub gpu_busy: Vec<TimeSpan>,
+    /// Total bytes moved across the network.
+    pub bytes_transferred: u64,
+    /// Time at least one transfer was in flight.
+    pub comm_busy: TimeSpan,
+}
+
+impl RunTotals {
+    /// What the totals grew by since `earlier`.
+    pub(crate) fn since(&self, earlier: &RunTotals) -> RunTotals {
+        RunTotals {
+            queue: self.queue.since(&earlier.queue),
+            dispatches: std::array::from_fn(|i| self.dispatches[i] - earlier.dispatches[i]),
+            gpu_busy: self
+                .gpu_busy
+                .iter()
+                .zip(&earlier.gpu_busy)
+                .map(|(&now, &then)| now - then)
+                .collect(),
+            bytes_transferred: self.bytes_transferred - earlier.bytes_transferred,
+            comm_busy: self.comm_busy - earlier.comm_busy,
+        }
+    }
+}
+
+/// Accumulated engine state at a quiescent iteration boundary. Nothing
+/// in it grows with the iteration count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct ExecutorState {
     /// Virtual clock at the boundary.
     pub now: VirtualTime,
-    /// Event-queue statistics (scheduled/delivered/cancelled/...).
-    pub queue: QueueStats,
-    /// Event-dispatch counters by kind: compute, flow, and two retired
-    /// slots (once monitor ticks and fault injections) written as zero.
-    pub dispatches: Vec<u64>,
-    /// Per-GPU accumulated busy time.
-    pub gpu_busy: Vec<TimeSpan>,
-    /// Communication intervals, stored as their merged union (sorted,
-    /// disjoint) — the union is associative, so the final report's
-    /// `comm_time_s` is unchanged while the snapshot stays small.
-    pub comm_intervals: Vec<(VirtualTime, VirtualTime)>,
+    /// The run's additive totals.
+    pub totals: RunTotals,
     /// Timeline records completed so far (they are not serialized —
     /// only this count and the digest below survive a restore).
     pub timeline_count: u64,
     /// Running FNV-1a state of the canonical sorted timeline fold over
     /// those records; seeds the restored run's `timeline_hash`.
     pub timeline_fnv: u64,
-    /// Total bytes moved across the network.
-    pub bytes_transferred: u64,
-    /// Iteration-end timestamps for iterations `0..completed`.
-    pub iter_ends: Vec<VirtualTime>,
-    /// Deterministic budget progress (delivered-event count).
-    pub budget: BudgetProgress,
     /// Critical-path attribution accumulators.
     pub attr: AttributionState,
     /// Network model state (counters plus per-link bandwidth/up/stats).
@@ -307,7 +331,7 @@ pub(crate) fn write_snapshot(path: &Path, snap: &SimSnapshot) -> Result<(), Chec
 }
 
 /// Reads and structurally validates a snapshot file. Magic and version
-/// are checked before the typed parse so a future-format file fails
+/// are checked before the typed parse so an older or newer format fails
 /// with [`CheckpointError::UnsupportedVersion`] rather than a confusing
 /// field error. The caller still owns spec-hash and scenario-shape
 /// validation.
@@ -357,8 +381,8 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<SimSnapshot, CheckpointError>
 ///
 /// Exactly what restore reports for the same file: [`CheckpointError::Io`]
 /// when the file cannot be read, [`CheckpointError::Corrupt`] for
-/// malformed bytes, and [`CheckpointError::UnsupportedVersion`] for a
-/// future format.
+/// malformed bytes, and [`CheckpointError::UnsupportedVersion`] for
+/// another format version.
 pub fn validate_snapshot_file(path: &Path) -> Result<(), CheckpointError> {
     read_snapshot(path).map(|_| ())
 }
@@ -422,15 +446,15 @@ mod tests {
             completed: 3,
             state: ExecutorState {
                 now: VirtualTime::from_femtos(42),
-                queue: QueueStats::default(),
-                dispatches: vec![1, 2, 3, 4],
-                gpu_busy: vec![TimeSpan::from_femtos(7); 2],
-                comm_intervals: vec![(VirtualTime::from_femtos(1), VirtualTime::from_femtos(2))],
+                totals: RunTotals {
+                    queue: QueueStats::default(),
+                    dispatches: [1, 2],
+                    gpu_busy: vec![TimeSpan::from_femtos(7); 2],
+                    bytes_transferred: 99,
+                    comm_busy: TimeSpan::from_femtos(1),
+                },
                 timeline_count: 6,
                 timeline_fnv: 0x1234_5678_9abc_def0,
-                bytes_transferred: 99,
-                iter_ends: vec![VirtualTime::from_femtos(42)],
-                budget: BudgetProgress { events: 10 },
                 attr: AttributionState::default(),
                 net: NetCheckpoint::default(),
                 faults: Some(FaultState {

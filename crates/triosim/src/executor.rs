@@ -13,23 +13,22 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use triosim_des::{
-    EventId, EventQueue, IdMap, QueueStats, RunBudget, TimeSpan, VirtualTime, FNV_OFFSET,
-};
+use triosim_des::{EventId, EventQueue, IdMap, RunBudget, TimeSpan, VirtualTime, FNV_OFFSET};
 use triosim_faults::{FaultKind, FaultPlan, FaultSession};
 use triosim_network::{FlowId, LinkFault, NetCommand, NetStatsSnapshot, NetworkModel, NodeId};
 use triosim_obs::{
-    merge_intervals, AttrValue, AttributionAccumulator, BottleneckReport, HotLink,
-    IterationObservation, ProgressMonitor, Recorder, SelfProfiler, TaskClass, NOT_RUN, NO_TASK,
+    AttrValue, AttributionAccumulator, BottleneckReport, HotLink, IterationObservation,
+    ProgressMonitor, Recorder, SelfProfiler, TaskClass, NOT_RUN, NO_TASK,
 };
 
 use crate::checkpoint::{
-    self, CheckpointConfig, CheckpointError, ExecutorState, FaultState, OutageState, SimSnapshot,
+    self, CheckpointConfig, CheckpointError, ExecutorState, FaultState, OutageState, RunTotals,
+    SimSnapshot,
 };
 use crate::error::SimError;
 use crate::report::{
-    timeline_fnv, union_length, FaultStats, Repeat, ReplayFold, SerialReason, SimReport,
-    TimelineEntry, TimelineTrack,
+    timeline_fnv, FaultStats, Repeat, ReplayFold, SerialReason, SimReport, TimelineEntry,
+    TimelineTrack,
 };
 use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
@@ -195,7 +194,7 @@ pub fn execute(
         .restore_state(&snap.state.net)
         .map_err(|e| SimError::Checkpoint(CheckpointError::Corrupt(e.to_string())))?;
     Executor::new(graph, network, opts, hash)
-        .with_restored_state(completed, &snap.state)?
+        .with_restored_state(completed, snap.state)?
         .run(iterations - completed)
 }
 
@@ -313,15 +312,11 @@ struct Synthesis {
     pending: u64,
 }
 
-/// The run's additive counters at an iteration boundary, or what one
-/// iteration added to them. All integers, so adding is exact.
+/// The run's totals and the network's statistics at an iteration
+/// boundary, or what one iteration added to them.
 #[derive(PartialEq)]
 struct Counters {
-    queue: QueueStats,
-    dispatches: [u64; 2],
-    gpu_busy: Vec<TimeSpan>,
-    bytes: u64,
-    budget_events: u64,
+    totals: RunTotals,
     net: NetStatsSnapshot,
 }
 
@@ -329,16 +324,7 @@ impl Counters {
     /// What the counters grew by since `earlier`.
     fn since(&self, earlier: &Counters) -> Counters {
         Counters {
-            queue: self.queue.since(&earlier.queue),
-            dispatches: std::array::from_fn(|i| self.dispatches[i] - earlier.dispatches[i]),
-            gpu_busy: self
-                .gpu_busy
-                .iter()
-                .zip(&earlier.gpu_busy)
-                .map(|(&now, &then)| now - then)
-                .collect(),
-            bytes: self.bytes - earlier.bytes,
-            budget_events: self.budget_events - earlier.budget_events,
+            totals: self.totals.since(&earlier.totals),
             net: self.net.since(&earlier.net),
         }
     }
@@ -349,7 +335,6 @@ struct Mark {
     at: VirtualTime,
     counters: Counters,
     records: usize,
-    comm: usize,
 }
 
 /// What one simulated iteration added to the run: the unit replay
@@ -363,16 +348,13 @@ struct IterationDelta {
     attr: AttributionAccumulator,
     /// Where the iteration's records, sorted, sit in the timeline.
     records: Range<usize>,
-    /// The union of the iteration's transfer intervals.
-    comm: Vec<(VirtualTime, VirtualTime)>,
 }
 
 impl IterationDelta {
     /// True when `self` repeats `prev`, the iteration just before it,
     /// shifted by `prev`'s length: equal counters, and every record and
-    /// the critical path moved by exactly that shift. (Transfer
-    /// intervals are the network records' spans, so the records cover
-    /// them.) Shifts `prev`'s critical path in the process.
+    /// the critical path moved by exactly that shift. Shifts `prev`'s
+    /// critical path in the process.
     fn repeats(&self, prev: &mut IterationDelta, timeline: &[TimelineEntry]) -> bool {
         let shift = prev.period;
         let counters = self.period == shift && self.counters == prev.counters;
@@ -404,9 +386,16 @@ struct Executor<'a> {
     /// `complete`'s worklist, kept to reuse its buffer.
     worklist: Vec<TaskId>,
     gpus: Vec<GpuStream>,
+    /// The task of each transfer in flight: its length is the count of
+    /// transfers in flight.
     flow_task: IdMap<FlowId, TaskId>,
     flow_event: IdMap<FlowId, EventId>,
-    comm_intervals: Vec<(VirtualTime, VirtualTime)>,
+    /// When the count of transfers in flight last left 0. The busy
+    /// period it opened adds its length to `comm_busy` when the count
+    /// returns to 0, so `comm_busy` is the length of the union of every
+    /// transfer's span, to the tick.
+    comm_since: VirtualTime,
+    comm_busy: TimeSpan,
     timeline: Vec<TimelineEntry>,
     /// Running timeline digest: `(count, FNV state)` over all records
     /// digested so far (including any pre-restore prefix, whose records
@@ -436,19 +425,15 @@ struct Executor<'a> {
     /// budget tripped. Unwinds the run instead of a hang or panic.
     stop_error: Option<SimError>,
     // ------- runaway guard (`None` on unbudgeted runs) -------
-    /// Per-run budget; `None` keeps the exact pre-budget code path.
+    /// Per-run budget; `None` keeps the exact pre-budget code path. Its
+    /// event axis counts the queue's delivered events.
     budget: Option<RunBudget>,
-    /// Events delivered across all iterations, counted for the budget's
-    /// event axis.
-    budget_events: u64,
     /// Iteration currently executing (jitter coordinate).
     current_iter: usize,
     /// Global index of this run's first iteration: nonzero only on a run
     /// restored from a snapshot, so per-iteration coordinates (jitter,
     /// logs) and the report's task count continue the interrupted run's.
     iter_offset: usize,
-    /// Virtual time at which each completed iteration ended.
-    iter_ends: Vec<VirtualTime>,
     // ------- steady-state replay (DESIGN.md §12) -------
     /// Replay's outcome, set when the iteration loop finishes.
     replay: Result<Repeat, SerialReason>,
@@ -538,11 +523,6 @@ impl<'a> Executor<'a> {
                 dependents[dependent_offsets[d.0] as usize] = i as u32;
             }
         }
-        let transfers = graph
-            .tasks()
-            .iter()
-            .filter(|t| matches!(t.kind, TaskKind::Transfer { .. }))
-            .count();
         let observing = obs.recorder.as_ref().is_some_and(|r| r.enabled());
         let sampling = observing || obs.progress.is_some();
         assert!(
@@ -576,7 +556,8 @@ impl<'a> Executor<'a> {
                 .collect(),
             flow_task: IdMap::default(),
             flow_event: IdMap::default(),
-            comm_intervals: Vec::with_capacity(transfers),
+            comm_since: VirtualTime::ZERO,
+            comm_busy: TimeSpan::ZERO,
             timeline: Vec::with_capacity(n),
             tl_digest: (0, FNV_OFFSET),
             tl_mark: 0,
@@ -590,10 +571,8 @@ impl<'a> Executor<'a> {
             faults: (!session.is_empty()).then(|| FaultRuntime::new(session, gpus)),
             stop_error: None,
             budget: (!budget.is_unlimited()).then_some(budget),
-            budget_events: 0,
             current_iter: 0,
             iter_offset: 0,
-            iter_ends: Vec::new(),
             replay: Err(SerialReason::FewIterations),
             replay_wall_s: 0.0,
             prev_link_busy,
@@ -631,56 +610,37 @@ impl<'a> Executor<'a> {
     }
 
     /// Rehydrates the executor from a quiescent-boundary snapshot taken
-    /// after `completed` iterations: the clock, queue statistics, and
-    /// every accumulated counter and record resume exactly where the
-    /// interrupted run left them. Structural mismatches (wrong GPU
-    /// count, malformed fault state) are typed errors — the spec hash
+    /// after `completed` iterations: a fresh executor adds the snapshot's
+    /// totals, and the clock, digest, attribution and fault runtime resume
+    /// exactly where the interrupted run left them. Structural mismatches
+    /// (wrong GPU count, an iteration count the attribution did not
+    /// record, malformed fault state) are typed errors — the spec hash
     /// upstream should make them impossible, but a hand-edited snapshot
     /// must fail loudly, not corrupt the run.
     fn with_restored_state(
         mut self,
         completed: usize,
-        st: &ExecutorState,
+        st: ExecutorState,
     ) -> Result<Self, SimError> {
         let corrupt = |msg: String| SimError::Checkpoint(CheckpointError::Corrupt(msg));
-        if st.dispatches.len() != 4 {
-            return Err(corrupt(format!(
-                "expected 4 dispatch counters, found {}",
-                st.dispatches.len()
-            )));
-        }
-        // Builds that queued monitor ticks and fault injections counted
-        // them here, and in the queue counters this build cannot restore.
-        if st.dispatches[2..] != [0, 0] {
-            return Err(corrupt(format!(
-                "retired dispatch slots hold {:?}: written by a build that queued ticks and faults",
-                &st.dispatches[2..]
-            )));
-        }
-        if st.gpu_busy.len() != self.gpus.len() {
+        if st.totals.gpu_busy.len() != self.gpus.len() {
             return Err(corrupt(format!(
                 "snapshot has {} GPUs, scenario has {}",
-                st.gpu_busy.len(),
+                st.totals.gpu_busy.len(),
                 self.gpus.len()
             )));
         }
-        if st.iter_ends.len() != completed {
+        self.attr.restore(st.attr).map_err(corrupt)?;
+        if self.attr.iterations() != completed as u64 {
             return Err(corrupt(format!(
-                "snapshot claims {completed} completed iterations but records {} boundary times",
-                st.iter_ends.len()
+                "snapshot claims {completed} completed iterations but its attribution records {}",
+                self.attr.iterations()
             )));
         }
-        self.queue = EventQueue::starting_at_with_stats(st.now, st.queue);
+        self.add_totals(st.now, &st.totals);
         self.prev_sample_at = st.now;
         self.iter_begin = st.now;
         self.iter_offset = completed;
-        for (gpu, busy) in self.gpus.iter_mut().zip(&st.gpu_busy) {
-            gpu.busy_time = *busy;
-        }
-        self.dispatches = [st.dispatches[0], st.dispatches[1]];
-        // Snapshots store the merged union; further raw intervals simply
-        // append and the report's final merge folds them in exactly.
-        self.comm_intervals.clone_from(&st.comm_intervals);
         // Pre-restore timeline records exist only as a digest: seed the
         // running digest with it, so both further snapshots and the
         // report's `timeline_hash` continue the interrupted fold. The
@@ -688,10 +648,6 @@ impl<'a> Executor<'a> {
         // timeline *export* covers only post-restore iterations.
         self.tl_digest = (st.timeline_count, st.timeline_fnv);
         self.tl_mark = 0;
-        self.bytes_transferred = st.bytes_transferred;
-        self.iter_ends.clone_from(&st.iter_ends);
-        self.budget_events = st.budget.events;
-        self.attr.restore(&st.attr).map_err(corrupt)?;
         match (&mut self.faults, &st.faults) {
             (Some(fr), Some(fs)) => {
                 if fs.injected_by_kind.len() != 4 {
@@ -755,12 +711,6 @@ impl<'a> Executor<'a> {
     /// the queue, so the state reduces to accumulated counters and
     /// records.
     fn write_checkpoint(&mut self) -> Result<(), SimError> {
-        // Compact the raw interval list into its union in place: the
-        // report's `union_length` is invariant under this (union is
-        // associative and idempotent), and it keeps every snapshot —
-        // and the run's own memory — proportional to the iteration
-        // count instead of the event count.
-        merge_intervals(&mut self.comm_intervals);
         let ck = self.ckpt.as_ref().expect("checkpointing is configured");
         let net = self.network.checkpoint_state().ok_or_else(|| {
             SimError::Checkpoint(CheckpointError::Unsupported(
@@ -793,19 +743,9 @@ impl<'a> Executor<'a> {
             completed: (self.current_iter + 1) as u64,
             state: ExecutorState {
                 now: self.queue.now(),
-                queue: *self.queue.stats(),
-                // Format v1 keeps two retired slots, once ticks and
-                // fault injections; they are always zero.
-                dispatches: vec![self.dispatches[0], self.dispatches[1], 0, 0],
-                gpu_busy: self.gpus.iter().map(|g| g.busy_time).collect(),
-                comm_intervals: self.comm_intervals.clone(),
+                totals: self.totals(),
                 timeline_count: self.tl_digest.0,
                 timeline_fnv: self.tl_digest.1,
-                bytes_transferred: self.bytes_transferred,
-                iter_ends: self.iter_ends.clone(),
-                budget: triosim_des::BudgetProgress {
-                    events: self.budget_events,
-                },
                 attr: self.attr.snapshot(),
                 net,
                 faults,
@@ -835,16 +775,16 @@ impl<'a> Executor<'a> {
     }
 
     /// Runs `iterations` back-to-back iterations, folding each into the
-    /// attribution accumulator and the timeline digest and recording its
-    /// end time. Where steady-state replay engages (DESIGN.md §12), the
-    /// first two iterations are simulated and, once the second is
-    /// verified as the first shifted by its length, the rest are
-    /// synthesized; any mismatch just keeps simulating. Synthesized and
+    /// attribution accumulator and the timeline digest. Where
+    /// steady-state replay engages (DESIGN.md §12), the first two
+    /// iterations are simulated and, once the second is verified as the
+    /// first shifted by its length, the rest are synthesized; any
+    /// mismatch just keeps simulating. Synthesized and
     /// simulated iterations end at the same boundary, so snapshots and
     /// wall-clock probes run unchanged. Synthesized iterations' attribution
     /// is absorbed in bulk before each snapshot, on error and at the end.
     /// On error the loop stops with the structured error; completed-iteration
-    /// state (`iter_ends`, attribution) remains valid for inspection.
+    /// state (totals, attribution) remains valid for inspection.
     fn run_iterations(&mut self, iterations: usize) -> Result<(), SimError> {
         let mut replay = self.replay_plan(iterations);
         for iter in 0..iterations {
@@ -874,7 +814,6 @@ impl<'a> Executor<'a> {
                     self.graph.len(),
                     self.current_iter
                 );
-                self.iter_ends.push(self.queue.now());
                 // Fold the digest first. It reads only the timeline and
                 // the attribution only the per-task arrays, so the order
                 // changes neither output, and the sort's scratch is freed
@@ -988,13 +927,35 @@ impl<'a> Executor<'a> {
         ReplayState::Off(reason)
     }
 
-    fn counters(&self) -> Counters {
-        Counters {
+    /// The run's additive totals so far.
+    fn totals(&self) -> RunTotals {
+        RunTotals {
             queue: *self.queue.stats(),
             dispatches: self.dispatches,
             gpu_busy: self.gpus.iter().map(|g| g.busy_time).collect(),
-            bytes: self.bytes_transferred,
-            budget_events: self.budget_events,
+            bytes_transferred: self.bytes_transferred,
+            comm_busy: self.comm_busy,
+        }
+    }
+
+    /// Adds `t` to the run's totals and moves the idle clock on to `to`:
+    /// a synthesized iteration adds the verified one's delta, and a
+    /// restore adds a snapshot's totals to a fresh executor.
+    fn add_totals(&mut self, to: VirtualTime, t: &RunTotals) {
+        self.queue.fast_forward(to, &t.queue);
+        for (n, dn) in self.dispatches.iter_mut().zip(t.dispatches) {
+            *n += dn;
+        }
+        for (gpu, busy) in self.gpus.iter_mut().zip(&t.gpu_busy) {
+            gpu.busy_time += *busy;
+        }
+        self.bytes_transferred += t.bytes_transferred;
+        self.comm_busy += t.comm_busy;
+    }
+
+    fn counters(&self) -> Counters {
+        Counters {
+            totals: self.totals(),
             net: self
                 .network
                 .stats_snapshot()
@@ -1008,50 +969,33 @@ impl<'a> Executor<'a> {
             at: self.queue.now(),
             counters: self.counters(),
             records: self.timeline.len(),
-            comm: self.comm_intervals.len(),
         }
     }
 
     /// What the iteration that just ended added since `before`, with
     /// `attr` its attribution recorded alone.
     fn delta_since(&self, before: Mark, attr: AttributionAccumulator) -> IterationDelta {
-        let mut comm = self.comm_intervals[before.comm..].to_vec();
-        merge_intervals(&mut comm);
         IterationDelta {
             begin: before.at,
             period: self.queue.now() - before.at,
             counters: self.counters().since(&before.counters),
             attr,
             records: before.records..self.timeline.len(),
-            comm,
         }
     }
 
     /// Adds one iteration that repeats the verified one, without
-    /// simulating it: the clock and every accumulated counter advance by
-    /// its deltas, the transfer intervals repeat shifted, its records,
-    /// shifted, fold into the timeline digest without being built, and
-    /// its attribution waits in `s.pending`.
+    /// simulating it: the clock and the run's totals advance by its
+    /// deltas, its records, shifted, fold into the timeline digest
+    /// without being built, and its attribution waits in `s.pending`.
     fn synthesize(&mut self, s: &mut Synthesis) {
         let t0 = self.profiling.then(Instant::now);
         let d = &s.delta;
         let begin = self.queue.now();
         let shift = begin - d.begin;
-        let c = &d.counters;
-        self.queue.fast_forward(begin + d.period, &c.queue);
-        for (n, dn) in self.dispatches.iter_mut().zip(c.dispatches) {
-            *n += dn;
-        }
-        for (gpu, busy) in self.gpus.iter_mut().zip(&c.gpu_busy) {
-            gpu.busy_time += *busy;
-        }
-        self.bytes_transferred += c.bytes;
-        self.budget_events += c.budget_events;
-        self.network.absorb_stats(&c.net);
-        self.comm_intervals
-            .extend(d.comm.iter().map(|&(s, e)| (s + shift, e + shift)));
+        self.add_totals(begin + d.period, &d.counters.totals);
+        self.network.absorb_stats(&d.counters.net);
         s.pending += 1;
-        self.iter_ends.push(self.queue.now());
         let records = &self.timeline[d.records.clone()];
         let (seed, labels) = (self.tl_digest.1, self.graph.labels());
         let h = s.fold.fold(seed, records, labels, shift);
@@ -1083,7 +1027,7 @@ impl<'a> Executor<'a> {
             // surface the structured error instead of the deadlock
             // panic the unfinished graph would otherwise trigger.
             let total = self.queue.now() - VirtualTime::ZERO;
-            let done = self.iter_ends.len() as u64 + 1;
+            let done = (self.current_iter - self.iter_offset + 1) as u64;
             self.flush_selfprof(engine_t, done);
             self.finish_observability(total, None);
             return Err(e);
@@ -1093,17 +1037,16 @@ impl<'a> Executor<'a> {
         let total = self.queue.now() - VirtualTime::ZERO;
         let bottleneck = self.build_bottleneck(total);
         self.finish_observability(total, Some(&bottleneck));
-        let per_gpu_compute = self.gpus.iter().map(|g| g.busy_time).collect();
-        let comm_busy = union_length(self.comm_intervals);
+        let totals = self.totals();
         let mut report = SimReport::new(
             total,
-            per_gpu_compute,
-            comm_busy,
-            self.bytes_transferred,
+            totals.gpu_busy,
+            totals.comm_busy,
+            totals.bytes_transferred,
             // Restored runs execute only the remaining iterations but
             // report the whole run: count from the global offset.
             self.graph.len() * (self.iter_offset + iterations),
-            *self.queue.stats(),
+            totals.queue,
             self.network.observe(),
             self.timeline,
             Arc::clone(self.graph.labels()),
@@ -1391,12 +1334,12 @@ impl<'a> Executor<'a> {
                 "the checked clock reaches VirtualTime::MAX only by landing on it, \
                  and NOT_RUN marks an unset time"
             );
-            // Runaway guard: events are counted and checked before they
-            // are processed, so with `max_events = N` exactly N events
-            // take effect.
+            // Runaway guard: the queue counts an event delivered as it
+            // pops it, and the count is checked before the event is
+            // processed, so with `max_events = N` exactly N events take
+            // effect.
             if let Some(b) = &self.budget {
-                self.budget_events += 1;
-                if let Some((kind, limit)) = b.check(self.budget_events, now) {
+                if let Some((kind, limit)) = b.check(self.queue.stats().delivered(), now) {
                     self.stop_error = Some(SimError::BudgetExceeded { kind, limit });
                     return;
                 }
@@ -1430,10 +1373,12 @@ impl<'a> Executor<'a> {
                         .flow_task
                         .remove(&flow)
                         .expect("delivered flow belongs to a task");
+                    if self.flow_task.is_empty() {
+                        self.comm_busy += now - self.comm_since;
+                    }
                     let start = self.attr_start[task.0];
                     debug_assert_ne!(start, NOT_RUN, "transfer was started");
                     self.attr_end[task.0] = now;
-                    self.comm_intervals.push((start, now));
                     self.timeline.push(TimelineEntry::new(
                         task,
                         TimelineTrack::Network,
@@ -1776,6 +1721,9 @@ impl<'a> Executor<'a> {
                 // structured error instead of a panic.
                 match self.timed_net(|n| n.try_send(now, src, dst, bytes)) {
                     Ok((flow, cmds)) => {
+                        if self.flow_task.is_empty() {
+                            self.comm_since = now;
+                        }
                         self.flow_task.insert(flow, task);
                         self.apply(cmds);
                     }

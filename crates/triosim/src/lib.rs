@@ -8,7 +8,7 @@
 //! iteration of a DNN take on a multi-GPU system**, given only an
 //! operator-level trace collected on a *single* GPU? It combines:
 //!
-//! * a **multi-GPU trace extrapolator** ([`extrapolate`]) that converts
+//! * a **multi-GPU trace extrapolator** ([`extrapolate()`]) that converts
 //!   the single-GPU trace into a per-GPU task graph for data parallelism
 //!   (standard and DDP-overlapped), tensor parallelism, and GPipe-style
 //!   pipeline parallelism, inserting NCCL-style collective transfers;

@@ -13,9 +13,7 @@ use std::sync::Arc;
 use serde::Value;
 use triosim_des::{fnv1a, QueueStats, TimeSpan, VirtualTime, FNV_PRIME};
 use triosim_network::{NetObservation, PacketObservation};
-use triosim_obs::{
-    merge_intervals, total_len, AttrValue, BottleneckReport, ChromeTraceSink, Recorder,
-};
+use triosim_obs::{AttrValue, BottleneckReport, ChromeTraceSink, Recorder};
 
 use crate::taskgraph::{Labels, TaskId};
 
@@ -881,13 +879,6 @@ impl ReplayFold {
     }
 }
 
-/// Merges possibly-overlapping intervals in place and returns their
-/// union length.
-pub(crate) fn union_length(mut intervals: Vec<(VirtualTime, VirtualTime)>) -> TimeSpan {
-    merge_intervals(&mut intervals);
-    total_len(&intervals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -929,23 +920,6 @@ mod tests {
     /// Task 0 on GPU 0, in layer `layer`.
     fn op(start: f64, end: f64, layer: Option<u32>) -> TimelineEntry {
         TimelineEntry::new(TaskId(0), TimelineTrack::Gpu(0), layer, t(start), t(end))
-    }
-
-    #[test]
-    fn union_of_disjoint_intervals() {
-        let u = union_length(vec![(t(0.0), t(1.0)), (t(2.0), t(3.0))]);
-        assert_eq!(u, TimeSpan::from_seconds(2.0));
-    }
-
-    #[test]
-    fn union_of_overlapping_intervals() {
-        let u = union_length(vec![(t(0.0), t(2.0)), (t(1.0), t(3.0)), (t(2.5), t(2.8))]);
-        assert_eq!(u, TimeSpan::from_seconds(3.0));
-    }
-
-    #[test]
-    fn union_of_nothing_is_zero() {
-        assert_eq!(union_length(vec![]), TimeSpan::ZERO);
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
-    /// Sets the global mini-batch (see [`extrapolate`](crate::extrapolate)
+    /// Sets the global mini-batch (see [`extrapolate`](fn@crate::extrapolate)
     /// for its meaning under each parallelism).
     pub fn global_batch(mut self, batch: u64) -> Self {
         self.global_batch = Some(batch);
@@ -316,7 +316,7 @@ impl<'a> SimBuilder<'a> {
     ///
     /// The builder validates the fault plan, builds the graph and the
     /// network, and hands everything else to one
-    /// [`execute`](crate::execute) call.
+    /// [`execute`] call.
     ///
     /// # Errors
     ///

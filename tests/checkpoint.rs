@@ -13,14 +13,14 @@
 
 mod common;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use serde::Deserialize as _;
 use triosim::{
-    CheckpointError, FaultPlan, GpuSlowdown, Jitter, LinkDegradation, Parallelism, Platform,
-    Replay, SelfProfiler, SimBuilder, SimError,
+    run_sweep, run_sweep_with, CheckpointError, FaultPlan, GpuSlowdown, Jitter, LinkDegradation,
+    Parallelism, Platform, Replay, SelfProfiler, SimBuilder, SimError, SweepRunConfig, SweepSpec,
 };
 use triosim_des::{RunBudget, TimeSpan};
 use triosim_modelzoo::ModelId;
@@ -573,27 +573,112 @@ fn restore_from_every_boundary_is_byte_identical() {
     }
 }
 
-/// `tests/fixtures/ddp_boundary2.ckpt` was written by an earlier build:
-/// the golden quartet's DDP scenario after 2 iterations, with cadence 2.
-/// Every other restore test writes its snapshot with the binary under
-/// test, so only this one notices a spec hash or snapshot format that
-/// drifted between builds.
+/// A committed file under `tests/fixtures/`.
+fn fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(name)
+}
+
+/// The spec hash a snapshot file records.
+fn recorded_spec_hash(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).expect("snapshot readable");
+    let v: serde::Value = serde_json::from_str(text.trim_end()).expect("snapshot is JSON");
+    String::from_value(v.get("spec_hash").expect("a spec hash")).expect("a string")
+}
+
+/// The golden quartet's DDP scenario, 4 iterations, restored from
+/// `snapshot` if given: the committed snapshots hold it after 2, written
+/// with cadence 2.
+fn committed_scenario(
+    t: &Trace,
+    p: &Platform,
+    snapshot: Option<PathBuf>,
+) -> Result<triosim::SimReport, SimError> {
+    let b = SimBuilder::new(t, p)
+        .parallelism(Parallelism::DataParallel { overlap: true })
+        .iterations(4);
+    match snapshot {
+        Some(path) => b.restore(path).try_run(),
+        None => b.try_run(),
+    }
+}
+
+/// `tests/fixtures/ddp_boundary2_v2.ckpt` was written by the build that
+/// introduced format v2, and every later build must restore it. Every
+/// other restore test writes its snapshot with the binary under test, so
+/// only this one notices a spec hash or snapshot format that drifted
+/// between builds. Its spec hash is the v1 file's: the format changed,
+/// the scenario did not.
 #[test]
 fn committed_snapshot_restores_byte_identically() {
     let t = Tracer::new(GpuModel::A40).trace(&ModelId::Vgg11.build(8));
     let p = Platform::p2(2);
-    let b = || {
-        SimBuilder::new(&t, &p)
-            .parallelism(Parallelism::DataParallel { overlap: true })
-            .iterations(4)
-    };
-    let fixture =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/ddp_boundary2.ckpt");
-    let restored = b()
-        .restore(&fixture)
-        .try_run()
-        .expect("the committed snapshot restores");
-    assert_eq!(b().run().to_canonical_json(), restored.to_canonical_json());
+    let v2 = fixture("ddp_boundary2_v2.ckpt");
+    assert_eq!(
+        recorded_spec_hash(&v2),
+        recorded_spec_hash(&fixture("ddp_boundary2.ckpt"))
+    );
+    let restored = committed_scenario(&t, &p, Some(v2)).expect("the committed snapshot restores");
+    let uninterrupted = committed_scenario(&t, &p, None).expect("the scenario runs");
+    assert_eq!(
+        uninterrupted.to_canonical_json(),
+        restored.to_canonical_json()
+    );
+}
+
+/// `tests/fixtures/ddp_boundary2.ckpt`, the same scenario in format v1,
+/// whose comm intervals, iteration ends and four dispatch slots format
+/// v2 dropped: restore refuses it with the typed version error.
+#[test]
+fn v1_snapshot_is_an_unsupported_version() {
+    let t = Tracer::new(GpuModel::A40).trace(&ModelId::Vgg11.build(8));
+    let p = Platform::p2(2);
+    let err = committed_scenario(&t, &p, Some(fixture("ddp_boundary2.ckpt")))
+        .expect_err("a v1 snapshot does not restore");
+    assert!(
+        matches!(
+            err,
+            SimError::Checkpoint(CheckpointError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            })
+        ),
+        "{err:?}"
+    );
+}
+
+/// A `--checkpoint-dir` sweep that finds the v1 snapshot of its
+/// scenario reruns the scenario, as it reruns any unusable snapshot, to
+/// the bytes of a sweep that found none, and leaves no snapshot behind.
+#[test]
+fn checkpoint_dir_sweep_reruns_a_v1_snapshot() {
+    let spec = SweepSpec::from_json(
+        r#"{ "name": "v1",
+             "defaults": { "model": "vgg11", "trace_batch": 8, "gpu": "A40",
+                           "iterations": 4 },
+             "grid": { "parallelism": ["ddp"], "platform": ["p2:2"] } }"#,
+    )
+    .expect("spec parses");
+    let clean = run_sweep(&spec, 1, false).expect("clean sweep runs");
+    let dir = temp_path("v1-sweep");
+    std::fs::create_dir_all(&dir).expect("checkpoint dir");
+    let snapshot = dir.join("scenario-0.ckpt");
+    std::fs::copy(fixture("ddp_boundary2.ckpt"), &snapshot).expect("copy the v1 snapshot");
+    let outcome = run_sweep_with(
+        &spec,
+        &SweepRunConfig {
+            threads: 1,
+            checkpoint_dir: Some(dir.clone()),
+            ..SweepRunConfig::default()
+        },
+    )
+    .expect("sweep runs");
+    let left = snapshot.exists();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(outcome.failures(), 0);
+    assert_eq!(clean.to_canonical_string(), outcome.to_canonical_string());
+    assert!(!left, "the rerun scenario's snapshot is removed");
 }
 
 #[test]
@@ -667,10 +752,11 @@ fn budgeted_restore_trips_identically() {
         std::fs::remove_file(&path).ok();
         let v: serde::Value = serde_json::from_str(text.trim_end()).expect("snapshot is JSON");
         // The event-budget axis counts exactly the compute and flow
-        // deliveries, which are the first two dispatch counters.
+        // deliveries, which are the two dispatch counters.
         let dispatches = Vec::<u64>::from_value(
             v.get("state")
-                .and_then(|s| s.get("dispatches"))
+                .and_then(|s| s.get("totals"))
+                .and_then(|t| t.get("dispatches"))
                 .expect("snapshot records dispatch counters"),
         )
         .expect("dispatches are integers");
@@ -799,35 +885,117 @@ fn snapshot_with_more_iterations_than_requested_is_corrupt() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Builds that queued monitor ticks and fault injections counted them in
-/// a snapshot's last two dispatch slots, and in queue counters this build
-/// cannot reproduce: such a snapshot is corrupt, so its scenario reruns
-/// from the start.
+/// A snapshot's `completed` count must be the iteration count its
+/// attribution recorded: one edited from 2 to 1 is corrupt, not a run
+/// that resumes at the wrong boundary.
 #[test]
-fn snapshot_with_retired_dispatch_counts_is_corrupt() {
+fn snapshot_with_an_edited_completed_count_is_corrupt() {
     let t = trace(ModelId::Vgg11, 8);
     let p = Platform::p2(2);
-    let path = temp_path("retired");
+    let path = temp_path("completed");
     SimBuilder::new(&t, &p)
         .iterations(2)
         .checkpoint(&path, 2)
         .try_run()
         .expect("run completes");
     let text = std::fs::read_to_string(&path).expect("snapshot readable");
-    let at = text.find(r#""dispatches":["#).expect("dispatch counters");
-    let end = at + text[at..].find(']').expect("a closed list");
-    assert!(text[..end].ends_with(",0,0"), "{}", &text[at..=end]);
-    let edited = format!("{},0,3{}", &text[..end - 4], &text[end..]);
+    let edited = text.replacen(r#""completed":2,"#, r#""completed":1,"#, 1);
+    assert_ne!(edited, text, "the snapshot records 2 completed iterations");
     std::fs::write(&path, edited).expect("write scratch file");
     let err = SimBuilder::new(&t, &p)
         .iterations(4)
         .restore(&path)
         .try_run()
-        .expect_err("three injections in a retired slot must fail");
+        .expect_err("1 completed iteration against 2 recorded must fail");
     std::fs::remove_file(&path).ok();
     assert!(
         matches!(err, SimError::Checkpoint(CheckpointError::Corrupt(_))),
         "{err:?}"
+    );
+}
+
+/// A restored run that trips its budget profiles the iterations it ran
+/// itself, not the snapshot's: restored at boundary 2 and tripping in
+/// iteration 3, its engine loop counts one.
+#[test]
+fn profiled_budget_trip_after_restore_counts_its_own_iterations() {
+    let t = trace(ModelId::ResNet18, 16);
+    let p = Platform::p2(2);
+    let per_iteration = SimBuilder::new(&t, &p).run().queue_stats().delivered();
+    let budget = || RunBudget::unlimited().with_max_events(per_iteration * 2 + per_iteration / 2);
+    let path = temp_path("profiled-budget");
+    SimBuilder::new(&t, &p)
+        .iterations(2)
+        .budget(budget())
+        .checkpoint(&path, 2)
+        .try_run()
+        .expect("two iterations fit the budget");
+    let mut prof = SelfProfiler::new();
+    let err = SimBuilder::new(&t, &p)
+        .iterations(4)
+        .budget(budget())
+        .restore(&path)
+        .try_run_profiled(&mut prof)
+        .expect_err("the restored run trips in iteration 3");
+    std::fs::remove_file(&path).ok();
+    assert!(matches!(err, SimError::BudgetExceeded { .. }), "{err:?}");
+    let profile = prof.snapshot();
+    let engine_loop = profile.find(&["engine_loop"]).map(|n| n.calls);
+    assert_eq!(engine_loop, Some(1), "{}", profile.render());
+}
+
+/// Every array and object in `v`, by path, with its length or keys.
+fn shape(v: &serde::Value, path: &str, out: &mut Vec<String>) {
+    match v {
+        serde::Value::Array(items) => {
+            out.push(format!("{path}: {} items", items.len()));
+            for (i, item) in items.iter().enumerate() {
+                shape(item, &format!("{path}[{i}]"), out);
+            }
+        }
+        serde::Value::Object(fields) => {
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            out.push(format!("{path}: {keys:?}"));
+            for (k, field) in fields {
+                shape(field, &format!("{path}.{k}"), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// A snapshot holds nothing that grows with the run: a replayed run's
+/// state at boundary 40 has every array and object of its state at
+/// boundary 3, at the same length and with the same keys.
+#[test]
+fn snapshot_shape_does_not_grow_with_the_boundary() {
+    let t = trace(ModelId::ResNet18, 8);
+    let p = Platform::p2(2);
+    let state_shape = |k: usize| {
+        let path = temp_path("shape");
+        let report = SimBuilder::new(&t, &p)
+            .iterations(k)
+            .checkpoint(&path, k)
+            .try_run()
+            .expect("run completes");
+        assert_eq!(report.replay(), Replay::Synthesized(k - 2));
+        let text = std::fs::read_to_string(&path).expect("snapshot readable");
+        std::fs::remove_file(&path).ok();
+        let v: serde::Value = serde_json::from_str(text.trim_end()).expect("snapshot is JSON");
+        let mut out = Vec::new();
+        shape(v.get("state").expect("a state"), "state", &mut out);
+        out
+    };
+    let (early, late) = (state_shape(3), state_shape(40));
+    assert!(early
+        .iter()
+        .any(|s| s.starts_with("state.attr.last_path: ")));
+    let first_change = early.iter().zip(&late).find(|(e, l)| e != l);
+    assert!(
+        early == late,
+        "{} vs {} entries, first change: {first_change:?}",
+        early.len(),
+        late.len()
     );
 }
 

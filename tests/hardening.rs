@@ -308,3 +308,34 @@ fn count_flags_refuse_zero_before_anything_starts() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A command whose stdout closes after its first line ends quietly, as
+/// `triosim-cli simulate ... | head -1` should: no panic on stderr and
+/// not the panic exit code 101. (The broken pipe ends it by SIGPIPE.)
+#[test]
+fn closed_stdout_ends_a_command_quietly() {
+    use std::io::BufRead as _;
+    let bin = env!("CARGO_BIN_EXE_triosim-cli");
+    let trace = temp_file("sigpipe-trace", 0);
+    std::fs::write(&trace, corpus_trace()).unwrap();
+    let mut child = Command::new(bin)
+        .args(["simulate", "--platform", "p2:2", "--iterations", "6"])
+        .arg("--trace")
+        .arg(&trace)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the CLI starts");
+    let mut first = String::new();
+    // The line is printed before the run; the reader, and with it the
+    // pipe's read end, is dropped as soon as it is read.
+    std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("the first line");
+    let out = child.wait_with_output().expect("child output");
+    std::fs::remove_file(&trace).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(first.starts_with("resnet18 | 2 x"), "{first}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}

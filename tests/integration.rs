@@ -3,8 +3,9 @@
 //! closed-form expectations on degenerate configurations and paper-shaped
 //! behaviour on realistic ones.
 
-use triosim::{Fidelity, Parallelism, Platform, SimBuilder};
+use triosim::{Fidelity, Parallelism, Platform, Replay, SimBuilder, SimReport, TimelineTrack};
 use triosim_modelzoo::ModelId;
+use triosim_obs::{merge_intervals, total_len};
 use triosim_trace::{GpuModel, Trace, Tracer};
 
 fn trace_of(model: ModelId, batch: u64, gpu: GpuModel) -> Trace {
@@ -346,5 +347,62 @@ fn transformers_all_parallelisms() {
             report.total_time_s() < 60.0,
             "{parallelism} took absurdly long"
         );
+    }
+}
+
+/// `comm_time_s` is the length of the union of the network track's
+/// records, to the bit. The executor counts transfers in flight instead
+/// of keeping their spans; the union of the spans (`merge_intervals`
+/// and `total_len`) is the oracle. Over every parallelism, the packet
+/// tier, the reference fidelity, and a replayed run whose synthesized
+/// records the timeline view builds.
+#[test]
+fn comm_time_is_the_union_of_the_network_records() {
+    let union_s = |r: &SimReport| {
+        let mut spans: Vec<_> = r
+            .timeline()
+            .iter()
+            .filter(|rec| rec.track == TimelineTrack::Network)
+            .map(|rec| (rec.start, rec.end))
+            .collect();
+        merge_intervals(&mut spans);
+        total_len(&spans).as_seconds()
+    };
+    let trace = trace_of(ModelId::ResNet18, 8, GpuModel::A100);
+    let p2 = Platform::p2(4);
+    let fat = Platform::fat_tree(GpuModel::A100, 4, 1, 25e9, 5e-6, 4.0, "fat4");
+    let (dp, ddp) = (
+        Parallelism::DataParallel { overlap: false },
+        Parallelism::DataParallel { overlap: true },
+    );
+    let (tp, pp) = (
+        Parallelism::TensorParallel,
+        Parallelism::Pipeline { chunks: 2 },
+    );
+    // Pipeline hand-offs on the oversubscribed fat tree, and TP under the
+    // reference's per-board skew, start transfers while others are in
+    // flight: a busy period that opened at any later start reads short.
+    let cases = [
+        (dp, &p2, Fidelity::TrioSim, 1),
+        (ddp, &p2, Fidelity::TrioSim, 1),
+        (tp, &p2, Fidelity::TrioSim, 1),
+        (pp, &p2, Fidelity::TrioSim, 1),
+        (pp, &fat, Fidelity::TrioSim, 1),
+        (pp, &fat, Fidelity::Packet, 2),
+        (tp, &p2, Fidelity::Reference, 2),
+        (pp, &fat, Fidelity::TrioSim, 6),
+    ];
+    for (parallelism, platform, fidelity, iterations) in cases {
+        let report = SimBuilder::new(&trace, platform)
+            .parallelism(parallelism)
+            .fidelity(fidelity)
+            .iterations(iterations)
+            .run();
+        let case = format!("{parallelism} {fidelity:?} x{iterations}");
+        if iterations == 6 {
+            assert_eq!(report.replay(), Replay::Synthesized(4), "{case}");
+        }
+        assert!(report.comm_time_s() > 0.0, "{case}");
+        assert_eq!(report.comm_time_s(), union_s(&report), "{case}");
     }
 }
