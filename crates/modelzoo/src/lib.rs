@@ -28,6 +28,10 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Part of the hardened error path: `TensorShape` parses external trace
+// files, so production code in this crate must not unwrap. Tests are
+// exempt.
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod cnn;
 mod graph;

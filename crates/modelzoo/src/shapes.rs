@@ -1,8 +1,9 @@
 //! Tensor shapes and element types.
 
 use std::fmt;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Element data type of a tensor.
 ///
@@ -47,6 +48,10 @@ impl fmt::Display for DType {
 
 /// The dimensions of a tensor.
 ///
+/// The dimension list is shared: cloning a shape (an operator, a trace
+/// entry, a registered output) copies a pointer and allocates nothing.
+/// It serializes as a plain array of dimensions.
+///
 /// # Example
 ///
 /// ```rust
@@ -56,8 +61,8 @@ impl fmt::Display for DType {
 /// assert_eq!(act.numel(), 128 * 64 * 56 * 56);
 /// assert_eq!(act.bytes(DType::F32), act.numel() * 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct TensorShape(Vec<u64>);
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+pub struct TensorShape(Arc<[u64]>);
 
 impl TensorShape {
     /// Creates a shape from its dimension list.
@@ -67,11 +72,8 @@ impl TensorShape {
     /// Panics if any dimension is zero — degenerate tensors never appear
     /// in the traced workloads and would silently zero out FLOP counts.
     pub fn new(dims: Vec<u64>) -> Self {
-        assert!(
-            dims.iter().all(|&d| d > 0),
-            "tensor dimensions must be positive, got {dims:?}"
-        );
-        TensorShape(dims)
+        assert_positive(&dims);
+        TensorShape(dims.into())
     }
 
     /// The dimension list.
@@ -105,9 +107,11 @@ impl TensorShape {
     pub fn with_batch(&self, new_batch: u64) -> Self {
         assert!(!self.0.is_empty(), "cannot rebatch a rank-0 shape");
         assert!(new_batch > 0, "batch must be positive");
-        let mut dims = self.0.clone();
-        dims[0] = new_batch;
-        TensorShape(dims)
+        TensorShape(
+            std::iter::once(new_batch)
+                .chain(self.0[1..].iter().copied())
+                .collect(),
+        )
     }
 
     /// The first (batch) dimension.
@@ -118,6 +122,13 @@ impl TensorShape {
     pub fn batch(&self) -> u64 {
         *self.0.first().expect("rank-0 shape has no batch dimension")
     }
+}
+
+fn assert_positive(dims: &[u64]) {
+    assert!(
+        dims.iter().all(|&d| d > 0),
+        "tensor dimensions must be positive, got {dims:?}"
+    );
 }
 
 impl fmt::Display for TensorShape {
@@ -135,13 +146,29 @@ impl fmt::Display for TensorShape {
 
 impl From<&[u64]> for TensorShape {
     fn from(dims: &[u64]) -> Self {
-        TensorShape::new(dims.to_vec())
+        assert_positive(dims);
+        TensorShape(dims.into())
     }
 }
 
 impl<const N: usize> From<[u64; N]> for TensorShape {
     fn from(dims: [u64; N]) -> Self {
-        TensorShape::new(dims.to_vec())
+        TensorShape::from(&dims[..])
+    }
+}
+
+impl Serialize for TensorShape {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+/// Loads any array of unsigned integers, a zero dimension included (a
+/// trace file is data, not a zoo definition; [`TensorShape::new`] is the
+/// check for the latter).
+impl Deserialize for TensorShape {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Vec::<u64>::from_value(v).map(|dims| TensorShape(dims.into()))
     }
 }
 

@@ -32,7 +32,8 @@
 //! [`BottleneckReport`] is part of the canonical report surface and is
 //! byte-identical across hosts, thread counts, and observability on/off.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize, Value};
 use triosim_des::{TimeSpan, VirtualTime};
@@ -567,28 +568,31 @@ fn top_ops<'l>(
     label: impl Fn(usize) -> &'l str,
     class: impl Fn(usize) -> TaskClass,
 ) -> Vec<LabelTotal<'l>> {
-    // Group by sorting: equal labels become adjacent, lowest index first.
-    let mut tasks: Vec<(&str, usize)> = on_path
-        .iter()
-        .map(|(&t, &(_, count))| (t as usize, count))
-        .filter(|&(t, count)| count > 0 && !matches!(class(t), TaskClass::Sync))
-        .map(|(t, _)| (label(t), t))
-        .collect();
-    tasks.sort_unstable();
-    let mut totals: Vec<LabelTotal<'l>> = Vec::with_capacity(tasks.len());
-    for (label, t) in tasks {
-        let (ticks, count) = on_path[&(t as u32)];
-        match totals.last_mut() {
-            Some(last) if last.label == label => {
-                last.ticks += ticks;
-                last.count += count;
+    // Group by label in ascending task order, so a label's first task
+    // is its lowest-indexed one and gives the kind.
+    let mut slots: HashMap<&'l str, usize> = HashMap::with_capacity(on_path.len());
+    let mut totals: Vec<LabelTotal<'l>> = Vec::with_capacity(on_path.len());
+    for (&t, &(ticks, count)) in on_path {
+        let t = t as usize;
+        if count == 0 || matches!(class(t), TaskClass::Sync) {
+            continue;
+        }
+        let label = label(t);
+        match slots.entry(label) {
+            Entry::Occupied(slot) => {
+                let total = &mut totals[*slot.get()];
+                total.ticks += ticks;
+                total.count += count;
             }
-            _ => totals.push(LabelTotal {
-                label,
-                ticks,
-                count,
-                kind: class(t).kind_str(),
-            }),
+            Entry::Vacant(slot) => {
+                slot.insert(totals.len());
+                totals.push(LabelTotal {
+                    label,
+                    ticks,
+                    count,
+                    kind: class(t).kind_str(),
+                });
+            }
         }
     }
     // Labels are unique now, so the rank order is total: selecting the

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use triosim_modelzoo::{DType, OpClass, Operator, TensorShape};
 
 /// Identifier of a tensor within one trace.
@@ -58,9 +58,17 @@ impl TensorRecord {
 }
 
 /// The table of all tensors referenced by a trace.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// Records sit in a vector sorted by id, one per id. The tracer's ids
+/// are 0, 1, 2, …, so a record's id is its index and a lookup reads one
+/// slot; the ids of a loaded file may be sparse, and are then found by
+/// binary search. It serializes as a `records` object keyed by ascending
+/// id, then `next_id`.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TensorTable {
-    records: BTreeMap<TensorId, TensorRecord>,
+    /// `(key, record)` by ascending key. A loaded file's record is filed
+    /// under its key even where its `id` field differs.
+    records: Vec<(TensorId, TensorRecord)>,
     next_id: u64,
 }
 
@@ -79,21 +87,38 @@ impl TensorTable {
     ) -> TensorId {
         let id = TensorId(self.next_id);
         self.next_id += 1;
-        self.records.insert(
+        let record = TensorRecord {
             id,
-            TensorRecord {
-                id,
-                category,
-                shape,
-                dtype,
+            category,
+            shape,
+            dtype,
+        };
+        // A fresh table appends; a loaded one whose `next_id` is not past
+        // its keys inserts in order, replacing a record it already holds.
+        match self.records.last() {
+            Some(&(last, _)) if last >= id => match self.position(id) {
+                Ok(i) => self.records[i].1 = record,
+                Err(i) => self.records.insert(i, (id, record)),
             },
-        );
+            _ => self.records.push((id, record)),
+        }
         id
+    }
+
+    /// Where `id` is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, id: TensorId) -> Result<usize, usize> {
+        let dense = usize::try_from(id.0)
+            .ok()
+            .filter(|&i| self.records.get(i).is_some_and(|&(key, _)| key == id));
+        match dense {
+            Some(i) => Ok(i),
+            None => self.records.binary_search_by_key(&id, |&(key, _)| key),
+        }
     }
 
     /// Looks up a tensor record.
     pub fn get(&self, id: TensorId) -> Option<&TensorRecord> {
-        self.records.get(&id)
+        self.position(id).ok().map(|i| &self.records[i].1)
     }
 
     /// Number of tensors in the table.
@@ -108,7 +133,7 @@ impl TensorTable {
 
     /// Iterates over records in id order.
     pub fn iter(&self) -> impl Iterator<Item = &TensorRecord> {
-        self.records.values()
+        self.records.iter().map(|(_, record)| record)
     }
 
     /// Total bytes of all tensors in a category.
@@ -117,6 +142,35 @@ impl TensorTable {
             .filter(|r| r.category == category)
             .map(TensorRecord::bytes)
             .sum()
+    }
+}
+
+impl Serialize for TensorTable {
+    fn to_value(&self) -> Value {
+        let records = self
+            .records
+            .iter()
+            .map(|(key, record)| (key.0.to_string(), record.to_value()))
+            .collect();
+        Value::Object(vec![
+            ("records".to_string(), Value::Object(records)),
+            ("next_id".to_string(), self.next_id.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for TensorTable {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let fields = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("object", v))?;
+        // Read through an ordered map: keys parse as serde's integer map
+        // keys, and a repeated key keeps its last record.
+        let records: BTreeMap<TensorId, TensorRecord> = serde::field(fields, "records")?;
+        Ok(TensorTable {
+            records: records.into_iter().collect(),
+            next_id: serde::field(fields, "next_id")?,
+        })
     }
 }
 

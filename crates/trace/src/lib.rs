@@ -44,6 +44,7 @@
 
 mod format;
 mod gpu;
+mod hash;
 mod oracle;
 mod tracer;
 
@@ -51,5 +52,6 @@ pub use format::{
     Phase, TensorCategory, TensorId, TensorRecord, TensorTable, Trace, TraceEntry, TraceError,
 };
 pub use gpu::{GpuModel, GpuSpec, LinkKind};
+pub use hash::SipHasher13;
 pub use oracle::OracleGpu;
 pub use tracer::Tracer;

@@ -20,11 +20,10 @@
 //! error measured against it is structurally the same quantity the paper
 //! reports against hardware.
 
-use std::hash::{Hash, Hasher};
-
 use triosim_modelzoo::{OpClass, Operator};
 
 use crate::gpu::{GpuModel, GpuSpec};
+use crate::hash::SipHasher13;
 
 /// High-fidelity reference timing model for one GPU.
 ///
@@ -157,10 +156,10 @@ impl OracleGpu {
         if self.jitter_amplitude == 0.0 {
             return 0.0;
         }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        op.name.hash(&mut h);
-        op.flops.to_bits().hash(&mut h);
-        self.spec.name.hash(&mut h);
+        let mut h = SipHasher13::new();
+        h.write_str(&op.name);
+        h.write_u64(op.flops.to_bits());
+        h.write_str(self.spec.name);
         let unit = (h.finish() % 10_000) as f64 / 10_000.0; // [0, 1)
         (unit * 2.0 - 1.0) * self.jitter_amplitude
     }

@@ -5,6 +5,8 @@
 //! tracer (PyTorch Profiler + Execution Graph Observer): same output
 //! format, but the "hardware" is the [`OracleGpu`].
 
+use std::iter::once;
+
 use triosim_modelzoo::{DType, ModelGraph, Operator, TensorShape};
 
 use crate::format::{Phase, TensorCategory, TensorId, TensorTable, Trace, TraceEntry, TraceError};
@@ -67,60 +69,8 @@ impl Tracer {
     /// Returns [`TraceError::EmptyModel`] when the model has no layers or
     /// its first layer has no operators.
     pub fn try_trace_inference(&self, model: &ModelGraph) -> Result<Trace, TraceError> {
-        let mut tensors = TensorTable::new();
-        let mut entries = Vec::new();
-
-        let first_op = first_op(model)?;
-        let input_elems = (first_op.bytes_in / DType::F32.size_bytes()).max(1);
-        let mut current_activation = tensors.register(
-            TensorCategory::Input,
-            TensorShape::from([input_elems]),
-            DType::F32,
-        );
-        let weight_ids: Vec<Option<TensorId>> = model
-            .layers()
-            .iter()
-            .map(|layer| {
-                let bytes = layer.param_bytes();
-                (bytes > 0).then(|| {
-                    tensors.register(
-                        TensorCategory::Weight,
-                        TensorShape::from([bytes / DType::F32.size_bytes()]),
-                        DType::F32,
-                    )
-                })
-            })
-            .collect();
-
-        for (li, layer) in model.layers().iter().enumerate() {
-            for op in &layer.ops {
-                let out =
-                    tensors.register(TensorCategory::Activation, op.output.clone(), DType::F32);
-                let mut inputs = vec![current_activation];
-                if op.weight_bytes > 0 {
-                    if let Some(w) = weight_ids[li] {
-                        inputs.push(w);
-                    }
-                }
-                entries.push(TraceEntry {
-                    time_s: self.oracle.op_time_s(op),
-                    op: op.clone(),
-                    layer: li,
-                    phase: Phase::Forward,
-                    inputs,
-                    outputs: vec![out],
-                });
-                current_activation = out;
-            }
-        }
-
-        Trace::try_new(
-            model.name(),
-            model.batch(),
-            self.oracle.spec().name,
-            entries,
-            tensors,
-        )
+        let forward = self.forward(model)?;
+        self.finish(model, forward.entries, forward.tensors)
     }
 
     /// Traces one training iteration of `model`.
@@ -140,6 +90,68 @@ impl Tracer {
     /// Returns [`TraceError::EmptyModel`] when the model has no layers or
     /// its first layer has no operators.
     pub fn try_trace(&self, model: &ModelGraph) -> Result<Trace, TraceError> {
+        let Forward {
+            mut tensors,
+            mut entries,
+            weight_ids,
+            mut current_activation,
+        } = self.forward(model)?;
+
+        // Backward pass (reverse program order).
+        let mut grad_ids: Vec<Option<TensorId>> = vec![None; model.layer_count()];
+        for (li, layer) in model.layers().iter().enumerate().rev() {
+            let grad_id = {
+                let bytes = layer.param_bytes();
+                (bytes > 0).then(|| {
+                    tensors.register(
+                        TensorCategory::Gradient,
+                        TensorShape::from([bytes / DType::F32.size_bytes()]),
+                        DType::F32,
+                    )
+                })
+            };
+            grad_ids[li] = grad_id;
+            for op in layer.ops.iter().rev() {
+                let bwd = backward_of(op);
+                let out =
+                    tensors.register(TensorCategory::Activation, bwd.output.clone(), DType::F32);
+                let grad = grad_id.filter(|_| op.weight_bytes > 0);
+                entries.push(TraceEntry {
+                    time_s: self.oracle.op_time_s(&bwd),
+                    op: bwd,
+                    layer: li,
+                    phase: Phase::Backward,
+                    inputs: vec![current_activation],
+                    outputs: once(out).chain(grad).collect(),
+                });
+                current_activation = out;
+            }
+        }
+
+        // Optimizer step (one fused update per parameterized layer, as
+        // torch.optim executes per-parameter-group kernels).
+        for (li, layer) in model.layers().iter().enumerate() {
+            let bytes = layer.param_bytes();
+            if bytes == 0 {
+                continue;
+            }
+            let op = Operator::optimizer(suffixed(&layer.name, ".sgd"), bytes);
+            entries.push(TraceEntry {
+                time_s: self.oracle.op_time_s(&op),
+                op,
+                layer: li,
+                phase: Phase::Optimizer,
+                inputs: weight_ids[li].into_iter().chain(grad_ids[li]).collect(),
+                outputs: weight_ids[li].into_iter().collect(),
+            });
+        }
+
+        self.finish(model, entries, tensors)
+    }
+
+    /// The forward pass of `model`: the input batch, every layer's
+    /// weights, and one entry per forward operator.
+    fn forward(&self, model: &ModelGraph) -> Result<Forward, TraceError> {
         let mut tensors = TensorTable::new();
         let mut entries = Vec::new();
 
@@ -169,91 +181,37 @@ impl Tracer {
             })
             .collect();
 
-        // Forward pass.
         for (li, layer) in model.layers().iter().enumerate() {
             for op in &layer.ops {
                 let out =
                     tensors.register(TensorCategory::Activation, op.output.clone(), DType::F32);
-                let mut inputs = vec![current_activation];
-                if op.weight_bytes > 0 {
-                    if let Some(w) = weight_ids[li] {
-                        inputs.push(w);
-                    }
-                }
+                let weight = weight_ids[li].filter(|_| op.weight_bytes > 0);
                 entries.push(TraceEntry {
                     time_s: self.oracle.op_time_s(op),
                     op: op.clone(),
                     layer: li,
                     phase: Phase::Forward,
-                    inputs,
+                    inputs: once(current_activation).chain(weight).collect(),
                     outputs: vec![out],
                 });
                 current_activation = out;
             }
         }
+        Ok(Forward {
+            tensors,
+            entries,
+            weight_ids,
+            current_activation,
+        })
+    }
 
-        // Backward pass (reverse program order).
-        let mut grad_ids: Vec<Option<TensorId>> = vec![None; model.layer_count()];
-        for (li, layer) in model.layers().iter().enumerate().rev() {
-            let grad_id = {
-                let bytes = layer.param_bytes();
-                (bytes > 0).then(|| {
-                    tensors.register(
-                        TensorCategory::Gradient,
-                        TensorShape::from([bytes / DType::F32.size_bytes()]),
-                        DType::F32,
-                    )
-                })
-            };
-            grad_ids[li] = grad_id;
-            for op in layer.ops.iter().rev() {
-                let bwd = backward_of(op);
-                let out =
-                    tensors.register(TensorCategory::Activation, bwd.output.clone(), DType::F32);
-                let mut outputs = vec![out];
-                if let Some(g) = grad_id {
-                    if op.weight_bytes > 0 {
-                        outputs.push(g);
-                    }
-                }
-                entries.push(TraceEntry {
-                    time_s: self.oracle.op_time_s(&bwd),
-                    op: bwd,
-                    layer: li,
-                    phase: Phase::Backward,
-                    inputs: vec![current_activation],
-                    outputs,
-                });
-                current_activation = out;
-            }
-        }
-
-        // Optimizer step (one fused update per parameterized layer, as
-        // torch.optim executes per-parameter-group kernels).
-        for (li, layer) in model.layers().iter().enumerate() {
-            let bytes = layer.param_bytes();
-            if bytes == 0 {
-                continue;
-            }
-            let op = Operator::optimizer(format!("{}.sgd", layer.name), bytes);
-            let mut inputs = Vec::new();
-            if let Some(w) = weight_ids[li] {
-                inputs.push(w);
-            }
-            if let Some(g) = grad_ids[li] {
-                inputs.push(g);
-            }
-            let outputs = weight_ids[li].into_iter().collect();
-            entries.push(TraceEntry {
-                time_s: self.oracle.op_time_s(&op),
-                op,
-                layer: li,
-                phase: Phase::Optimizer,
-                inputs,
-                outputs,
-            });
-        }
-
+    /// Validates and assembles the traced entries.
+    fn finish(
+        &self,
+        model: &ModelGraph,
+        entries: Vec<TraceEntry>,
+        tensors: TensorTable,
+    ) -> Result<Trace, TraceError> {
         Trace::try_new(
             model.name(),
             model.batch(),
@@ -262,6 +220,15 @@ impl Tracer {
             tensors,
         )
     }
+}
+
+/// A trace after its forward pass: its tensors and entries so far, each
+/// layer's weight tensor, and the activation the pass ends on.
+struct Forward {
+    tensors: TensorTable,
+    entries: Vec<TraceEntry>,
+    weight_ids: Vec<Option<TensorId>>,
+    current_activation: TensorId,
 }
 
 /// The model's first operator (the shape source for the input tensor), or
@@ -274,6 +241,14 @@ fn first_op(model: &ModelGraph) -> Result<&Operator, TraceError> {
         .ok_or(TraceError::EmptyModel)
 }
 
+/// `name` followed by `suffix`, in one allocation.
+fn suffixed(name: &str, suffix: &str) -> String {
+    let mut out = String::with_capacity(name.len() + suffix.len());
+    out.push_str(name);
+    out.push_str(suffix);
+    out
+}
+
 /// Derives the backward operator for a forward operator.
 ///
 /// Operators with weights compute two gradients (input and weight), so
@@ -284,7 +259,7 @@ fn first_op(model: &ModelGraph) -> Result<&Operator, TraceError> {
 pub fn backward_of(op: &Operator) -> Operator {
     let factor = if op.weight_bytes > 0 { 2.0 } else { 1.0 };
     Operator {
-        name: format!("{}.bwd", op.name),
+        name: suffixed(&op.name, ".bwd"),
         class: op.class,
         flops: op.flops * factor,
         // Reads the upstream gradient and the saved activations/weights;

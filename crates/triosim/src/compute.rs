@@ -7,11 +7,9 @@
 //! plus the *reference* policy this reproduction uses as its hardware
 //! stand-in ground truth.
 
-use std::hash::{Hash, Hasher};
-
 use triosim_modelzoo::Operator;
 use triosim_perfmodel::LisModel;
-use triosim_trace::{GpuModel, OracleGpu};
+use triosim_trace::{GpuModel, OracleGpu, SipHasher13};
 
 use crate::parallelism::Parallelism;
 use crate::platform::Platform;
@@ -239,9 +237,9 @@ fn board_factor(gpu_index: usize, amp: f64) -> f64 {
     if amp == 0.0 {
         return 0.0;
     }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    gpu_index.hash(&mut h);
-    0xB0A2Du64.hash(&mut h);
+    let mut h = SipHasher13::new();
+    h.write_u64(gpu_index as u64);
+    h.write_u64(0xB0A2D);
     let unit = (h.finish() % 10_000) as f64 / 10_000.0;
     (unit * 2.0 - 1.0) * amp
 }
@@ -251,10 +249,10 @@ fn context_noise(gpu_index: usize, op: &Operator, amp: f64) -> f64 {
     if amp == 0.0 {
         return 0.0;
     }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    gpu_index.hash(&mut h);
-    op.name.hash(&mut h);
-    op.flops.to_bits().hash(&mut h);
+    let mut h = SipHasher13::new();
+    h.write_u64(gpu_index as u64);
+    h.write_str(&op.name);
+    h.write_u64(op.flops.to_bits());
     let unit = (h.finish() % 10_000) as f64 / 10_000.0;
     (unit * 2.0 - 1.0) * amp
 }
