@@ -91,6 +91,20 @@ pub struct DepTable {
 }
 
 impl DepTable {
+    /// An empty table that fills `ends` and `edges`, emptied, keeping
+    /// their capacity: a caller that reuses buffers from run to run passes
+    /// back what [`into_buffers`](Self::into_buffers) returned.
+    pub fn from_buffers(mut ends: Vec<u32>, mut edges: Vec<u32>) -> Self {
+        ends.clear();
+        edges.clear();
+        DepTable { ends, edges }
+    }
+
+    /// The table's buffers, `(ends, edges)`, for reuse.
+    pub fn into_buffers(self) -> (Vec<u32>, Vec<u32>) {
+        (self.ends, self.edges)
+    }
+
     /// Appends the next task's dependencies.
     ///
     /// # Panics

@@ -8,6 +8,7 @@
 //! backward propagation.
 
 use std::collections::{HashMap, VecDeque};
+use std::mem;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -30,6 +31,7 @@ use crate::report::{
     timeline_fnv, FaultStats, Repeat, ReplayFold, SerialReason, SimReport, TimelineEntry,
     TimelineTrack,
 };
+use crate::spare;
 use crate::taskgraph::{TaskGraph, TaskId, TaskKind};
 
 #[derive(Debug)]
@@ -509,14 +511,14 @@ impl<'a> Executor<'a> {
         // fill from the last task back, stepping each offset down to its
         // run's start: every run ascends, and no second offset table is
         // needed. `dependent_offsets[n]` keeps the edge count.
-        let mut dependent_offsets = vec![0u32; n + 1];
+        let mut dependent_offsets = spare::filled(|s| &mut s.dependent_offsets, n + 1, 0);
         for d in table.edges() {
             dependent_offsets[d.0] += 1;
         }
         for t in 1..=n {
             dependent_offsets[t] += dependent_offsets[t - 1];
         }
-        let mut dependents = vec![0u32; table.edges().len()];
+        let mut dependents = spare::filled(|s| &mut s.dependents, table.edges().len(), 0);
         for i in (0..n).rev() {
             for d in table.deps(i) {
                 dependent_offsets[d.0] -= 1;
@@ -543,7 +545,7 @@ impl<'a> Executor<'a> {
             network,
             queue: EventQueue::new(),
             // Set from the dependency table as each iteration starts.
-            indegree: vec![0; n],
+            indegree: spare::filled(|s| &mut s.indegree, n, 0),
             dependent_offsets,
             dependents,
             worklist: Vec::new(),
@@ -558,7 +560,11 @@ impl<'a> Executor<'a> {
             flow_event: IdMap::default(),
             comm_since: VirtualTime::ZERO,
             comm_busy: TimeSpan::ZERO,
-            timeline: Vec::with_capacity(n),
+            timeline: {
+                let mut timeline = spare::take(|s| &mut s.timeline);
+                timeline.reserve_exact(n);
+                timeline
+            },
             tl_digest: (0, FNV_OFFSET),
             tl_mark: 0,
             completed: 0,
@@ -589,9 +595,9 @@ impl<'a> Executor<'a> {
                 .collect(),
             collective_begin: vec![None; collectives.len()],
             attr: attribution(graph),
-            attr_start: vec![NOT_RUN; n],
-            attr_end: vec![NOT_RUN; n],
-            attr_gpu_pred: vec![NO_TASK; n],
+            attr_start: spare::filled(|s| &mut s.attr_start, n, NOT_RUN),
+            attr_end: spare::filled(|s| &mut s.attr_end, n, NOT_RUN),
+            attr_gpu_pred: spare::filled(|s| &mut s.attr_gpu_pred, n, NO_TASK),
             last_done: vec![NO_TASK; gpus],
             iter_begin: VirtualTime::ZERO,
             ckpt: checkpoint.map(|(path, every)| {
@@ -1048,7 +1054,7 @@ impl<'a> Executor<'a> {
             self.graph.len() * (self.iter_offset + iterations),
             totals.queue,
             self.network.observe(),
-            self.timeline,
+            mem::take(&mut self.timeline),
             Arc::clone(self.graph.labels()),
             self.tl_digest,
         );
@@ -1807,6 +1813,24 @@ impl<'a> Executor<'a> {
                 }
             }
         }
+    }
+}
+
+/// Gives the per-task tables, and the timeline when no report took it,
+/// back for the next executor on this thread (DESIGN.md §5, "Warm
+/// runs").
+impl Drop for Executor<'_> {
+    fn drop(&mut self) {
+        spare::give(|s| &mut s.indegree, mem::take(&mut self.indegree));
+        spare::give(
+            |s| &mut s.dependent_offsets,
+            mem::take(&mut self.dependent_offsets),
+        );
+        spare::give(|s| &mut s.dependents, mem::take(&mut self.dependents));
+        spare::give(|s| &mut s.attr_start, mem::take(&mut self.attr_start));
+        spare::give(|s| &mut s.attr_end, mem::take(&mut self.attr_end));
+        spare::give(|s| &mut s.attr_gpu_pred, mem::take(&mut self.attr_gpu_pred));
+        spare::give(|s| &mut s.timeline, mem::take(&mut self.timeline));
     }
 }
 

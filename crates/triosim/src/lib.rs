@@ -64,6 +64,7 @@ mod platform;
 mod report;
 pub mod serve;
 mod session;
+mod spare;
 pub mod sweep;
 mod taskgraph;
 mod viz;

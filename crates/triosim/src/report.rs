@@ -8,6 +8,7 @@
 //! any trace viewer.
 
 use std::fmt;
+use std::mem;
 use std::sync::Arc;
 
 use serde::Value;
@@ -15,6 +16,7 @@ use triosim_des::{fnv1a, QueueStats, TimeSpan, VirtualTime, FNV_PRIME};
 use triosim_network::{NetObservation, PacketObservation};
 use triosim_obs::{AttrValue, BottleneckReport, ChromeTraceSink, Recorder};
 
+use crate::spare;
 use crate::taskgraph::{Labels, TaskId};
 
 /// Which resource a timeline record occupied.
@@ -641,6 +643,15 @@ impl SimReport {
         sink.finish().expect("in-memory trace write cannot fail");
         let bytes = sink.into_inner();
         Ok(String::from_utf8(bytes).expect("trace sink emits UTF-8"))
+    }
+}
+
+/// Gives the timeline's buffer back for the next executor on this
+/// thread (DESIGN.md §5, "Warm runs"). The label arena goes back when
+/// its last sharer drops.
+impl Drop for SimReport {
+    fn drop(&mut self) {
+        spare::give(|s| &mut s.timeline, mem::take(&mut self.simulated));
     }
 }
 

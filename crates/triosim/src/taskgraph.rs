@@ -10,15 +10,21 @@
 //! Every label lives once, in the graph's label arena: the executor's
 //! timeline and the report name tasks by id and share the arena. Every
 //! dependency list lives once too, in the graph's flat [`DepTable`]: the
-//! executor and the critical-path walk read it in place.
+//! executor and the critical-path walk read it in place. A graph takes
+//! its task vector, dependency table and label arena from the thread's
+//! spare buffers and gives them back when it drops (DESIGN.md §5, "Warm
+//! runs").
 
 use std::fmt::{self, Write as _};
+use std::mem;
 use std::sync::Arc;
 
 use triosim_des::TimeSpan;
 use triosim_network::NodeId;
 use triosim_obs::DepTable;
 pub use triosim_obs::TaskId;
+
+use crate::spare;
 
 /// What a task does.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +94,14 @@ pub(crate) struct Labels {
 }
 
 impl Labels {
+    /// An empty arena in this thread's spare buffers.
+    fn new() -> Self {
+        Labels {
+            text: spare::take(|s| &mut s.label_text),
+            ends: spare::take(|s| &mut s.label_ends),
+        }
+    }
+
     /// Label `i`.
     ///
     /// # Panics
@@ -103,6 +117,15 @@ impl Labels {
         label.write_to(&mut self.text);
         let end = u32::try_from(self.text.len()).expect("task labels fit in 4 GiB");
         self.ends.push(end);
+    }
+}
+
+/// Gives the arena's buffers back when the last graph or report sharing
+/// it drops.
+impl Drop for Labels {
+    fn drop(&mut self) {
+        spare::give(|s| &mut s.label_text, mem::take(&mut self.text));
+        spare::give(|s| &mut s.label_ends, mem::take(&mut self.ends));
     }
 }
 
@@ -190,13 +213,17 @@ pub struct TaskGraph {
 }
 
 impl TaskGraph {
-    /// Creates an empty graph for a `gpus`-GPU execution.
+    /// Creates an empty graph for a `gpus`-GPU execution, in buffers the
+    /// thread's previous graph gave back when there are any.
     pub fn new(gpus: usize) -> Self {
         TaskGraph {
             gpus,
-            tasks: Vec::new(),
-            deps: DepTable::default(),
-            labels: Arc::default(),
+            tasks: spare::take(|s| &mut s.tasks),
+            deps: DepTable::from_buffers(
+                spare::take(|s| &mut s.dep_ends),
+                spare::take(|s| &mut s.dep_edges),
+            ),
+            labels: Arc::new(Labels::new()),
             collectives: Vec::new(),
         }
     }
@@ -371,6 +398,17 @@ impl TaskGraph {
                 _ => TimeSpan::ZERO,
             })
             .sum()
+    }
+}
+
+/// Gives the task vector and the dependency table back for the thread's
+/// next graph. The label arena goes back when its last sharer drops.
+impl Drop for TaskGraph {
+    fn drop(&mut self) {
+        spare::give(|s| &mut s.tasks, mem::take(&mut self.tasks));
+        let (ends, edges) = mem::take(&mut self.deps).into_buffers();
+        spare::give(|s| &mut s.dep_ends, ends);
+        spare::give(|s| &mut s.dep_edges, edges);
     }
 }
 
