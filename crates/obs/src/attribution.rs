@@ -91,9 +91,12 @@ pub struct DepTable {
 }
 
 impl DepTable {
-    /// An empty table that fills `ends` and `edges`, emptied, keeping
-    /// their capacity: a caller that reuses buffers from run to run passes
-    /// back what [`into_buffers`](Self::into_buffers) returned.
+    /// An empty table that fills `ends` and `edges`, keeping their
+    /// capacity: a caller that reuses buffers from run to run passes back
+    /// what [`into_buffers`](Self::into_buffers) returned. Both are
+    /// cleared here, whatever the caller passes, because a table that
+    /// starts with stale entries would give later tasks wrong
+    /// dependencies.
     pub fn from_buffers(mut ends: Vec<u32>, mut edges: Vec<u32>) -> Self {
         ends.clear();
         edges.clear();

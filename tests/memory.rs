@@ -103,7 +103,11 @@ fn a_flow_run_holds_a_bounded_heap_per_task() {
             .parallelism(Parallelism::DataParallel { overlap: true })
             .global_batch(8 * 16)
     };
-    let tasks = builder().build_graph().len() as i64;
+    // Counted on a thread of its own: a graph dropped on this thread would
+    // leave its buffers in the thread's spare (DESIGN.md §5, "Warm runs"),
+    // and the measured run would then not count the graph's storage.
+    let tasks = std::thread::scope(|s| s.spawn(|| builder().build_graph().len()).join())
+        .expect("the counting thread panicked") as i64;
     let (report, peak) = peak_above_start(|| builder().run());
     assert_eq!(report.tasks_executed() as i64, tasks);
     let per_task = peak / tasks;
